@@ -2,13 +2,14 @@
 
 Subcommands: solve, certify, recover, describe, sample, validate-psi,
 reproduce-examples.  Inputs are JSON files (see `serialization`); outputs go
-to --out or stdout and are byte-deterministic given identical inputs, flags,
-and seed.
+to --out or stdout and are byte-deterministic given identical inputs and
+flags.
 
 Exit codes: 0 success / verdict true; 1 malformed input or unusable flag
-combination; 2 solve ended without convergence (best iterate still written);
-3 a check failed (certificate rejected, recovery infeasible, generator
-axioms violated); 4 an example reproduction mismatched.
+combination; 2 solve ended without convergence (best iterate still written)
+or diverged (nothing written, error on stderr); 3 a check failed
+(certificate rejected, recovery infeasible, generator axioms violated); 4 an
+example reproduction mismatched.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .certificates import (
 from .errors import (
     DivergenceError,
     InputFormatError,
-    InternalConsistencyError,
     MembershipViolationError,
     NormMinError,
     RecoveryError,
@@ -94,7 +94,7 @@ def _tol(args, fallback: float) -> float:
 
 def cmd_solve(args) -> int:
     prob = _load_instance(args.problem)
-    cfg = SolverConfig(stop_tol=_tol(args, 1e-9), seed=args.seed)
+    cfg = SolverConfig(stop_tol=_tol(args, 1e-9))
     method = args.method
     if method == "auto":
         method = "subgradient" if prob.norm.generator.kind == "p" else "pattern"
@@ -203,7 +203,7 @@ def cmd_reproduce(args) -> int:
     summary = []
     failing = []
     for case in cases:
-        result = run_case(case, grid=args.grid, tol=tol, seed=args.seed)
+        result = run_case(case, grid=args.grid, tol=tol)
         casedir = outdir / case.case_id
         casedir.mkdir(parents=True, exist_ok=True)
         prob = case.instance()
@@ -265,7 +265,6 @@ def _build_parser() -> _Parser:
 
     def common(p, grid_default=None):
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("-o", "--out", default=None)
         if grid_default is not None:
             p.add_argument("--grid", type=int, default=grid_default)
@@ -307,6 +306,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate-psi", help="sampled generator axiom checks")
     p.add_argument("generator")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_validate_psi)
 
@@ -326,7 +326,10 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (InternalConsistencyError, RecoveryError, DivergenceError):
+    except DivergenceError as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 2
+    except RecoveryError:
         # internal invariants broke; crash loudly rather than report exit 1
         raise
     except NormMinError as exc:

@@ -32,8 +32,9 @@ class UnsupportedGeneratorError(ContractError):
 class InternalConsistencyError(NormMinError):
     """Two independent evaluation routes disagreed beyond tolerance.
 
-    Raised instead of silently preferring one route; seeing this means a bug,
-    not bad user data.
+    The library computes each value by one route and does not raise this
+    itself; the test suite compares the routes.  Seeing it means a bug, not
+    bad user data.
     """
 
 

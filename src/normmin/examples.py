@@ -38,7 +38,7 @@ from .solution_sets import (
     sol_contains_chebyshev_via_cells,
     solution_set_contains,
 )
-from .solvers import SolverConfig, solve_pattern_search, solve_subgradient
+from .solvers import solve_pattern_search, solve_subgradient
 
 _EPS = 1e-9
 _A = 1.0 / math.sqrt(3.0)
@@ -287,16 +287,14 @@ def run_case(
     grid: int = 241,
     tol: float = 1e-7,
     value_tol: float = 1e-6,
-    seed: int = 0,
 ) -> CaseResult:
     """Solve, recover, certify, and sample one bundled case end to end."""
     failures = []
     prob = case.instance()
-    cfg = SolverConfig(seed=seed)
     if prob.norm.generator.kind == "p":
-        res = solve_subgradient(prob, cfg)
+        res = solve_subgradient(prob)
     else:
-        res = solve_pattern_search(prob, cfg)
+        res = solve_pattern_search(prob)
     if abs(res.value - case.value) > value_tol:
         failures.append(
             f"solver value {res.value!r} misses known value {case.value!r}"
@@ -324,16 +322,17 @@ def run_case(
     mesh = np.meshgrid(*axes, indexing="ij")
     lattice = np.stack(mesh, axis=-1).reshape(-1, prob.dim)
     oracle_mask = case.region_contains(lattice)
+    # Each region row should be a lattice point, in lattice order: locate it
+    # axis by axis and compare it with the lattice row at that index.
+    idx = np.ravel_multi_index(
+        [np.searchsorted(ax, region[:, k]).clip(0, grid - 1) for k, ax in enumerate(axes)],
+        (grid,) * prob.dim,
+    )
+    on_lattice = (lattice[idx] == region).all(axis=1)
     member_mask = np.zeros(lattice.shape[0], dtype=bool)
-    if region.shape[0]:
-        # region preserves lattice order, so walk both lists once
-        idx = 0
-        for j in range(lattice.shape[0]):
-            if idx < region.shape[0] and np.array_equal(region[idx], lattice[j]):
-                member_mask[j] = True
-                idx += 1
-        if idx != region.shape[0]:
-            failures.append("sampled region points do not align with the lattice")
+    member_mask[idx[on_lattice]] = True
+    if not (on_lattice.all() and np.all(np.diff(idx) > 0)):
+        failures.append("sampled region points do not align with the lattice")
     mism = int((member_mask != oracle_mask).sum())
     if mism:
         failures.append(f"{mism} lattice points disagree with the closed-form region")

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,7 +23,6 @@ from .errors import (
     BudgetExceededError,
     ContractError,
     DivergenceError,
-    InternalConsistencyError,
     InvalidInputError,
     UnsupportedGeneratorError,
 )
@@ -43,7 +40,6 @@ from .problem import (
     objective_subgradient,
     solve_bound,
 )
-from .psi_generators import psi_eval
 
 _GRID_POINT_CAP = 100_000_000
 _NEAR_MIN_SLACK = 1e-9
@@ -67,7 +63,6 @@ class DiminishingC:
 class SolverConfig:
     max_iters: int = 2000
     step_rule: Polyak | DiminishingC | None = None
-    seed: int = 0
     stop_tol: float = 1e-9
 
 
@@ -111,9 +106,8 @@ def _is_symmetric(prob: ProblemInstance) -> bool:
 def midpoint_shortcut(prob: ProblemInstance) -> SolveResult:
     """Exact solution for two anchors under a symmetric generator.
 
-    The midpoint is always optimal and the optimal value is the anchor
-    distance times the generator at the even split; the evaluated objective
-    must reproduce that closed form.
+    The midpoint is always optimal, and its objective value equals the
+    anchor distance times the generator at the even split.
     """
     if prob.n != 2:
         raise ContractError("midpoint shortcut requires exactly two anchors")
@@ -121,12 +115,6 @@ def midpoint_shortcut(prob: ProblemInstance) -> SolveResult:
         raise ContractError("midpoint shortcut requires a symmetric generator")
     mid = prob.anchors.mean(axis=0)
     value = objective_eval(prob, mid)
-    gap = ground_norm_eval(prob.norm.ground, prob.anchors[0] - prob.anchors[1])
-    closed = gap * psi_eval(prob.norm.generator, np.array([0.5, 0.5]))
-    if abs(value - closed) > 1e-9 * max(1.0, closed):
-        raise InternalConsistencyError(
-            f"midpoint value {value!r} disagrees with closed form {closed!r}"
-        )
     return SolveResult(
         point=mid, value=value, iterations=0, best_trace=[(0, value)], converged=True
     )
@@ -435,22 +423,13 @@ class GridOracleResult:
     box_radius: float
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NORMMIN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
     """Exhaustive evaluation on a lattice covering the solution ball.
 
     Supports dimension at most 3 and at most 1e8 lattice points.  The box is
     the solution ball's bounding box; a single-point grid degenerates to the
-    anchor centroid.  Work is split into slabs along the first axis; slab results
-    are merged in slab order, so the outcome does not depend on the thread
-    count.
+    anchor centroid.  The lattice is evaluated in four slabs along the first
+    axis, which bounds peak memory; slab results are merged in slab order.
     """
     if prob.dim > 3:
         raise ContractError("grid oracle supports dimension at most 3")
@@ -480,14 +459,8 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
         near = vals <= lo + _NEAR_MIN_SLACK
         return lo, pts[near], vals[near]
 
-    threads = _thread_count()
-    chunk = max(1, math.ceil(axes[0].size / max(threads * 4, 1)))
-    ranges = [(i, min(i + chunk, axes[0].size)) for i in range(0, axes[0].size, chunk)]
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda ab: slab(*ab), ranges))
-    else:
-        results = [slab(*ab) for ab in ranges]
+    chunk = max(1, math.ceil(axes[0].size / 4))
+    results = [slab(i, min(i + chunk, axes[0].size)) for i in range(0, axes[0].size, chunk)]
     value = min(lo for lo, _, _ in results)
     pts = []
     for lo, p, v in results:

@@ -83,7 +83,7 @@ def _lattice(grid: int):
 def test_01_max_ground_pair_value_certificate_region():
     t0 = time.perf_counter()
     prob = _case("ft-linf-pair").instance()
-    res = solve_subgradient(prob, SolverConfig(seed=0))
+    res = solve_subgradient(prob, SolverConfig())
     cert = Certificate(
         solution=np.array([1.0, 0.0]), duals=np.array([[1.0, 0.0], [-1.0, 0.0]])
     )
@@ -147,7 +147,7 @@ def _singleton_region_ok(case_id: str, grid: int = 241):
 
 def test_03_max_generator_pair_regions():
     prob = _case("cheb-linf-pair").instance()
-    res = solve_subgradient(prob, SolverConfig(seed=0))
+    res = solve_subgradient(prob, SolverConfig())
     seg_ok, seg_gap = _segment_region_ok("cheb-linf-pair")
     single_ok, n_pts = _singleton_region_ok("cheb-l2-pair")
     ok = abs(res.value - 1.0) <= 1e-4 and seg_ok and single_ok
@@ -195,7 +195,7 @@ def test_05_two_anchor_value_law():
             prob = ProblemInstance(
                 anchors=v, norm=ProductNorm(ground=ground, generator=gen)
             )
-            res = solve_subgradient(prob, SolverConfig(seed=k))
+            res = solve_subgradient(prob, SolverConfig())
             want = ground_norm_eval(ground, v[0] - v[1]) * psi_eval(
                 gen, np.array([0.5, 0.5])
             )
@@ -327,7 +327,7 @@ def test_08_certificate_soundness_sampling():
         prob = random_instance(
             rng, ground=grounds[k % 2], gen=gens[(k // 2) % 2]
         )
-        res = solve_subgradient(prob, SolverConfig(seed=k, max_iters=600))
+        res = solve_subgradient(prob, SolverConfig(max_iters=600))
         cert = recover_certificate(prob, res.point, tol=1e-6)
         assert not isinstance(cert, Infeasible)
         assert check_certificate(prob, cert, tol=1e-5).verdict
@@ -353,7 +353,7 @@ def test_09_hull_containment_and_escape():
             n=int(rng.integers(2, 6)),
             d=int(rng.integers(2, 5)),
         )
-        res = solve_subgradient(prob, SolverConfig(seed=k, max_iters=600))
+        res = solve_subgradient(prob, SolverConfig(max_iters=600))
         worst = max(worst, hull_distance(prob.anchors, res.point))
     inside_ok = worst <= 1e-6
 
@@ -383,7 +383,7 @@ def test_10_solver_matches_grid_oracle():
         probs.append(random_instance(rng, d=2, n=int(rng.integers(2, 6))))
     worst_excess = -math.inf
     for k, prob in enumerate(probs):
-        res = solve_subgradient(prob, SolverConfig(seed=k, max_iters=600))
+        res = solve_subgradient(prob, SolverConfig(max_iters=600))
         oracle = grid_oracle(prob, 601)
         worst_excess = max(
             worst_excess, abs(res.value - oracle.value) - oracle.error_bound

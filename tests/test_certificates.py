@@ -189,7 +189,7 @@ def test_specialized_checkers_agree_with_general():
         p = (1.0, 1.5, 2.0, math.inf)[k % 4]
         ground = ALL_GROUNDS[k % len(ALL_GROUNDS)]
         prob = random_instance(rng, ground=ground, gen=PsiGenerator.power(p), d=2)
-        res = solve_subgradient(prob, SolverConfig(seed=k, max_iters=300))
+        res = solve_subgradient(prob, SolverConfig(max_iters=300))
         base = recover_certificate(prob, res.point, tol=1e-5)
         if isinstance(base, Infeasible):
             continue
@@ -214,7 +214,7 @@ def test_round_trip_all_combinations():
         for gen in ALL_GENERATORS:
             for k in range(3):
                 prob = random_instance(rng, ground=ground, gen=gen)
-                res = solve_subgradient(prob, SolverConfig(seed=k, max_iters=600))
+                res = solve_subgradient(prob, SolverConfig(max_iters=600))
                 got = recover_certificate(prob, res.point, tol=1e-6)
                 assert isinstance(got, Certificate), (ground.kind, gen.p)
                 assert check_certificate(prob, got, tol=1e-6).verdict, (

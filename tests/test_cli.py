@@ -61,6 +61,20 @@ def test_solve_tabulated_uses_pattern_search(tmp_path):
     assert abs(json.loads(out)["value"] - 2.0) <= 1e-4
 
 
+def test_solve_divergence_is_a_typed_error(tmp_path):
+    # The default step rule overshoots on this sum-ground instance.
+    anchors = np.random.default_rng(12).normal(size=(12, 3)) * 2
+    prob = {
+        "anchors": anchors.tolist(),
+        "ground": {"kind": "sum"},
+        "generator": {"kind": "p", "p": 1.0},
+    }
+    code, out, err = run_cli(["solve", "@prob"], tmp_path, prob=prob)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: DivergenceError: ")
+
+
 def test_certify_pass_and_fail(tmp_path):
     code, out, _ = run_cli(
         ["certify", "@prob", "@cert"], tmp_path, prob=FT_LINF_PROBLEM, cert=FT_LINF_CERT
@@ -267,7 +281,7 @@ def test_entry_point_subprocess_determinism(tmp_path):
 
     def run_once():
         return subprocess.run(
-            [sys.executable, "-m", "normmin.cli", "solve", str(prob_path), "--seed", "5"],
+            [sys.executable, "-m", "normmin.cli", "solve", str(prob_path)],
             capture_output=True,
             text=True,
             timeout=120,

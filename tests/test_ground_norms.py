@@ -20,6 +20,7 @@ from normmin import (
     ground_norm_eval_many,
     norm_subdifferential_contains,
 )
+from normmin.ground_norms import DEFAULT_TOL
 
 
 def test_eval_examples():
@@ -122,21 +123,29 @@ def test_alignment_examples():
 
 
 def test_alignment_routes_agree_sampled():
-    # The scalar entry point cross-checks the closed form against the generic
-    # pairing residual internally and raises on decisive disagreement, so
-    # running it is the test.  Mix random pairs with engineered aligned ones.
+    # The pairing-residual verdict of alignment_set_contains must match the
+    # structured description of the aligned set whenever the scaled residual
+    # lies outside the band (tol/4, 4 tol).  Mix random pairs with engineered
+    # aligned ones.
     rng = make_rng(6)
+    tol = DEFAULT_TOL
     for nrm in ALL_GROUNDS:
+        dual = dual_ground_norm(nrm)
         for k in range(12_500):
             xstar = rng.normal(size=3)
             if k % 2 == 0:
                 x = rng.normal(size=3)
-                alignment_set_contains(nrm, xstar, x)
             else:
                 base = rng.normal(size=3)
                 xstar = unit_dual_at(nrm, base) * abs(rng.normal() + 0.1)
-                lam = abs(rng.normal())
-                assert alignment_set_contains(nrm, xstar, lam * base)
+                x = abs(rng.normal()) * base
+            verdict = alignment_set_contains(nrm, xstar, x, tol)
+            if k % 2 == 1:
+                assert verdict
+            bound = ground_norm_eval(dual, xstar) * ground_norm_eval(nrm, x)
+            resid = abs(bound - float(xstar @ x)) / max(1.0, bound)
+            if not 0.25 * tol < resid < 4.0 * tol:
+                assert verdict == alignment_ray_basis(nrm, xstar, tol).contains(x, tol)
 
 
 def test_alignment_zero_cases():

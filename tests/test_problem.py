@@ -18,11 +18,14 @@ from normmin import (
     ProblemInstance,
     ProductNorm,
     PsiGenerator,
+    dual_product_norm_eval,
+    dual_selection,
     ground_norm_eval,
     ground_norm_eval_many,
     objective_eval,
     objective_eval_many,
     objective_subgradient,
+    pairing,
     solve_bound,
     strict_convexity_class,
 )
@@ -118,6 +121,36 @@ def test_subgradient_max_generator_tie():
     prob = two_anchor(GroundNorm.max(), PsiGenerator.power(math.inf))
     g = objective_subgradient(prob, (1.0, 0.0))
     assert np.all(np.isfinite(g))
+
+
+def test_dual_selection_certifies_objective():
+    # For every ground and generator the selected dual blocks have unit dual
+    # product norm and pair with the displacements to the objective value, at
+    # random points, at anchors, and at points where block norms and max-norm
+    # coordinates tie.
+    rng = make_rng(35)
+    for ground in ALL_GROUNDS:
+        for gen in ALL_GENERATORS:
+            norm = ProductNorm(ground=ground, generator=gen)
+            for k in range(20):
+                prob = random_instance(rng, ground=ground, gen=gen, n=4, d=3)
+                c = rng.normal(size=3)
+                v = rng.normal(size=3)
+                if k % 2:
+                    v = abs(v[0]) * np.array([1.0, -1.0, 1.0])
+                tied = ProblemInstance(
+                    anchors=np.stack([c + v, c - v, c + v[[1, 0, 2]], c + v * (1.0, 1.0, -1.0)]),
+                    norm=norm,
+                )
+                for inst, u in (
+                    (prob, rng.normal(scale=2.0, size=3)),
+                    (prob, prob.anchors[k % 4]),
+                    (tied, c),
+                ):
+                    duals = dual_selection(inst, u)
+                    f = objective_eval(inst, u)
+                    assert abs(dual_product_norm_eval(norm, duals) - 1.0) <= 1e-7
+                    assert abs(pairing(duals, u - inst.anchors) - f) <= 1e-7 * max(1.0, f)
 
 
 def test_subgradient_validity_sampled():

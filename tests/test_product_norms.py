@@ -20,7 +20,9 @@ from normmin import (
     holder_gap,
     pairing,
     product_norm_eval,
+    product_norm_from_block_norms,
     psi_eval,
+    psi_eval_many,
 )
 
 
@@ -143,6 +145,27 @@ def test_holder_gap_nonnegative_sampled():
     assert worst >= -1e-12
 
 
+def test_power_aggregate_matches_profile_route():
+    # Power generators evaluate through the closed-form aggregate; it must
+    # equal the total times the generator at the normalized profile to 1e-10
+    # relative, on rows that mix zero, tiny and huge block norms.
+    rng = make_rng(24)
+    rows = np.abs(rng.normal(size=(600, 4))) * 10.0 ** rng.uniform(-6.0, 6.0, size=(600, 1))
+    rows[0::6] = 0.0
+    rows[1::6, 0] = 0.0
+    rows[2::6, 1] = 1e-300
+    rows[3::6] *= 1e-150
+    rows[4::6] *= 1e150
+    rows[5::6, 2] *= 1e12
+    totals = rows.sum(axis=1)
+    safe = np.where(totals > 0.0, totals, 1.0)
+    for gen in ALL_GENERATORS + (PsiGenerator.power(3.0),):
+        closed = np.array([product_norm_from_block_norms(gen, r) for r in rows])
+        via_profile = totals * psi_eval_many(gen, rows / safe[:, None])
+        gap = np.abs(closed - via_profile)
+        assert np.all(gap <= 1e-10 * np.maximum(1.0, np.abs(closed)))
+
+
 def test_equality_case_examples():
     norm_inf = pn(GroundNorm.max(), PsiGenerator.power(math.inf))
     rep = equality_case_check(
@@ -173,9 +196,9 @@ def test_equality_case_rejects_tabulated():
 
 
 def test_equality_verdicts_agree_sampled():
-    # equality_case_check raises internally if the norm-value verdict and the
-    # structural conditions disagree, so the loop doubles as the agreement
-    # check.  Engineered pairs must come out as equalities.
+    # The norm-value verdict and the structural conditions are computed
+    # independently; the characterization says they agree.  Engineered pairs
+    # must come out as equalities.
     rng = make_rng(25)
     for ground in ALL_GROUNDS:
         for p in (1.0, 1.5, 2.0, math.inf):

@@ -18,6 +18,7 @@ from normmin import (
     ProductNorm,
     PsiGenerator,
     SolverConfig,
+    alignment_set_contains,
     describe_solution_set,
     farthest_voronoi_contains,
     find_cases,
@@ -35,6 +36,7 @@ from normmin import (
     solve_bound,
     solve_subgradient,
 )
+from normmin.solution_sets import DESCRIPTION_TOL
 
 
 def case_desc(case_id):
@@ -136,7 +138,7 @@ def test_chebyshev_zero_dual_blocks_are_skipped():
         anchors=np.array([[0.0, 0.0], [1.0, 0.0], [4.0, 0.0]]),
         norm=ProductNorm(ground=GroundNorm.euclidean(), generator=PsiGenerator.power(math.inf)),
     )
-    res = solve_subgradient(prob, SolverConfig(seed=0))
+    res = solve_subgradient(prob, SolverConfig())
     cert = recover_certificate(prob, res.point)
     assert not isinstance(cert, Infeasible)
     desc = describe_solution_set(prob, cert)
@@ -166,14 +168,43 @@ def test_farthest_voronoi_index_bounds():
 
 
 def test_farthest_voronoi_halfspace_route_agreement():
-    # For the Euclidean ground the metric test is cross-checked internally
-    # against the half-space description; decisive disagreement would raise.
+    # For the Euclidean ground the metric verdict must match the half-space
+    # description of the farthest cell whenever the slack is decisive; ties
+    # within the tolerance band may go either way.
     rng = make_rng(62)
+    tol = DESCRIPTION_TOL
     for _ in range(2_000):
         pts = rng.normal(scale=2.0, size=(3, 2))
         u = rng.normal(scale=3.0, size=2)
+        dists = np.linalg.norm(u - pts, axis=1)
         for i in range(3):
-            farthest_voronoi_contains(GroundNorm.euclidean(), pts, i + 1, u)
+            metric = farthest_voronoi_contains(GroundNorm.euclidean(), pts, i + 1, u)
+            vi = pts[i]
+            margins = (u @ (pts - vi).T) - ((pts * pts).sum(axis=1) - float(vi @ vi)) / 2.0
+            scales = (dists + dists[i]) / 2.0
+            halfspace = bool(np.all(margins >= -tol * np.maximum(scales, 1e-30)))
+            slack = float(dists[i] - dists.max())
+            if abs(slack + tol) > 4.0 * tol * max(1.0, float(dists.max())):
+                assert metric == halfspace
+
+
+def test_ft_predicate_matches_blockwise_alignment():
+    # The vectorized kernel behind sol_contains_ft must give the verdict of
+    # blockwise alignment-cone membership, on lattice points of each bundled
+    # sum-objective case.
+    for case in find_cases():
+        if not case.case_id.startswith("ft-"):
+            continue
+        desc, prob = case_desc(case.case_id)
+        assert desc.kind == "ft_intersection"
+        axes = [np.linspace(lo, hi, 61) for lo, hi in case.region_box]
+        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, prob.dim)
+        for u in lattice:
+            blockwise = all(
+                alignment_set_contains(prob.norm.ground, w, d, DESCRIPTION_TOL)
+                for w, d in zip(desc.certificate.duals, u - prob.anchors)
+            )
+            assert sol_contains_ft(desc, u) == blockwise
 
 
 def test_chebyshev_cell_route_equivalence():
@@ -271,7 +302,7 @@ def test_hull_containment_for_euclidean_instances():
     rng = make_rng(66)
     for _ in range(10):
         prob = random_instance(rng, ground=GroundNorm.euclidean(), d=2, n=3)
-        res = solve_subgradient(prob, SolverConfig(seed=1, max_iters=600))
+        res = solve_subgradient(prob, SolverConfig(max_iters=600))
         cert = recover_certificate(prob, res.point, tol=1e-6)
         assert not isinstance(cert, Infeasible)
         desc = describe_solution_set(prob, cert, tol=1e-6)
