@@ -126,9 +126,7 @@ from .solution_sets import (
     solution_set_contains,
 )
 from .solvers import (
-    DiminishingC,
     GridOracleResult,
-    Polyak,
     SolveResult,
     SolverConfig,
     grid_oracle,

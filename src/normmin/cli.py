@@ -6,10 +6,9 @@ to --out or stdout and are byte-deterministic given identical inputs and
 flags.
 
 Exit codes: 0 success / verdict true; 1 malformed input or unusable flag
-combination; 2 solve ended without convergence (best iterate still written)
-or diverged (nothing written, error on stderr); 3 a check failed
-(certificate rejected, recovery infeasible, generator axioms violated); 4 an
-example reproduction mismatched.
+combination; 2 solve ended without convergence (best iterate still
+written); 3 a check failed (certificate rejected, recovery infeasible,
+generator axioms violated); 4 an example reproduction mismatched.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .certificates import (
     recover_certificate,
 )
 from .errors import (
-    DivergenceError,
     InputFormatError,
     MembershipViolationError,
     NormMinError,
@@ -95,10 +93,7 @@ def _tol(args, fallback: float) -> float:
 def cmd_solve(args) -> int:
     prob = _load_instance(args.problem)
     cfg = SolverConfig(stop_tol=_tol(args, 1e-9))
-    method = args.method
-    if method == "auto":
-        method = "subgradient" if prob.norm.generator.kind == "p" else "pattern"
-    if method == "subgradient":
+    if prob.norm.generator.kind == "p":
         res = solve_subgradient(prob, cfg)
     else:
         res = solve_pattern_search(prob, cfg)
@@ -271,9 +266,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="minimize an instance")
     p.add_argument("problem")
-    p.add_argument(
-        "--method", choices=("auto", "subgradient", "pattern"), default="auto"
-    )
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -326,9 +318,6 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except DivergenceError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 2
     except RecoveryError:
         # internal invariants broke; crash loudly rather than report exit 1
         raise

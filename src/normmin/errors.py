@@ -43,7 +43,10 @@ class BudgetExceededError(NormMinError):
 
 
 class DivergenceError(NormMinError):
-    """Iterates left the region where the objective stays bounded."""
+    """Iterates left the region where the objective stays bounded.
+
+    No library routine raises it; it stays exported for callers that catch it.
+    """
 
 
 class RecoveryError(NormMinError):

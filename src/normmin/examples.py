@@ -32,12 +32,7 @@ from .ground_norms import GroundNorm
 from .problem import ProblemInstance
 from .product_norms import ProductNorm
 from .psi_generators import PsiGenerator
-from .solution_sets import (
-    describe_solution_set,
-    sample_solution_region,
-    sol_contains_chebyshev_via_cells,
-    solution_set_contains,
-)
+from .solution_sets import describe_solution_set, sample_solution_region
 from .solvers import solve_pattern_search, solve_subgradient
 
 _EPS = 1e-9
@@ -275,13 +270,6 @@ class CaseResult:
     lattice_total: int
 
 
-def _route_agreement_points(pts: np.ndarray, limit: int = 400) -> np.ndarray:
-    if pts.shape[0] <= limit:
-        return pts
-    stride = pts.shape[0] // limit + 1
-    return pts[::stride]
-
-
 def run_case(
     case: ExampleCase,
     grid: int = 241,
@@ -336,16 +324,6 @@ def run_case(
     mism = int((member_mask != oracle_mask).sum())
     if mism:
         failures.append(f"{mism} lattice points disagree with the closed-form region")
-    if prob.norm.generator.p == math.inf:
-        probe = _route_agreement_points(lattice)
-        for u in probe:
-            via_cells = sol_contains_chebyshev_via_cells(desc, u, tol)
-            direct = solution_set_contains(desc, u, tol)
-            if via_cells != direct:
-                failures.append(
-                    f"farthest-cell route disagrees with the pairing route at {u.tolist()}"
-                )
-                break
     return CaseResult(
         case_id=case.case_id,
         passed=not failures,

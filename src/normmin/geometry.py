@@ -1,15 +1,11 @@
-"""Small exact-geometry helpers: ball projections and convex hulls."""
+"""Small exact-geometry helpers: ball projections, affine hulls and the
+convex-hull projection (Wolfe's minimum-norm-point method)."""
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .errors import ContractError
 from .ground_norms import GroundNorm, ground_norm_eval
-
-_HULL_MAX_POINTS = 16
 
 
 def project_onto_ball(nrm: GroundNorm, u: np.ndarray, radius: float) -> np.ndarray:
@@ -64,40 +60,54 @@ def affine_hull_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def project_onto_convex_hull(points: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``u`` onto the convex hull of the rows.
 
-    Enumerates candidate faces (all point subsets), solves the affine
-    least-squares system on each, and keeps the feasible candidate nearest to
-    ``u``.  Exact and deterministic; intended for small point counts.
+    Wolfe's minimum-norm-point method (Wolfe 1976, "Finding the nearest point
+    in a polytope") on the rows shifted by ``u``.  It keeps an affinely
+    independent active set with positive convex weights, adds the row with
+    the least inner product with the current point, and solves the affine
+    least-squares problem on the active set, stepping back along the weights
+    whenever one turns negative.  Exact, deterministic and finite; the active
+    set never holds more than ``d + 1`` rows, so any number of points is fine.
     """
     pts = np.asarray(points, dtype=float)
     u = np.asarray(u, dtype=float)
-    n = pts.shape[0]
-    if n > _HULL_MAX_POINTS:
-        raise ContractError(f"hull projection supports at most {_HULL_MAX_POINTS} points")
-    best = None
-    best_dist = np.inf
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub = pts[list(subset)]
-            k = sub.shape[0]
-            if k == 1:
-                cand = sub[0]
-            else:
-                gram = sub @ sub.T
-                kkt = np.zeros((k + 1, k + 1))
-                kkt[:k, :k] = gram
-                kkt[:k, k] = 1.0
-                kkt[k, :k] = 1.0
-                rhs = np.concatenate([sub @ u, [1.0]])
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-                lam = sol[:k]
-                if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-9:
-                    continue
-                cand = lam @ sub
-            dist = float(np.linalg.norm(cand - u))
-            if dist < best_dist - 1e-15:
-                best_dist = dist
-                best = cand
-    return np.array(best, dtype=float)
+    q = pts - u
+    sq = np.einsum("ij,ij->i", q, q)
+    tol = 1e-12 * float(sq.max())
+    active = np.array([int(np.argmin(sq))])
+    lam = np.ones(1)
+    x = q[active[0]]
+    xx = float(x @ x)
+    while True:
+        j = int(np.argmin(q @ x))
+        if xx - float(q[j] @ x) <= tol or j in active:
+            break
+        cand, weights = np.append(active, j), np.append(lam, 0.0)
+        while True:
+            mu = _affine_min_norm_weights(q[cand])
+            if mu.min() >= 0.0:
+                keep = mu > 0.0
+                cand, weights = cand[keep], mu[keep]
+                break
+            neg = np.flatnonzero(mu < 0.0)
+            ratios = weights[neg] / (weights[neg] - mu[neg])
+            weights = weights + ratios.min() * (mu - weights)
+            weights[neg[np.argmin(ratios)]] = 0.0
+            keep = weights > 0.0
+            cand, weights = cand[keep], weights[keep]
+        y = weights @ q[cand]
+        yy = float(y @ y)
+        if yy >= xx:
+            break
+        active, lam, x, xx = cand, weights, y, yy
+    return u + x
+
+
+def _affine_min_norm_weights(q: np.ndarray) -> np.ndarray:
+    """Weights summing to one whose combination of the rows has least norm."""
+    if q.shape[0] == 1:
+        return np.ones(1)
+    c, *_ = np.linalg.lstsq((q[1:] - q[0]).T, -q[0], rcond=None)
+    return np.concatenate([[1.0 - c.sum()], c])
 
 
 def hull_distance(points: np.ndarray, u: np.ndarray) -> float:

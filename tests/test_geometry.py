@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conftest import ALL_GROUNDS, make_rng
 from normmin import (
@@ -93,3 +94,30 @@ def test_hull_projection_random_optimality():
         cand = w @ pts
         dists = np.linalg.norm(cand - u, axis=1)
         assert d <= dists.min() + 1e-9
+
+
+@pytest.mark.parametrize("n", [17, 64, 256])
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_hull_projection_at_scale(n, d):
+    rng = make_rng(44 + n + d)
+    pts = rng.normal(size=(n, d))
+    coord_scale = float(np.abs(pts).max())
+    for u in rng.normal(scale=3.0, size=(4, d)):
+        proj = project_onto_convex_hull(pts, u)
+        # Optimality: no row lies beyond the supporting plane through proj.
+        scale = float(((pts - u) ** 2).sum(axis=1).max())
+        assert ((pts - proj) @ (u - proj)).max() <= 1e-9 * scale
+        # Membership, checked by an LP that knows nothing of the projection.
+        lp = linprog(
+            np.zeros(n),
+            A_eq=np.vstack([pts.T, np.ones(n)]),
+            b_eq=np.append(proj, 1.0),
+            bounds=(0, None),
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10},
+        )
+        assert lp.status == 0
+        assert np.abs(pts.T @ lp.x - proj).max() <= 1e-9 * coord_scale
+        assert abs(lp.x.sum() - 1.0) <= 1e-9
+    inside = rng.dirichlet(np.ones(n)) @ pts
+    assert np.allclose(project_onto_convex_hull(pts, inside), inside, rtol=0, atol=1e-9)

@@ -209,13 +209,22 @@ def test_ft_predicate_matches_blockwise_alignment():
 
 def test_chebyshev_cell_route_equivalence():
     rng = make_rng(63)
-    for cid in ("cheb-linf-pair", "cheb-l2-pair"):
-        desc, prob = case_desc(cid)
+    for case in find_cases("cheb-"):
+        desc, prob = case_desc(case.case_id)
         radius = solve_bound(prob).radius
         for _ in range(2_500):
-            u = rng.uniform(-radius, radius, size=2)
+            u = rng.uniform(-radius, radius, size=prob.dim)
             assert sol_contains_chebyshev(desc, u) == sol_contains_chebyshev_via_cells(desc, u)
         assert sol_contains_chebyshev_via_cells(desc, desc.certificate.solution)
+        # Lattice points of the sampled box land exactly on the region's
+        # boundary, where random draws never do: up to 400 of them, at the
+        # examples' tolerance.
+        axes = [np.linspace(lo, hi, 241) for lo, hi in case.region_box]
+        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, prob.dim)
+        for u in lattice[:: lattice.shape[0] // 400 + 1]:
+            assert sol_contains_chebyshev_via_cells(desc, u, 1e-7) == solution_set_contains(
+                desc, u, 1e-7
+            ), (case.case_id, u)
 
 
 def test_specialized_predicates_agree_with_general_sampled():

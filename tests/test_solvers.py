@@ -5,26 +5,29 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ALL_GENERATORS, ALL_GROUNDS, make_rng, random_instance
+from conftest import ALL_GENERATORS, ALL_GROUNDS, make_rng, random_anchors, random_instance
 from normmin import (
     BudgetExceededError,
     ContractError,
-    DiminishingC,
     GroundNorm,
+    Infeasible,
     InvalidInputError,
-    Polyak,
     ProblemInstance,
     ProductNorm,
     PsiGenerator,
     SolverConfig,
     UnsupportedGeneratorError,
+    all_cases,
+    check_certificate,
     grid_oracle,
     ground_norm_eval,
     ground_norm_eval_many,
+    hull_distance,
     lipschitz_bound,
     midpoint_shortcut,
     objective_eval,
     psi_eval,
+    recover_certificate,
     solve_pattern_search,
     solve_subgradient,
 )
@@ -130,14 +133,59 @@ def test_config_validation():
         solve_subgradient(prob, SolverConfig(max_iters=0))
     with pytest.raises(InvalidInputError):
         solve_subgradient(prob, SolverConfig(stop_tol=0.0))
-    with pytest.raises(InvalidInputError):
-        solve_subgradient(prob, SolverConfig(step_rule=DiminishingC(c=-1.0)))
-    tri = ProblemInstance(
-        anchors=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        norm=ProductNorm(ground=GroundNorm.max(), generator=PsiGenerator.power(1.0)),
+
+
+def test_two_anchor_cases_return_the_exact_midpoint():
+    for case in all_cases():
+        prob = case.instance()
+        res = solve_subgradient(prob)
+        assert res.point.tobytes() == prob.anchors.mean(axis=0).tobytes(), case.case_id
+        assert res.iterations == 0 and res.converged
+
+
+SCALE_GENERATORS = (
+    PsiGenerator.power(1.0),
+    PsiGenerator.power(2.0),
+    PsiGenerator.power(math.inf),
+)
+SCALE_CASES = [
+    (ground, gen, 64, 2) for ground in ALL_GROUNDS for gen in SCALE_GENERATORS
+] + [(GroundNorm.euclidean(), PsiGenerator.power(1.0), 256, 3)]
+
+
+@pytest.mark.parametrize(
+    "ground,gen,n,d",
+    SCALE_CASES,
+    ids=[f"{g.kind}-p{gen.p}-n{n}-d{d}" for g, gen, n, d in SCALE_CASES],
+)
+def test_solve_at_scale_improves_on_centroid(ground, gen, n, d):
+    prob = ProblemInstance(
+        anchors=random_anchors(make_rng(78), n, d),
+        norm=ProductNorm(ground=ground, generator=gen),
     )
-    with pytest.raises(ContractError):
-        solve_subgradient(tri, SolverConfig(step_rule=Polyak()))
+    res = solve_subgradient(prob)
+    assert math.isfinite(res.value)
+    assert res.value <= objective_eval(prob, prob.centroid())
+    if ground.kind == "euclidean":
+        assert hull_distance(prob.anchors, res.point) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "ground,p,seed,n,d",
+    [(GroundNorm.sum(), 1.0, 12, 12, 3), (GroundNorm.euclidean(), 2.0, 17, 17, 2)],
+    ids=["sum-p1-n12", "euclidean-p2-n17"],
+)
+def test_former_benchmark_faults_certify(ground, p, seed, n, d):
+    # The first once raised DivergenceError, the second hit a 16-anchor cap
+    # in the hull projection.
+    prob = ProblemInstance(
+        anchors=np.random.default_rng(seed).normal(size=(n, d)) * 2,
+        norm=ProductNorm(ground=ground, generator=PsiGenerator.power(p)),
+    )
+    res = solve_subgradient(prob)
+    cert = recover_certificate(prob, res.point)
+    assert not isinstance(cert, Infeasible), cert
+    assert check_certificate(prob, cert, tol=1e-7).verdict
 
 
 def test_subgradient_rejects_tabulated():
