@@ -7,8 +7,13 @@ given point, or reports that none exist, which certifies the point is not
 optimal at the requested tolerance.
 
 Recovery uses closed forms when the ground norm has a unique unit-pairing
-dual vector (Euclidean and power kinds) and otherwise solves a small elastic
-feasibility linear program over the polyhedral dual balls.
+dual vector (Euclidean and power kinds).  On the polyhedral grounds it solves
+one elastic feasibility linear program whose matrices are built from whole
+arrays: each block is split into nonnegative parts inside a dual ball whose
+radius is a bounded variable, and the three theorems differ only in the
+radius bounds, the blocks whose pairing is required and the radius total.
+The Chebyshev conditions on smooth grounds use the same elastic program for
+convex weights that balance the block gradients.
 """
 
 from __future__ import annotations
@@ -281,182 +286,70 @@ def check_certificate(
 # ---------------------------------------------------------------------------
 
 
-class _ElasticLp:
-    """Dense elastic feasibility LP: minimize total violation of equalities."""
+def _elastic_lp(bounds, a_eq, b_eq, a_ub=None, b_ub=None) -> tuple[np.ndarray, float]:
+    """Minimize the total violation of ``a_eq x = b_eq`` over the other constraints.
 
-    def __init__(self):
-        self.nvar = 0
-        self.bounds: list[tuple] = []
-        self.ub_rows: list[tuple[list, float]] = []
-        self.eq_rows: list[tuple[list, float]] = []
+    Each equality row gets two nonnegative slacks whose sum is the cost; the
+    variables keep ``bounds`` (one (low, high) row each) and ``a_ub x <= b_ub``.
+    Returns the variables and the total violation.
+    """
+    from scipy.optimize import linprog
 
-    def add_vars(self, count: int, lo, hi) -> range:
-        start = self.nvar
-        self.nvar += count
-        self.bounds.extend([(lo, hi)] * count)
-        return range(start, start + count)
-
-    def add_ub(self, coeffs: list, rhs: float) -> None:
-        self.ub_rows.append((coeffs, rhs))
-
-    def add_eq(self, coeffs: list, rhs: float) -> None:
-        self.eq_rows.append((coeffs, rhs))
-
-    def solve(self) -> tuple[np.ndarray, float]:
-        from scipy.optimize import linprog
-
-        ne = len(self.eq_rows)
-        total = self.nvar + 2 * ne
-        cost = np.zeros(total)
-        cost[self.nvar :] = 1.0
-        a_eq = np.zeros((ne, total))
-        b_eq = np.zeros(ne)
-        for k, (coeffs, rhs) in enumerate(self.eq_rows):
-            for j, v in coeffs:
-                a_eq[k, j] += v
-            a_eq[k, self.nvar + 2 * k] = 1.0
-            a_eq[k, self.nvar + 2 * k + 1] = -1.0
-            b_eq[k] = rhs
-        if self.ub_rows:
-            a_ub = np.zeros((len(self.ub_rows), total))
-            b_ub = np.zeros(len(self.ub_rows))
-            for k, (coeffs, rhs) in enumerate(self.ub_rows):
-                for j, v in coeffs:
-                    a_ub[k, j] += v
-                b_ub[k] = rhs
-        else:
-            a_ub = b_ub = None
-        bounds = self.bounds + [(0.0, None)] * (2 * ne)
-        res = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq if ne else None,
-            b_eq=b_eq if ne else None,
-            bounds=bounds,
-            method="highs",
-        )
-        if res.status != 0:
-            raise RecoveryError(f"feasibility subproblem failed: {res.message}")
-        return res.x[: self.nvar], float(res.fun)
+    ne, nvar = a_eq.shape
+    slacks = np.kron(np.eye(ne), [1.0, -1.0])
+    res = linprog(
+        np.concatenate([np.zeros(nvar), np.ones(2 * ne)]),
+        A_ub=None if a_ub is None else np.hstack([a_ub, np.zeros((a_ub.shape[0], 2 * ne))]),
+        b_ub=b_ub,
+        A_eq=np.hstack([a_eq, slacks]),
+        b_eq=b_eq,
+        bounds=np.vstack([bounds, np.tile([0.0, np.inf], (2 * ne, 1))]),
+        method="highs",
+    )
+    if res.status != 0:
+        raise RecoveryError(f"feasibility subproblem failed: {res.message}")
+    return res.x[:nvar], float(res.fun)
 
 
-def _polyhedral_duals(
-    prob: ProblemInstance,
-    diffs: np.ndarray,
-    caps,
-    cap_is_var: bool,
-    pairing_targets,
-    extra_total: float | None,
-    pinned: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Solve for dual blocks inside polyhedral dual balls.
+def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, total=None):
+    """Dual blocks inside polyhedral dual balls of bounded radius.
 
-    ``caps`` bounds each block's dual norm; with ``cap_is_var`` the caps
-    become decision variables instead.  ``pairing_targets[i]`` is either None
-    (no pairing row) or a pair (coeff_on_cap, constant) encoding
-    <dual_i, diffs_i> = coeff * cap_i + constant.  ``extra_total`` adds the
-    row sum(cap) = extra_total.  ``pinned`` blocks are fixed to zero through
-    hard variable bounds, not elastic rows.
+    The blocks are ``W = P - N`` with ``P, N >= 0``, and block ``i`` lies in
+    the dual ball of radius ``c_i``, a variable bounded by ``[cap_lo_i,
+    cap_hi_i]`` (a zero upper cap pins the block to zero).  Elastic rows ask
+    that the blocks sum to zero, that ``<W_i, diffs_i> = r_i c_i`` where
+    ``paired`` holds, and that the caps sum to ``total`` when it is given.
+    Returns the blocks and the total violation.
     """
     n, d = diffs.shape
-    ground = prob.norm.ground
-    lp = _ElasticLp()
-
-    def block_bounds(i, lo, hi):
-        return (0.0, 0.0) if pinned[i] else (lo, hi)
-
-    if ground.kind == "max":
-        pos = [lp.add_vars(d, *block_bounds(i, 0.0, None)) for i in range(n)]
-        neg = [lp.add_vars(d, *block_bounds(i, 0.0, None)) for i in range(n)]
-
-        def dual_coeffs(i, j):
-            return [(pos[i][j], 1.0), (neg[i][j], -1.0)]
-
-        def ball_coeffs(i):
-            return [(pos[i][j], 1.0) for j in range(d)] + [
-                (neg[i][j], 1.0) for j in range(d)
-            ]
-
-    elif ground.kind == "sum":
-        w = [lp.add_vars(d, *block_bounds(i, None, None)) for i in range(n)]
-
-        def dual_coeffs(i, j):
-            return [(w[i][j], 1.0)]
-
-        def ball_coeffs(i):
-            return None
-
+    nd = n * d
+    cap_lo = np.broadcast_to(cap_lo, (n,))
+    cap_hi = np.broadcast_to(cap_hi, (n,))
+    pn = np.column_stack([np.zeros(nd), np.repeat(np.where(cap_hi > 0.0, np.inf, 0.0), d)])
+    bounds = np.vstack([pn, pn, np.column_stack([cap_lo, cap_hi])])
+    blocks = np.kron(np.eye(n), np.ones((1, d)))
+    if prob.norm.ground.kind == "max":
+        # Dual of the max ground is the sum norm: sum_j (P + N)_ij <= c_i.
+        a_ub = np.hstack([blocks, blocks, -np.eye(n)])
     else:
-        raise RecoveryError("polyhedral route called with a smooth ground norm")
-
-    cap_idx = None
-    if cap_is_var:
-        cap_idx = [lp.add_vars(1, *block_bounds(i, 0.0, None))[0] for i in range(n)]
-
-    for i in range(n):
-        if pinned[i]:
-            continue
-        if ground.kind == "max":
-            coeffs = ball_coeffs(i)
-            if cap_is_var:
-                lp.add_ub(coeffs + [(cap_idx[i], -1.0)], 0.0)
-            else:
-                lp.add_ub(coeffs, float(caps[i]))
-        else:
-            for j in range(d):
-                if cap_is_var:
-                    lp.add_ub(dual_coeffs(i, j) + [(cap_idx[i], -1.0)], 0.0)
-                    lp.add_ub(
-                        [(idx, -c) for idx, c in dual_coeffs(i, j)] + [(cap_idx[i], -1.0)],
-                        0.0,
-                    )
-                else:
-                    lp.add_ub(dual_coeffs(i, j), float(caps[i]))
-                    lp.add_ub([(idx, -c) for idx, c in dual_coeffs(i, j)], float(caps[i]))
-
-    for j in range(d):
-        coeffs = []
-        for i in range(n):
-            coeffs.extend(dual_coeffs(i, j))
-        lp.add_eq(coeffs, 0.0)
-
-    for i in range(n):
-        target = pairing_targets[i]
-        if target is None or pinned[i]:
-            continue
-        cap_coeff, const = target
-        coeffs = []
-        for j in range(d):
-            coeffs.extend([(idx, c * diffs[i, j]) for idx, c in dual_coeffs(i, j)])
-        if cap_coeff != 0.0 and cap_is_var:
-            coeffs.append((cap_idx[i], -cap_coeff))
-            lp.add_eq(coeffs, const)
-        elif cap_coeff != 0.0:
-            lp.add_eq(coeffs, const + cap_coeff * float(caps[i]))
-        else:
-            lp.add_eq(coeffs, const)
-
-    if extra_total is not None:
-        lp.add_eq([(cap_idx[i], 1.0) for i in range(n) if not pinned[i]], extra_total)
-
-    x, violation = lp.solve()
-    duals = np.zeros((n, d))
-    for i in range(n):
-        for j in range(d):
-            duals[i, j] = sum(c * x[idx] for idx, c in dual_coeffs(i, j))
-    return duals, violation
+        # Dual of the sum ground is the max norm: (P + N)_ij <= c_i.
+        a_ub = np.hstack([np.eye(nd), np.eye(nd), -blocks.T])
+    a_w = np.vstack([np.tile(np.eye(d), n), (blocks * diffs.ravel())[paired]])
+    a_c = np.vstack([np.zeros((d, n)), -np.diag(r)[paired]])
+    a_eq = np.hstack([a_w, -a_w, a_c])
+    b_eq = np.zeros(a_eq.shape[0])
+    if total is not None:
+        a_eq = np.vstack([a_eq, np.concatenate([np.zeros(2 * nd), np.ones(n)])])
+        b_eq = np.append(b_eq, total)
+    x, violation = _elastic_lp(bounds, a_eq, b_eq, a_ub, np.zeros(a_ub.shape[0]))
+    return (x[:nd] - x[nd : 2 * nd]).reshape(n, d), violation
 
 
-def _smooth_block_gradients(prob: ProblemInstance, diffs: np.ndarray) -> np.ndarray:
-    return np.stack([_ground_subgradient(prob.norm.ground, row) for row in diffs])
-
-
-def _recover_ft(prob, u, diffs, r, tol):
+def _recover_ft(prob, diffs, r, tol):
     scale = max(1.0, float(r.max()))
     ztol = tol * scale
     if prob.norm.ground.kind in ("euclidean", "p"):
-        grads = _smooth_block_gradients(prob, diffs)
+        grads = _ground_subgradient(prob.norm.ground, diffs)
         near = np.flatnonzero(r <= ztol)
         if near.size == 0:
             duals = grads
@@ -476,44 +369,34 @@ def _recover_ft(prob, u, diffs, r, tol):
                 FERMAT_TORRICELLI, "point is near several anchors at once", float(near.size)
             )
         return duals
-    caps = np.ones(prob.n)
-    targets = [((0.0, float(r[i])) if r[i] > ztol else None) for i in range(prob.n)]
-    duals, violation = _polyhedral_duals(
-        prob, diffs, caps, False, targets, None, pinned=np.zeros(prob.n, dtype=bool)
-    )
+    duals, violation = _polyhedral_duals(prob, diffs, r, 1.0, 1.0, r > ztol)
     if violation > tol * max(1.0, float(r.sum())):
         return Infeasible(FERMAT_TORRICELLI, "no feasible dual blocks", violation)
     return duals
 
 
-def _recover_cheb(prob, u, diffs, r, tol):
+def _recover_cheb(prob, diffs, r, tol):
     m = float(r.max())
     atol = tol * max(1.0, m)
     active = r >= m - atol
     if prob.norm.ground.kind in ("euclidean", "p"):
-        grads = _smooth_block_gradients(prob, diffs)
-        lp = _ElasticLp()
-        idx = [
-            lp.add_vars(1, 0.0, None if active[i] else 0.0)[0] for i in range(prob.n)
-        ]
-        for j in range(prob.dim):
-            lp.add_eq([(idx[i], float(grads[i, j])) for i in range(prob.n)], 0.0)
-        lp.add_eq([(idx[i], 1.0) for i in range(prob.n)], 1.0)
-        x, violation = lp.solve()
+        grads = _ground_subgradient(prob.norm.ground, diffs)
+        bounds = np.column_stack([np.zeros(prob.n), np.where(active, np.inf, 0.0)])
+        a_eq = np.vstack([grads.T, np.ones((1, prob.n))])
+        b_eq = np.append(np.zeros(prob.dim), 1.0)
+        x, violation = _elastic_lp(bounds, a_eq, b_eq)
         if violation > tol * max(1.0, m):
             return Infeasible(CHEBYSHEV, "no convex weights balance the gradients", violation)
-        duals = x[:, None] * grads
-        return duals
-    targets = [((float(r[i]), 0.0) if active[i] else None) for i in range(prob.n)]
+        return x[:, None] * grads
     duals, violation = _polyhedral_duals(
-        prob, diffs, None, True, targets, extra_total=1.0, pinned=~active
+        prob, diffs, r, 0.0, np.where(active, np.inf, 0.0), active, total=1.0
     )
     if violation > tol * max(1.0, float(r.sum())):
         return Infeasible(CHEBYSHEV, "no feasible dual blocks", violation)
     return duals
 
 
-def _recover_pft(prob, u, diffs, r, tol):
+def _recover_pft(prob, diffs, r, tol):
     p = prob.norm.generator.p
     q = conjugate_exponent(p)
     total = float((r**p).sum())
@@ -521,17 +404,10 @@ def _recover_pft(prob, u, diffs, r, tol):
         return Infeasible(P_FERMAT, "all displacements vanish", 0.0)
     caps = (r**p / total) ** (1.0 / q)
     if prob.norm.ground.kind in ("euclidean", "p"):
-        grads = _smooth_block_gradients(prob, diffs)
-        return caps[:, None] * grads
+        return caps[:, None] * _ground_subgradient(prob.norm.ground, diffs)
     scale = max(1.0, float(r.max()))
-    ztol = tol * scale
-    caps = np.where(r > ztol, caps, 0.0)
-    targets = [
-        ((0.0, float(caps[i] * r[i])) if caps[i] > 0.0 else None) for i in range(prob.n)
-    ]
-    duals, violation = _polyhedral_duals(
-        prob, diffs, caps, False, targets, None, pinned=(caps == 0.0)
-    )
+    caps = np.where(r > tol * scale, caps, 0.0)
+    duals, violation = _polyhedral_duals(prob, diffs, r, caps, caps, caps > 0.0)
     if violation > tol * max(1.0, float(r.sum())):
         return Infeasible(P_FERMAT, "no feasible dual blocks", violation)
     return duals
@@ -555,11 +431,11 @@ def recover_certificate(
     diffs = displacements(prob, u)
     r = ground_norm_eval_many(prob.norm.ground, diffs)
     if gen.p == 1.0:
-        out = _recover_ft(prob, u, diffs, r, tol)
+        out = _recover_ft(prob, diffs, r, tol)
     elif gen.p == math.inf:
-        out = _recover_cheb(prob, u, diffs, r, tol)
+        out = _recover_cheb(prob, diffs, r, tol)
     else:
-        out = _recover_pft(prob, u, diffs, r, tol)
+        out = _recover_pft(prob, diffs, r, tol)
     if isinstance(out, Infeasible):
         return out
     cert = Certificate(solution=u, duals=out)

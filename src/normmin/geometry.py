@@ -1,7 +1,9 @@
-"""Small exact-geometry helpers: ball projections, affine hulls and the
-convex-hull projection (Wolfe's minimum-norm-point method)."""
+"""Small exact-geometry helpers: ball projections, affine hulls, the
+convex-hull projection (Wolfe's minimum-norm-point method) and lattice slabs."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -114,3 +116,17 @@ def hull_distance(points: np.ndarray, u: np.ndarray) -> float:
     """Euclidean distance from ``u`` to the convex hull of the rows."""
     proj = project_onto_convex_hull(points, u)
     return float(np.linalg.norm(np.asarray(u, dtype=float) - proj))
+
+
+def _lattice_slabs(axes):
+    """The row-major lattice of ``axes`` in four slabs along the first axis.
+
+    Yields ``(m, len(axes))`` point arrays whose concatenation is the whole
+    lattice in row-major order.  Each slab is built only after the previous
+    one has been handed over, and the generator keeps no reference to it, so
+    the caller's peak memory is about one slab.
+    """
+    chunk = max(1, math.ceil(axes[0].size / 4))
+    for i in range(0, axes[0].size, chunk):
+        mesh = np.meshgrid(axes[0][i : i + chunk], *axes[1:], indexing="ij", copy=False)
+        yield np.stack(mesh, axis=-1).reshape(-1, len(axes))

@@ -118,27 +118,27 @@ def solve_bound(prob: ProblemInstance) -> SolveBound:
 
 
 def _ground_subgradient(nrm: GroundNorm, x: np.ndarray) -> np.ndarray:
-    """A deterministic subgradient selection of the ground norm at ``x``.
+    """A deterministic subgradient selection of the ground norm, row by row.
 
-    Returns the zero vector at the origin; elsewhere a unit-dual-norm vector
-    whose pairing with ``x`` equals the norm (up to tie rounding for the max
-    kind).
+    ``x`` is an ``(..., d)`` stack of rows.  A zero row maps to the zero
+    vector; any other row maps to a unit-dual-norm vector whose pairing with
+    the row equals its norm (up to tie rounding for the max kind, which
+    splits the weight evenly over the coordinates tied for the maximum).
     """
-    if not np.any(x):
-        return np.zeros_like(x)
-    if nrm.kind == "euclidean":
-        return x / float(np.linalg.norm(x))
+    x = np.asarray(x, dtype=float)
     if nrm.kind == "sum":
         return np.sign(x)
+    a = np.abs(x)
     if nrm.kind == "max":
-        a = np.abs(x)
-        m = float(a.max())
-        active = a >= m * (1.0 - _TIE_RTOL)
-        g = np.zeros_like(x)
-        g[active] = np.sign(x[active]) / int(active.sum())
-        return g
-    nx = float(ground_norm_eval(nrm, x))
-    return np.sign(x) * (np.abs(x) / nx) ** (nrm.p - 1.0)
+        m = a.max(axis=-1, keepdims=True)
+        active = (a >= m * (1.0 - _TIE_RTOL)) & (m > 0.0)
+        ties = np.maximum(active.sum(axis=-1, keepdims=True), 1)
+        return np.where(active, np.sign(x), 0.0) / ties
+    nx = ground_norm_eval_many(nrm, x)[..., None]
+    safe = np.where(nx > 0.0, nx, 1.0)
+    if nrm.kind == "euclidean":
+        return x / safe
+    return np.sign(x) * (a / safe) ** (nrm.p - 1.0)
 
 
 def dual_selection(prob: ProblemInstance, u) -> np.ndarray:
@@ -154,7 +154,7 @@ def dual_selection(prob: ProblemInstance, u) -> np.ndarray:
     gen = prob.norm.generator
     if gen.kind != "p":
         raise InvalidInputError("dual selection requires a power generator")
-    selections = np.stack([_ground_subgradient(prob.norm.ground, row) for row in diffs])
+    selections = _ground_subgradient(prob.norm.ground, diffs)
     p = gen.p
     if p == 1.0:
         return selections

@@ -34,6 +34,7 @@ from .errors import (
     InvalidInputError,
     MembershipViolationError,
 )
+from .geometry import _lattice_slabs
 from .ground_norms import (
     GroundNorm,
     alignment_set_contains,
@@ -346,7 +347,5 @@ def sample_solution_region(
     if np.any(b[:, 0] > b[:, 1]):
         return np.empty((0, prob.dim))
     axes = [np.linspace(lo, hi, grid) for lo, hi in b]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, prob.dim)
-    mask = _KERNELS[desc.kind](desc, pts, tol)
-    return pts[mask]
+    kernel = _KERNELS[desc.kind]
+    return np.concatenate([pts[kernel(desc, pts, tol)] for pts in _lattice_slabs(axes)])

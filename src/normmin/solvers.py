@@ -28,11 +28,12 @@ from .errors import (
     UnsupportedGeneratorError,
 )
 from .geometry import (
+    _lattice_slabs,
     affine_hull_basis,
     project_onto_ball,
     project_onto_convex_hull,
 )
-from .ground_norms import ground_norm_eval
+from .ground_norms import ground_norm_eval_many
 from .problem import (
     ProblemInstance,
     _ground_subgradient,
@@ -158,7 +159,8 @@ def _minimax_polish(prob: ProblemInstance, u0: np.ndarray, f0: float):
     Minimizing t subject to ground(u - v_i) <= t is a smooth constrained
     program whenever the ground norm is differentiable away from zero, and a
     sequential quadratic step reaches far sharper optima there than direct
-    descent on the nonsmooth max.
+    descent on the nonsmooth max.  The n constraints go to SLSQP as one
+    vector-valued inequality with an (n, d + 1) Jacobian.
     """
     from scipy.optimize import minimize
 
@@ -173,26 +175,20 @@ def _minimax_polish(prob: ProblemInstance, u0: np.ndarray, f0: float):
         g[d] = 1.0
         return g
 
-    cons = []
-    for i in range(n):
-        vi = prob.anchors[i]
+    def cons(z):
+        return z[d] - ground_norm_eval_many(ground, z[:d] - prob.anchors)
 
-        def c_i(z, vi=vi):
-            return z[d] - ground_norm_eval(ground, z[:d] - vi)
+    def cons_jac(z):
+        jac = np.ones((n, d + 1))
+        jac[:, :d] = -_ground_subgradient(ground, z[:d] - prob.anchors)
+        return jac
 
-        def j_i(z, vi=vi):
-            g = np.zeros(d + 1)
-            g[:d] = -_ground_subgradient(ground, z[:d] - vi)
-            g[d] = 1.0
-            return g
-
-        cons.append({"type": "ineq", "fun": c_i, "jac": j_i})
     res = minimize(
         obj,
         np.append(u0, f0),
         jac=obj_grad,
         method="SLSQP",
-        constraints=cons,
+        constraints=[{"type": "ineq", "fun": cons, "jac": cons_jac}],
         options={"maxiter": 150, "ftol": 1e-14},
     )
     u = np.asarray(res.x[:d], dtype=float)
@@ -411,16 +407,14 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
         spacing = 2.0 * radius / (grid - 1)
     lip = lipschitz_bound(prob)
 
-    def slab(i0: int, i1: int):
-        mesh = np.meshgrid(axes[0][i0:i1], *axes[1:], indexing="ij")
-        pts = np.stack(mesh, axis=-1).reshape(-1, prob.dim)
+    results = []
+    for pts in _lattice_slabs(axes):
         vals = objective_eval_many(prob, pts)
         lo = float(vals.min())
         near = vals <= lo + _NEAR_MIN_SLACK
-        return lo, pts[near], vals[near]
-
-    chunk = max(1, math.ceil(axes[0].size / 4))
-    results = [slab(i, min(i + chunk, axes[0].size)) for i in range(0, axes[0].size, chunk)]
+        results.append((lo, pts[near], vals[near]))
+        # Release this slab before the next one is built.
+        del pts, vals
     value = min(lo for lo, _, _ in results)
     pts = []
     for lo, p, v in results:

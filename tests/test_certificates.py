@@ -25,6 +25,8 @@ from normmin import (
     check_fermat_torricelli,
     check_general,
     check_p_fermat,
+    dual_ground_norm,
+    ground_norm_eval,
     matching_theorem,
     objective_eval,
     objective_eval_many,
@@ -151,6 +153,63 @@ def test_recover_examples():
     got2 = recover_certificate(smooth, (1.0, 0.0))
     assert isinstance(got2, Certificate)
     assert np.allclose(got2.duals, ((ISQ2, 0.0), (-ISQ2, 0.0)), atol=1e-9)
+
+
+def planted_optimum(rng, ground, p, d, pairs):
+    """Anchors around a known minimizer ``u``, plus one extra anchor at ``u``.
+
+    Blocks come in opposite pairs (w, -w) of unit dual norm; each anchor sits
+    at ``u`` minus a radius times a ground-unit vector aligned with its
+    block, and both anchors of a pair share the radius.  On polyhedral
+    grounds pair ``k`` uses axis ``k mod d`` and all data are dyadic.  Under
+    the max generator every radius is raised to the largest one.  The extra
+    anchor has a zero displacement, so its block is unpaired, zero-capped or
+    inactive depending on the generator.
+    """
+    u = rng.integers(-4, 5, size=d) / 8.0
+    anchors = []
+    for k in range(pairs):
+        rho = (6.0 + 3.0 * k + float(rng.integers(0, 3))) / 8.0
+        if ground.kind in ("sum", "max"):
+            w = np.zeros(d)
+            w[k % d] = rng.choice((-1.0, 1.0))
+        else:
+            w = rng.normal(size=d)
+            w /= ground_norm_eval(dual_ground_norm(ground), w)
+        for sign in (1.0, -1.0):
+            if ground.kind in ("sum", "euclidean"):
+                z = sign * w
+            elif ground.kind == "max":
+                z = np.where(w != 0.0, sign * w, rng.integers(-3, 4, size=d) / 4.0)
+            else:
+                z = np.sign(sign * w) * np.abs(w) ** (ground.q - 1.0)
+                z /= ground_norm_eval(ground, z)
+            anchors.append((rho, z))
+    if p == math.inf:
+        top = max(rho for rho, _ in anchors)
+        anchors = [(top, z) for _, z in anchors]
+    anchors = np.array([u - rho * z for rho, z in anchors] + [u])
+    prob = ProblemInstance(anchors, ProductNorm(ground, PsiGenerator.power(p)))
+    return prob, u
+
+
+def test_recover_at_planted_optima_is_exact():
+    # Pairs run up to min(3, d): with the max generator on the sum ground a
+    # third pair in the plane would repeat the first pair's anchors.
+    rng = make_rng(57)
+    combos = [(g, p) for g in (GroundNorm.sum(), GroundNorm.max()) for p in (1.0, 2.0, math.inf)]
+    combos += [(GroundNorm.euclidean(), math.inf), (GroundNorm.power(3.0), math.inf)]
+    checked = 0
+    for ground, p in combos:
+        for d in (2, 3, 5):
+            for pairs in range(1, min(3, d) + 1):
+                for _ in range(4):
+                    prob, u = planted_optimum(rng, ground, p, d, pairs)
+                    got = recover_certificate(prob, u, tol=1e-9)
+                    assert isinstance(got, Certificate), (ground.kind, p, d, pairs, got)
+                    assert check_certificate(prob, got, tol=1e-9).verdict
+                    checked += 1
+    assert checked == 8 * 8 * 4
 
 
 def test_recover_rejects_clearly_suboptimal_points():

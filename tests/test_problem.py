@@ -29,6 +29,7 @@ from normmin import (
     solve_bound,
     strict_convexity_class,
 )
+from normmin.problem import _ground_subgradient
 
 
 def two_anchor(ground, gen):
@@ -151,6 +152,47 @@ def test_dual_selection_certifies_objective():
                     f = objective_eval(inst, u)
                     assert abs(dual_product_norm_eval(norm, duals) - 1.0) <= 1e-7
                     assert abs(pairing(duals, u - inst.anchors) - f) <= 1e-7 * max(1.0, f)
+
+
+def one_row_subgradient(nrm, x):
+    """The one-row selection rule that the row-wise kernel must reproduce."""
+    if not np.any(x):
+        return np.zeros_like(x)
+    if nrm.kind == "euclidean":
+        return x / float(np.linalg.norm(x))
+    if nrm.kind == "sum":
+        return np.sign(x)
+    if nrm.kind == "max":
+        a = np.abs(x)
+        active = a >= float(a.max()) * (1.0 - 1e-12)
+        g = np.zeros_like(x)
+        g[active] = np.sign(x[active]) / int(active.sum())
+        return g
+    nx = ground_norm_eval(nrm, x)
+    return np.sign(x) * (np.abs(x) / nx) ** (nrm.p - 1.0)
+
+
+def test_row_wise_subgradient_matches_one_row_rule():
+    # Sum and max rows take the same arithmetic, so they must agree exactly;
+    # Euclidean and power rows divide by a norm summed in another order, so
+    # they may differ by a few units in the last place.
+    rng = make_rng(36)
+    rows = np.vstack(
+        [
+            rng.normal(size=(40, 3)),
+            rng.integers(-2, 3, size=(40, 3)).astype(float),
+            np.zeros((2, 3)),
+            [[1e-100, 0.0, -1e-100], [1e100, -1e100, 0.0]],
+        ]
+    )
+    for ground in ALL_GROUNDS:
+        got = _ground_subgradient(ground, rows.reshape(4, -1, 3)).reshape(-1, 3)
+        want = np.array([one_row_subgradient(ground, x) for x in rows])
+        if ground.kind in ("sum", "max"):
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0.0)
+        assert np.array_equal(got[80:82], np.zeros((2, 3)))
 
 
 def test_subgradient_validity_sampled():

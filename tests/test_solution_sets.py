@@ -289,6 +289,36 @@ def test_region_sampling_is_row_major_and_deterministic():
     assert np.all(np.diff(lin) > 0.0)
 
 
+def test_region_sampling_matches_pointwise_membership():
+    # Grid 7 in the plane and grid 5 in space split the first axis into
+    # uneven slabs (2+2+2+1 and 2+2+1 layers); grid 1 is a single point.
+    plane, _ = case_desc("ft-linf-pair")
+    prob = ProblemInstance(
+        anchors=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+        norm=ProductNorm(ground=GroundNorm.max(), generator=PsiGenerator.power(1.0)),
+    )
+    space = describe_solution_set(
+        prob, Certificate(solution=(1.0, 0.0, 0.0), duals=((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)))
+    )
+    runs = [
+        (plane, [[-3.0, 3.0], [-3.0, 3.0]], 7),
+        (space, [[-1.0, 3.0], [-2.0, 2.0], [-2.0, 2.0]], 5),
+        (plane, [[1.0, 3.0], [0.0, 3.0]], 1),
+        (plane, [[3.0, 4.0], [0.0, 1.0]], 1),
+        (space, [[1.0, 2.0], [0.0, 1.0], [0.0, 1.0]], 1),
+    ]
+    for desc, box, grid in runs:
+        box = np.array(box)
+        axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        inside = np.array([solution_set_contains(desc, pt) for pt in lattice])
+        if grid > 1:
+            assert 0 < inside.sum() < inside.size
+        got = sample_solution_region(desc, box, grid)
+        assert got.shape == (int(inside.sum()), len(axes))
+        assert np.array_equal(got, lattice[inside])
+
+
 def test_region_sampling_budget_guard():
     desc, _ = case_desc("ft-linf-pair")
     with pytest.raises(BudgetExceededError):
