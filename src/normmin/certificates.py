@@ -37,6 +37,7 @@ from .ground_norms import (
 )
 from .problem import (
     ProblemInstance,
+    _block_maps,
     _ground_subgradient,
     displacements,
     objective_eval,
@@ -286,16 +287,20 @@ def check_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _elastic_lp(bounds, a_eq, b_eq, a_ub=None, b_ub=None) -> tuple[np.ndarray, float]:
+def _elastic_lp(bounds, a_eq, b_eq, tol, a_ub=None, b_ub=None) -> tuple[np.ndarray, float]:
     """Minimize the total violation of ``a_eq x = b_eq`` over the other constraints.
 
     Each equality row gets two nonnegative slacks whose sum is the cost; the
     variables keep ``bounds`` (one (low, high) row each) and ``a_ub x <= b_ub``.
-    Returns the variables and the total violation.
+    HiGHS's primal and dual feasibility tolerances are ``1e-3 * tol`` (at
+    least 1e-10), well inside the recovery tolerance ``tol``, so a point
+    that meets the conditions at ``tol`` is not lost to the solver's own
+    slack.  Returns the variables and the total violation.
     """
     from scipy.optimize import linprog
 
     ne, nvar = a_eq.shape
+    lp_tol = max(1e-10, 1e-3 * tol)
     slacks = np.kron(np.eye(ne), [1.0, -1.0])
     res = linprog(
         np.concatenate([np.zeros(nvar), np.ones(2 * ne)]),
@@ -305,13 +310,17 @@ def _elastic_lp(bounds, a_eq, b_eq, a_ub=None, b_ub=None) -> tuple[np.ndarray, f
         b_eq=b_eq,
         bounds=np.vstack([bounds, np.tile([0.0, np.inf], (2 * ne, 1))]),
         method="highs",
+        options={
+            "primal_feasibility_tolerance": lp_tol,
+            "dual_feasibility_tolerance": lp_tol,
+        },
     )
     if res.status != 0:
         raise RecoveryError(f"feasibility subproblem failed: {res.message}")
     return res.x[:nvar], float(res.fun)
 
 
-def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, total=None):
+def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total=None):
     """Dual blocks inside polyhedral dual balls of bounded radius.
 
     The blocks are ``W = P - N`` with ``P, N >= 0``, and block ``i`` lies in
@@ -319,7 +328,8 @@ def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, total=None):
     cap_hi_i]`` (a zero upper cap pins the block to zero).  Elastic rows ask
     that the blocks sum to zero, that ``<W_i, diffs_i> = r_i c_i`` where
     ``paired`` holds, and that the caps sum to ``total`` when it is given.
-    Returns the blocks and the total violation.
+    ``tol`` is the recovery tolerance.  Returns the blocks and the total
+    violation.
     """
     n, d = diffs.shape
     nd = n * d
@@ -327,21 +337,21 @@ def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, total=None):
     cap_hi = np.broadcast_to(cap_hi, (n,))
     pn = np.column_stack([np.zeros(nd), np.repeat(np.where(cap_hi > 0.0, np.inf, 0.0), d)])
     bounds = np.vstack([pn, pn, np.column_stack([cap_lo, cap_hi])])
-    blocks = np.kron(np.eye(n), np.ones((1, d)))
+    stack, blocks = (m.toarray() for m in _block_maps(n, d))
     if prob.norm.ground.kind == "max":
         # Dual of the max ground is the sum norm: sum_j (P + N)_ij <= c_i.
         a_ub = np.hstack([blocks, blocks, -np.eye(n)])
     else:
         # Dual of the sum ground is the max norm: (P + N)_ij <= c_i.
         a_ub = np.hstack([np.eye(nd), np.eye(nd), -blocks.T])
-    a_w = np.vstack([np.tile(np.eye(d), n), (blocks * diffs.ravel())[paired]])
+    a_w = np.vstack([stack.T, (blocks * diffs.ravel())[paired]])
     a_c = np.vstack([np.zeros((d, n)), -np.diag(r)[paired]])
     a_eq = np.hstack([a_w, -a_w, a_c])
     b_eq = np.zeros(a_eq.shape[0])
     if total is not None:
         a_eq = np.vstack([a_eq, np.concatenate([np.zeros(2 * nd), np.ones(n)])])
         b_eq = np.append(b_eq, total)
-    x, violation = _elastic_lp(bounds, a_eq, b_eq, a_ub, np.zeros(a_ub.shape[0]))
+    x, violation = _elastic_lp(bounds, a_eq, b_eq, tol, a_ub, np.zeros(a_ub.shape[0]))
     return (x[:nd] - x[nd : 2 * nd]).reshape(n, d), violation
 
 
@@ -369,7 +379,7 @@ def _recover_ft(prob, diffs, r, tol):
                 FERMAT_TORRICELLI, "point is near several anchors at once", float(near.size)
             )
         return duals
-    duals, violation = _polyhedral_duals(prob, diffs, r, 1.0, 1.0, r > ztol)
+    duals, violation = _polyhedral_duals(prob, diffs, r, 1.0, 1.0, r > ztol, tol)
     if violation > tol * max(1.0, float(r.sum())):
         return Infeasible(FERMAT_TORRICELLI, "no feasible dual blocks", violation)
     return duals
@@ -384,12 +394,12 @@ def _recover_cheb(prob, diffs, r, tol):
         bounds = np.column_stack([np.zeros(prob.n), np.where(active, np.inf, 0.0)])
         a_eq = np.vstack([grads.T, np.ones((1, prob.n))])
         b_eq = np.append(np.zeros(prob.dim), 1.0)
-        x, violation = _elastic_lp(bounds, a_eq, b_eq)
+        x, violation = _elastic_lp(bounds, a_eq, b_eq, tol)
         if violation > tol * max(1.0, m):
             return Infeasible(CHEBYSHEV, "no convex weights balance the gradients", violation)
         return x[:, None] * grads
     duals, violation = _polyhedral_duals(
-        prob, diffs, r, 0.0, np.where(active, np.inf, 0.0), active, total=1.0
+        prob, diffs, r, 0.0, np.where(active, np.inf, 0.0), active, tol, total=1.0
     )
     if violation > tol * max(1.0, float(r.sum())):
         return Infeasible(CHEBYSHEV, "no feasible dual blocks", violation)
@@ -407,7 +417,7 @@ def _recover_pft(prob, diffs, r, tol):
         return caps[:, None] * _ground_subgradient(prob.norm.ground, diffs)
     scale = max(1.0, float(r.max()))
     caps = np.where(r > tol * scale, caps, 0.0)
-    duals, violation = _polyhedral_duals(prob, diffs, r, caps, caps, caps > 0.0)
+    duals, violation = _polyhedral_duals(prob, diffs, r, caps, caps, caps > 0.0, tol)
     if violation > tol * max(1.0, float(r.sum())):
         return Infeasible(P_FERMAT, "no feasible dual blocks", violation)
     return duals

@@ -115,7 +115,16 @@ def ground_norm_eval_many(nrm: GroundNorm, xs) -> np.ndarray:
     if nrm.kind == "max":
         return np.abs(a).max(axis=-1)
     if nrm.kind == "euclidean":
-        return np.sqrt((a * a).sum(axis=-1))
+        with np.errstate(over="ignore"):
+            sq = (a * a).sum(axis=-1)
+        out = np.sqrt(sq)
+        # Rows whose squared sum overflowed or left the normal range are
+        # redone with the row maximum factored out, as the power kind does.
+        off = ~((sq >= np.finfo(float).tiny) & (sq < np.inf))
+        if np.any(off):
+            out = np.asarray(out)
+            out[off] = _power_norm(np.abs(a[off]), 2.0)
+        return out
     return _power_norm(np.abs(a), nrm.p)
 
 

@@ -141,6 +141,21 @@ def _ground_subgradient(nrm: GroundNorm, x: np.ndarray) -> np.ndarray:
     return np.sign(x) * (a / safe) ** (nrm.p - 1.0)
 
 
+def _block_maps(n: int, d: int):
+    """Sparse maps between ``u`` and the ``n d`` stacked displacement coordinates.
+
+    Coordinate ``j`` of block ``i`` sits in row ``i d + j``.  ``stack``
+    (``n d`` by ``d``) picks ``u_j`` for that row and ``blocks`` (``n`` by
+    ``n d``) sums the rows of block ``i``.  The polyhedral programs of the
+    solver and of dual recovery are built from these two maps.
+    """
+    from scipy import sparse
+
+    stack = sparse.kron(np.ones((n, 1)), sparse.identity(d), format="csr")
+    blocks = sparse.kron(sparse.identity(n), np.ones((1, d)), format="csr")
+    return stack, blocks
+
+
 def dual_selection(prob: ProblemInstance, u) -> np.ndarray:
     """Dual block stack certifying a subgradient of the objective at ``u``.
 

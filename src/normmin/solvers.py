@@ -1,21 +1,34 @@
 """Solvers for the anchor-displacement minimization problem.
 
-Two anchors under a symmetric generator get the exact midpoint.  Otherwise
-the workhorse is a projected subgradient method confined to the a-priori
-solution ball, with diminishing steps scaled by the anchor spread, followed
-by a deterministic local refinement (quasi-Newton when the objective is
-smooth, simplex descent restarts otherwise).  For Euclidean grounds the
-refinement runs inside the anchors' affine hull, where every minimizer lives,
-and finishes with an exact convex-hull projection that is only kept when it
-does not increase the objective.
+Built-in (power) generators get the exact method for their family, read off
+the dual optimality conditions:
 
-A derivative-free compass search covers generators that are opaque
-callables, and a brute-force lattice oracle provides certified reference
-values for cross-checks.
+- two anchors under a symmetric generator: the midpoint;
+- sum ground with p = 1: the objective splits by coordinate, so the
+  coordinatewise median;
+- otherwise sum or max ground with p in {1, inf}: every block norm is a
+  maximum of linear pieces, so the problem is one sparse HiGHS linear
+  program;
+- sum or max ground with finite p > 1: the smooth objective ``sum r_i^p``
+  over an exact linear model of the block norms in a box around the
+  incumbent, solved by SLSQP box by box;
+- Euclidean or power ground with finite p: the objective is smooth away from
+  the anchors, so damped Newton from the centroid (after testing whether an
+  anchor is optimal when p = 1);
+- Euclidean or power ground with p = inf: SLSQP on the epigraph of the
+  largest block norm.
+
+Euclidean answers finish with an exact convex-hull projection that is only
+kept when it does not increase the objective.
+
+A derivative-free compass search with quasi-Newton and simplex-descent
+refinement covers generators that are opaque callables, and a brute-force
+lattice oracle provides certified reference values for cross-checks.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 
@@ -30,12 +43,12 @@ from .errors import (
 from .geometry import (
     _lattice_slabs,
     affine_hull_basis,
-    project_onto_ball,
     project_onto_convex_hull,
 )
-from .ground_norms import ground_norm_eval_many
+from .ground_norms import dual_ground_norm, ground_norm_eval_many
 from .problem import (
     ProblemInstance,
+    _block_maps,
     _ground_subgradient,
     objective_eval,
     objective_eval_many,
@@ -46,9 +59,39 @@ from .problem import (
 _GRID_POINT_CAP = 100_000_000
 _NEAR_MIN_SLACK = 1e-9
 
+# Anchor-test rows are evaluated in chunks of about this many entries.
+_ANCHOR_TEST_ENTRIES = 1 << 20
+
+# Step halvings tried before a Newton iteration counts as stalled.
+_BACKTRACKS = 50
+
+# Newton stops once the gradient norm is within this many ulps of the sum of
+# its blocks' dual norms, the rounding floor of the gradient itself.
+_GRAD_ULPS = 16.0
+
+# HiGHS feasibility tolerances of the polyhedral program.
+_LP_TOL = 1e-10
+
+# Cap on the inequality rows of one round of the polyhedral finite-p solve.
+_MODEL_ROWS = 32
+
+# Relative rounding allowed between a polyhedral model's value and the
+# block norms it models.
+_SUM_RTOL = 1e-12
+
+# Box radii at or below this count as zero in the polyhedral finite-p solve,
+# whose rounds scale the largest block norm at the centroid to one.  A round
+# that ends on a box edge at a kink leaves that coordinate a few ulps off
+# zero; a box that small would stop the next round where it starts.
+_KINK = 1e-12
+
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
+    """``max_iters`` caps the iterations of the method that runs;
+    ``stop_tol`` is the refinement gain below which the pattern search
+    reports convergence."""
+
     max_iters: int = 2000
     stop_tol: float = 1e-9
 
@@ -153,14 +196,13 @@ def _local_descent(fun, x0, f0, jac, h0, budget=700):
     return best_x, best_f, last_gain
 
 
-def _minimax_polish(prob: ProblemInstance, u0: np.ndarray, f0: float):
-    """Epigraph solve for the largest-block objective over smooth grounds.
+def _minimax_slsqp(prob: ProblemInstance, u0: np.ndarray, f0: float, maxiter: int):
+    """SLSQP on the epigraph of the largest block norm; returns scipy's result.
 
     Minimizing t subject to ground(u - v_i) <= t is a smooth constrained
-    program whenever the ground norm is differentiable away from zero, and a
-    sequential quadratic step reaches far sharper optima there than direct
-    descent on the nonsmooth max.  The n constraints go to SLSQP as one
-    vector-valued inequality with an (n, d + 1) Jacobian.
+    program whenever the ground norm is differentiable away from zero.  The
+    n constraints go to SLSQP as one vector-valued inequality with an
+    (n, d + 1) Jacobian.
     """
     from scipy.optimize import minimize
 
@@ -183,15 +225,24 @@ def _minimax_polish(prob: ProblemInstance, u0: np.ndarray, f0: float):
         jac[:, :d] = -_ground_subgradient(ground, z[:d] - prob.anchors)
         return jac
 
-    res = minimize(
+    return minimize(
         obj,
         np.append(u0, f0),
         jac=obj_grad,
         method="SLSQP",
         constraints=[{"type": "ineq", "fun": cons, "jac": cons_jac}],
-        options={"maxiter": 150, "ftol": 1e-14},
+        options={"maxiter": maxiter, "ftol": 1e-14},
     )
-    u = np.asarray(res.x[:d], dtype=float)
+
+
+def _minimax_polish(prob: ProblemInstance, u0: np.ndarray, f0: float):
+    """Epigraph solve for the largest-block objective over smooth grounds.
+
+    A sequential quadratic step reaches far sharper optima there than direct
+    descent on the nonsmooth max; the result is kept only if it improves.
+    """
+    res = _minimax_slsqp(prob, u0, f0, 150)
+    u = np.asarray(res.x[: prob.dim], dtype=float)
     f = objective_eval(prob, u)
     if f < f0:
         return u, f
@@ -241,6 +292,371 @@ def _hull_clip(prob: ProblemInstance, u: np.ndarray, f: float):
     return u, f
 
 
+def _scipy_result(prob: ProblemInstance, res, u0: np.ndarray, f0: float):
+    """(point, value, steps, converged, trace) from a scipy solve over ``(u, ...)``."""
+    if res.x is None:
+        return u0, f0, int(res.nit), False, [(0, f0)]
+    u = np.asarray(res.x[: prob.dim], dtype=float)
+    f = objective_eval(prob, u)
+    trace = [(0, f0)] + ([(int(res.nit), f)] if f < f0 else [])
+    return u, f, int(res.nit), bool(res.success), trace
+
+
+def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
+    """Polyhedral ground with p in {1, inf}: one sparse HiGHS linear program.
+
+    HiGHS runs its interior-point method, whose iteration count stays in the
+    tens as the program grows (its default simplex choice hit a 2000
+    iteration cap on the sum ground at n=256, d=10), then crosses over to a
+    vertex.
+
+    Variables are ``u``, one epigraph variable per block for p = 1 or one
+    shared by all blocks for p = inf, and on the sum ground the coordinate
+    bounds ``s_ij >= |u_j - v_ij|``.  The rows are built from the block maps
+    of :func:`~normmin.problem._block_maps`, as in dual recovery.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, d = prob.anchors.shape
+    v = prob.anchors.ravel()
+    tmap = sparse.identity(n) if prob.norm.generator.p == 1.0 else sparse.csr_matrix(np.ones((n, 1)))
+    stack, blocks = _block_maps(n, d)
+    if prob.norm.ground.kind == "max":
+        # +-(u_j - v_ij) <= t_i
+        tcols = -(blocks.T @ tmap)
+        a_ub = sparse.bmat([[stack, tcols], [-stack, tcols]])
+        b_ub = np.concatenate([v, -v])
+    else:
+        # +-(u_j - v_ij) <= s_ij and sum_j s_ij <= t_i
+        eye = sparse.identity(n * d)
+        a_ub = sparse.bmat([[stack, -eye, None], [-stack, -eye, None], [None, blocks, -tmap]])
+        b_ub = np.concatenate([v, -v, np.zeros(n)])
+    cost = np.zeros(a_ub.shape[1])
+    cost[-tmap.shape[1]:] = 1.0
+    res = linprog(
+        cost,
+        A_ub=a_ub.tocsc(),
+        b_ub=b_ub,
+        bounds=(None, None),
+        method="highs-ipm",
+        options={
+            "maxiter": cfg.max_iters,
+            "primal_feasibility_tolerance": _LP_TOL,
+            "dual_feasibility_tolerance": _LP_TOL,
+        },
+    )
+    return _scipy_result(prob, res, u0, f0)
+
+
+def _coordinate_median(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
+    """Sum ground with p = 1: the coordinatewise median.
+
+    The objective ``sum_i sum_j |u_j - v_ij|`` splits into one sum of
+    absolute values per coordinate, each minimized by a median of its
+    column.  The median is taken from a sort, since ``np.median``'s first
+    call in a process costs about 20 ms.
+    """
+    col = np.sort(prob.anchors, axis=0)
+    u = 0.5 * (col[(prob.n - 1) // 2] + col[prob.n // 2])
+    f = objective_eval(prob, u)
+    return u, f, 0, True, [(0, f0)] + ([(0, f)] if f < f0 else [])
+
+
+def _model_rows(kind: str, a: np.ndarray, r: np.ndarray, anchors: np.ndarray, delta: float) -> int:
+    """Inequality rows of :func:`_box_model` for box radius ``delta``.
+
+    Counted without building the model, whose dense rows would take
+    ``O(n d)`` columns each at the large radii the search tries.
+    """
+    if kind == "sum":
+        free = a <= delta
+        cols = np.nonzero(free)[1]
+        return 2 * np.unique(np.column_stack([cols, anchors[free]]), axis=0).shape[0]
+    near = a >= r[:, None] - 2.0 * delta
+    counts = (near * np.where(a <= delta, 2, 1)).sum(axis=1)
+    return int(counts[counts >= 2].sum())
+
+
+def _box_radius(kind: str, x: np.ndarray, r: np.ndarray, anchors: np.ndarray) -> float:
+    """Largest box radius whose model keeps within ``_MODEL_ROWS`` rows.
+
+    The candidates are the radii at which a block gains a piece, above
+    ``_KINK``; the radius is infinite when the whole model fits.  Where even
+    the smallest candidate breaks the cap, that candidate is used: its model
+    still has at most two rows per distinct anchor coordinate within the
+    radius on the sum ground, and at most ``2 d`` per block on the max
+    ground, so it stays linear in the size of the instance.
+    """
+    a = np.abs(x)
+    cand = np.unique(a if kind == "sum" else np.concatenate([a, (r[:, None] - a) / 2.0]))
+    cand = cand[cand > _KINK]
+
+    def overfull(delta):
+        return _model_rows(kind, a, r, anchors, delta) > _MODEL_ROWS
+
+    k = bisect.bisect_left(cand, True, key=overfull)
+    if k == cand.size:
+        return math.inf
+    return float(cand[max(k - 1, 0)])
+
+
+def _box_model(kind: str, x: np.ndarray, r: np.ndarray, anchors: np.ndarray, delta: float):
+    """Linear model of the block norms inside a box of radius ``delta`` around ``u``.
+
+    The box holds every ``u'`` within ``delta`` of ``u = x + anchors`` in
+    the max norm.  The model has variables ``z = (u', w)`` with ``w >= 0``
+    and returns ``(lin, off, cons, cons_off, w0)``: inside the box, block
+    ``i``'s norm is the least ``lin_i z - off_i`` over the ``w`` that meet
+    ``cons z + cons_off >= 0``, and ``w0`` meets them at ``u' = u``.
+
+    On the sum ground a coordinate whose sign is fixed in the box enters
+    block ``i`` linearly; every other one goes through a variable ``s >=
+    |u'_j - c|``, one for each distinct anchor value ``c`` of column ``j``,
+    shared by all blocks that hold it.  On the max ground a block norm is
+    the largest of the signed coordinates that can become the largest in
+    the box; a block with one such piece is that piece, and one with several
+    gets an epigraph variable ``t_i`` above each.
+    """
+    n, d = x.shape
+    a = np.abs(x)
+    sign = np.where(x < 0.0, -1.0, 1.0)
+    if kind == "sum":
+        free = a <= delta
+        fi, fj = np.nonzero(free)
+        pairs, slot = np.unique(np.column_stack([fj, anchors[free]]), axis=0, return_inverse=True)
+        m = pairs.shape[0]
+        fixed = np.where(free, 0.0, sign)
+        lin = np.zeros((n, d + m))
+        lin[:, :d] = fixed
+        lin[fi, d + slot.ravel()] = 1.0
+        off = np.einsum("ij,ij->i", fixed, anchors)
+        picks = np.zeros((m, d))
+        picks[np.arange(m), pairs[:, 0].astype(int)] = 1.0
+        # s_k >= +-(u'_j - c_k)
+        cons = np.hstack([np.vstack([picks, -picks]), np.vstack([np.eye(m), np.eye(m)])])
+        cons_off = np.concatenate([-pairs[:, 1], pairs[:, 1]])
+        w0 = np.zeros(m)
+        w0[slot.ravel()] = a[fi, fj]
+        return lin, off, cons, cons_off, w0
+    near = a >= r[:, None] - 2.0 * delta
+    flip = near & (a <= delta)
+    (ni, nj), (fi, fj) = np.nonzero(near), np.nonzero(flip)
+    owners, cols = np.concatenate([ni, fi]), np.concatenate([nj, fj])
+    pieces = np.zeros((owners.size, d))
+    pieces[np.arange(owners.size), cols] = np.concatenate([sign[near], -sign[flip]])
+    offsets = np.einsum("ij,ij->i", pieces, anchors[owners])
+    multi = np.bincount(owners, minlength=n) >= 2
+    m = int(multi.sum())
+    slot = np.cumsum(multi) - 1
+    lin = np.zeros((n, d + m))
+    off = np.zeros(n)
+    single = ~multi[owners]
+    lin[owners[single], :d] = pieces[single]
+    off[owners[single]] = offsets[single]
+    lin[np.flatnonzero(multi), d + np.arange(m)] = 1.0
+    # t_i >= <piece, u' - v_i>
+    shared = ~single
+    cons = np.hstack([-pieces[shared], np.eye(m)[slot[owners[shared]]]])
+    return lin, off, cons, offsets[shared], r[multi]
+
+
+def _polyhedral_epigraph(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
+    """Sum or max ground with finite p > 1: SLSQP on ``sum r_i^p``, box by box.
+
+    Each round centres a box on the incumbent, builds the exact linear
+    model of the block norms inside it (:func:`_box_model`) and minimizes
+    ``sum r_i^p`` over the box with SLSQP.  Inside the box this program is
+    exact, so a round whose answer is off the box boundary has found the
+    optimum.  SLSQP can stop a little short of a boundary that its answer
+    should reach, so only an answer in the inner half of the box counts;
+    otherwise the next round starts from that answer.
+    The box radius keeps the model within ``_MODEL_ROWS`` inequality rows
+    (:func:`_box_radius`).  The rounds work on anchors shifted to the
+    centroid and scaled by the largest block norm there, since SLSQP's
+    tolerances are absolute.
+    """
+    from scipy.optimize import minimize
+
+    ground = prob.norm.ground
+    p = prob.norm.generator.p
+    d = prob.dim
+    r = ground_norm_eval_many(ground, u0 - prob.anchors)
+    length = float(r.max())
+    anchors = (prob.anchors - u0) / length
+    u, r = np.zeros(d), r / length
+    scale = total = float((r**p).sum())
+    steps, converged = 0, False
+    trace = [(0, f0)]
+    while steps < cfg.max_iters:
+        x = u - anchors
+        delta = _box_radius(ground.kind, x, r, anchors)
+        lin, off, cons, cons_off, w0 = _box_model(ground.kind, x, r, anchors, delta)
+
+        def obj(z):
+            s = np.maximum(lin @ z - off, 0.0)
+            return float((s**p).sum()) / scale
+
+        def obj_grad(z):
+            s = np.maximum(lin @ z - off, 0.0)
+            return (p * s ** (p - 1.0)) @ lin / scale
+
+        box = [(None, None)] * d if delta == math.inf else list(zip(u - delta, u + delta))
+        res = minimize(
+            obj,
+            np.concatenate([u, w0]),
+            jac=obj_grad,
+            method="SLSQP",
+            bounds=box + [(0.0, None)] * w0.size,
+            constraints=[{
+                "type": "ineq",
+                "fun": lambda z: cons @ z + cons_off,
+                "jac": lambda z: cons,
+            }] if w0.size else [],
+            options={"maxiter": cfg.max_iters - steps, "ftol": 1e-14},
+        )
+        steps += max(int(res.nit), 1)
+        un = np.asarray(res.x[:d], dtype=float)
+        rn = ground_norm_eval_many(ground, un - anchors)
+        tn = float((rn**p).sum())
+        inside = delta == math.inf or bool(np.all(np.abs(un - u) <= 0.5 * delta))
+        if tn > total:
+            # The model and the norms sum in different orders, so a round
+            # that confirms the incumbent can end a few ulps above it.
+            converged = inside and bool(res.success) and tn <= total * (1.0 + _SUM_RTOL)
+            break
+        u, r, total = un, rn, tn
+        f = objective_eval(prob, u0 + length * u)
+        if f < trace[-1][1]:
+            trace.append((steps, f))
+        if inside:
+            converged = bool(res.success)
+            break
+    point = u0 + length * u
+    return point, objective_eval(prob, point), steps, converged, trace
+
+
+def _anchor_optimum(prob: ProblemInstance):
+    """An anchor that minimizes the sum of block norms, or None.
+
+    Anchor ``v_k`` is optimal exactly when the unit gradients of the other
+    blocks at ``v_k`` sum to at most one in the dual norm (Vardi and Zhang
+    2000, "The multivariate L1-median and associated data depth").
+    """
+    ground = prob.norm.ground
+    n, d = prob.anchors.shape
+    chunk = max(1, _ANCHOR_TEST_ENTRIES // (n * d))
+    pull = np.empty(n)
+    for lo in range(0, n, chunk):
+        diffs = prob.anchors[lo : lo + chunk, None, :] - prob.anchors[None, :, :]
+        pull[lo : lo + chunk] = ground_norm_eval_many(
+            dual_ground_norm(ground), _ground_subgradient(ground, diffs).sum(axis=1)
+        )
+    k = int(np.argmin(pull))
+    return prob.anchors[k].copy() if pull[k] <= 1.0 else None
+
+
+def _hessian(prob: ProblemInstance, u, f: float, g, basis: np.ndarray) -> np.ndarray:
+    """Objective Hessian at ``u`` (value ``f``, gradient ``g``) in the coordinates of ``basis``.
+
+    Analytic on the Euclidean ground; elsewhere central differences of
+    :func:`objective_subgradient` along each basis vector, with a step of
+    the cube root of machine epsilon times the nearest anchor distance.
+    """
+    ground = prob.norm.ground
+    p = prob.norm.generator.p
+    diffs = u - prob.anchors
+    r = np.maximum(ground_norm_eval_many(ground, diffs), np.finfo(float).tiny)
+    if ground.kind == "euclidean":
+        # sum_i c_i (I + (p - 2) e_i e_i^T) - (p - 1) g g^T / f, with unit
+        # displacements e_i and c_i = (r_i / f)^(p - 1) / r_i
+        e = (diffs / r[:, None]) @ basis
+        c = (r / f) ** (p - 1.0) / r
+        gb = basis.T @ g
+        hess = c.sum() * np.eye(basis.shape[1]) + (p - 2.0) * (e.T * c) @ e
+        return hess - (p - 1.0) / f * np.outer(gb, gb)
+    h = np.cbrt(np.finfo(float).eps) * float(r.min())
+    cols = [
+        objective_subgradient(prob, u + h * b) - objective_subgradient(prob, u - h * b)
+        for b in basis.T
+    ]
+    hess = basis.T @ np.column_stack(cols) / (2.0 * h)
+    return 0.5 * (hess + hess.T)
+
+
+def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
+    """Euclidean or power ground with finite p: damped Newton from ``u0``.
+
+    On the Euclidean ground the iterates stay in the anchors' affine hull,
+    which holds every minimizer.  A step is halved until it lowers the value
+    or the gradient norm; the gradient norm keeps shrinking long after the
+    value stops resolving a descent.  Stops converged once the gradient norm
+    is within ``_GRAD_ULPS`` ulps of the sum of its blocks' dual norms.
+    """
+    ground = prob.norm.ground
+    basis = np.eye(prob.dim)
+    if ground.kind == "euclidean":
+        _, hull = affine_hull_basis(prob.anchors)
+        if 0 < hull.shape[1] < prob.dim:
+            basis = hull
+    radius = solve_bound(prob).radius
+    p = prob.norm.generator.p
+    eps = np.finfo(float).eps
+    u, f = u0, f0
+    g = objective_subgradient(prob, u)
+    trace = [(0, f)]
+    steps, converged = 0, False
+    while steps < cfg.max_iters:
+        gb = basis.T @ g
+        gn = float(np.linalg.norm(gb))
+        r = ground_norm_eval_many(ground, u - prob.anchors)
+        # The dual norms of the gradient's blocks are (r_i / f)^(p - 1).
+        if gn <= _GRAD_ULPS * eps * float(((r / f) ** (p - 1.0)).sum()):
+            converged = True
+            break
+        hess = _hessian(prob, u, f, g, basis)
+        try:
+            s = np.linalg.solve(hess, -gb)
+        except np.linalg.LinAlgError:
+            s = -gb
+        if not np.all(np.isfinite(s)) or float(s @ gb) >= 0.0:
+            s = -gb
+        length = float(np.linalg.norm(s))
+        if length > radius:
+            s *= radius / length
+        for _ in range(_BACKTRACKS):
+            trial = u + basis @ s
+            ft = objective_eval(prob, trial)
+            gt = objective_subgradient(prob, trial)
+            if ft < f or (
+                ft - f <= _GRAD_ULPS * eps * f and float(np.linalg.norm(basis.T @ gt)) < gn
+            ):
+                break
+            s = 0.5 * s
+        else:
+            break
+        steps += 1
+        u, f, g = trial, ft, gt
+        if f < trace[-1][1]:
+            trace.append((steps, f))
+    return u, f, steps, converged, trace
+
+
+def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
+    """Euclidean or power ground with p = inf: the epigraph SLSQP from ``u0``."""
+    return _scipy_result(prob, _minimax_slsqp(prob, u0, f0, cfg.max_iters), u0, f0)
+
+
+def _anchor_or_newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
+    """Euclidean or power ground with finite p: an optimal anchor, else Newton."""
+    if prob.norm.generator.p == 1.0:
+        anchor = _anchor_optimum(prob)
+        if anchor is not None:
+            fa = objective_eval(prob, anchor)
+            return anchor, fa, 0, True, [(0, f0)] + ([(0, fa)] if fa < f0 else [])
+    return _newton(prob, cfg, u0, f0)
+
+
 def _validate_config(cfg: SolverConfig) -> None:
     if cfg.max_iters < 1:
         raise InvalidInputError("max_iters must be at least 1")
@@ -249,15 +665,30 @@ def _validate_config(cfg: SolverConfig) -> None:
 
 
 def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
-    """Projected subgradient descent plus deterministic local refinement.
+    """Minimize a built-in-generator instance with the exact method for its family.
 
-    Two anchors under a symmetric generator return :func:`midpoint_shortcut`.
-    Every other instance steps by ``c / (sqrt(k) |g|)`` along the subgradient
-    ``g``, with ``c`` the anchor spread, and keeps its best iterate: a rising
-    objective is part of the method, not a failure.  ``converged`` means
-    either a zero subgradient was met or the final refinement stage gained at
-    most ``stop_tol`` (scaled); a False value signals the budget ran out while
-    progress was still being made.
+    - Two anchors under a symmetric generator: :func:`midpoint_shortcut`.
+    - Sum ground, p = 1: the coordinatewise median, converged.
+    - Max ground with p in {1, inf}, sum ground with p = inf: one sparse
+      HiGHS linear program (interior point, then crossover); ``converged``
+      means HiGHS reported an optimal solution (status 0).
+    - Sum or max ground, finite p > 1: SLSQP on ``sum r_i^p`` over an exact
+      linear model of the block norms in a box around the incumbent, box by
+      box (:func:`_polyhedral_epigraph`); ``converged`` means the last
+      SLSQP solve succeeded with its answer in the inner half of its box.
+    - Euclidean or power ground, finite p: for p = 1 an anchor that passes
+      the dual-norm test is returned as is; otherwise damped Newton from the
+      centroid, where ``converged`` means the gradient norm fell to the
+      rounding floor of its blocks.
+    - Euclidean or power ground, p = inf: the epigraph SLSQP from the
+      centroid; ``converged`` means SLSQP reported success.
+
+    ``config.max_iters`` caps the simplex, SQP or Newton iterations of the
+    method that runs, and ``iterations`` reports how many it took.
+    ``best_trace`` lists ``(iteration, value)`` each time the value
+    improved, and the returned value is never above the centroid's.
+    Euclidean answers finish with :func:`_hull_clip`.  A centroid with a
+    zero subgradient is optimal and is returned at once, converged.
     """
     cfg = config or SolverConfig()
     _validate_config(cfg)
@@ -268,44 +699,28 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
         )
     if prob.n == 2 and _is_symmetric(prob):
         return midpoint_shortcut(prob)
-    u = prob.centroid()
-    f = objective_eval(prob, u)
-    c = max(_anchor_spread(prob), 1e-12)
-    radius = solve_bound(prob).radius
-    best_u, best_f = u.copy(), f
-    trace = [(0, f)]
-    iterations = 0
-    stationary = False
-    for k in range(1, cfg.max_iters + 1):
-        g = objective_subgradient(prob, u)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-18:
-            stationary = True
-            break
-        step = c / (math.sqrt(k) * gnorm)
-        u = project_onto_ball(prob.norm.ground, u - step * g, radius)
-        f = objective_eval(prob, u)
-        iterations = k
-        if f < best_f:
-            best_u, best_f = u.copy(), f
-            trace.append((k, f))
-    converged = stationary
-    if not stationary:
-        ref_u, ref_f, gain = _refine(prob, best_u, best_f)
-        if ref_f < best_f:
-            best_u, best_f = ref_u, ref_f
-            trace.append((iterations, best_f))
-        converged = gain <= cfg.stop_tol * max(1.0, best_f)
+    u0 = prob.centroid()
+    f0 = objective_eval(prob, u0)
+    if not np.any(objective_subgradient(prob, u0)):
+        return SolveResult(point=u0, value=f0, iterations=0, best_trace=[(0, f0)], converged=True)
+    p = prob.norm.generator.p
+    if prob.norm.ground.kind == "sum" and p == 1.0:
+        method = _coordinate_median
+    elif prob.norm.ground.kind in ("sum", "max"):
+        method = _polyhedral_lp if p in (1.0, math.inf) else _polyhedral_epigraph
+    else:
+        method = _minimax if p == math.inf else _anchor_or_newton
+    u, f, steps, converged, trace = method(prob, cfg, u0, f0)
+    if f > f0:
+        u, f, converged = u0, f0, False
     if prob.norm.ground.kind == "euclidean":
-        clipped_u, clipped_f = _hull_clip(prob, best_u, best_f)
-        if clipped_f < best_f:
-            trace.append((iterations, clipped_f))
-        best_u, best_f = clipped_u, clipped_f
-    value = objective_eval(prob, best_u)
+        u, clipped = _hull_clip(prob, u, f)
+        if clipped < trace[-1][1]:
+            trace.append((steps, clipped))
     return SolveResult(
-        point=best_u,
-        value=value,
-        iterations=iterations,
+        point=u,
+        value=objective_eval(prob, u),
+        iterations=steps,
         best_trace=trace,
         converged=converged,
     )

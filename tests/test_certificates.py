@@ -293,3 +293,18 @@ def test_corruption_detection():
             bump[i] = 1e-3 * direction / np.linalg.norm(direction)
             report = check_certificate(prob, Certificate(c.solution, c.duals + bump))
             assert (not report.verdict) or report.worst[1] > 1e-4
+
+
+def test_recovery_lp_tolerance_sits_inside_the_check_tolerance():
+    # An optimal point of a max-ground, p=2 instance, pinned so the test does
+    # not depend on the solver.  With HiGHS's default 1e-7 feasibility
+    # tolerances the recovery program stops short and recovery at 1e-9
+    # reports Infeasible.
+    prob = ProblemInstance(
+        anchors=np.random.default_rng(8020).normal(size=(8, 2)) * 2,
+        norm=ProductNorm(ground=GroundNorm.max(), generator=PsiGenerator.power(2.0)),
+    )
+    point = np.array([1.194508602363445, -0.3804975815340292])
+    recovered = recover_certificate(prob, point, tol=1e-9)
+    assert not isinstance(recovered, Infeasible), recovered
+    assert check_certificate(prob, recovered, tol=1e-9).verdict

@@ -1,6 +1,7 @@
 """Ground norm evaluation, duality, and alignment geometry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,3 +190,22 @@ def test_euclidean_ray_matches_projection():
         lam = max(float(x @ u), 0.0)
         on_ray = np.abs(x - lam * u).max() <= 1e-9 * max(1.0, np.abs(x).max())
         assert alignment_set_contains(nrm, xstar, x) == on_ray
+
+
+def test_euclidean_extreme_scales():
+    # Squares of 1e300 overflow and squares of 1e-300 underflow; the norm
+    # and the unit subgradient must not.
+    from normmin.problem import _ground_subgradient
+
+    nrm = GroundNorm.euclidean()
+    rows = np.array([[1e300, -1e300, 1e300], [1e-300, 0.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = ground_norm_eval_many(nrm, rows)
+        g = _ground_subgradient(nrm, rows)
+    assert r[0] == pytest.approx(math.sqrt(3.0) * 1e300, rel=1e-15)
+    assert r[1] == 1e-300
+    assert r[2] == 5.0 and r[3] == 0.0
+    assert ground_norm_eval(nrm, [1e-300, 1e-300]) == pytest.approx(math.sqrt(2.0) * 1e-300)
+    dual = ground_norm_eval_many(nrm, g)
+    assert np.allclose(dual[:3], 1.0, rtol=0.0, atol=1e-15) and dual[3] == 0.0

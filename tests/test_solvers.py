@@ -286,3 +286,120 @@ def test_midpoint_never_beaten_by_grid():
         res = midpoint_shortcut(prob)
         oracle = grid_oracle(prob, 81)
         assert oracle.value >= res.value - 1e-9
+
+
+def _instance(anchors, ground, p):
+    return ProblemInstance(
+        anchors=np.asarray(anchors, dtype=float),
+        norm=ProductNorm(ground=ground, generator=PsiGenerator.power(p)),
+    )
+
+
+TOLERANCE_EDGE_ANCHORS = [
+    [1.4190027696506287, 0.11939034151036412, -1.5449514948227783],
+    [-1.812478187249973, 2.330958564302605, 1.262094804299144],
+    [3.9510371594920763, -1.0533103927545768, -1.487081173205689],
+]
+FORMER_FAULTS = [
+    # the sum-ground p=2 instance in R^10 where subgradient steps stalled
+    ("d10-polyhedral", np.random.default_rng(306).normal(size=(4, 10)) * 2, GroundNorm.sum(), 2.0, 1e-7),
+    # BFGS could not push the gradient below 1e-7 here
+    ("local-descent", np.random.default_rng(8031).normal(size=(8, 3)) * 2, GroundNorm.power(3.0), 1.0, 1e-9),
+    ("tolerance-edge", TOLERANCE_EDGE_ANCHORS, GroundNorm.max(), 2.0, 1e-9),
+    ("r10-euclidean-p1", np.random.default_rng(40).normal(size=(4, 10)) * 2, GroundNorm.euclidean(), 1.0, 1e-9),
+    ("r10-euclidean-p2", np.random.default_rng(41).normal(size=(4, 10)) * 2, GroundNorm.euclidean(), 2.0, 1e-9),
+    # below exponent 2 the ground Hessian is unbounded where a coordinate of
+    # a displacement vanishes
+    ("ground-1.5-p1", np.random.default_rng(13101).normal(size=(13, 10)) * 2, GroundNorm.power(1.5), 1.0, 1e-9),
+    ("ground-1.5-p2", np.random.default_rng(13101).normal(size=(13, 10)) * 2, GroundNorm.power(1.5), 2.0, 1e-9),
+]
+
+
+@pytest.mark.parametrize(
+    "anchors,ground,p,tol", [f[1:] for f in FORMER_FAULTS], ids=[f[0] for f in FORMER_FAULTS]
+)
+def test_former_solver_faults_certify(anchors, ground, p, tol):
+    prob = _instance(anchors, ground, p)
+    res = solve_subgradient(prob)
+    assert res.converged
+    for level in sorted({tol, 1e-7}):
+        cert = recover_certificate(prob, res.point, tol=level)
+        assert not isinstance(cert, Infeasible), (level, cert)
+        assert check_certificate(prob, cert, tol=level).verdict
+
+
+def test_obtuse_triangle_returns_its_vertex():
+    # The angle at the origin is about 159 degrees, above 120, so the
+    # vertex is the Fermat-Torricelli point; the anchor test finds it
+    # without iterating.
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [-0.8, 0.3]])
+    res = solve_subgradient(_instance(tri, GroundNorm.euclidean(), 1.0))
+    assert res.point.tobytes() == tri[0].tobytes()
+    assert res.converged and res.iterations == 0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_max_iters_caps_every_method(p):
+    for ground in ALL_GROUNDS:
+        prob = _instance(np.random.default_rng(5).normal(size=(13, 3)) * 2, ground, p)
+        res = solve_subgradient(prob, SolverConfig(max_iters=2))
+        assert res.iterations <= 2
+        assert res.value <= objective_eval(prob, prob.centroid())
+
+
+GRID_GENERATORS = (1.0, 2.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "ground,p",
+    [(g, p) for g in ALL_GROUNDS for p in GRID_GENERATORS],
+    ids=[f"{g.kind}-p{p}" for g in ALL_GROUNDS for p in GRID_GENERATORS],
+)
+def test_random_grid_certifies(ground, p):
+    # Every cell certifies at 1e-7.  The median and the linear program
+    # (polyhedral grounds, p in {1, inf}) and Newton's method (smooth
+    # grounds, finite p) are exact up to rounding, so their cells also
+    # certify at 1e-9.
+    exact = (ground.kind in ("sum", "max")) == (p in (1.0, math.inf))
+    failures = []
+    for n in (4, 13, 64):
+        for d in (2, 3, 10):
+            prob = _instance(np.random.default_rng(1000 * n + 10 * d).normal(size=(n, d)) * 2, ground, p)
+            res = solve_subgradient(prob)
+            if res.value > objective_eval(prob, prob.centroid()):
+                failures.append((n, d, "above the centroid"))
+            for tol in (1e-7, 1e-9) if exact else (1e-7,):
+                cert = recover_certificate(prob, res.point, tol=tol)
+                if isinstance(cert, Infeasible):
+                    failures.append((n, d, tol, cert))
+    assert not failures, failures
+
+
+def _cross_polytope(d, extra):
+    # The origin and +-e_j, plus 2 e_0 when ``extra``: at the centroid
+    # nearly every displacement coordinate is exactly zero.
+    rows = [np.zeros(d), np.eye(d), -np.eye(d)] + ([2.0 * np.eye(d)[:1]] if extra else [])
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("ground", [GroundNorm.sum(), GroundNorm.max()], ids=["sum", "max"])
+def test_zero_subgradient_returns_the_centroid(ground):
+    prob = _instance(_cross_polytope(16, extra=False), ground, 2.0)
+    res = solve_subgradient(prob)
+    assert res.point.tobytes() == prob.centroid().tobytes()
+    assert res.converged and res.iterations == 0
+
+
+@pytest.mark.parametrize("d", [16, 32])
+@pytest.mark.parametrize("ground", [GroundNorm.sum(), GroundNorm.max()], ids=["sum", "max"])
+def test_many_zero_coordinates_keep_the_model_small(ground, d):
+    # Each block's zero coordinates can take either sign in any box around
+    # the centroid; the model must grow with their number, not with the
+    # number of sign patterns (2^(d-1) per block).
+    prob = _instance(_cross_polytope(d, extra=True), ground, 2.0)
+    res = solve_subgradient(prob)
+    assert res.converged
+    assert res.value < objective_eval(prob, prob.centroid())
+    cert = recover_certificate(prob, res.point, tol=1e-7)
+    assert not isinstance(cert, Infeasible), cert
+    assert check_certificate(prob, cert, tol=1e-7).verdict
