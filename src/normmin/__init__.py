@@ -27,9 +27,7 @@ from .errors import (
     BudgetExceededError,
     ContractError,
     DimensionMismatchError,
-    DivergenceError,
     InputFormatError,
-    InternalConsistencyError,
     InvalidInputError,
     MembershipViolationError,
     NormMinError,
@@ -46,7 +44,6 @@ from .examples import (
 from .geometry import (
     affine_hull_basis,
     hull_distance,
-    project_onto_ball,
     project_onto_convex_hull,
 )
 from .ground_norms import (
@@ -132,6 +129,7 @@ from .solvers import (
     grid_oracle,
     lipschitz_bound,
     midpoint_shortcut,
+    solve,
     solve_pattern_search,
     solve_subgradient,
 )

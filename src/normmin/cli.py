@@ -39,7 +39,7 @@ from .errors import (
 from .examples import find_cases, run_case
 from .psi_generators import validate_psi
 from .solution_sets import describe_solution_set, sample_solution_region
-from .solvers import SolverConfig, solve_pattern_search, solve_subgradient
+from .solvers import solve
 
 _THEOREM_FLAGS = {
     "auto": "auto",
@@ -91,12 +91,7 @@ def _tol(args, fallback: float) -> float:
 
 
 def cmd_solve(args) -> int:
-    prob = _load_instance(args.problem)
-    cfg = SolverConfig(stop_tol=_tol(args, 1e-9))
-    if prob.norm.generator.kind == "p":
-        res = solve_subgradient(prob, cfg)
-    else:
-        res = solve_pattern_search(prob, cfg)
+    res = solve(_load_instance(args.problem))
     _write(ser.dumps(res.to_dict()), args.out)
     return 0 if res.converged else 2
 
@@ -266,7 +261,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="minimize an instance")
     p.add_argument("problem")
-    common(p)
+    p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="check an optimality certificate")

@@ -29,24 +29,8 @@ class UnsupportedGeneratorError(ContractError):
     """The operation has no route for this generator kind."""
 
 
-class InternalConsistencyError(NormMinError):
-    """Two independent evaluation routes disagreed beyond tolerance.
-
-    The library computes each value by one route and does not raise this
-    itself; the test suite compares the routes.  Seeing it means a bug, not
-    bad user data.
-    """
-
-
 class BudgetExceededError(NormMinError):
     """A grid or enumeration request exceeds the configured size cap."""
-
-
-class DivergenceError(NormMinError):
-    """Iterates left the region where the objective stays bounded.
-
-    No library routine raises it; it stays exported for callers that catch it.
-    """
 
 
 class RecoveryError(NormMinError):

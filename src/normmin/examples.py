@@ -33,7 +33,7 @@ from .problem import ProblemInstance
 from .product_norms import ProductNorm
 from .psi_generators import PsiGenerator
 from .solution_sets import describe_solution_set, sample_solution_region
-from .solvers import solve_pattern_search, solve_subgradient
+from .solvers import solve
 
 _EPS = 1e-9
 _A = 1.0 / math.sqrt(3.0)
@@ -279,10 +279,7 @@ def run_case(
     """Solve, recover, certify, and sample one bundled case end to end."""
     failures = []
     prob = case.instance()
-    if prob.norm.generator.kind == "p":
-        res = solve_subgradient(prob)
-    else:
-        res = solve_pattern_search(prob)
+    res = solve(prob)
     if abs(res.value - case.value) > value_tol:
         failures.append(
             f"solver value {res.value!r} misses known value {case.value!r}"

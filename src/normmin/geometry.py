@@ -1,46 +1,11 @@
-"""Small exact-geometry helpers: ball projections, affine hulls, the
-convex-hull projection (Wolfe's minimum-norm-point method) and lattice slabs."""
+"""Small exact-geometry helpers: affine hulls, the convex-hull projection
+(Wolfe's minimum-norm-point method) and lattice slabs."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-from .ground_norms import GroundNorm, ground_norm_eval
-
-
-def project_onto_ball(nrm: GroundNorm, u: np.ndarray, radius: float) -> np.ndarray:
-    """Project onto the closed ``nrm`` ball of given radius.
-
-    Coordinate clipping for the max norm, sorting-based shrinkage for the sum
-    norm, radial scaling for the Euclidean and power kinds (exact for the
-    Euclidean norm, norm-decreasing and idempotent for power norms, which is
-    all the solver needs).
-    """
-    u = np.asarray(u, dtype=float)
-    if ground_norm_eval(nrm, u) <= radius:
-        return u.copy()
-    if nrm.kind == "max":
-        return np.clip(u, -radius, radius)
-    if nrm.kind == "sum":
-        return _project_l1(u, radius)
-    return u * (radius / ground_norm_eval(nrm, u))
-
-
-def _project_l1(u: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the sum-norm ball, by soft thresholding."""
-    a = np.abs(u)
-    if a.sum() <= radius:
-        return u.copy()
-    s = np.sort(a)[::-1]
-    cumsum = np.cumsum(s)
-    ks = np.arange(1, a.size + 1)
-    theta_candidates = (cumsum - radius) / ks
-    valid = s - theta_candidates > 0
-    k = int(np.max(ks[valid]))
-    theta = (cumsum[k - 1] - radius) / k
-    return np.sign(u) * np.maximum(a - theta, 0.0)
 
 
 def affine_hull_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,9 +21,10 @@ the dual optimality conditions:
 Euclidean answers finish with an exact convex-hull projection that is only
 kept when it does not increase the objective.
 
-A derivative-free compass search with quasi-Newton and simplex-descent
-refinement covers generators that are opaque callables, and a brute-force
-lattice oracle provides certified reference values for cross-checks.
+A derivative-free compass search with simplex-descent refinement covers
+generators that are opaque callables; :func:`solve` picks between the two by
+generator kind.  A brute-force lattice oracle provides certified reference
+values for cross-checks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import math
 
 import numpy as np
 
+from .certificates import Infeasible, recover_certificate
 from .errors import (
     BudgetExceededError,
     ContractError,
@@ -85,15 +87,16 @@ _SUM_RTOL = 1e-12
 # zero; a box that small would stop the next round where it starts.
 _KINK = 1e-12
 
+# The pattern search reports convergence when its last simplex-descent stage
+# gains at most this much, relative to max(1, value).
+_STALL_TOL = 1e-9
+
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    """``max_iters`` caps the iterations of the method that runs;
-    ``stop_tol`` is the refinement gain below which the pattern search
-    reports convergence."""
+    """``max_iters`` caps the iterations of the method that runs."""
 
     max_iters: int = 2000
-    stop_tol: float = 1e-9
 
 
 @dataclasses.dataclass
@@ -129,10 +132,6 @@ def _anchor_spread(prob: ProblemInstance) -> float:
     return float(np.ptp(prob.anchors, axis=0).max())
 
 
-def _is_symmetric(prob: ProblemInstance) -> bool:
-    return prob.norm.generator.symmetric
-
-
 def midpoint_shortcut(prob: ProblemInstance) -> SolveResult:
     """Exact solution for two anchors under a symmetric generator.
 
@@ -141,7 +140,7 @@ def midpoint_shortcut(prob: ProblemInstance) -> SolveResult:
     """
     if prob.n != 2:
         raise ContractError("midpoint shortcut requires exactly two anchors")
-    if not _is_symmetric(prob):
+    if not prob.norm.generator.symmetric:
         raise ContractError("midpoint shortcut requires a symmetric generator")
     mid = prob.anchors.mean(axis=0)
     value = objective_eval(prob, mid)
@@ -150,8 +149,8 @@ def midpoint_shortcut(prob: ProblemInstance) -> SolveResult:
     )
 
 
-def _local_descent(fun, x0, f0, jac, h0, budget=700):
-    """Quasi-Newton plus simplex-descent restarts from the incumbent.
+def _local_descent(fun, x0, f0, h0, budget=700):
+    """Simplex-descent restarts from the incumbent at three simplex sizes.
 
     Returns the refined point, value, and the value gained during the final
     restart stage (zero gain means the refinement has stalled).
@@ -160,22 +159,9 @@ def _local_descent(fun, x0, f0, jac, h0, budget=700):
 
     best_x = np.asarray(x0, dtype=float).copy()
     best_f = f0
-    if jac is not None:
-        res = minimize(
-            fun,
-            best_x,
-            jac=jac,
-            method="BFGS",
-            options={"gtol": 1e-11, "maxiter": 200},
-        )
-        val = float(res.fun)
-        if val < best_f:
-            best_x, best_f = np.asarray(res.x, dtype=float), val
-    last_gain = 0.0
-    d = best_x.size
-    for stage, shrink in enumerate((1.0, 1e-2, 1e-4)):
+    for shrink in (1.0, 1e-2, 1e-4):
         h = max(h0 * shrink, 1e-12)
-        simplex = np.vstack([best_x, best_x + h * np.eye(d)])
+        simplex = np.vstack([best_x, best_x + h * np.eye(best_x.size)])
         res = minimize(
             fun,
             best_x,
@@ -191,95 +177,32 @@ def _local_descent(fun, x0, f0, jac, h0, budget=700):
         gain = best_f - val
         if val < best_f:
             best_x, best_f = np.asarray(res.x, dtype=float), val
-        if stage == 2:
-            last_gain = max(gain, 0.0)
-    return best_x, best_f, last_gain
-
-
-def _minimax_slsqp(prob: ProblemInstance, u0: np.ndarray, f0: float, maxiter: int):
-    """SLSQP on the epigraph of the largest block norm; returns scipy's result.
-
-    Minimizing t subject to ground(u - v_i) <= t is a smooth constrained
-    program whenever the ground norm is differentiable away from zero.  The
-    n constraints go to SLSQP as one vector-valued inequality with an
-    (n, d + 1) Jacobian.
-    """
-    from scipy.optimize import minimize
-
-    ground = prob.norm.ground
-    n, d = prob.anchors.shape
-
-    def obj(z):
-        return z[d]
-
-    def obj_grad(z):
-        g = np.zeros(d + 1)
-        g[d] = 1.0
-        return g
-
-    def cons(z):
-        return z[d] - ground_norm_eval_many(ground, z[:d] - prob.anchors)
-
-    def cons_jac(z):
-        jac = np.ones((n, d + 1))
-        jac[:, :d] = -_ground_subgradient(ground, z[:d] - prob.anchors)
-        return jac
-
-    return minimize(
-        obj,
-        np.append(u0, f0),
-        jac=obj_grad,
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": cons, "jac": cons_jac}],
-        options={"maxiter": maxiter, "ftol": 1e-14},
-    )
-
-
-def _minimax_polish(prob: ProblemInstance, u0: np.ndarray, f0: float):
-    """Epigraph solve for the largest-block objective over smooth grounds.
-
-    A sequential quadratic step reaches far sharper optima there than direct
-    descent on the nonsmooth max; the result is kept only if it improves.
-    """
-    res = _minimax_slsqp(prob, u0, f0, 150)
-    u = np.asarray(res.x[: prob.dim], dtype=float)
-    f = objective_eval(prob, u)
-    if f < f0:
-        return u, f
-    return u0, f0
+    return best_x, best_f, max(gain, 0.0)
 
 
 def _refine(prob: ProblemInstance, u0: np.ndarray, f0: float):
-    """Local refinement of an incumbent; never returns a worse point."""
-    ground = prob.norm.ground
-    gen = prob.norm.generator
-    if gen.kind == "p" and gen.p == math.inf and ground.kind in ("euclidean", "p"):
-        u0, f0 = _minimax_polish(prob, u0, f0)
-    smooth = ground.kind in ("euclidean", "p") and gen.kind == "p" and gen.p != math.inf
-    h0 = max(1e-6, 0.05 * max(_anchor_spread(prob), 1e-3))
-    if ground.kind == "euclidean":
-        origin, basis = affine_hull_basis(prob.anchors)
-        k = basis.shape[1]
-        if 0 < k < prob.dim:
-            def fun(y):
-                return objective_eval(prob, origin + basis @ y)
+    """Simplex-descent refinement of an incumbent; never returns a worse point.
 
-            jac = None
-            if smooth:
-                def jac(y):
-                    return basis.T @ objective_subgradient(prob, origin + basis @ y)
+    On the Euclidean ground every minimizer lies in the anchors' affine hull,
+    so a hull of lower dimension is searched in its own coordinates.
+    """
+    h0 = max(1e-6, 0.05 * max(_anchor_spread(prob), 1e-3))
+
+    def lift(y):
+        return y
+
+    y0, fy0 = u0, f0
+    if prob.norm.ground.kind == "euclidean":
+        origin, basis = affine_hull_basis(prob.anchors)
+        if 0 < basis.shape[1] < prob.dim:
+            def lift(y):
+                return origin + basis @ y
 
             y0 = basis.T @ (u0 - origin)
-            y_best, f_best, gain = _local_descent(fun, y0, fun(y0), jac, h0)
-            if f_best <= f0:
-                return origin + basis @ y_best, f_best, gain
-            return u0, f0, 0.0
-    jac = (lambda x: objective_subgradient(prob, x)) if smooth else None
-    x_best, f_best, gain = _local_descent(
-        lambda x: objective_eval(prob, x), u0, f0, jac, h0
-    )
-    if f_best <= f0:
-        return x_best, f_best, gain
+            fy0 = objective_eval(prob, lift(y0))
+    y, f, gain = _local_descent(lambda y: objective_eval(prob, lift(y)), y0, fy0, h0)
+    if f <= f0:
+        return lift(y), f, gain
     return u0, f0, 0.0
 
 
@@ -643,8 +566,49 @@ def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float)
 
 
 def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Euclidean or power ground with p = inf: the epigraph SLSQP from ``u0``."""
-    return _scipy_result(prob, _minimax_slsqp(prob, u0, f0, cfg.max_iters), u0, f0)
+    """Euclidean or power ground with p = inf: SLSQP on the epigraph of the largest block norm.
+
+    Minimizing t subject to ground(u - v_i) <= t is a smooth constrained
+    program whenever the ground norm is differentiable away from zero.  The
+    n constraints go to SLSQP as one vector-valued inequality with an
+    (n, d + 1) Jacobian.  SLSQP can end in mode 8 (positive directional
+    derivative in the line search) at a point that is optimal; such an end
+    counts as converged when :func:`~normmin.certificates.recover_certificate`
+    certifies the point at its default tolerance.
+    """
+    from scipy.optimize import minimize
+
+    ground = prob.norm.ground
+    n, d = prob.anchors.shape
+
+    def obj(z):
+        return z[d]
+
+    def obj_grad(z):
+        g = np.zeros(d + 1)
+        g[d] = 1.0
+        return g
+
+    def cons(z):
+        return z[d] - ground_norm_eval_many(ground, z[:d] - prob.anchors)
+
+    def cons_jac(z):
+        jac = np.ones((n, d + 1))
+        jac[:, :d] = -_ground_subgradient(ground, z[:d] - prob.anchors)
+        return jac
+
+    res = minimize(
+        obj,
+        np.append(u0, f0),
+        jac=obj_grad,
+        method="SLSQP",
+        constraints=[{"type": "ineq", "fun": cons, "jac": cons_jac}],
+        options={"maxiter": cfg.max_iters, "ftol": 1e-14},
+    )
+    u, f, steps, converged, trace = _scipy_result(prob, res, u0, f0)
+    if res.status == 8:
+        converged = not isinstance(recover_certificate(prob, u), Infeasible)
+    return u, f, steps, converged, trace
 
 
 def _anchor_or_newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
@@ -660,8 +624,6 @@ def _anchor_or_newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, 
 def _validate_config(cfg: SolverConfig) -> None:
     if cfg.max_iters < 1:
         raise InvalidInputError("max_iters must be at least 1")
-    if cfg.stop_tol <= 0.0:
-        raise InvalidInputError("stop_tol must be positive")
 
 
 def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
@@ -681,7 +643,8 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
       centroid, where ``converged`` means the gradient norm fell to the
       rounding floor of its blocks.
     - Euclidean or power ground, p = inf: the epigraph SLSQP from the
-      centroid; ``converged`` means SLSQP reported success.
+      centroid (:func:`_minimax`); ``converged`` means SLSQP reported
+      success, or ended in mode 8 at a point that dual recovery certifies.
 
     ``config.max_iters`` caps the simplex, SQP or Newton iterations of the
     method that runs, and ``iterations`` reports how many it took.
@@ -697,7 +660,7 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
             "subgradient solver needs a built-in generator; "
             "use the pattern search for tabulated ones"
         )
-    if prob.n == 2 and _is_symmetric(prob):
+    if prob.n == 2 and prob.norm.generator.symmetric:
         return midpoint_shortcut(prob)
     u0 = prob.centroid()
     f0 = objective_eval(prob, u0)
@@ -740,9 +703,12 @@ def _compass_directions(d: int) -> np.ndarray:
 def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
     """Derivative-free compass search; works for any validated generator.
 
-    Sweeps axis and diagonal directions with a shrinking step, confined to
-    the solution-ball bounding box, then hands off to the simplex-descent
-    refinement.  Convergence reporting matches :func:`solve_subgradient`.
+    The generator is only ever evaluated, never differentiated.  Sweeps axis
+    and diagonal directions with a shrinking step, confined to the
+    solution-ball bounding box, then hands off to the simplex-descent
+    refinement (Torczon 1997, "On the convergence of pattern search
+    algorithms").  ``converged`` means the refinement's last stage gained at
+    most ``_STALL_TOL`` times max(1, value).
     """
     cfg = config or SolverConfig()
     _validate_config(cfg)
@@ -771,10 +737,21 @@ def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = No
         u, f = ref_u, ref_f
         trace.append((iterations, f))
     value = objective_eval(prob, u)
-    converged = gain <= cfg.stop_tol * max(1.0, value)
+    converged = gain <= _STALL_TOL * max(1.0, value)
     return SolveResult(
         point=u, value=value, iterations=iterations, best_trace=trace, converged=converged
     )
+
+
+def solve(prob: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
+    """Minimize ``prob`` with the solver for its generator kind.
+
+    Built-in (power) generators go to :func:`solve_subgradient`; every other
+    kind is an opaque callable and goes to :func:`solve_pattern_search`.
+    """
+    if prob.norm.generator.kind == "p":
+        return solve_subgradient(prob, config)
+    return solve_pattern_search(prob, config)
 
 
 @dataclasses.dataclass

@@ -1,57 +1,15 @@
-"""Projections and convex hull helpers."""
+"""Affine hull and convex hull helpers."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import ALL_GROUNDS, make_rng
+from conftest import make_rng
 from normmin import (
     affine_hull_basis,
-    ground_norm_eval,
     hull_distance,
-    project_onto_ball,
     project_onto_convex_hull,
 )
-
-
-def test_ball_projection_feasible_and_idempotent():
-    rng = make_rng(41)
-    for nrm in ALL_GROUNDS:
-        for _ in range(300):
-            u = rng.normal(scale=4.0, size=3)
-            r = abs(rng.normal()) + 0.5
-            p = project_onto_ball(nrm, u, r)
-            assert ground_norm_eval(nrm, p) <= r + 1e-9
-            if ground_norm_eval(nrm, u) <= r:
-                assert np.allclose(p, u)
-            p2 = project_onto_ball(nrm, p, r)
-            assert np.allclose(p2, p, atol=1e-12)
-
-
-def test_euclidean_ball_projection_is_nearest():
-    rng = make_rng(42)
-    from normmin import GroundNorm
-
-    nrm = GroundNorm.euclidean()
-    for _ in range(100):
-        u = rng.normal(scale=4.0, size=3)
-        r = 1.0
-        p = project_onto_ball(nrm, u, r)
-        # Random feasible points are never closer.
-        for _ in range(20):
-            z = rng.normal(size=3)
-            z = z / max(np.linalg.norm(z), 1.0)
-            assert np.linalg.norm(u - p) <= np.linalg.norm(u - z) + 1e-9
-
-
-def test_l1_ball_projection_tight():
-    from normmin import GroundNorm
-
-    p = project_onto_ball(GroundNorm.sum(), np.array([3.0, 0.0]), 1.0)
-    assert np.allclose(p, [1.0, 0.0])
-    p = project_onto_ball(GroundNorm.sum(), np.array([1.0, 1.0]), 1.0)
-    assert abs(p).sum() == pytest.approx(1.0)
-    assert np.allclose(p, [0.5, 0.5])
 
 
 def test_affine_hull_basis_ranks():

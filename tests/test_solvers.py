@@ -28,6 +28,7 @@ from normmin import (
     objective_eval,
     psi_eval,
     recover_certificate,
+    solve,
     solve_pattern_search,
     solve_subgradient,
 )
@@ -131,8 +132,6 @@ def test_config_validation():
     prob = two_anchor(GroundNorm.max(), PsiGenerator.power(1.0))
     with pytest.raises(InvalidInputError):
         solve_subgradient(prob, SolverConfig(max_iters=0))
-    with pytest.raises(InvalidInputError):
-        solve_subgradient(prob, SolverConfig(stop_tol=0.0))
 
 
 def test_two_anchor_cases_return_the_exact_midpoint():
@@ -208,6 +207,36 @@ def test_pattern_search_matches_midpoint():
     res = solve_pattern_search(prob)
     mid = midpoint_shortcut(prob)
     assert abs(res.value - mid.value) <= 1e-6
+
+
+def _same_result(a, b):
+    assert a.point.tobytes() == b.point.tobytes()
+    assert (a.value, a.iterations, a.best_trace, a.converged) == (
+        b.value, b.iterations, b.best_trace, b.converged
+    )
+
+
+def test_solve_dispatches_by_generator_kind():
+    anchors = np.random.default_rng(7).normal(size=(3, 2)) * 2
+    tab = PsiGenerator.tabulated(lambda t: float(np.max(t)), arity=3, symmetric=True)
+    prob_tab = ProblemInstance(anchors=anchors, norm=ProductNorm(ground=GroundNorm.euclidean(), generator=tab))
+    _same_result(solve(prob_tab), solve_pattern_search(prob_tab))
+    prob_p = _instance(anchors, GroundNorm.euclidean(), math.inf)
+    _same_result(solve(prob_p), solve_subgradient(prob_p))
+
+
+@pytest.mark.parametrize(
+    "ground,p",
+    [(g, p) for g in ALL_GROUNDS for p in (1.0, 2.0, math.inf)],
+    ids=[f"{g.kind}-p{p}" for g in ALL_GROUNDS for p in (1.0, 2.0, math.inf)],
+)
+def test_pattern_search_matches_exact_methods(ground, p):
+    # The pattern search only evaluates the objective, whatever the
+    # generator; on built-in ones it must still reach the exact optimum.
+    prob = _instance(np.random.default_rng(5030).normal(size=(5, 3)) * 2, ground, p)
+    exact = solve_subgradient(prob)
+    res = solve_pattern_search(prob)
+    assert abs(res.value - exact.value) <= 1e-9 * max(1.0, exact.value)
 
 
 def test_lipschitz_bound_formula_and_validity():
@@ -345,6 +374,21 @@ def test_max_iters_caps_every_method(p):
         res = solve_subgradient(prob, SolverConfig(max_iters=2))
         assert res.iterations <= 2
         assert res.value <= objective_eval(prob, prob.centroid())
+
+
+@pytest.mark.parametrize(
+    "ground,n,d",
+    [(GroundNorm.euclidean(), 256, 2), (GroundNorm.power(3.0), 256, 3), (GroundNorm.power(3.0), 4, 2)],
+    ids=["euclidean-n256-d2", "p3-n256-d3", "p3-n4-d2"],
+)
+def test_minimax_mode_8_on_an_optimum_is_converged(ground, n, d):
+    # SLSQP ends these epigraph solves in mode 8 (positive directional
+    # derivative in the line search) at points that certify.
+    prob = _instance(np.random.default_rng(1000 * n + 10 * d).normal(size=(n, d)) * 2, ground, math.inf)
+    res = solve_subgradient(prob)
+    assert res.converged
+    cert = recover_certificate(prob, res.point)
+    assert not isinstance(cert, Infeasible), cert
 
 
 GRID_GENERATORS = (1.0, 2.0, math.inf)
