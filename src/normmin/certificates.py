@@ -135,8 +135,9 @@ def check_general(
 
     Dual blocks must sum to zero, have unit dual product norm, and pair with
     the anchor displacements to the objective value.  Works for every
-    generator; tabulated generators price the dual norm on a simplex lattice
-    of ``grid`` subdivisions, so choose ``tol`` accordingly for them.
+    generator; tabulated generators price the dual norm with the search of
+    ``psi_conjugate_eval`` (start lattice capped by ``grid``), which can stop
+    short at a kink of the generator, so choose ``tol`` accordingly for them.
     """
     diffs, r, rstar = _cert_arrays(prob, cert)
     f = objective_eval(prob, cert.solution)

@@ -137,8 +137,8 @@ def dual_product_norm_eval(pn: ProductNorm, dual_blocks, grid: int = 200) -> flo
     """Dual norm of a dual block stack.
 
     Power generators conjugate in closed form; tabulated generators maximize
-    the weighted block-norm sum against the generator on a simplex lattice of
-    ``grid`` subdivisions, so their accuracy is roughly 1/grid.
+    the weighted block-norm sum over the generator with the search of
+    ``psi_conjugate_eval``, whose start lattice ``grid`` caps.
     """
     rstar = dual_block_norms(pn, dual_blocks)
     return float(dual_norm_from_block_norms(pn.generator, rstar, grid=grid))

@@ -1,5 +1,6 @@
 """Simplex generators: evaluation, validation, conjugacy, minima."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +8,17 @@ import pytest
 
 from conftest import ALL_GENERATORS, make_rng
 from normmin import (
+    Certificate,
     ContractError,
+    GroundNorm,
     InvalidInputError,
     MembershipViolationError,
+    ProblemInstance,
+    ProductNorm,
     PsiGenerator,
+    check_general,
     conjugate_exponent,
+    dual_norm_from_block_norms,
     psi_conjugate_eval,
     psi_conjugate_generator,
     psi_eval,
@@ -185,3 +192,123 @@ def test_conjugate_lattice_matches_closed_form():
                 lattice = psi_conjugate_eval(gen, s, grid=400)
                 closed = psi_eval(PsiGenerator.power(q), s)
                 assert abs(lattice - closed) <= 5e-4
+
+
+class Counted:
+    """An opaque generator callable that counts its calls."""
+
+    def __init__(self, func):
+        self.func = func
+        self.calls = 0
+
+    def __call__(self, t) -> float:
+        self.calls += 1
+        return float(self.func(np.asarray(t, dtype=float)))
+
+
+def _power(p):
+    if p == math.inf:
+        return lambda t: float(np.max(t))
+    return lambda t: float(np.sum(t**p) ** (1.0 / p))
+
+
+def _walk(psi, weights, grid):
+    """Reference: every point of the ``grid`` simplex lattice, then a pairwise
+    mass-transfer polish with a barycenter blend.  Returns the value and the
+    number of ``psi`` calls.
+    """
+    n = weights.size
+    calls = 0
+
+    def ratio(t):
+        nonlocal calls
+        calls += 1
+        return float(weights @ t) / psi(t)
+
+    best, t = -math.inf, None
+    for bars in itertools.combinations(range(grid + n - 1), n - 1):
+        cand = (np.diff((-1, *bars, grid + n - 1)) - 1.0) * (1.0 / grid)
+        val = ratio(cand)
+        if val > best:
+            best, t = val, cand
+    step = 1.0 / grid
+    while step > 1e-12:
+        improved = False
+        for i, j in itertools.permutations(range(n), 2):
+            move = min(step, t[j])
+            if move <= 0.0:
+                continue
+            cand = t.copy()
+            cand[i] += move
+            cand[j] -= move
+            cand = np.clip(cand, 0.0, None)
+            cand /= cand.sum()
+            val = ratio(cand)
+            if val > best + 1e-15:
+                t, best, improved = cand, val, True
+        cand = (1.0 - step) * t + step * np.full(n, 1.0 / n)
+        val = ratio(cand)
+        if val > best + 1e-15:
+            t, best, improved = cand, val, True
+        if not improved:
+            step *= 0.5
+    return best, calls
+
+
+SEARCH_GRIDS = {2: 200, 3: 200, 4: 40, 5: 20, 6: 12, 7: 12, 8: 12}
+CALL_CEILINGS = {3: 2_500, 4: 5_000}
+
+
+def test_conjugate_search_accuracy_and_cost():
+    rng = make_rng(17)
+    for n, grid in SEARCH_GRIDS.items():
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            closed = PsiGenerator.power(conjugate_exponent(p))
+            for s in random_simplex(rng, 3, n):
+                psi = Counted(_power(p))
+                value = psi_conjugate_eval(PsiGenerator.tabulated(psi, n), s, grid=grid)
+                want = psi_eval(closed, s)
+                assert abs(value - want) <= 1e-12 * want, (n, p, s)
+                if n in CALL_CEILINGS:
+                    assert psi.calls <= CALL_CEILINGS[n], (n, p, s, psi.calls)
+        if n in (2, 8):
+            for p in (1.5, 3.0, math.inf):
+                s = random_simplex(rng, 1, n)[0]
+                psi = Counted(_power(p))
+                psi_conjugate_eval(PsiGenerator.tabulated(psi, n), s, grid=grid)
+                _, walk_calls = _walk(_power(p), s, grid)
+                assert psi.calls <= walk_calls, (n, p, s, psi.calls, walk_calls)
+
+
+def test_conjugate_search_on_kinked_generators():
+    kinked = (
+        lambda t: 0.5 * float(np.max(t)) + 0.5 * float(np.sum(t**3) ** (1.0 / 3.0)),
+        lambda t: max(float(np.sum(t**3) ** (1.0 / 3.0)), float(t[0] + t[1])),
+    )
+    rng = make_rng(18)
+    for n in (2, 3, 4, 5, 8):
+        grid = SEARCH_GRIDS[n]
+        for psi in kinked:
+            for s in random_simplex(rng, 2, n):
+                value = psi_conjugate_eval(PsiGenerator.tabulated(psi, n), s, grid=grid)
+                walked, _ = _walk(psi, s, grid)
+                assert value >= walked * (1.0 - 1.0 / grid), (n, s, value, walked)
+
+
+def test_conjugate_search_guards_every_batch():
+    for const in (2.0, 0.0):
+        gen = PsiGenerator.tabulated(lambda t, c=const: c, arity=3)
+        with pytest.raises(MembershipViolationError):
+            psi_conjugate_eval(gen, (0.2, 0.3, 0.5))
+        with pytest.raises(MembershipViolationError):
+            dual_norm_from_block_norms(gen, np.array([1.0, 2.0, 0.5]))
+
+        # Sampled validation rejects an out-of-band generator at construction,
+        # so the problem is built on a valid one that then goes bad.
+        psi = Counted(lambda t: float(np.sqrt(np.sum(t**2))))
+        norm = ProductNorm(GroundNorm.euclidean(), PsiGenerator.tabulated(psi, arity=3))
+        prob = ProblemInstance(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]), norm)
+        duals = np.array([[0.4, 0.2], [-0.3, 0.1], [-0.1, -0.3]])
+        psi.func = lambda t, c=const: c
+        with pytest.raises(MembershipViolationError):
+            check_general(prob, Certificate(solution=np.array([0.5, 0.5]), duals=duals))
