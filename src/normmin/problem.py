@@ -151,8 +151,10 @@ def _block_maps(n: int, d: int):
     """
     from scipy import sparse
 
-    stack = sparse.kron(np.ones((n, 1)), sparse.identity(d), format="csr")
-    blocks = sparse.kron(sparse.identity(n), np.ones((1, d)), format="csr")
+    rows = np.arange(n * d)
+    ones = np.ones(n * d)
+    stack = sparse.csr_matrix((ones, (rows, rows % d)), shape=(n * d, d))
+    blocks = sparse.csr_matrix((ones, (rows // d, rows)), shape=(n, n * d))
     return stack, blocks
 
 

@@ -21,8 +21,8 @@ the dual optimality conditions:
 Euclidean answers finish with an exact convex-hull projection that is only
 kept when it does not increase the objective.
 
-A derivative-free compass search with simplex-descent refinement covers
-generators that are opaque callables; :func:`solve` picks between the two by
+Derivative-free Nelder-Mead restarts from the centroid cover generators
+that are opaque callables; :func:`solve` picks between the two by
 generator kind.  A brute-force lattice oracle provides certified reference
 values for cross-checks.
 """
@@ -87,7 +87,7 @@ _SUM_RTOL = 1e-12
 # zero; a box that small would stop the next round where it starts.
 _KINK = 1e-12
 
-# The pattern search reports convergence when its last simplex-descent stage
+# The pattern search reports convergence when its last Nelder-Mead run
 # gains at most this much, relative to max(1, value).
 _STALL_TOL = 1e-9
 
@@ -128,10 +128,6 @@ def lipschitz_bound(prob: ProblemInstance) -> float:
     return prob.n * kappa
 
 
-def _anchor_spread(prob: ProblemInstance) -> float:
-    return float(np.ptp(prob.anchors, axis=0).max())
-
-
 def midpoint_shortcut(prob: ProblemInstance) -> SolveResult:
     """Exact solution for two anchors under a symmetric generator.
 
@@ -149,61 +145,18 @@ def midpoint_shortcut(prob: ProblemInstance) -> SolveResult:
     )
 
 
-def _local_descent(fun, x0, f0, h0, budget=700):
-    """Simplex-descent restarts from the incumbent at three simplex sizes.
-
-    Returns the refined point, value, and the value gained during the final
-    restart stage (zero gain means the refinement has stalled).
-    """
-    from scipy.optimize import minimize
-
-    best_x = np.asarray(x0, dtype=float).copy()
-    best_f = f0
-    for shrink in (1.0, 1e-2, 1e-4):
-        h = max(h0 * shrink, 1e-12)
-        simplex = np.vstack([best_x, best_x + h * np.eye(best_x.size)])
-        res = minimize(
-            fun,
-            best_x,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "xatol": 1e-13,
-                "fatol": 1e-15,
-                "maxfev": budget,
-            },
-        )
-        val = float(res.fun)
-        gain = best_f - val
-        if val < best_f:
-            best_x, best_f = np.asarray(res.x, dtype=float), val
-    return best_x, best_f, max(gain, 0.0)
-
-
-def _refine(prob: ProblemInstance, u0: np.ndarray, f0: float):
-    """Simplex-descent refinement of an incumbent; never returns a worse point.
+def _search_basis(prob: ProblemInstance) -> np.ndarray:
+    """Directions about the centroid that reach every minimizer.
 
     On the Euclidean ground every minimizer lies in the anchors' affine hull,
-    so a hull of lower dimension is searched in its own coordinates.
+    so a hull of lower dimension gets its basis (taken about the centroid by
+    :func:`~normmin.geometry.affine_hull_basis`); otherwise the identity.
     """
-    h0 = max(1e-6, 0.05 * max(_anchor_spread(prob), 1e-3))
-
-    def lift(y):
-        return y
-
-    y0, fy0 = u0, f0
     if prob.norm.ground.kind == "euclidean":
-        origin, basis = affine_hull_basis(prob.anchors)
-        if 0 < basis.shape[1] < prob.dim:
-            def lift(y):
-                return origin + basis @ y
-
-            y0 = basis.T @ (u0 - origin)
-            fy0 = objective_eval(prob, lift(y0))
-    y, f, gain = _local_descent(lambda y: objective_eval(prob, lift(y)), y0, fy0, h0)
-    if f <= f0:
-        return lift(y), f, gain
-    return u0, f0, 0.0
+        _, hull = affine_hull_basis(prob.anchors)
+        if 0 < hull.shape[1] < prob.dim:
+            return hull
+    return np.eye(prob.dim)
 
 
 def _hull_clip(prob: ProblemInstance, u: np.ndarray, f: float):
@@ -517,11 +470,7 @@ def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float)
     is within ``_GRAD_ULPS`` ulps of the sum of its blocks' dual norms.
     """
     ground = prob.norm.ground
-    basis = np.eye(prob.dim)
-    if ground.kind == "euclidean":
-        _, hull = affine_hull_basis(prob.anchors)
-        if 0 < hull.shape[1] < prob.dim:
-            basis = hull
+    basis = _search_basis(prob)
     radius = solve_bound(prob).radius
     p = prob.norm.generator.p
     eps = np.finfo(float).eps
@@ -689,57 +638,62 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
     )
 
 
-def _compass_directions(d: int) -> np.ndarray:
-    axes = np.vstack([np.eye(d), -np.eye(d)])
-    if d > 4:
-        return axes
-    corners = np.array(
-        [[(1.0 if (m >> j) & 1 else -1.0) for j in range(d)] for m in range(2**d)]
-    )
-    corners /= math.sqrt(d)
-    return np.vstack([axes, corners])
-
-
 def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
-    """Derivative-free compass search; works for any validated generator.
+    """Derivative-free Nelder-Mead restarts; works for any validated generator.
 
-    The generator is only ever evaluated, never differentiated.  Sweeps axis
-    and diagonal directions with a shrinking step, confined to the
-    solution-ball bounding box, then hands off to the simplex-descent
-    refinement (Torczon 1997, "On the convergence of pattern search
-    algorithms").  ``converged`` means the refinement's last stage gained at
-    most ``_STALL_TOL`` times max(1, value).
+    The generator is only ever evaluated, never differentiated.  Three
+    Nelder-Mead runs (Nelder and Mead 1965) search ``u = centroid + basis @
+    y`` over the directions of :func:`_search_basis`, the first from the
+    centroid and each from the best point so far, at simplex sizes 1, 1e-2
+    and 1e-4 times 5% of the anchor spread.  ``config.max_iters`` caps the
+    iterations of all runs together, and ``iterations`` reports the total.
+    ``converged`` means every run ran and the last one gained at most
+    ``_STALL_TOL`` times max(1, value).  The value is never above the
+    centroid's.  Verified against the exact methods in dimension at most 3;
+    from dimension 5 on it can stop up to about 1e-2 relative above the
+    optimum, sometimes with ``converged`` True.
     """
+    from scipy.optimize import minimize
+
     cfg = config or SolverConfig()
     _validate_config(cfg)
-    u = prob.centroid()
-    f = objective_eval(prob, u)
-    radius = solve_bound(prob).radius
-    dirs = _compass_directions(prob.dim)
-    h = max(_anchor_spread(prob) * 0.5, 1e-3)
+    u0 = prob.centroid()
+    basis = _search_basis(prob)
+
+    def fun(y):
+        return objective_eval(prob, u0 + basis @ y)
+
+    y = np.zeros(basis.shape[1])
+    f = fun(y)
     trace = [(0, f)]
-    iterations = 0
-    for k in range(1, cfg.max_iters + 1):
-        candidates = np.clip(u[None, :] + h * dirs, -radius, radius)
-        vals = objective_eval_many(prob, candidates)
-        j = int(np.argmin(vals))
-        iterations = k
-        if vals[j] < f - 1e-15:
-            u = candidates[j]
-            f = float(vals[j])
-            trace.append((k, f))
-        else:
-            h *= 0.5
-            if h < 1e-12:
-                break
-    ref_u, ref_f, gain = _refine(prob, u, f)
-    if ref_f < f:
-        u, f = ref_u, ref_f
-        trace.append((iterations, f))
-    value = objective_eval(prob, u)
-    converged = gain <= _STALL_TOL * max(1.0, value)
+    h0 = 0.05 * max(float(np.ptp(prob.anchors, axis=0).max()), 1e-3)
+    iterations, converged = 0, False
+    for shrink in (1.0, 1e-2, 1e-4):
+        if iterations >= cfg.max_iters:
+            break
+        h = h0 * shrink
+        res = minimize(
+            fun,
+            y,
+            method="Nelder-Mead",
+            options={
+                "initial_simplex": np.vstack([y, y + h * np.eye(y.size)]),
+                "xatol": 1e-13,
+                "fatol": 1e-15,
+                "maxfev": 700,
+                "maxiter": cfg.max_iters - iterations,
+            },
+        )
+        iterations += int(res.nit)
+        # The start point is a vertex of the simplex, so no run ends above it.
+        gain = f - float(res.fun)
+        if gain > 0.0:
+            y, f = res.x, float(res.fun)
+            trace.append((iterations, f))
+    else:
+        converged = gain <= _STALL_TOL * max(1.0, f)
     return SolveResult(
-        point=u, value=value, iterations=iterations, best_trace=trace, converged=converged
+        point=u0 + basis @ y, value=f, iterations=iterations, best_trace=trace, converged=converged
     )
 
 

@@ -1,4 +1,4 @@
-"""Subgradient descent, pattern search, midpoint shortcut, grid oracle."""
+"""Exact per-family solves, Nelder-Mead pattern search, midpoint shortcut, grid oracle."""
 
 import math
 
@@ -209,6 +209,20 @@ def test_pattern_search_matches_midpoint():
     assert abs(res.value - mid.value) <= 1e-6
 
 
+def _tabulated_copy(prob):
+    # ``prob`` with its power generator behind an opaque callable, and the
+    # list that the callable appends each of its arguments to.
+    calls = []
+    base = prob.norm.generator
+
+    def psi(t):
+        calls.append(t)
+        return psi_eval(base, t)
+
+    tab = PsiGenerator.tabulated(psi, arity=prob.n, symmetric=True)
+    return ProblemInstance(anchors=prob.anchors, norm=ProductNorm(ground=prob.norm.ground, generator=tab)), calls
+
+
 def _same_result(a, b):
     assert a.point.tobytes() == b.point.tobytes()
     assert (a.value, a.iterations, a.best_trace, a.converged) == (
@@ -232,11 +246,13 @@ def test_solve_dispatches_by_generator_kind():
 )
 def test_pattern_search_matches_exact_methods(ground, p):
     # The pattern search only evaluates the objective, whatever the
-    # generator; on built-in ones it must still reach the exact optimum.
-    prob = _instance(np.random.default_rng(5030).normal(size=(5, 3)) * 2, ground, p)
-    exact = solve_subgradient(prob)
-    res = solve_pattern_search(prob)
-    assert abs(res.value - exact.value) <= 1e-9 * max(1.0, exact.value)
+    # generator; on built-in ones, and on the same ones behind an opaque
+    # callable, it must still reach the exact optimum.
+    for d, tabulated in ((3, False), (2, True), (3, True)):
+        prob = _instance(np.random.default_rng(5030).normal(size=(5, d)) * 2, ground, p)
+        exact = solve_subgradient(prob)
+        res = solve_pattern_search(_tabulated_copy(prob)[0] if tabulated else prob)
+        assert abs(res.value - exact.value) <= 1e-9 * max(1.0, exact.value), (d, tabulated)
 
 
 def test_lipschitz_bound_formula_and_validity():
@@ -374,6 +390,14 @@ def test_max_iters_caps_every_method(p):
         res = solve_subgradient(prob, SolverConfig(max_iters=2))
         assert res.iterations <= 2
         assert res.value <= objective_eval(prob, prob.centroid())
+        # The cap covers every Nelder-Mead run of the pattern search, which
+        # evaluates the generator once per objective value.
+        tab, calls = _tabulated_copy(_instance(np.random.default_rng(5).normal(size=(5, 3)) * 2, ground, p))
+        calls.clear()
+        res = solve_pattern_search(tab, SolverConfig(max_iters=2))
+        assert len(calls) <= 50
+        assert res.iterations <= 2
+        assert res.value <= objective_eval(tab, tab.centroid())
 
 
 @pytest.mark.parametrize(
