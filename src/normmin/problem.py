@@ -99,9 +99,19 @@ def objective_eval_many(prob: ProblemInstance, us: np.ndarray) -> np.ndarray:
     us = np.asarray(us, dtype=float)
     if us.ndim != 2 or us.shape[1] != prob.dim:
         raise InvalidInputError(f"points must form an (N, {prob.dim}) array")
-    diffs = us[:, None, :] - prob.anchors[None, :, :]
-    r = ground_norm_eval_many(prob.norm.ground, diffs)
+    r = ground_norm_eval_many(prob.norm.ground, _displacements_many(us, prob.anchors))
     return _from_block_norms_many(prob.norm.generator, r)
+
+
+def _displacements_many(us: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """The ``(k, n, d)`` stack ``us[:, None] - anchors[None]``, stored as ``(d, n, k)``.
+
+    numpy keeps that memory order through elementwise passes, so the ground
+    norm's reduction over ``d`` and the reductions over anchors run over whole
+    columns, not over rows of length ``d``.
+    """
+    out = np.empty((*anchors.shape[::-1], us.shape[0])).transpose(2, 1, 0)
+    return np.subtract(us[:, None, :], anchors[None, :, :], out=out)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .errors import (
     InvalidInputError,
     MembershipViolationError,
 )
-from .geometry import _lattice_slabs
+from .geometry import _lattice_tiles
 from .ground_norms import (
     GroundNorm,
     alignment_set_contains,
@@ -42,7 +42,8 @@ from .ground_norms import (
     dual_ground_norm,
     ground_norm_eval_many,
 )
-from .problem import ProblemInstance, objective_eval_many
+from .problem import ProblemInstance, _displacements_many
+from .product_norms import _from_block_norms_many
 from .psi_generators import conjugate_exponent
 
 GENERAL_PREDICATE = "general_predicate"
@@ -137,15 +138,15 @@ def _query_rows(desc: SolutionSetDescription, us) -> np.ndarray:
 
 def _pairings(desc: SolutionSetDescription, us: np.ndarray):
     prob = desc.instance
-    diffs = us[:, None, :] - prob.anchors[None, :, :]
+    diffs = _displacements_many(us, prob.anchors)
     dots = np.einsum("kid,id->ki", diffs, desc.certificate.duals)
     r = ground_norm_eval_many(prob.norm.ground, diffs)
     return dots, r
 
 
 def _member_general(desc: SolutionSetDescription, us: np.ndarray, tol: float):
-    f = objective_eval_many(desc.instance, us)
-    dots, _ = _pairings(desc, us)
+    dots, r = _pairings(desc, us)
+    f = _from_block_norms_many(desc.instance.norm.generator, r)
     resid = np.abs(dots.sum(axis=1) - f)
     return resid <= tol * np.maximum(1.0, f)
 
@@ -348,4 +349,4 @@ def sample_solution_region(
         return np.empty((0, prob.dim))
     axes = [np.linspace(lo, hi, grid) for lo, hi in b]
     kernel = _KERNELS[desc.kind]
-    return np.concatenate([pts[kernel(desc, pts, tol)] for pts in _lattice_slabs(axes)])
+    return np.concatenate([pts[kernel(desc, pts, tol)] for pts in _lattice_tiles(axes)])

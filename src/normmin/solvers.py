@@ -43,14 +43,13 @@ from .errors import (
     UnsupportedGeneratorError,
 )
 from .geometry import (
-    _lattice_slabs,
+    _lattice_tiles,
     affine_hull_basis,
     project_onto_convex_hull,
 )
 from .ground_norms import dual_ground_norm, ground_norm_eval_many
 from .problem import (
     ProblemInstance,
-    _block_maps,
     _ground_subgradient,
     objective_eval,
     objective_eval_many,
@@ -188,31 +187,34 @@ def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0:
 
     Variables are ``u``, one epigraph variable per block for p = 1 or one
     shared by all blocks for p = inf, and on the sum ground the coordinate
-    bounds ``s_ij >= |u_j - v_ij|``.  The rows are built from the block maps
-    of :func:`~normmin.problem._block_maps`, as in dual recovery.
+    bounds ``s_ij >= |u_j - v_ij|``.  The rows are built from index arrays, as
+    the block maps of :func:`~normmin.problem._block_maps` are.
     """
     from scipy import sparse
     from scipy.optimize import linprog
 
     n, d = prob.anchors.shape
-    v = prob.anchors.ravel()
-    tmap = sparse.identity(n) if prob.norm.generator.p == 1.0 else sparse.csr_matrix(np.ones((n, 1)))
-    stack, blocks = _block_maps(n, d)
-    if prob.norm.ground.kind == "max":
-        # +-(u_j - v_ij) <= t_i
-        tcols = -(blocks.T @ tmap)
-        a_ub = sparse.bmat([[stack, tcols], [-stack, tcols]])
-        b_ub = np.concatenate([v, -v])
-    else:
-        # +-(u_j - v_ij) <= s_ij and sum_j s_ij <= t_i
-        eye = sparse.identity(n * d)
-        a_ub = sparse.bmat([[stack, -eye, None], [-stack, -eye, None], [None, blocks, -tmap]])
-        b_ub = np.concatenate([v, -v, np.zeros(n)])
-    cost = np.zeros(a_ub.shape[1])
-    cost[-tmap.shape[1]:] = 1.0
+    nd, v, rows = n * d, prob.anchors.ravel(), np.arange(n * d)
+    tcol = np.arange(n) if prob.norm.generator.p == 1.0 else np.zeros(n, dtype=int)
+    nt, on_max = int(tcol[-1]) + 1, prob.norm.ground.kind == "max"
+    # +-(u_j - v_ij) <= e_r with r = i d + j: e_r is t_i on the max ground and
+    # s_ij on the sum ground, whose last rows are sum_j s_ij <= t_i.
+    ecol = d + (tcol[rows // d] if on_max else rows)
+    ri, ci = [rows, rows, nd + rows, nd + rows], [rows % d, ecol, rows % d, ecol]
+    vals, b_ub = [1.0, -1.0, -1.0, -1.0], [v, -v]
+    if not on_max:
+        ri += [2 * nd + rows // d, 2 * nd + np.arange(n)]
+        ci += [d + rows, d + nd + tcol]
+        vals += [1.0, -1.0]
+        b_ub.append(np.zeros(n))
+    b_ub, width = np.concatenate(b_ub), d + nt + (0 if on_max else nd)
+    data = np.repeat(vals, [r.size for r in ri])
+    a_ub = sparse.csc_matrix((data, (np.concatenate(ri), np.concatenate(ci))), shape=(b_ub.size, width))
+    cost = np.zeros(width)
+    cost[-nt:] = 1.0
     res = linprog(
         cost,
-        A_ub=a_ub.tocsc(),
+        A_ub=a_ub,
         b_ub=b_ub,
         bounds=(None, None),
         method="highs-ipm",
@@ -730,8 +732,8 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
 
     Supports dimension at most 3 and at most 1e8 lattice points.  The box is
     the solution ball's bounding box; a single-point grid degenerates to the
-    anchor centroid.  The lattice is evaluated in four slabs along the first
-    axis, which bounds peak memory; slab results are merged in slab order.
+    anchor centroid.  The lattice is evaluated in coordinate-major tiles (see
+    :func:`~normmin.geometry._lattice_tiles`), merged in tile order.
     """
     if prob.dim > 3:
         raise ContractError("grid oracle supports dimension at most 3")
@@ -754,12 +756,12 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
     lip = lipschitz_bound(prob)
 
     results = []
-    for pts in _lattice_slabs(axes):
+    for pts in _lattice_tiles(axes):
         vals = objective_eval_many(prob, pts)
         lo = float(vals.min())
         near = vals <= lo + _NEAR_MIN_SLACK
         results.append((lo, pts[near], vals[near]))
-        # Release this slab before the next one is built.
+        # Release this tile before the next one is built.
         del pts, vals
     value = min(lo for lo, _, _ in results)
     pts = []

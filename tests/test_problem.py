@@ -57,6 +57,34 @@ def test_objective_strictly_positive_everywhere():
     assert np.all(objective_eval_many(prob, us) > 0.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+def test_objective_many_matches_row_by_row(d):
+    # The batched objective reads a coordinate-major displacement stack; the
+    # scalar one a row-major (n, d) block.  Up to d = 3 both sum the same
+    # terms in the same order; at d >= 8 numpy sums a contiguous row
+    # pairwise, so the two may differ by a few ulp.
+    rng = make_rng(40 + d)
+    anchors = random_anchors(rng, 3, d)
+    us = np.concatenate(
+        [
+            rng.normal(scale=3.0, size=(20, d)),
+            anchors,  # zero displacement: the Euclidean off-range fallback
+            1e200 * rng.normal(size=(4, d)),  # squares overflow: the same fallback
+        ]
+    )
+    tabulated = PsiGenerator.tabulated(lambda t: float(np.sqrt(np.sum(t * t))), arity=3)
+    for ground in ALL_GROUNDS:
+        for gen in ALL_GENERATORS + (tabulated,):
+            prob = ProblemInstance(anchors=anchors, norm=ProductNorm(ground=ground, generator=gen))
+            many = objective_eval_many(prob, us)
+            rows = np.array([objective_eval(prob, u) for u in us])
+            assert np.all(np.isfinite(many))
+            if d <= 3:
+                assert many.tobytes() == rows.tobytes(), (ground, gen)
+            else:
+                assert np.all(np.abs(many - rows) <= 4.0 * np.spacing(rows)), (ground, gen)
+
+
 def test_instance_invariants():
     with pytest.raises(InvalidInputError, match="distinct"):
         ProblemInstance(

@@ -36,6 +36,7 @@ from normmin import (
     solve_bound,
     solve_subgradient,
 )
+from normmin import geometry
 from normmin.solution_sets import DESCRIPTION_TOL
 
 
@@ -290,8 +291,10 @@ def test_region_sampling_is_row_major_and_deterministic():
 
 
 def test_region_sampling_matches_pointwise_membership():
-    # Grid 7 in the plane and grid 5 in space split the first axis into
-    # uneven slabs (2+2+2+1 and 2+2+1 layers); grid 1 is a single point.
+    # Grid 7 in the plane and grid 5 in space each fit in one lattice tile;
+    # grid 130 (16 900 points) spans several tiles of the shipped size, the
+    # last one partial; grid 1 is a single point.  Smaller tiles are tested
+    # below.
     plane, _ = case_desc("ft-linf-pair")
     prob = ProblemInstance(
         anchors=np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
@@ -302,6 +305,7 @@ def test_region_sampling_matches_pointwise_membership():
     )
     runs = [
         (plane, [[-3.0, 3.0], [-3.0, 3.0]], 7),
+        (plane, [[-3.0, 3.0], [-3.0, 3.0]], 130),
         (space, [[-1.0, 3.0], [-2.0, 2.0], [-2.0, 2.0]], 5),
         (plane, [[1.0, 3.0], [0.0, 3.0]], 1),
         (plane, [[3.0, 4.0], [0.0, 1.0]], 1),
@@ -317,6 +321,53 @@ def test_region_sampling_matches_pointwise_membership():
         got = sample_solution_region(desc, box, grid)
         assert got.shape == (int(inside.sum()), len(axes))
         assert np.array_equal(got, lattice[inside])
+
+
+def pair_on_axis(d, ground, p, solution, dual):
+    """Anchors 0 and 2 e_1 in R^d with a two-block certificate along e_1."""
+    e = np.eye(d)[0]
+    prob = ProblemInstance(
+        anchors=np.array([0.0 * e, 2.0 * e]),
+        norm=ProductNorm(ground=ground, generator=PsiGenerator.power(p)),
+    )
+    return describe_solution_set(
+        prob, Certificate(solution=solution * e, duals=np.array([dual * e, -dual * e]))
+    )
+
+
+@pytest.mark.parametrize("tile_points", [15, 60])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "kind, ground, p, solution, dual",
+    [
+        ("general_predicate", GroundNorm.euclidean(), 1.0, 0.0, 1.0),
+        ("ft_intersection", GroundNorm.max(), 1.0, 1.0, 1.0),
+        ("chebyshev_intersection", GroundNorm.max(), math.inf, 1.0, 0.5),
+        ("pft_intersection", GroundNorm.max(), 2.0, 1.0, math.sqrt(0.5)),
+    ],
+)
+def test_region_sampling_across_tile_boundaries(
+    monkeypatch, tile_points, d, kind, ground, p, solution, dual
+):
+    # With 15 points per tile, the 7 x 7 plane splits into 2+2+2+1 layers
+    # and each 5 x 5 layer of the 5^3 lattice already exceeds a tile; with
+    # 60, the plane fits in one tile and the space splits into 2+2+1 layers.
+    monkeypatch.setattr(geometry, "_TILE_POINTS", tile_points)
+    desc = pair_on_axis(d, ground, p, solution, dual)
+    assert desc.kind == kind
+    grid = 7 if d == 2 else 5
+    box = np.array([[-1.0, 3.0]] + [[-2.0, 2.0]] * (d - 1))
+    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+    tiles = list(geometry._lattice_tiles(axes))
+    layers = [t.shape[0] // grid ** (d - 1) for t in tiles]
+    expected = {(15, 2): [2, 2, 2, 1], (15, 3): [1] * 5, (60, 2): [7], (60, 3): [2, 2, 1]}
+    assert layers == expected[tile_points, d]
+    assert all(t.T.flags.c_contiguous for t in tiles)
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    assert np.array_equal(np.concatenate(tiles), lattice)
+    inside = np.array([solution_set_contains(desc, pt) for pt in lattice])
+    assert 0 < inside.sum() < inside.size
+    assert np.array_equal(sample_solution_region(desc, box, grid), lattice[inside])
 
 
 def test_region_sampling_budget_guard():
