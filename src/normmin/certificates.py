@@ -6,14 +6,16 @@ family and return named residuals; recovery reconstructs dual blocks at a
 given point, or reports that none exist, which certifies the point is not
 optimal at the requested tolerance.
 
-Recovery uses closed forms when the ground norm has a unique unit-pairing
-dual vector (Euclidean and power kinds).  On the polyhedral grounds it solves
-one elastic feasibility linear program whose matrices are built from whole
-arrays: each block is split into nonnegative parts inside a dual ball whose
-radius is a bounded variable, and the three theorems differ only in the
-radius bounds, the blocks whose pairing is required and the radius total.
-The Chebyshev conditions on smooth grounds use the same elastic program for
-convex weights that balance the block gradients.
+Recovery is one routine for the three theorems.  Block ``i`` lies in ``c_i``
+times the ground subdifferential at its displacement, and a cap table read
+off the generator gives the bounds on the caps ``c_i``, the blocks that must
+pair with their displacements and the caps' total.  When the ground norm has
+a unique unit-pairing dual vector (Euclidean and power kinds) the blocks are
+the capped ground gradients; under the max generator the caps are the convex
+weights of Wolfe's minimum-norm point of the gradients' hull.  On the
+polyhedral grounds it solves one elastic feasibility linear program: each
+block is split into nonnegative parts inside a dual ball whose radius is a
+variable bounded by the cap table.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .ground_norms import (
     ground_norm_eval,
     ground_norm_eval_many,
 )
+from .geometry import _min_norm_weights
 from .problem import (
     ProblemInstance,
-    _block_maps,
     _ground_subgradient,
     displacements,
     objective_eval,
@@ -217,6 +219,18 @@ def check_chebyshev(
     return _report(CHEBYSHEV, residuals, tol, warnings)
 
 
+def _power_profile(r: np.ndarray, p: float) -> np.ndarray:
+    """Block norms to the power ``p``, normalized to sum to one along the last axis.
+
+    The norms are scaled by their maximum first, so the powers cannot all
+    underflow to zero.
+    """
+    peak = r.max(axis=-1, keepdims=True)
+    safe = np.where(peak > 0.0, peak, 1.0)
+    w = (r / safe) ** p
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def check_p_fermat(
     prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL
 ) -> CertificateReport:
@@ -238,14 +252,11 @@ def check_p_fermat(
     paired = np.sum(cert.duals * diffs, axis=1)
     scale = max(1.0, float(r.max()))
     powers = rstar**q
-    profile = r**p
-    total = profile.sum()
-    target = profile / total if total > 0.0 else np.zeros_like(profile)
     residuals = {
         "dual_sum": dual_sum / max(1.0, float(rstar.max())),
         "dual_power_total": abs(float(powers.sum()) - 1.0),
         "alignment": float(np.abs(paired - rstar * r).max()) / scale,
-        "proportionality": float(np.abs(powers - target).max()),
+        "proportionality": float(np.abs(powers - _power_profile(r, p)).max()),
     }
     return _report(P_FERMAT, residuals, tol)
 
@@ -288,26 +299,47 @@ def check_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _elastic_lp(bounds, a_eq, b_eq, tol, a_ub=None, b_ub=None) -> tuple[np.ndarray, float]:
-    """Minimize the total violation of ``a_eq x = b_eq`` over the other constraints.
+def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total=None):
+    """Dual blocks inside polyhedral dual balls of bounded radius, by one elastic LP.
 
-    Each equality row gets two nonnegative slacks whose sum is the cost; the
-    variables keep ``bounds`` (one (low, high) row each) and ``a_ub x <= b_ub``.
+    The blocks are ``W = P - N`` with ``P, N >= 0``, and block ``i`` lies in
+    the dual ball of radius ``c_i``, a variable bounded by ``[cap_lo_i,
+    cap_hi_i]`` (a zero upper cap pins the block to zero).  Equality rows ask
+    that the blocks sum to zero, that ``<W_i, diffs_i> = r_i c_i`` where
+    ``paired`` holds, and that the caps sum to ``total`` when it is given.
+    Each equality row gets two nonnegative slacks whose sum is the cost.
     HiGHS's primal and dual feasibility tolerances are ``1e-3 * tol`` (at
-    least 1e-10), well inside the recovery tolerance ``tol``, so a point
-    that meets the conditions at ``tol`` is not lost to the solver's own
-    slack.  Returns the variables and the total violation.
+    least 1e-10), well inside the recovery tolerance ``tol``, so a point that
+    meets the conditions at ``tol`` is not lost to the solver's own slack.
+    Returns the blocks and the total violation.
     """
     from scipy.optimize import linprog
 
+    n, d = diffs.shape
+    nd = n * d
+    pn = np.column_stack([np.zeros(nd), np.repeat(np.where(cap_hi > 0.0, np.inf, 0.0), d)])
+    bounds = np.vstack([pn, pn, np.column_stack([cap_lo, cap_hi])])
+    blocks = np.repeat(np.eye(n), d, axis=1)
+    if prob.norm.ground.kind == "max":
+        # Dual of the max ground is the sum norm: sum_j (P + N)_ij <= c_i.
+        a_ub = np.hstack([blocks, blocks, -np.eye(n)])
+    else:
+        # Dual of the sum ground is the max norm: (P + N)_ij <= c_i.
+        a_ub = np.hstack([np.eye(nd), np.eye(nd), -blocks.T])
+    a_w = np.vstack([np.tile(np.eye(d), n), (blocks * diffs.ravel())[paired]])
+    a_c = np.vstack([np.zeros((d, n)), -np.diag(r)[paired]])
+    a_eq = np.hstack([a_w, -a_w, a_c])
+    b_eq = np.zeros(a_eq.shape[0])
+    if total is not None:
+        a_eq = np.vstack([a_eq, np.concatenate([np.zeros(2 * nd), np.ones(n)])])
+        b_eq = np.append(b_eq, total)
     ne, nvar = a_eq.shape
     lp_tol = max(1e-10, 1e-3 * tol)
-    slacks = np.kron(np.eye(ne), [1.0, -1.0])
     res = linprog(
         np.concatenate([np.zeros(nvar), np.ones(2 * ne)]),
-        A_ub=None if a_ub is None else np.hstack([a_ub, np.zeros((a_ub.shape[0], 2 * ne))]),
-        b_ub=b_ub,
-        A_eq=np.hstack([a_eq, slacks]),
+        A_ub=np.hstack([a_ub, np.zeros((a_ub.shape[0], 2 * ne))]),
+        b_ub=np.zeros(a_ub.shape[0]),
+        A_eq=np.hstack([a_eq, np.kron(np.eye(ne), [1.0, -1.0])]),
         b_eq=b_eq,
         bounds=np.vstack([bounds, np.tile([0.0, np.inf], (2 * ne, 1))]),
         method="highs",
@@ -318,116 +350,20 @@ def _elastic_lp(bounds, a_eq, b_eq, tol, a_ub=None, b_ub=None) -> tuple[np.ndarr
     )
     if res.status != 0:
         raise RecoveryError(f"feasibility subproblem failed: {res.message}")
-    return res.x[:nvar], float(res.fun)
-
-
-def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total=None):
-    """Dual blocks inside polyhedral dual balls of bounded radius.
-
-    The blocks are ``W = P - N`` with ``P, N >= 0``, and block ``i`` lies in
-    the dual ball of radius ``c_i``, a variable bounded by ``[cap_lo_i,
-    cap_hi_i]`` (a zero upper cap pins the block to zero).  Elastic rows ask
-    that the blocks sum to zero, that ``<W_i, diffs_i> = r_i c_i`` where
-    ``paired`` holds, and that the caps sum to ``total`` when it is given.
-    ``tol`` is the recovery tolerance.  Returns the blocks and the total
-    violation.
-    """
-    n, d = diffs.shape
-    nd = n * d
-    cap_lo = np.broadcast_to(cap_lo, (n,))
-    cap_hi = np.broadcast_to(cap_hi, (n,))
-    pn = np.column_stack([np.zeros(nd), np.repeat(np.where(cap_hi > 0.0, np.inf, 0.0), d)])
-    bounds = np.vstack([pn, pn, np.column_stack([cap_lo, cap_hi])])
-    stack, blocks = (m.toarray() for m in _block_maps(n, d))
-    if prob.norm.ground.kind == "max":
-        # Dual of the max ground is the sum norm: sum_j (P + N)_ij <= c_i.
-        a_ub = np.hstack([blocks, blocks, -np.eye(n)])
-    else:
-        # Dual of the sum ground is the max norm: (P + N)_ij <= c_i.
-        a_ub = np.hstack([np.eye(nd), np.eye(nd), -blocks.T])
-    a_w = np.vstack([stack.T, (blocks * diffs.ravel())[paired]])
-    a_c = np.vstack([np.zeros((d, n)), -np.diag(r)[paired]])
-    a_eq = np.hstack([a_w, -a_w, a_c])
-    b_eq = np.zeros(a_eq.shape[0])
-    if total is not None:
-        a_eq = np.vstack([a_eq, np.concatenate([np.zeros(2 * nd), np.ones(n)])])
-        b_eq = np.append(b_eq, total)
-    x, violation = _elastic_lp(bounds, a_eq, b_eq, tol, a_ub, np.zeros(a_ub.shape[0]))
-    return (x[:nd] - x[nd : 2 * nd]).reshape(n, d), violation
-
-
-def _recover_ft(prob, diffs, r, tol):
-    scale = max(1.0, float(r.max()))
-    ztol = tol * scale
-    if prob.norm.ground.kind in ("euclidean", "p"):
-        grads = _ground_subgradient(prob.norm.ground, diffs)
-        near = np.flatnonzero(r <= ztol)
-        if near.size == 0:
-            duals = grads
-        elif near.size == 1:
-            k = int(near[0])
-            duals = grads.copy()
-            duals[k] = -np.delete(grads, k, axis=0).sum(axis=0)
-            cap = ground_norm_eval(dual_ground_norm(prob.norm.ground), duals[k])
-            if cap > 1.0 + 10.0 * tol:
-                return Infeasible(
-                    FERMAT_TORRICELLI,
-                    "anchor-coincident block would need dual norm above one",
-                    cap - 1.0,
-                )
-        else:
-            return Infeasible(
-                FERMAT_TORRICELLI, "point is near several anchors at once", float(near.size)
-            )
-        return duals
-    duals, violation = _polyhedral_duals(prob, diffs, r, 1.0, 1.0, r > ztol, tol)
-    if violation > tol * max(1.0, float(r.sum())):
-        return Infeasible(FERMAT_TORRICELLI, "no feasible dual blocks", violation)
-    return duals
-
-
-def _recover_cheb(prob, diffs, r, tol):
-    m = float(r.max())
-    atol = tol * max(1.0, m)
-    active = r >= m - atol
-    if prob.norm.ground.kind in ("euclidean", "p"):
-        grads = _ground_subgradient(prob.norm.ground, diffs)
-        bounds = np.column_stack([np.zeros(prob.n), np.where(active, np.inf, 0.0)])
-        a_eq = np.vstack([grads.T, np.ones((1, prob.n))])
-        b_eq = np.append(np.zeros(prob.dim), 1.0)
-        x, violation = _elastic_lp(bounds, a_eq, b_eq, tol)
-        if violation > tol * max(1.0, m):
-            return Infeasible(CHEBYSHEV, "no convex weights balance the gradients", violation)
-        return x[:, None] * grads
-    duals, violation = _polyhedral_duals(
-        prob, diffs, r, 0.0, np.where(active, np.inf, 0.0), active, tol, total=1.0
-    )
-    if violation > tol * max(1.0, float(r.sum())):
-        return Infeasible(CHEBYSHEV, "no feasible dual blocks", violation)
-    return duals
-
-
-def _recover_pft(prob, diffs, r, tol):
-    p = prob.norm.generator.p
-    q = conjugate_exponent(p)
-    total = float((r**p).sum())
-    if total <= 0.0:
-        return Infeasible(P_FERMAT, "all displacements vanish", 0.0)
-    caps = (r**p / total) ** (1.0 / q)
-    if prob.norm.ground.kind in ("euclidean", "p"):
-        return caps[:, None] * _ground_subgradient(prob.norm.ground, diffs)
-    scale = max(1.0, float(r.max()))
-    caps = np.where(r > tol * scale, caps, 0.0)
-    duals, violation = _polyhedral_duals(prob, diffs, r, caps, caps, caps > 0.0, tol)
-    if violation > tol * max(1.0, float(r.sum())):
-        return Infeasible(P_FERMAT, "no feasible dual blocks", violation)
-    return duals
+    return (res.x[:nd] - res.x[nd : 2 * nd]).reshape(n, d), float(res.fun)
 
 
 def recover_certificate(
     prob: ProblemInstance, u, tol: float = RECOVERY_TOL
 ) -> Certificate | Infeasible:
     """Reconstruct dual blocks at ``u`` or certify that none exist.
+
+    Every theorem asks for block ``i`` to lie in ``c_i`` times the ground
+    subdifferential at its displacement; only the caps ``c_i`` differ.  The
+    sum generator fixes them at one, the power generators at the power
+    profile, and the max generator leaves them free on the farthest blocks,
+    summing to one.  Blocks whose displacement vanishes at ``tol`` relative
+    to the largest are not paired with it.
 
     The returned certificate always passes the generator's specialized
     checker at ``tol``; an :class:`Infeasible` result means ``u`` is not
@@ -436,20 +372,59 @@ def recover_certificate(
     arithmetic error.
     """
     u = as_vector(u, "u")
-    gen = prob.norm.generator
-    if gen.kind != "p":
+    theorem = matching_theorem(prob)
+    if theorem == GENERAL:
         raise UnsupportedGeneratorError("recovery requires a power generator")
     diffs = displacements(prob, u)
     r = ground_norm_eval_many(prob.norm.ground, diffs)
-    if gen.p == 1.0:
-        out = _recover_ft(prob, diffs, r, tol)
-    elif gen.p == math.inf:
-        out = _recover_cheb(prob, diffs, r, tol)
+    m = float(r.max())
+    ztol = tol * m
+    # The cap table: cap bounds, the paired blocks and the caps' total.
+    total = None
+    if theorem == FERMAT_TORRICELLI:
+        cap_lo = cap_hi = np.ones(prob.n)
+        paired = r > ztol
+    elif theorem == CHEBYSHEV:
+        paired = r >= m - ztol
+        cap_lo, cap_hi, total = np.zeros(prob.n), np.where(paired, np.inf, 0.0), 1.0
     else:
-        out = _recover_pft(prob, diffs, r, tol)
-    if isinstance(out, Infeasible):
-        return out
-    cert = Certificate(solution=u, duals=out)
+        p = prob.norm.generator.p
+        profile = _power_profile(r, p) ** (1.0 / conjugate_exponent(p))
+        cap_lo = cap_hi = np.where(r > ztol, profile, 0.0)
+        paired = cap_hi > 0.0
+    if prob.norm.ground.kind in ("sum", "max"):
+        duals, violation = _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total)
+        if violation > tol * max(1.0, float(r.sum())):
+            return Infeasible(theorem, "no feasible dual blocks", violation)
+    else:
+        # Smooth grounds: each paired block is its cap times the ground
+        # gradient; free caps are the convex weights of the gradients'
+        # minimum-norm point.
+        grads = _ground_subgradient(prob.norm.ground, diffs)
+        caps = cap_hi
+        if total is not None:
+            idx = np.flatnonzero(paired)
+            sel, weights = _min_norm_weights(grads[idx])
+            caps = np.zeros(prob.n)
+            caps[idx[sel]] = weights
+            violation = float(np.linalg.norm(weights @ grads[idx[sel]]))
+            if violation > tol * max(1.0, m):
+                return Infeasible(theorem, "no convex weights balance the gradients", violation)
+        duals = np.where(paired[:, None], caps[:, None] * grads, 0.0)
+        # An unpaired block with a positive cap sits on its anchor and takes
+        # minus the others' sum.
+        near = np.flatnonzero(~paired & (caps > 0.0))
+        if near.size > 1:
+            return Infeasible(theorem, "point is near several anchors at once", float(near.size))
+        if near.size == 1:
+            k = int(near[0])
+            duals[k] = -duals.sum(axis=0)
+            excess = ground_norm_eval(dual_ground_norm(prob.norm.ground), duals[k]) - caps[k]
+            if excess > 10.0 * tol:
+                return Infeasible(
+                    theorem, "anchor-coincident block would need dual norm above one", excess
+                )
+    cert = Certificate(solution=u, duals=duals)
     report = check_certificate(prob, cert, tol=tol)
     if report.verdict:
         return cert

@@ -1,5 +1,6 @@
-"""Small exact-geometry helpers: affine hulls, the convex-hull projection
-(Wolfe's minimum-norm-point method) and coordinate-major lattice tiles."""
+"""Small exact-geometry helpers: affine hulls, Wolfe's minimum-norm point of
+a convex hull (the hull projection, and the convex weights that dual recovery
+balances block gradients with) and coordinate-major lattice tiles."""
 
 from __future__ import annotations
 
@@ -25,19 +26,24 @@ def affine_hull_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project_onto_convex_hull(points: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``u`` onto the convex hull of the rows.
+    """Euclidean projection of ``u`` onto the convex hull of any number of rows."""
+    u = np.asarray(u, dtype=float)
+    q = np.asarray(points, dtype=float) - u
+    active, lam = _min_norm_weights(q)
+    return u + lam @ q[active]
+
+
+def _min_norm_weights(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Convex weights on rows of ``q`` whose combination has least norm.
 
     Wolfe's minimum-norm-point method (Wolfe 1976, "Finding the nearest point
-    in a polytope") on the rows shifted by ``u``.  It keeps an affinely
-    independent active set with positive convex weights, adds the row with
-    the least inner product with the current point, and solves the affine
-    least-squares problem on the active set, stepping back along the weights
-    whenever one turns negative.  Exact, deterministic and finite; the active
-    set never holds more than ``d + 1`` rows, so any number of points is fine.
+    in a polytope").  It keeps an affinely independent active set with
+    positive convex weights, adds the row with the least inner product with
+    the current point, and solves the affine least-squares problem on the
+    active set, stepping back along the weights whenever one turns negative.
+    Exact, deterministic and finite; the active set never holds more than
+    ``d + 1`` rows.  Returns the active row indices and their weights.
     """
-    pts = np.asarray(points, dtype=float)
-    u = np.asarray(u, dtype=float)
-    q = pts - u
     sq = np.einsum("ij,ij->i", q, q)
     tol = 1e-12 * float(sq.max())
     active = np.array([int(np.argmin(sq))])
@@ -66,7 +72,7 @@ def project_onto_convex_hull(points: np.ndarray, u: np.ndarray) -> np.ndarray:
         if yy >= xx:
             break
         active, lam, x, xx = cand, weights, y, yy
-    return u + x
+    return active, lam
 
 
 def _affine_min_norm_weights(q: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ queries and region sampling cannot drift apart.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from .certificates import (
     GENERAL,
     P_FERMAT,
     Certificate,
+    _power_profile,
     check_certificate,
     matching_theorem,
 )
@@ -77,6 +79,13 @@ class SolutionSetDescription:
     construction_tol: float
     skipped_blocks: tuple = ()
     note: str = ""
+
+    @functools.cached_property
+    def dual_norms(self) -> np.ndarray:
+        """Dual ground norms of the certificate's blocks, taken once."""
+        return ground_norm_eval_many(
+            dual_ground_norm(self.instance.norm.ground), self.certificate.duals
+        )
 
 
 def describe_solution_set(
@@ -151,12 +160,6 @@ def _member_general(desc: SolutionSetDescription, us: np.ndarray, tol: float):
     return resid <= tol * np.maximum(1.0, f)
 
 
-def _dual_block_norms(desc: SolutionSetDescription) -> np.ndarray:
-    return ground_norm_eval_many(
-        dual_ground_norm(desc.instance.norm.ground), desc.certificate.duals
-    )
-
-
 def _alignment_ok(dots, r, rstar, tol):
     bound = rstar[None, :] * r
     return np.abs(bound - dots) <= tol * np.maximum(1.0, bound)
@@ -164,24 +167,16 @@ def _alignment_ok(dots, r, rstar, tol):
 
 def _member_ft(desc: SolutionSetDescription, us: np.ndarray, tol: float):
     dots, r = _pairings(desc, us)
-    rstar = _dual_block_norms(desc)
-    return _alignment_ok(dots, r, rstar, tol).all(axis=1)
+    return _alignment_ok(dots, r, desc.dual_norms, tol).all(axis=1)
 
 
 def _member_chebyshev(desc: SolutionSetDescription, us: np.ndarray, tol: float):
     dots, r = _pairings(desc, us)
-    rstar = _dual_block_norms(desc)
+    rstar = desc.dual_norms
     m = r.max(axis=1)
     resid = np.abs(dots - rstar[None, :] * m[:, None])
     ok = resid <= tol * np.maximum(1.0, m)[:, None]
     return ok[:, rstar > tol].all(axis=1)
-
-
-def _power_profile(r: np.ndarray, p: float) -> np.ndarray:
-    peak = r.max(axis=1, keepdims=True)
-    safe = np.where(peak > 0.0, peak, 1.0)
-    w = (r / safe) ** p
-    return w / w.sum(axis=1, keepdims=True)
 
 
 def _member_pft(desc: SolutionSetDescription, us: np.ndarray, tol: float):
@@ -189,7 +184,7 @@ def _member_pft(desc: SolutionSetDescription, us: np.ndarray, tol: float):
     p = prob.norm.generator.p
     q = conjugate_exponent(p)
     dots, r = _pairings(desc, us)
-    rstar = _dual_block_norms(desc)
+    rstar = desc.dual_norms
     aligned = _alignment_ok(dots, r, rstar, tol).all(axis=1)
     # The pairing gap is quadratic in the profile mismatch, so the mismatch
     # is squared to accept the same band as the general predicate.
@@ -259,7 +254,7 @@ def sol_contains_chebyshev_via_cells(
     _require_generator(desc, math.inf, "max-objective")
     us = _query_rows(desc, u)
     prob = desc.instance
-    rstar = _dual_block_norms(desc)
+    rstar = desc.dual_norms
     diffs = us[0][None, :] - prob.anchors
     for i in range(prob.n):
         if rstar[i] <= tol:

@@ -187,8 +187,8 @@ def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0:
 
     Variables are ``u``, one epigraph variable per block for p = 1 or one
     shared by all blocks for p = inf, and on the sum ground the coordinate
-    bounds ``s_ij >= |u_j - v_ij|``.  The rows are built from index arrays, as
-    the block maps of :func:`~normmin.problem._block_maps` are.
+    bounds ``s_ij >= |u_j - v_ij|``.  The rows are built from index arrays:
+    coordinate ``j`` of block ``i`` sits in row ``i d + j``.
     """
     from scipy import sparse
     from scipy.optimize import linprog

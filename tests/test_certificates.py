@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import linprog
 
 from conftest import ALL_GENERATORS, ALL_GROUNDS, make_rng, random_instance
 from normmin import (
@@ -27,6 +29,7 @@ from normmin import (
     check_p_fermat,
     dual_ground_norm,
     ground_norm_eval,
+    ground_norm_eval_many,
     matching_theorem,
     objective_eval,
     objective_eval_many,
@@ -34,6 +37,7 @@ from normmin import (
     solve_bound,
     solve_subgradient,
 )
+from normmin.problem import _ground_subgradient
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 
@@ -198,7 +202,8 @@ def test_recover_at_planted_optima_is_exact():
     # third pair in the plane would repeat the first pair's anchors.
     rng = make_rng(57)
     combos = [(g, p) for g in (GroundNorm.sum(), GroundNorm.max()) for p in (1.0, 2.0, math.inf)]
-    combos += [(GroundNorm.euclidean(), math.inf), (GroundNorm.power(3.0), math.inf)]
+    smooth = (GroundNorm.euclidean(), GroundNorm.power(3.0))
+    combos += [(g, p) for g in smooth for p in (1.0, 2.0, math.inf)]
     checked = 0
     for ground, p in combos:
         for d in (2, 3, 5):
@@ -209,7 +214,7 @@ def test_recover_at_planted_optima_is_exact():
                     assert isinstance(got, Certificate), (ground.kind, p, d, pairs, got)
                     assert check_certificate(prob, got, tol=1e-9).verdict
                     checked += 1
-    assert checked == 8 * 8 * 4
+    assert checked == 12 * 8 * 4
 
 
 def test_recover_rejects_clearly_suboptimal_points():
@@ -308,3 +313,76 @@ def test_recovery_lp_tolerance_sits_inside_the_check_tolerance():
     recovered = recover_certificate(prob, point, tol=1e-9)
     assert not isinstance(recovered, Infeasible), recovered
     assert check_certificate(prob, recovered, tol=1e-9).verdict
+
+
+def test_power_profile_survives_tiny_displacements():
+    # At anchor scale 1e-9 every r_i**40 underflows to zero; the profile is
+    # taken from r / max(r), so the tiny copy certifies like the unit one.
+    anchors = np.random.default_rng(3).normal(size=(5, 2)) * 1e-9
+    for ground in ALL_GROUNDS:
+        prob = ProblemInstance(anchors, ProductNorm(ground, PsiGenerator.power(40.0)))
+        res = solve_subgradient(prob)
+        got = recover_certificate(prob, res.point)
+        assert isinstance(got, Certificate), (ground.kind, got)
+        assert check_p_fermat(prob, got).verdict
+        assert check_general(prob, got).verdict
+
+
+def _elastic_lp_chebyshev(prob, u, tol):
+    """Reference: smooth-ground p=inf recovery by an elastic LP on the weights.
+
+    Convex weights on the gradients of the blocks within ``tol`` of the
+    farthest minimize the l1 violation of "the weighted gradients sum to zero
+    and the weights to one"; the point certifies when the violation is within
+    tolerance and the weighted gradients pass the Chebyshev check.
+    """
+    diffs = u - prob.anchors
+    r = ground_norm_eval_many(prob.norm.ground, diffs)
+    m = float(r.max())
+    active = r >= m - tol * max(1.0, m)
+    grads = _ground_subgradient(prob.norm.ground, diffs)
+    n, d = grads.shape
+    a_eq = np.vstack([grads.T, np.ones((1, n))])
+    res = linprog(
+        np.concatenate([np.zeros(n), np.ones(2 * (d + 1))]),
+        A_eq=np.hstack([a_eq, np.kron(np.eye(d + 1), [1.0, -1.0])]),
+        b_eq=np.append(np.zeros(d), 1.0),
+        bounds=[(0.0, np.inf if a else 0.0) for a in active] + [(0.0, np.inf)] * (2 * (d + 1)),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": max(1e-10, 1e-3 * tol),
+            "dual_feasibility_tolerance": max(1e-10, 1e-3 * tol),
+        },
+    )
+    assert res.status == 0
+    if res.fun > tol * max(1.0, m):
+        return False
+    duals = res.x[:n, None] * grads
+    return check_certificate(prob, Certificate(u, duals), tol=tol).verdict
+
+
+def test_smooth_recovery_needs_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("smooth-ground recovery called linprog")
+
+    # The reference keeps this module's own binding of linprog.
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    rng = make_rng(58)
+    outcomes = set()
+    for ground in (GroundNorm.euclidean(), GroundNorm.power(3.0)):
+        for p in (1.0, 1.5, 2.0, math.inf):
+            for _ in range(6):
+                prob = random_instance(rng, ground=ground, gen=PsiGenerator.power(p))
+                res = solve_subgradient(prob)
+                kick = rng.normal(size=prob.dim)
+                points = (res.point, res.point + 1e-6 * kick / np.linalg.norm(kick))
+                for u in points:
+                    for tol in (1e-7, 1e-5):
+                        got = recover_certificate(prob, u, tol=tol)
+                        certified = isinstance(got, Certificate)
+                        if p == math.inf:
+                            assert certified == _elastic_lp_chebyshev(prob, u, tol), (
+                                ground.kind, tol, got,
+                            )
+                            outcomes.add(certified)
+    assert outcomes == {True, False}
