@@ -150,7 +150,7 @@ def check_general(
     residuals = {
         "dual_sum": dual_sum / dual_scale,
         "normalization": abs(dual_norm - 1.0),
-        "pairing": abs(paired - f) / max(1.0, f),
+        "pairing": abs(paired - f) / f,
     }
     return _report(GENERAL, residuals, tol)
 
@@ -178,7 +178,7 @@ def check_fermat_torricelli(
     diffs, r, rstar = _cert_arrays(prob, cert)
     dual_sum = ground_norm_eval(dual_ground_norm(prob.norm.ground), cert.duals.sum(axis=0))
     paired = np.sum(cert.duals * diffs, axis=1)
-    scale = max(1.0, float(r.max()))
+    scale = float(r.max())
     residuals = {
         "dual_sum": dual_sum / max(1.0, float(rstar.max())),
         "max_dual_norm": abs(float(rstar.max()) - 1.0),
@@ -201,14 +201,13 @@ def check_chebyshev(
     _require_power(prob, math.inf, CHEBYSHEV)
     diffs, r, rstar = _cert_arrays(prob, cert)
     m = float(r.max())
-    scale = max(1.0, m)
     dual_sum = ground_norm_eval(dual_ground_norm(prob.norm.ground), cert.duals.sum(axis=0))
     paired = np.sum(cert.duals * diffs, axis=1)
     residuals = {
         "dual_sum": dual_sum / max(1.0, float(rstar.max())),
         "dual_norm_total": abs(float(rstar.sum()) - 1.0),
-        "alignment": float(np.abs(paired - rstar * r).max()) / scale,
-        "complementarity": float(((m - r) * rstar).max()) / scale,
+        "alignment": float(np.abs(paired - rstar * r).max()) / m,
+        "complementarity": float(((m - r) * rstar).max()) / m,
     }
     warnings = []
     nonzero = int(np.sum(rstar > tol))
@@ -250,12 +249,11 @@ def check_p_fermat(
     diffs, r, rstar = _cert_arrays(prob, cert)
     dual_sum = ground_norm_eval(dual_ground_norm(prob.norm.ground), cert.duals.sum(axis=0))
     paired = np.sum(cert.duals * diffs, axis=1)
-    scale = max(1.0, float(r.max()))
     powers = rstar**q
     residuals = {
         "dual_sum": dual_sum / max(1.0, float(rstar.max())),
         "dual_power_total": abs(float(powers.sum()) - 1.0),
-        "alignment": float(np.abs(paired - rstar * r).max()) / scale,
+        "alignment": float(np.abs(paired - rstar * r).max()) / float(r.max()),
         "proportionality": float(np.abs(powers - _power_profile(r, p)).max()),
     }
     return _report(P_FERMAT, residuals, tol)
@@ -312,34 +310,58 @@ def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total=None):
     least 1e-10), well inside the recovery tolerance ``tol``, so a point that
     meets the conditions at ``tol`` is not lost to the solver's own slack.
     Returns the blocks and the total violation.
+
+    The columns are ``P`` and ``N`` (entry ``j`` of block ``i`` in column
+    ``i d + j`` of each), the caps, then the slacks.  Both constraint
+    matrices are built as COO from index arrays, the form ``linprog`` turns
+    sparse input into before stacking it, with no stored zeros, so HiGHS
+    gets the same matrix as from their dense forms.
     """
+    from scipy import sparse
     from scipy.optimize import linprog
 
     n, d = diffs.shape
-    nd = n * d
+    nd, cells = n * d, np.arange(n * d)
+    blk, caps = cells // d, 2 * nd + np.arange(n)
+    nvar, ne = 2 * nd + n, d + int(paired.sum()) + (total is not None)
+
+    def matrix(rows, entries):
+        ri = np.concatenate([e[0] for e in entries])
+        ci = np.concatenate([e[1] for e in entries])
+        vals = np.concatenate([np.broadcast_to(e[2], e[1].shape) for e in entries])
+        keep = vals != 0.0
+        return sparse.coo_array((vals[keep], (ri[keep], ci[keep])), shape=(rows, nvar + 2 * ne))
+
     pn = np.column_stack([np.zeros(nd), np.repeat(np.where(cap_hi > 0.0, np.inf, 0.0), d)])
     bounds = np.vstack([pn, pn, np.column_stack([cap_lo, cap_hi])])
-    blocks = np.repeat(np.eye(n), d, axis=1)
     if prob.norm.ground.kind == "max":
         # Dual of the max ground is the sum norm: sum_j (P + N)_ij <= c_i.
-        a_ub = np.hstack([blocks, blocks, -np.eye(n)])
+        a_ub = matrix(n, [(blk, cells, 1.0), (blk, nd + cells, 1.0), (np.arange(n), caps, -1.0)])
     else:
         # Dual of the sum ground is the max norm: (P + N)_ij <= c_i.
-        a_ub = np.hstack([np.eye(nd), np.eye(nd), -blocks.T])
-    a_w = np.vstack([np.tile(np.eye(d), n), (blocks * diffs.ravel())[paired]])
-    a_c = np.vstack([np.zeros((d, n)), -np.diag(r)[paired]])
-    a_eq = np.hstack([a_w, -a_w, a_c])
-    b_eq = np.zeros(a_eq.shape[0])
+        a_ub = matrix(nd, [(cells, cells, 1.0), (cells, nd + cells, 1.0), (cells, caps[blk], -1.0)])
+    # Row j balances coordinate j, row d + k pairs the k-th paired block, and
+    # the last row sums the caps when a total is given.
+    row, on, slack = d - 1 + np.cumsum(paired), cells[paired[blk]], np.arange(ne)
+    eq = [
+        (cells % d, cells, 1.0),
+        (cells % d, nd + cells, -1.0),
+        (row[blk[on]], on, diffs.ravel()[on]),
+        (row[blk[on]], nd + on, -diffs.ravel()[on]),
+        (row[paired], caps[paired], -r[paired]),
+        (slack, nvar + 2 * slack, 1.0),
+        (slack, nvar + 2 * slack + 1, -1.0),
+    ]
+    b_eq = np.zeros(ne)
     if total is not None:
-        a_eq = np.vstack([a_eq, np.concatenate([np.zeros(2 * nd), np.ones(n)])])
-        b_eq = np.append(b_eq, total)
-    ne, nvar = a_eq.shape
+        eq.append((np.full(n, ne - 1), caps, 1.0))
+        b_eq[-1] = total
     lp_tol = max(1e-10, 1e-3 * tol)
     res = linprog(
         np.concatenate([np.zeros(nvar), np.ones(2 * ne)]),
-        A_ub=np.hstack([a_ub, np.zeros((a_ub.shape[0], 2 * ne))]),
+        A_ub=a_ub,
         b_ub=np.zeros(a_ub.shape[0]),
-        A_eq=np.hstack([a_eq, np.kron(np.eye(ne), [1.0, -1.0])]),
+        A_eq=matrix(ne, eq),
         b_eq=b_eq,
         bounds=np.vstack([bounds, np.tile([0.0, np.inf], (2 * ne, 1))]),
         method="highs",

@@ -18,9 +18,6 @@ the dual optimality conditions:
 - Euclidean or power ground with p = inf: SLSQP on the epigraph of the
   largest block norm.
 
-Euclidean answers finish with an exact convex-hull projection that is only
-kept when it does not increase the objective.
-
 Derivative-free Nelder-Mead restarts from the centroid cover generators
 that are opaque callables; :func:`solve` picks between the two by
 generator kind.  A brute-force lattice oracle provides certified reference
@@ -35,18 +32,13 @@ import math
 
 import numpy as np
 
-from .certificates import Infeasible, recover_certificate
 from .errors import (
     BudgetExceededError,
     ContractError,
     InvalidInputError,
     UnsupportedGeneratorError,
 )
-from .geometry import (
-    _lattice_tiles,
-    affine_hull_basis,
-    project_onto_convex_hull,
-)
+from .geometry import _lattice_tiles, affine_hull_basis
 from .ground_norms import dual_ground_norm, ground_norm_eval_many
 from .problem import (
     ProblemInstance,
@@ -86,6 +78,9 @@ _SUM_RTOL = 1e-12
 # zero; a box that small would stop the next round where it starts.
 _KINK = 1e-12
 
+# Tolerance of the Chebyshev conditions on SLSQP's multipliers at a mode-8 end.
+_MULTIPLIER_TOL = 1e-7
+
 # The pattern search reports convergence when its last Nelder-Mead run
 # gains at most this much, relative to max(1, value).
 _STALL_TOL = 1e-9
@@ -103,7 +98,6 @@ class SolveResult:
     point: np.ndarray
     value: float
     iterations: int
-    best_trace: list
     converged: bool
 
     def to_dict(self) -> dict:
@@ -138,10 +132,7 @@ def midpoint_shortcut(prob: ProblemInstance) -> SolveResult:
     if not prob.norm.generator.symmetric:
         raise ContractError("midpoint shortcut requires a symmetric generator")
     mid = prob.anchors.mean(axis=0)
-    value = objective_eval(prob, mid)
-    return SolveResult(
-        point=mid, value=value, iterations=0, best_trace=[(0, value)], converged=True
-    )
+    return SolveResult(point=mid, value=objective_eval(prob, mid), iterations=0, converged=True)
 
 
 def _search_basis(prob: ProblemInstance) -> np.ndarray:
@@ -156,25 +147,6 @@ def _search_basis(prob: ProblemInstance) -> np.ndarray:
         if 0 < hull.shape[1] < prob.dim:
             return hull
     return np.eye(prob.dim)
-
-
-def _hull_clip(prob: ProblemInstance, u: np.ndarray, f: float):
-    """Snap to the anchors' convex hull when that does not cost anything."""
-    proj = project_onto_convex_hull(prob.anchors, u)
-    fp = objective_eval(prob, proj)
-    if fp <= f:
-        return proj, fp
-    return u, f
-
-
-def _scipy_result(prob: ProblemInstance, res, u0: np.ndarray, f0: float):
-    """(point, value, steps, converged, trace) from a scipy solve over ``(u, ...)``."""
-    if res.x is None:
-        return u0, f0, int(res.nit), False, [(0, f0)]
-    u = np.asarray(res.x[: prob.dim], dtype=float)
-    f = objective_eval(prob, u)
-    trace = [(0, f0)] + ([(int(res.nit), f)] if f < f0 else [])
-    return u, f, int(res.nit), bool(res.success), trace
 
 
 def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
@@ -224,7 +196,7 @@ def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0:
             "dual_feasibility_tolerance": _LP_TOL,
         },
     )
-    return _scipy_result(prob, res, u0, f0)
+    return (u0 if res.x is None else res.x[:d]), int(res.nit), bool(res.success)
 
 
 def _coordinate_median(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
@@ -236,9 +208,7 @@ def _coordinate_median(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray,
     call in a process costs about 20 ms.
     """
     col = np.sort(prob.anchors, axis=0)
-    u = 0.5 * (col[(prob.n - 1) // 2] + col[prob.n // 2])
-    f = objective_eval(prob, u)
-    return u, f, 0, True, [(0, f0)] + ([(0, f)] if f < f0 else [])
+    return 0.5 * (col[(prob.n - 1) // 2] + col[prob.n // 2]), 0, True
 
 
 def _model_rows(kind: str, a: np.ndarray, r: np.ndarray, anchors: np.ndarray, delta: float) -> int:
@@ -365,7 +335,6 @@ def _polyhedral_epigraph(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarra
     u, r = np.zeros(d), r / length
     scale = total = float((r**p).sum())
     steps, converged = 0, False
-    trace = [(0, f0)]
     while steps < cfg.max_iters:
         x = u - anchors
         delta = _box_radius(ground.kind, x, r, anchors)
@@ -404,14 +373,10 @@ def _polyhedral_epigraph(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarra
             converged = inside and bool(res.success) and tn <= total * (1.0 + _SUM_RTOL)
             break
         u, r, total = un, rn, tn
-        f = objective_eval(prob, u0 + length * u)
-        if f < trace[-1][1]:
-            trace.append((steps, f))
         if inside:
             converged = bool(res.success)
             break
-    point = u0 + length * u
-    return point, objective_eval(prob, point), steps, converged, trace
+    return u0 + length * u, steps, converged
 
 
 def _anchor_optimum(prob: ProblemInstance):
@@ -478,7 +443,6 @@ def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float)
     eps = np.finfo(float).eps
     u, f = u0, f0
     g = objective_subgradient(prob, u)
-    trace = [(0, f)]
     steps, converged = 0, False
     while steps < cfg.max_iters:
         gb = basis.T @ g
@@ -511,9 +475,7 @@ def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float)
             break
         steps += 1
         u, f, g = trial, ft, gt
-        if f < trace[-1][1]:
-            trace.append((steps, f))
-    return u, f, steps, converged, trace
+    return u, steps, converged
 
 
 def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
@@ -523,9 +485,11 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
     program whenever the ground norm is differentiable away from zero.  The
     n constraints go to SLSQP as one vector-valued inequality with an
     (n, d + 1) Jacobian.  SLSQP can end in mode 8 (positive directional
-    derivative in the line search) at a point that is optimal; such an end
-    counts as converged when :func:`~normmin.certificates.recover_certificate`
-    certifies the point at its default tolerance.
+    derivative in the line search) at a point that is optimal.  Such an end
+    is judged by SLSQP's own multipliers ``lam``, the dual weights of the
+    Chebyshev conditions: it counts as converged when ``sum lam`` is 1, and
+    ``|sum lam_i grad r_i|`` and ``max lam_i (t - r_i) / t`` (with ``t`` the
+    largest block norm) are 0, each within ``_MULTIPLIER_TOL``.
     """
     from scipy.optimize import minimize
 
@@ -556,10 +520,16 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
         constraints=[{"type": "ineq", "fun": cons, "jac": cons_jac}],
         options={"maxiter": cfg.max_iters, "ftol": 1e-14},
     )
-    u, f, steps, converged, trace = _scipy_result(prob, res, u0, f0)
+    u, converged = res.x[:d], bool(res.success)
     if res.status == 8:
-        converged = not isinstance(recover_certificate(prob, u), Infeasible)
-    return u, f, steps, converged, trace
+        lam, diffs = res.multipliers, u - prob.anchors
+        r = ground_norm_eval_many(ground, diffs)
+        t = float(r.max())
+        weights = abs(float(lam.sum()) - 1.0)
+        balance = float(np.linalg.norm(lam @ _ground_subgradient(ground, diffs)))
+        slack = float((lam * (t - r)).max()) / t
+        converged = max(weights, balance, slack) <= _MULTIPLIER_TOL
+    return u, int(res.nit), converged
 
 
 def _anchor_or_newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
@@ -567,8 +537,7 @@ def _anchor_or_newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, 
     if prob.norm.generator.p == 1.0:
         anchor = _anchor_optimum(prob)
         if anchor is not None:
-            fa = objective_eval(prob, anchor)
-            return anchor, fa, 0, True, [(0, f0)] + ([(0, fa)] if fa < f0 else [])
+            return anchor, 0, True
     return _newton(prob, cfg, u0, f0)
 
 
@@ -595,14 +564,15 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
       rounding floor of its blocks.
     - Euclidean or power ground, p = inf: the epigraph SLSQP from the
       centroid (:func:`_minimax`); ``converged`` means SLSQP reported
-      success, or ended in mode 8 at a point that dual recovery certifies.
+      success, or ended in mode 8 with multipliers that meet the Chebyshev
+      conditions.
 
+    Each method returns ``(point, iterations, converged)``.
     ``config.max_iters`` caps the simplex, SQP or Newton iterations of the
-    method that runs, and ``iterations`` reports how many it took.
-    ``best_trace`` lists ``(iteration, value)`` each time the value
-    improved, and the returned value is never above the centroid's.
-    Euclidean answers finish with :func:`_hull_clip`.  A centroid with a
-    zero subgradient is optimal and is returned at once, converged.
+    method that runs, and ``iterations`` reports how many it took.  The
+    point is evaluated once here, and a point above the centroid's value
+    gives way to the centroid, not converged.  A centroid with a zero
+    subgradient is optimal and is returned at once, converged.
     """
     cfg = config or SolverConfig()
     _validate_config(cfg)
@@ -616,7 +586,7 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
     u0 = prob.centroid()
     f0 = objective_eval(prob, u0)
     if not np.any(objective_subgradient(prob, u0)):
-        return SolveResult(point=u0, value=f0, iterations=0, best_trace=[(0, f0)], converged=True)
+        return SolveResult(point=u0, value=f0, iterations=0, converged=True)
     p = prob.norm.generator.p
     if prob.norm.ground.kind == "sum" and p == 1.0:
         method = _coordinate_median
@@ -624,20 +594,11 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
         method = _polyhedral_lp if p in (1.0, math.inf) else _polyhedral_epigraph
     else:
         method = _minimax if p == math.inf else _anchor_or_newton
-    u, f, steps, converged, trace = method(prob, cfg, u0, f0)
+    u, steps, converged = method(prob, cfg, u0, f0)
+    f = objective_eval(prob, u)
     if f > f0:
         u, f, converged = u0, f0, False
-    if prob.norm.ground.kind == "euclidean":
-        u, clipped = _hull_clip(prob, u, f)
-        if clipped < trace[-1][1]:
-            trace.append((steps, clipped))
-    return SolveResult(
-        point=u,
-        value=objective_eval(prob, u),
-        iterations=steps,
-        best_trace=trace,
-        converged=converged,
-    )
+    return SolveResult(point=u, value=f, iterations=steps, converged=converged)
 
 
 def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
@@ -667,7 +628,6 @@ def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = No
 
     y = np.zeros(basis.shape[1])
     f = fun(y)
-    trace = [(0, f)]
     h0 = 0.05 * max(float(np.ptp(prob.anchors, axis=0).max()), 1e-3)
     iterations, converged = 0, False
     for shrink in (1.0, 1e-2, 1e-4):
@@ -691,12 +651,9 @@ def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = No
         gain = f - float(res.fun)
         if gain > 0.0:
             y, f = res.x, float(res.fun)
-            trace.append((iterations, f))
     else:
         converged = gain <= _STALL_TOL * max(1.0, f)
-    return SolveResult(
-        point=u0 + basis @ y, value=f, iterations=iterations, best_trace=trace, converged=converged
-    )
+    return SolveResult(point=u0 + basis @ y, value=f, iterations=iterations, converged=converged)
 
 
 def solve(prob: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:

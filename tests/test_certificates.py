@@ -386,3 +386,87 @@ def test_smooth_recovery_needs_no_lp(monkeypatch):
                             )
                             outcomes.add(certified)
     assert outcomes == {True, False}
+
+
+def test_checker_residuals_are_scale_free():
+    # A triangle at scale 1e-9 and its unit copy.  The duals recovered at the
+    # optimum, paired with a point moved by half an anchor gap, must fail at
+    # either scale; residuals scaled by max(1, max r) were absolute below
+    # unit scale and let the tiny copy pass (alignment 2.2e-10).
+    alignments = []
+    for scale in (1e-9, 1.0):
+        prob = ProblemInstance(
+            np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]]) * scale,
+            ProductNorm(GroundNorm.euclidean(), PsiGenerator.power(1.0)),
+        )
+        u = solve_subgradient(prob).point
+        got = recover_certificate(prob, u)
+        assert isinstance(got, Certificate), got
+        assert check_certificate(prob, got, tol=1e-9).verdict
+        moved = check_certificate(prob, Certificate(u + 0.5 * scale, got.duals), tol=1e-9)
+        assert not moved.verdict
+        alignments.append(moved.residuals["alignment"])
+    assert alignments[0] == pytest.approx(alignments[1], rel=1e-6)
+
+
+def _dense_recovery_lp(prob, diffs, r, cap_lo, cap_hi, paired, total):
+    # The recovery program's (A_ub, A_eq) built dense, as HiGHS would get it
+    # from dense input.
+    n, d = diffs.shape
+    nd = n * d
+    blocks = np.repeat(np.eye(n), d, axis=1)
+    if prob.norm.ground.kind == "max":
+        a_ub = np.hstack([blocks, blocks, -np.eye(n)])
+    else:
+        a_ub = np.hstack([np.eye(nd), np.eye(nd), -blocks.T])
+    a_w = np.vstack([np.tile(np.eye(d), n), (blocks * diffs.ravel())[paired]])
+    a_c = np.vstack([np.zeros((d, n)), -np.diag(r)[paired]])
+    a_eq = np.hstack([a_w, -a_w, a_c])
+    if total is not None:
+        a_eq = np.vstack([a_eq, np.concatenate([np.zeros(2 * nd), np.ones(n)])])
+    ne = a_eq.shape[0]
+    return (
+        np.hstack([a_ub, np.zeros((a_ub.shape[0], 2 * ne))]),
+        np.hstack([a_eq, np.kron(np.eye(ne), [1.0, -1.0])]),
+    )
+
+
+def test_recovery_lp_matches_its_dense_build(monkeypatch):
+    # HiGHS gets the stacked constraints as one CSC matrix, which scipy
+    # builds from dense input by dropping the zeros; the sparse build must
+    # give the same indptr, indices and data.  The coordinatewise median puts
+    # displacement coordinates at exactly zero.
+    from scipy import sparse
+
+    from normmin.certificates import _polyhedral_duals
+
+    seen = []
+    real = scipy.optimize.linprog
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    rng = make_rng(61)
+    zeros = 0
+    for ground in (GroundNorm.sum(), GroundNorm.max()):
+        for p in (1.0, 2.0, math.inf):
+            for n, d in ((3, 2), (8, 3), (13, 10)):
+                prob = ProblemInstance(rng.normal(size=(n, d)) * 2, ProductNorm(ground, PsiGenerator.power(p)))
+                diffs = solve_subgradient(prob).point - prob.anchors
+                zeros += int(np.count_nonzero(diffs == 0.0))
+                r = ground_norm_eval_many(ground, diffs)
+                paired = rng.random(n) < 0.7
+                cap_hi = np.where(rng.random(n) < 0.8, rng.random(n), 0.0)
+                for total in (None, 1.0):
+                    seen.clear()
+                    _polyhedral_duals(prob, diffs, r, 0.5 * cap_hi, cap_hi, paired, 1e-7, total)
+                    a_ub, a_eq = seen[0]["A_ub"], seen[0]["A_eq"]
+                    assert sparse.issparse(a_ub) and sparse.issparse(a_eq)
+                    want = sparse.csc_array(np.vstack(_dense_recovery_lp(prob, diffs, r, 0.5 * cap_hi, cap_hi, paired, total)))
+                    got = sparse.csc_array(sparse.vstack((sparse.coo_array(a_ub), sparse.coo_array(a_eq))))
+                    assert got.shape == want.shape
+                    for field in ("indptr", "indices", "data"):
+                        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert zeros > 0

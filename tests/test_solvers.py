@@ -1,5 +1,6 @@
 """Exact per-family solves, Nelder-Mead pattern search, midpoint shortcut, grid oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -113,9 +114,9 @@ def test_solve_result_contract():
     rng = make_rng(72)
     prob = random_instance(rng, d=2)
     res = solve_subgradient(prob, SolverConfig(max_iters=200))
-    assert abs(res.value - objective_eval(prob, res.point)) <= 1e-12
-    values = [v for _, v in res.best_trace]
-    assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+    assert [f.name for f in dataclasses.fields(res)] == ["point", "value", "iterations", "converged"]
+    assert res.value == objective_eval(prob, res.point)
+    assert res.value <= objective_eval(prob, prob.centroid())
     assert res.to_dict().keys() == {"point", "value", "iterations"}
 
 
@@ -124,8 +125,7 @@ def test_determinism_same_seed_same_trace():
     prob = random_instance(rng, d=3, n=4)
     a = solve_subgradient(prob, SolverConfig(max_iters=150))
     b = solve_subgradient(prob, SolverConfig(max_iters=150))
-    assert a.best_trace == b.best_trace
-    assert np.array_equal(a.point, b.point)
+    _same_result(a, b)
 
 
 def test_config_validation():
@@ -225,9 +225,7 @@ def _tabulated_copy(prob):
 
 def _same_result(a, b):
     assert a.point.tobytes() == b.point.tobytes()
-    assert (a.value, a.iterations, a.best_trace, a.converged) == (
-        b.value, b.iterations, b.best_trace, b.converged
-    )
+    assert (a.value, a.iterations, a.converged) == (b.value, b.iterations, b.converged)
 
 
 def test_solve_dispatches_by_generator_kind():
@@ -400,16 +398,35 @@ def test_max_iters_caps_every_method(p):
         assert res.value <= objective_eval(tab, tab.centroid())
 
 
-@pytest.mark.parametrize(
-    "ground,n,d",
-    [(GroundNorm.euclidean(), 256, 2), (GroundNorm.power(3.0), 256, 3), (GroundNorm.power(3.0), 4, 2)],
-    ids=["euclidean-n256-d2", "p3-n256-d3", "p3-n4-d2"],
-)
-def test_minimax_mode_8_on_an_optimum_is_converged(ground, n, d):
+MODE_8_CELLS = [
+    ("euclidean", 256, 2, 0),
+    ("p3", 256, 3, 0),
+    ("p3", 4, 2, 0),
+    # Stationarity of SLSQP's multipliers from 2.0e-9 to 1.4e-8 here.
+    ("euclidean", 4, 2, 2),
+    ("p3", 4, 10, 2),
+    ("p1.5", 13, 10, 1),
+    ("p1.5", 64, 2, 2),
+    ("p1.5", 64, 10, 2),
+]
+MODE_8_GROUNDS = {"euclidean": GroundNorm.euclidean(), "p3": GroundNorm.power(3.0), "p1.5": GroundNorm.power(1.5)}
+
+
+@pytest.mark.parametrize("ground,n,d,s", MODE_8_CELLS, ids=[f"{g}-n{n}-d{d}-s{s}" for g, n, d, s in MODE_8_CELLS])
+def test_minimax_mode_8_on_an_optimum_is_converged(monkeypatch, ground, n, d, s):
     # SLSQP ends these epigraph solves in mode 8 (positive directional
-    # derivative in the line search) at points that certify.
-    prob = _instance(np.random.default_rng(1000 * n + 10 * d).normal(size=(n, d)) * 2, ground, math.inf)
-    res = solve_subgradient(prob)
+    # derivative in the line search) at points that certify.  The solve
+    # judges the end by SLSQP's own multipliers, without dual recovery.
+    prob = _instance(
+        np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2, MODE_8_GROUNDS[ground], math.inf
+    )
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("the solve checked a certificate")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("normmin.certificates.check_certificate", no_check)
+        res = solve_subgradient(prob)
     assert res.converged
     cert = recover_certificate(prob, res.point)
     assert not isinstance(cert, Infeasible), cert

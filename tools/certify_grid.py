@@ -8,12 +8,14 @@ Each cell runs ``solve_subgradient`` and then ``recover_certificate`` at the
 point it returns, at tolerances 1e-7 and 1e-9.
 
 Prints one JSON line per cell, then one summary line with the cell count,
-the failures at each tolerance and the process's peak resident set size.
-Exits 1 if any cell fails to certify at 1e-7.  Run from the repository root:
+the failures at each tolerance, the cells whose solve reports
+``converged=False`` and the process's peak resident set size.  Exits 1 if
+any cell fails to certify at 1e-7 or reports ``converged=False``.  Run from
+the repository root:
 
     PYTHONPATH=src python tools/certify_grid.py
 
-It takes a few minutes on two cores; the sum- and max-ground recovery
+It takes about a minute on two cores; the sum- and max-ground recovery
 programs at n=256, d=10 dominate the time and the peak memory.
 """
 
@@ -83,7 +85,7 @@ def run_cell(ground: str, p: float, n: int, d: int, s: int) -> dict:
 
 def main() -> int:
     failures = {f"{tol:.0e}": 0 for tol in TOLS}
-    cells = 0
+    cells = not_converged = 0
     for ground in GROUNDS:
         for p in EXPONENTS:
             for n in SIZES:
@@ -92,11 +94,17 @@ def main() -> int:
                         cell = run_cell(ground, p, n, d, s)
                         print(json.dumps(cell), flush=True)
                         cells += 1
+                        not_converged += not cell["converged"]
                         for key in failures:
                             failures[key] += not cell[key]["certified"]
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"cells": cells, "failures": failures, "peak_rss_mb": round(peak_mb, 1)}))
-    return 1 if failures[f"{TOLS[0]:.0e}"] else 0
+    print(json.dumps({
+        "cells": cells,
+        "failures": failures,
+        "not_converged": not_converged,
+        "peak_rss_mb": round(peak_mb, 1),
+    }))
+    return 1 if failures[f"{TOLS[0]:.0e}"] or not_converged else 0
 
 
 if __name__ == "__main__":
