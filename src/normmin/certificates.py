@@ -8,14 +8,18 @@ optimal at the requested tolerance.
 
 Recovery is one routine for the three theorems.  Block ``i`` lies in ``c_i``
 times the ground subdifferential at its displacement, and a cap table read
-off the generator gives the bounds on the caps ``c_i``, the blocks that must
-pair with their displacements and the caps' total.  When the ground norm has
-a unique unit-pairing dual vector (Euclidean and power kinds) the blocks are
-the capped ground gradients; under the max generator the caps are the convex
+off the generator gives the bounds on the caps ``c_i`` and the blocks that
+must pair with their displacements.  When the ground norm has a unique
+unit-pairing dual vector (Euclidean and power kinds) the blocks are the
+capped ground gradients; under the max generator the caps are the convex
 weights of Wolfe's minimum-norm point of the gradients' hull.  On the
-polyhedral grounds it solves one elastic feasibility linear program: each
-block is split into nonnegative parts inside a dual ball whose radius is a
-variable bounded by the cap table.
+polyhedral grounds under the sum and max generators the blocks are read off
+the alignment faces, the parts of the dual balls that pair with the
+displacements: Wolfe's method, driven by each face's linear oracle, finds
+the blocks whose sum has least norm, with no linear program.  Under the
+other power generators on those grounds one elastic feasibility linear
+program spreads the solver's error across its rows: each block is split
+into nonnegative parts inside a dual ball whose radius is the block's cap.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .ground_norms import (
     ground_norm_eval,
     ground_norm_eval_many,
 )
-from .geometry import _min_norm_weights
+from .geometry import _min_norm_rows, _min_norm_weights
 from .problem import (
     ProblemInstance,
     _ground_subgradient,
@@ -297,18 +301,18 @@ def check_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total=None):
+def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol):
     """Dual blocks inside polyhedral dual balls of bounded radius, by one elastic LP.
 
     The blocks are ``W = P - N`` with ``P, N >= 0``, and block ``i`` lies in
     the dual ball of radius ``c_i``, a variable bounded by ``[cap_lo_i,
     cap_hi_i]`` (a zero upper cap pins the block to zero).  Equality rows ask
-    that the blocks sum to zero, that ``<W_i, diffs_i> = r_i c_i`` where
-    ``paired`` holds, and that the caps sum to ``total`` when it is given.
-    Each equality row gets two nonnegative slacks whose sum is the cost.
-    HiGHS's primal and dual feasibility tolerances are ``1e-3 * tol`` (at
-    least 1e-10), well inside the recovery tolerance ``tol``, so a point that
-    meets the conditions at ``tol`` is not lost to the solver's own slack.
+    that the blocks sum to zero and that ``<W_i, diffs_i> = r_i c_i`` where
+    ``paired`` holds.  Each equality row gets two nonnegative slacks whose
+    sum is the cost.  HiGHS's primal and dual feasibility tolerances are
+    ``1e-3 * tol`` (at least 1e-10), well inside the recovery tolerance
+    ``tol``, so a point that meets the conditions at ``tol`` is not lost to
+    the solver's own slack.
     Returns the blocks and the total violation.
 
     The columns are ``P`` and ``N`` (entry ``j`` of block ``i`` in column
@@ -323,7 +327,7 @@ def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total=None):
     n, d = diffs.shape
     nd, cells = n * d, np.arange(n * d)
     blk, caps = cells // d, 2 * nd + np.arange(n)
-    nvar, ne = 2 * nd + n, d + int(paired.sum()) + (total is not None)
+    nvar, ne = 2 * nd + n, d + int(paired.sum())
 
     def matrix(rows, entries):
         ri = np.concatenate([e[0] for e in entries])
@@ -340,8 +344,7 @@ def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total=None):
     else:
         # Dual of the sum ground is the max norm: (P + N)_ij <= c_i.
         a_ub = matrix(nd, [(cells, cells, 1.0), (cells, nd + cells, 1.0), (cells, caps[blk], -1.0)])
-    # Row j balances coordinate j, row d + k pairs the k-th paired block, and
-    # the last row sums the caps when a total is given.
+    # Row j balances coordinate j and row d + k pairs the k-th paired block.
     row, on, slack = d - 1 + np.cumsum(paired), cells[paired[blk]], np.arange(ne)
     eq = [
         (cells % d, cells, 1.0),
@@ -352,17 +355,13 @@ def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total=None):
         (slack, nvar + 2 * slack, 1.0),
         (slack, nvar + 2 * slack + 1, -1.0),
     ]
-    b_eq = np.zeros(ne)
-    if total is not None:
-        eq.append((np.full(n, ne - 1), caps, 1.0))
-        b_eq[-1] = total
     lp_tol = max(1e-10, 1e-3 * tol)
     res = linprog(
         np.concatenate([np.zeros(nvar), np.ones(2 * ne)]),
         A_ub=a_ub,
         b_ub=np.zeros(a_ub.shape[0]),
         A_eq=matrix(ne, eq),
-        b_eq=b_eq,
+        b_eq=np.zeros(ne),
         bounds=np.vstack([bounds, np.tile([0.0, np.inf], (2 * ne, 1))]),
         method="highs",
         options={
@@ -373,6 +372,99 @@ def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total=None):
     if res.status != 0:
         raise RecoveryError(f"feasibility subproblem failed: {res.message}")
     return (res.x[:nd] - res.x[nd : 2 * nd]).reshape(n, d), float(res.fun)
+
+
+def _cheapest(g, cost, budget, edges):
+    """Row by row, weights of the least-``g`` point of a cut simplex.
+
+    The simplex is over the columns and the cut is ``w . cost <= budget``.
+    Its vertices are the columns within budget and, when ``edges`` is set,
+    the points on the edges between a column within budget and one beyond it
+    where the cut is tight; without ``edges`` only the columns within budget
+    are candidates.  Columns of infinite cost never enter.
+    """
+    single = np.where(cost <= budget, g, np.inf)
+    best = single.argmin(axis=1)
+    w = np.zeros(g.shape)
+    w[np.arange(g.shape[0]), best] = 1.0
+    if not edges:
+        return w
+    for i in range(g.shape[0]):
+        within = np.flatnonzero(cost[i] <= budget)
+        beyond = np.flatnonzero((cost[i] > budget) & np.isfinite(cost[i]))
+        mu = (budget - cost[i, within, None]) / (cost[i, beyond] - cost[i, within, None])
+        val = g[i, within, None] + mu * (g[i, beyond] - g[i, within, None])
+        if val.size and val.min() < single[i, best[i]]:
+            a, b = np.unravel_index(int(val.argmin()), val.shape)
+            w[i, best[i]] = 0.0
+            w[i, within[a]], w[i, beyond[b]] = 1.0 - mu[a, b], mu[a, b]
+    return w
+
+
+def _face_duals(kind, diffs, r, ztol, farthest, widen=False):
+    """Dual blocks on the alignment faces whose sum has least norm, by Wolfe's method.
+
+    Block ``i``'s face is the part of its unit dual ball that pairs with the
+    displacement ``x_i`` to ``r_i``.  On the sum ground it fixes ``W_ij =
+    sign(x_ij)`` where ``|x_ij| > ztol`` and leaves the other coordinates free
+    in ``[-1, 1]``; on the max ground it is the hull of ``sign(x_ij) e_j``
+    over the coordinates within ``ztol`` of the row's maximum.  A block whose
+    displacement is within ``ztol`` of zero gets its whole dual ball.  Under
+    the sum generator (``farthest`` is None) every block is in play with cap
+    one, and the oracle returns each block's best face vertex, so the
+    candidate sums fill the Minkowski sum of the faces.  Under the max
+    generator only the ``farthest`` blocks are, and the oracle returns the
+    single best vertex over their faces, so the candidate sums fill the hull
+    of the faces' union and the convex weights add up to the caps.
+
+    With ``widen`` the max-ground faces grow towards what the checker
+    accepts: a coordinate short of the row's maximum by ``delta`` may carry
+    weight ``w`` as long as ``w * delta``, summed over the block (under the
+    max generator, over all the farthest blocks), stays within ``ztol`` less
+    a thousandth for rounding.  Returns the ``(n, d)`` blocks; their sum is
+    the least-norm point of the candidate sums.
+    """
+    n, d = diffs.shape
+    chebyshev = farthest is not None
+    idx = np.flatnonzero(farthest) if chebyshev else np.arange(n)
+    x, rx = diffs[idx], r[idx]
+    if kind == "sum":
+        sign = np.sign(x)
+        fixed = np.abs(x) > ztol
+        lo, hi = np.where(fixed, sign, -1.0), np.where(fixed, sign, 1.0)
+
+        def oracle(y):
+            v = np.where(y > 0.0, lo, hi)
+            if chebyshev:
+                k = int(np.argmin(v @ y))
+                atom = np.zeros_like(v)
+                atom[k] = v[k]
+                v = atom
+            return v.tobytes(), v
+
+    else:
+        # Atoms are the signed unit vectors, column j for +e_j and d + j for
+        # -e_j; each costs its shortfall from the row's maximum, the
+        # misaligned sign is barred and a ball block's atoms are free.
+        sx = np.concatenate([x, -x], axis=1)
+        cost = np.where(sx >= 0.0, rx[:, None] - sx, np.inf)
+        cost[rx <= ztol] = 0.0
+        groups = cost.reshape(1, -1) if chebyshev else cost
+        budget = ztol * (1.0 - 1e-3) if widen else ztol
+
+        def oracle(y):
+            g = np.broadcast_to(np.concatenate([y, -y]), cost.shape).reshape(groups.shape)
+            w = _cheapest(g, groups, budget, widen).reshape(cost.shape)
+            v = w[:, :d] - w[:, d:]
+            return v.tobytes(), v
+
+    # An atom's point has squared norm at most this many squared vertex norms.
+    reach = 1 if chebyshev else idx.size
+    atom_sq = reach * reach * (d if kind == "sum" else 1)
+    _, _, blocks = _min_norm_weights(oracle, oracle(np.zeros(d)), 1e-12 * atom_sq)
+    duals = np.zeros((n, d))
+    duals[idx] = blocks
+    return duals
 
 
 def recover_certificate(
@@ -386,6 +478,13 @@ def recover_certificate(
     profile, and the max generator leaves them free on the farthest blocks,
     summing to one.  Blocks whose displacement vanishes at ``tol`` relative
     to the largest are not paired with it.
+
+    On the sum and max grounds under the sum and max generators the blocks
+    come from the alignment faces by Wolfe's method (``_face_duals``), with
+    ``tol`` times the largest block norm as the zero and tie tolerance; when
+    max-ground faces leave the blocks unbalanced, the faces are widened once
+    to the alignment slack the checker allows.  Under the other power
+    generators on those grounds one elastic linear program finds them.
 
     The returned certificate always passes the generator's specialized
     checker at ``tol``; an :class:`Infeasible` result means ``u`` is not
@@ -401,35 +500,41 @@ def recover_certificate(
     r = ground_norm_eval_many(prob.norm.ground, diffs)
     m = float(r.max())
     ztol = tol * m
-    # The cap table: cap bounds, the paired blocks and the caps' total.
-    total = None
+    # The cap table: the caps (free under the max generator) and the blocks
+    # paired with their displacements.
+    caps = None
     if theorem == FERMAT_TORRICELLI:
-        cap_lo = cap_hi = np.ones(prob.n)
-        paired = r > ztol
+        caps, paired = np.ones(prob.n), r > ztol
     elif theorem == CHEBYSHEV:
         paired = r >= m - ztol
-        cap_lo, cap_hi, total = np.zeros(prob.n), np.where(paired, np.inf, 0.0), 1.0
     else:
         p = prob.norm.generator.p
         profile = _power_profile(r, p) ** (1.0 / conjugate_exponent(p))
-        cap_lo = cap_hi = np.where(r > ztol, profile, 0.0)
-        paired = cap_hi > 0.0
-    if prob.norm.ground.kind in ("sum", "max"):
-        duals, violation = _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol, total)
+        caps = np.where(r > ztol, profile, 0.0)
+        paired = caps > 0.0
+    kind = prob.norm.ground.kind
+    if kind in ("sum", "max") and theorem == P_FERMAT:
+        duals, violation = _polyhedral_duals(prob, diffs, r, caps, caps, paired, tol)
         if violation > tol * max(1.0, float(r.sum())):
             return Infeasible(theorem, "no feasible dual blocks", violation)
+    elif kind in ("sum", "max"):
+        farthest = paired if theorem == CHEBYSHEV else None
+        duals = _face_duals(kind, diffs, r, ztol, farthest)
+        if kind == "max" and float(np.abs(duals.sum(axis=0)).sum()) > tol:
+            # The exact faces do not balance; spend the alignment slack the
+            # checker allows on coordinates just short of the maximum.
+            duals = _face_duals(kind, diffs, r, ztol, farthest, widen=True)
     else:
         # Smooth grounds: each paired block is its cap times the ground
         # gradient; free caps are the convex weights of the gradients'
         # minimum-norm point.
         grads = _ground_subgradient(prob.norm.ground, diffs)
-        caps = cap_hi
-        if total is not None:
+        if caps is None:
             idx = np.flatnonzero(paired)
-            sel, weights = _min_norm_weights(grads[idx])
+            sel, weights, balance = _min_norm_rows(grads[idx])
             caps = np.zeros(prob.n)
             caps[idx[sel]] = weights
-            violation = float(np.linalg.norm(weights @ grads[idx[sel]]))
+            violation = float(np.linalg.norm(balance))
             if violation > tol * max(1.0, m):
                 return Infeasible(theorem, "no convex weights balance the gradients", violation)
         duals = np.where(paired[:, None], caps[:, None] * grads, 0.0)

@@ -1,6 +1,11 @@
 """Small exact-geometry helpers: affine hulls, Wolfe's minimum-norm point of
-a convex hull (the hull projection, and the convex weights that dual recovery
-balances block gradients with) and coordinate-major lattice tiles."""
+a polytope given by a linear-minimisation oracle, and coordinate-major
+lattice tiles.
+
+The minimum-norm point serves three callers: the hull projection and the
+convex weights that dual recovery balances block gradients with (the oracle
+over explicit rows), and dual recovery on the sum and max grounds (oracles
+over the alignment faces)."""
 
 from __future__ import annotations
 
@@ -28,35 +33,66 @@ def affine_hull_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def project_onto_convex_hull(points: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``u`` onto the convex hull of any number of rows."""
     u = np.asarray(u, dtype=float)
-    q = np.asarray(points, dtype=float) - u
-    active, lam = _min_norm_weights(q)
-    return u + lam @ q[active]
+    _, _, y = _min_norm_rows(np.asarray(points, dtype=float) - u)
+    return u + y
 
 
-def _min_norm_weights(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Convex weights on rows of ``q`` whose combination has least norm.
+def _min_norm_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wolfe's method on the hull of the rows of ``q``.
 
-    Wolfe's minimum-norm-point method (Wolfe 1976, "Finding the nearest point
-    in a polytope").  It keeps an affinely independent active set with
-    positive convex weights, adds the row with the least inner product with
-    the current point, and solves the affine least-squares problem on the
-    active set, stepping back along the weights whenever one turns negative.
-    Exact, deterministic and finite; the active set never holds more than
-    ``d + 1`` rows.  Returns the active row indices and their weights.
+    The oracle returns the row with the least inner product with the current
+    point, and the start is the row of least norm.  Returns the active row
+    indices, their convex weights and the minimum-norm point.
     """
     sq = np.einsum("ij,ij->i", q, q)
-    tol = 1e-12 * float(sq.max())
-    active = np.array([int(np.argmin(sq))])
-    lam = np.ones(1)
-    x = q[active[0]]
+
+    def row(j):
+        return j, q[j, None]
+
+    keys, lam, y = _min_norm_weights(
+        lambda x: row(int(np.argmin(q @ x))), row(int(np.argmin(sq))), 1e-12 * float(sq.max())
+    )
+    return np.array(keys), lam, y[0]
+
+
+def _min_norm_weights(oracle, first, tol: float):
+    """Convex weights on vertex stacks whose summed point has least norm.
+
+    Wolfe's minimum-norm-point method (Wolfe 1976, "Finding the nearest point
+    in a polytope"), driven by a linear-minimisation oracle.  An atom is an
+    ``(n, d)`` stack of vertices and the point it contributes is the stack's
+    sum over its ``n`` rows; ``oracle(x)`` returns ``(key, stack)`` for an
+    atom whose point has the least inner product with ``x``, and ``first``
+    is the starting atom in the same form.  Keys identify atoms, so an atom
+    already in the active set ends the search.  The method keeps an affinely
+    independent active set with positive convex weights, adds the oracle's
+    atom while it lowers ``<point, x>`` below ``|x|^2`` by more than ``tol``,
+    and solves the affine least-squares problem on the active set, stepping
+    back along the weights whenever one turns negative.  Exact,
+    deterministic and finite; the active set never holds more than ``d + 1``
+    atoms.  Callers pass ``tol`` as 1e-12 times the largest squared norm an
+    atom's point can have.  Explicit rows are the case ``n = 1`` (see
+    ``_min_norm_rows``).
+
+    Returns the active atoms' keys, their weights and the weighted sum of
+    their stacks, an ``(n, d)`` array whose row sum is the minimum-norm
+    point.
+    """
+    keys, stacks, pts = [first[0]], [first[1]], first[1].sum(axis=0)[None]
+    active, lam = np.zeros(1, dtype=int), np.ones(1)
+    x = pts[0]
     xx = float(x @ x)
     while True:
-        j = int(np.argmin(q @ x))
-        if xx - float(q[j] @ x) <= tol or j in active:
+        key, stack = oracle(x)
+        q = stack.sum(axis=0)
+        if xx - float(q @ x) <= tol or any(keys[i] == key for i in active):
             break
-        cand, weights = np.append(active, j), np.append(lam, 0.0)
+        keys.append(key)
+        stacks.append(stack)
+        pts = np.vstack([pts, q])
+        cand, weights = np.append(active, len(keys) - 1), np.append(lam, 0.0)
         while True:
-            mu = _affine_min_norm_weights(q[cand])
+            mu = _affine_min_norm_weights(pts[cand])
             if mu.min() >= 0.0:
                 keep = mu > 0.0
                 cand, weights = cand[keep], mu[keep]
@@ -67,12 +103,13 @@ def _min_norm_weights(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             weights[neg[np.argmin(ratios)]] = 0.0
             keep = weights > 0.0
             cand, weights = cand[keep], weights[keep]
-        y = weights @ q[cand]
+        y = weights @ pts[cand]
         yy = float(y @ y)
         if yy >= xx:
             break
         active, lam, x, xx = cand, weights, y, yy
-    return active, lam
+    blocks = lam @ np.array([stacks[i] for i in active]).reshape(lam.size, -1)
+    return [keys[i] for i in active], lam, blocks.reshape(first[1].shape)
 
 
 def _affine_min_norm_weights(q: np.ndarray) -> np.ndarray:

@@ -409,7 +409,7 @@ def test_checker_residuals_are_scale_free():
     assert alignments[0] == pytest.approx(alignments[1], rel=1e-6)
 
 
-def _dense_recovery_lp(prob, diffs, r, cap_lo, cap_hi, paired, total):
+def _dense_recovery_lp(prob, diffs, r, cap_lo, cap_hi, paired):
     # The recovery program's (A_ub, A_eq) built dense, as HiGHS would get it
     # from dense input.
     n, d = diffs.shape
@@ -422,8 +422,6 @@ def _dense_recovery_lp(prob, diffs, r, cap_lo, cap_hi, paired, total):
     a_w = np.vstack([np.tile(np.eye(d), n), (blocks * diffs.ravel())[paired]])
     a_c = np.vstack([np.zeros((d, n)), -np.diag(r)[paired]])
     a_eq = np.hstack([a_w, -a_w, a_c])
-    if total is not None:
-        a_eq = np.vstack([a_eq, np.concatenate([np.zeros(2 * nd), np.ones(n)])])
     ne = a_eq.shape[0]
     return (
         np.hstack([a_ub, np.zeros((a_ub.shape[0], 2 * ne))]),
@@ -459,14 +457,101 @@ def test_recovery_lp_matches_its_dense_build(monkeypatch):
                 r = ground_norm_eval_many(ground, diffs)
                 paired = rng.random(n) < 0.7
                 cap_hi = np.where(rng.random(n) < 0.8, rng.random(n), 0.0)
-                for total in (None, 1.0):
-                    seen.clear()
-                    _polyhedral_duals(prob, diffs, r, 0.5 * cap_hi, cap_hi, paired, 1e-7, total)
-                    a_ub, a_eq = seen[0]["A_ub"], seen[0]["A_eq"]
-                    assert sparse.issparse(a_ub) and sparse.issparse(a_eq)
-                    want = sparse.csc_array(np.vstack(_dense_recovery_lp(prob, diffs, r, 0.5 * cap_hi, cap_hi, paired, total)))
-                    got = sparse.csc_array(sparse.vstack((sparse.coo_array(a_ub), sparse.coo_array(a_eq))))
-                    assert got.shape == want.shape
-                    for field in ("indptr", "indices", "data"):
-                        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+                seen.clear()
+                _polyhedral_duals(prob, diffs, r, 0.5 * cap_hi, cap_hi, paired, 1e-7)
+                a_ub, a_eq = seen[0]["A_ub"], seen[0]["A_eq"]
+                assert sparse.issparse(a_ub) and sparse.issparse(a_eq)
+                want = sparse.csc_array(np.vstack(_dense_recovery_lp(prob, diffs, r, 0.5 * cap_hi, cap_hi, paired)))
+                got = sparse.csc_array(sparse.vstack((sparse.coo_array(a_ub), sparse.coo_array(a_eq))))
+                assert got.shape == want.shape
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert zeros > 0
+
+
+def _lp_recovery(prob, u, tol):
+    """Reference: sum- and max-generator recovery by the elastic LP.
+
+    The generator's caps are fixed at one, or free on the farthest blocks.
+    Free caps sum to one in the theorem; the program is homogeneous in the
+    blocks and caps, so each farthest block in turn is pinned at cap one, and
+    a solution is scaled back by the sum of its blocks' dual norms.  The
+    point certifies when some program's scaled violation is within tolerance
+    and its scaled blocks pass the checker.
+    """
+    from normmin.certificates import _polyhedral_duals
+
+    diffs = u - prob.anchors
+    r = ground_norm_eval_many(prob.norm.ground, diffs)
+    ztol = tol * float(r.max())
+    budget = tol * max(1.0, float(r.sum()))
+    if prob.norm.generator.p == 1.0:
+        caps = np.ones(prob.n)
+        duals, violation = _polyhedral_duals(prob, diffs, r, caps, caps, r > ztol, tol)
+        return violation <= budget and check_certificate(prob, Certificate(u, duals), tol=tol).verdict
+    farthest = r >= float(r.max()) - ztol
+    dual_ground = dual_ground_norm(prob.norm.ground)
+    for k in np.flatnonzero(farthest):
+        cap_lo, cap_hi = np.zeros(prob.n), np.where(farthest, np.inf, 0.0)
+        cap_lo[k] = cap_hi[k] = 1.0
+        duals, violation = _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, farthest, tol)
+        total = float(ground_norm_eval_many(dual_ground, duals).sum())
+        if violation <= budget * total and check_certificate(prob, Certificate(u, duals / total), tol=tol).verdict:
+            return True
+    return False
+
+
+def test_polyhedral_face_recovery_needs_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("sum- or max-generator recovery called linprog")
+
+    rng = make_rng(62)
+    cases = []
+    for ground in (GroundNorm.sum(), GroundNorm.max()):
+        for p in (1.0, math.inf):
+            for n in (3, 8, 13, 64):
+                for d in (2, 3, 10):
+                    prob = random_instance(rng, ground=ground, gen=PsiGenerator.power(p), n=n, d=d)
+                    point = solve_subgradient(prob).point
+                    kick = rng.normal(size=d)
+                    cases += [(prob, point), (prob, point + 1e-6 * kick / np.linalg.norm(kick))]
+    # The middle of three collinear anchors is the sum-ground median, and its
+    # block gets the whole dual ball.
+    line = ProblemInstance(
+        np.array([[0.0, 0.0], [1.0, 0.5], [3.0, 1.5]]),
+        ProductNorm(GroundNorm.sum(), PsiGenerator.power(1.0)),
+    )
+    cases += [(line, np.array([1.0, 0.5])), (line, np.array([1.0 + 1e-6, 0.5])), (line, np.array([1.5, 0.75]))]
+    # Corners of a square about the origin: every displacement ties its
+    # coordinates on the max ground, and every block is farthest.
+    square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [0.5, -0.25]])
+    for p in (1.0, math.inf):
+        prob = ProblemInstance(square, ProductNorm(GroundNorm.max(), PsiGenerator.power(p)))
+        cases += [(prob, np.zeros(2)), (prob, np.array([1e-6, 0.0])), (prob, solve_subgradient(prob).point)]
+    outcomes = set()
+    for prob, u in cases:
+        for tol in (1e-7, 1e-5):
+            want = _lp_recovery(prob, u, tol)
+            with monkeypatch.context() as patch:
+                patch.setattr(scipy.optimize, "linprog", no_lp)
+                got = recover_certificate(prob, u, tol=tol)
+            certified = isinstance(got, Certificate)
+            assert certified == want, (prob.norm.ground.kind, prob.norm.generator.p, prob.n, prob.dim, tol, got)
+            outcomes.add(certified)
+    assert outcomes == {True, False}
+
+
+def test_face_recovery_is_scale_free():
+    # The faces are cut by tol times the largest block norm, so an optimum
+    # shrunk by 1e-9 certifies like its unit-scale copy; the elastic LP's
+    # absolute tolerances rejected the tiny copies.
+    for ground in (GroundNorm.sum(), GroundNorm.max()):
+        for p in (1.0, math.inf):
+            for seed in range(4):
+                anchors = np.random.default_rng(seed).normal(size=(6, 3))
+                unit = ProblemInstance(anchors, ProductNorm(ground, PsiGenerator.power(p)))
+                tiny = ProblemInstance(anchors * 1e-9, ProductNorm(ground, PsiGenerator.power(p)))
+                u = solve_subgradient(unit).point
+                for prob, point in ((unit, u), (tiny, u * 1e-9)):
+                    got = recover_certificate(prob, point, tol=1e-7)
+                    assert isinstance(got, Certificate), (ground.kind, p, seed, got)

@@ -3,12 +3,15 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import normmin
 from normmin import dumps, load_path
 from normmin.cli import main
 
@@ -293,3 +296,27 @@ def test_entry_point_subprocess_determinism(tmp_path):
     first, second = run_once(), run_once()
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_sum_and_max_generator_commands_import_no_scipy_optimize(tmp_path):
+    # Recovery under the sum and max generators reads the blocks off the
+    # alignment faces, so neither command should load scipy's LP solver.
+    prob_path = tmp_path / "prob.json"
+    prob_path.write_text(dumps(FT_LINF_PROBLEM), encoding="utf-8")
+    point_path = tmp_path / "point.json"
+    point_path.write_text(dumps({"point": [1.0, 0.5]}), encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from normmin.cli import main\n"
+        f"codes = [main(['recover', {str(prob_path)!r}, {str(point_path)!r}, '-o', 'recover.json']),\n"
+        "         main(['reproduce-examples', '--only', 'ft-l1-pair', '--grid', '81', '-o', 'cases'])]\n"
+        "print(codes, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(normmin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] False"
+    assert load_path(tmp_path / "recover.json")["duals"] == [[1.0, 0.0], [-1.0, 0.0]]

@@ -10,6 +10,7 @@ from normmin import (
     hull_distance,
     project_onto_convex_hull,
 )
+from normmin.geometry import _affine_min_norm_weights
 
 
 def test_affine_hull_basis_ranks():
@@ -79,3 +80,49 @@ def test_hull_projection_at_scale(n, d):
         assert abs(lp.x.sum() - 1.0) <= 1e-9
     inside = rng.dirichlet(np.ones(n)) @ pts
     assert np.allclose(project_onto_convex_hull(pts, inside), inside, rtol=0, atol=1e-9)
+
+
+def _explicit_rows_projection(points, u):
+    # Wolfe's loop on explicit rows as it stood before the oracle form: the
+    # row of least inner product with the current point joins the active set.
+    u = np.asarray(u, dtype=float)
+    q = np.asarray(points, dtype=float) - u
+    sq = np.einsum("ij,ij->i", q, q)
+    tol = 1e-12 * float(sq.max())
+    active = np.array([int(np.argmin(sq))])
+    lam = np.ones(1)
+    x = q[active[0]]
+    xx = float(x @ x)
+    while True:
+        j = int(np.argmin(q @ x))
+        if xx - float(q[j] @ x) <= tol or j in active:
+            break
+        cand, weights = np.append(active, j), np.append(lam, 0.0)
+        while True:
+            mu = _affine_min_norm_weights(q[cand])
+            if mu.min() >= 0.0:
+                keep = mu > 0.0
+                cand, weights = cand[keep], mu[keep]
+                break
+            neg = np.flatnonzero(mu < 0.0)
+            ratios = weights[neg] / (weights[neg] - mu[neg])
+            weights = weights + ratios.min() * (mu - weights)
+            weights[neg[np.argmin(ratios)]] = 0.0
+            keep = weights > 0.0
+            cand, weights = cand[keep], weights[keep]
+        y = weights @ q[cand]
+        yy = float(y @ y)
+        if yy >= xx:
+            break
+        active, lam, x, xx = cand, weights, y, yy
+    return u + lam @ q[active]
+
+
+def test_hull_projection_through_the_oracle_is_bitwise_the_explicit_rows_loop():
+    rng = make_rng(45)
+    for _ in range(120):
+        n, d = int(rng.integers(1, 200)), int(rng.integers(1, 12))
+        pts = rng.normal(size=(n, d)) * rng.choice([1e-6, 1.0, 1e4])
+        for u in rng.normal(scale=3.0, size=(3, d)):
+            got = project_onto_convex_hull(pts, u)
+            assert got.tobytes() == _explicit_rows_projection(pts, u).tobytes()

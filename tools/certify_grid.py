@@ -9,14 +9,15 @@ point it returns, at tolerances 1e-7 and 1e-9.
 
 Prints one JSON line per cell, then one summary line with the cell count,
 the failures at each tolerance, the cells whose solve reports
-``converged=False`` and the process's peak resident set size.  Exits 1 if
-any cell fails to certify at 1e-7 or reports ``converged=False``.  Run from
-the repository root:
+``converged=False``, the seconds spent in ``recover_certificate`` per ground
+(both tolerances together) and the process's peak resident set size.  Exits
+1 if any cell fails to certify at 1e-7 or reports ``converged=False``.  Run
+from the repository root:
 
     PYTHONPATH=src python tools/certify_grid.py
 
-It takes about a minute on two cores; the sum- and max-ground recovery
-programs at n=256, d=10 dominate the time and the peak memory.
+It takes under a minute on two cores, most of it in the recovery programs of
+the finite power generators on the sum and max grounds.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def outcome(prob: ProblemInstance, point: np.ndarray, tol: float) -> dict:
     return {"certified": False, "reason": got.reason, "residual": got.residual}
 
 
-def run_cell(ground: str, p: float, n: int, d: int, s: int) -> dict:
+def run_cell(ground: str, p: float, n: int, d: int, s: int) -> tuple[dict, float]:
+    """The cell's JSON record and its seconds in ``recover_certificate``."""
     anchors = np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2
     prob = ProblemInstance(anchors, ProductNorm(GROUNDS[ground], PsiGenerator.power(p)))
     t0 = time.perf_counter()
@@ -76,25 +78,30 @@ def run_cell(ground: str, p: float, n: int, d: int, s: int) -> dict:
         "value": res.value,
         "solve_s": round(t1 - t0, 4),
     }
+    recover_s = 0.0
     for tol in TOLS:
         t0 = time.perf_counter()
         cell[f"{tol:.0e}"] = outcome(prob, res.point, tol)
-        cell[f"recover_{tol:.0e}_s"] = round(time.perf_counter() - t0, 4)
-    return cell
+        dt = time.perf_counter() - t0
+        cell[f"recover_{tol:.0e}_s"] = round(dt, 4)
+        recover_s += dt
+    return cell, recover_s
 
 
 def main() -> int:
     failures = {f"{tol:.0e}": 0 for tol in TOLS}
     cells = not_converged = 0
+    recover_s = dict.fromkeys(GROUNDS, 0.0)
     for ground in GROUNDS:
         for p in EXPONENTS:
             for n in SIZES:
                 for d in DIMS:
                     for s in SEEDS:
-                        cell = run_cell(ground, p, n, d, s)
+                        cell, seconds = run_cell(ground, p, n, d, s)
                         print(json.dumps(cell), flush=True)
                         cells += 1
                         not_converged += not cell["converged"]
+                        recover_s[ground] += seconds
                         for key in failures:
                             failures[key] += not cell[key]["certified"]
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -102,6 +109,7 @@ def main() -> int:
         "cells": cells,
         "failures": failures,
         "not_converged": not_converged,
+        "recover_s": {g: round(t, 3) for g, t in recover_s.items()},
         "peak_rss_mb": round(peak_mb, 1),
     }))
     return 1 if failures[f"{TOLS[0]:.0e}"] or not_converged else 0
