@@ -31,7 +31,6 @@ from .errors import (
     InvalidInputError,
     MembershipViolationError,
     NormMinError,
-    RecoveryError,
     UnsupportedGeneratorError,
 )
 from .examples import (

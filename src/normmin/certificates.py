@@ -13,13 +13,10 @@ must pair with their displacements.  When the ground norm has a unique
 unit-pairing dual vector (Euclidean and power kinds) the blocks are the
 capped ground gradients; under the max generator the caps are the convex
 weights of Wolfe's minimum-norm point of the gradients' hull.  On the
-polyhedral grounds under the sum and max generators the blocks are read off
-the alignment faces, the parts of the dual balls that pair with the
-displacements: Wolfe's method, driven by each face's linear oracle, finds
-the blocks whose sum has least norm, with no linear program.  Under the
-other power generators on those grounds one elastic feasibility linear
-program spreads the solver's error across its rows: each block is split
-into nonnegative parts inside a dual ball whose radius is the block's cap.
+polyhedral grounds each block is its cap times a point of its alignment
+face, the part of the dual ball that pairs with the displacement: Wolfe's
+method, driven by each face's linear oracle, finds the blocks whose sum has
+least norm.  Recovery solves no linear program.
 """
 
 from __future__ import annotations
@@ -29,11 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    RecoveryError,
-    UnsupportedGeneratorError,
-)
+from .errors import InvalidInputError, UnsupportedGeneratorError
 from .ground_norms import (
     DEFAULT_TOL,
     as_vector,
@@ -301,167 +294,146 @@ def check_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _polyhedral_duals(prob, diffs, r, cap_lo, cap_hi, paired, tol):
-    """Dual blocks inside polyhedral dual balls of bounded radius, by one elastic LP.
-
-    The blocks are ``W = P - N`` with ``P, N >= 0``, and block ``i`` lies in
-    the dual ball of radius ``c_i``, a variable bounded by ``[cap_lo_i,
-    cap_hi_i]`` (a zero upper cap pins the block to zero).  Equality rows ask
-    that the blocks sum to zero and that ``<W_i, diffs_i> = r_i c_i`` where
-    ``paired`` holds.  Each equality row gets two nonnegative slacks whose
-    sum is the cost.  HiGHS's primal and dual feasibility tolerances are
-    ``1e-3 * tol`` (at least 1e-10), well inside the recovery tolerance
-    ``tol``, so a point that meets the conditions at ``tol`` is not lost to
-    the solver's own slack.
-    Returns the blocks and the total violation.
-
-    The columns are ``P`` and ``N`` (entry ``j`` of block ``i`` in column
-    ``i d + j`` of each), the caps, then the slacks.  Both constraint
-    matrices are built as COO from index arrays, the form ``linprog`` turns
-    sparse input into before stacking it, with no stored zeros, so HiGHS
-    gets the same matrix as from their dense forms.
-    """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    n, d = diffs.shape
-    nd, cells = n * d, np.arange(n * d)
-    blk, caps = cells // d, 2 * nd + np.arange(n)
-    nvar, ne = 2 * nd + n, d + int(paired.sum())
-
-    def matrix(rows, entries):
-        ri = np.concatenate([e[0] for e in entries])
-        ci = np.concatenate([e[1] for e in entries])
-        vals = np.concatenate([np.broadcast_to(e[2], e[1].shape) for e in entries])
-        keep = vals != 0.0
-        return sparse.coo_array((vals[keep], (ri[keep], ci[keep])), shape=(rows, nvar + 2 * ne))
-
-    pn = np.column_stack([np.zeros(nd), np.repeat(np.where(cap_hi > 0.0, np.inf, 0.0), d)])
-    bounds = np.vstack([pn, pn, np.column_stack([cap_lo, cap_hi])])
-    if prob.norm.ground.kind == "max":
-        # Dual of the max ground is the sum norm: sum_j (P + N)_ij <= c_i.
-        a_ub = matrix(n, [(blk, cells, 1.0), (blk, nd + cells, 1.0), (np.arange(n), caps, -1.0)])
-    else:
-        # Dual of the sum ground is the max norm: (P + N)_ij <= c_i.
-        a_ub = matrix(nd, [(cells, cells, 1.0), (cells, nd + cells, 1.0), (cells, caps[blk], -1.0)])
-    # Row j balances coordinate j and row d + k pairs the k-th paired block.
-    row, on, slack = d - 1 + np.cumsum(paired), cells[paired[blk]], np.arange(ne)
-    eq = [
-        (cells % d, cells, 1.0),
-        (cells % d, nd + cells, -1.0),
-        (row[blk[on]], on, diffs.ravel()[on]),
-        (row[blk[on]], nd + on, -diffs.ravel()[on]),
-        (row[paired], caps[paired], -r[paired]),
-        (slack, nvar + 2 * slack, 1.0),
-        (slack, nvar + 2 * slack + 1, -1.0),
-    ]
-    lp_tol = max(1e-10, 1e-3 * tol)
-    res = linprog(
-        np.concatenate([np.zeros(nvar), np.ones(2 * ne)]),
-        A_ub=a_ub,
-        b_ub=np.zeros(a_ub.shape[0]),
-        A_eq=matrix(ne, eq),
-        b_eq=np.zeros(ne),
-        bounds=np.vstack([bounds, np.tile([0.0, np.inf], (2 * ne, 1))]),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": lp_tol,
-            "dual_feasibility_tolerance": lp_tol,
-        },
-    )
-    if res.status != 0:
-        raise RecoveryError(f"feasibility subproblem failed: {res.message}")
-    return (res.x[:nd] - res.x[nd : 2 * nd]).reshape(n, d), float(res.fun)
-
-
 def _cheapest(g, cost, budget, edges):
     """Row by row, weights of the least-``g`` point of a cut simplex.
 
-    The simplex is over the columns and the cut is ``w . cost <= budget``.
-    Its vertices are the columns within budget and, when ``edges`` is set,
-    the points on the edges between a column within budget and one beyond it
+    The simplex is over the columns and the cut is ``w . cost <= budget``,
+    with a column of budgets, one per row, or one budget for all.  Its
+    vertices are the columns within budget and, when ``edges`` is set, the
+    points on the edges between a column within budget and one beyond it
     where the cut is tight; without ``edges`` only the columns within budget
     are candidates.  Columns of infinite cost never enter.
     """
-    single = np.where(cost <= budget, g, np.inf)
+    budget = np.broadcast_to(budget, (g.shape[0], 1))
+    within = cost <= budget
+    single = np.where(within, g, np.inf)
     best = single.argmin(axis=1)
     w = np.zeros(g.shape)
     w[np.arange(g.shape[0]), best] = 1.0
     if not edges:
         return w
-    for i in range(g.shape[0]):
-        within = np.flatnonzero(cost[i] <= budget)
-        beyond = np.flatnonzero((cost[i] > budget) & np.isfinite(cost[i]))
-        mu = (budget - cost[i, within, None]) / (cost[i, beyond] - cost[i, within, None])
-        val = g[i, within, None] + mu * (g[i, beyond] - g[i, within, None])
-        if val.size and val.min() < single[i, best[i]]:
-            a, b = np.unravel_index(int(val.argmin()), val.shape)
-            w[i, best[i]] = 0.0
-            w[i, within[a]], w[i, beyond[b]] = 1.0 - mu[a, b], mu[a, b]
+    # One row of edge values per column within budget, over every column of
+    # its row; only the columns beyond budget count.
+    row, a = np.nonzero(within)
+    ga, ca = g[row, a, None], cost[row, a, None]
+    beyond = (cost[row] > budget[row]) & np.isfinite(cost[row])
+    mu = np.divide(budget[row] - ca, cost[row] - ca, out=np.zeros(beyond.shape), where=beyond)
+    val = np.where(beyond, ga + mu * (g[row] - ga), np.inf)
+    b = val.argmin(axis=1)
+    low = val[np.arange(row.size), b]
+    least = np.full(g.shape[0], np.inf)
+    np.minimum.at(least, row, low)
+    # The first edge of least value in each row that beats its best column.
+    hit = np.flatnonzero((low == least[row]) & (least < single.min(axis=1))[row])
+    i, first = np.unique(row[hit], return_index=True)
+    k = hit[first]
+    w[i, best[i]] = 0.0
+    w[i, a[k]], w[i, b[k]] = 1.0 - mu[k, b[k]], mu[k, b[k]]
     return w
 
 
-def _face_duals(kind, diffs, r, ztol, farthest, widen=False):
+def _bend(v, y, x, bendable, budget):
+    """Rows of ``v`` moved off their signs towards least ``v . y``, within budget.
+
+    A bendable coordinate of ``v`` sits at ``sign(x_ij)`` and may move by up
+    to 2 towards ``-sign(x_ij)`` at a cost of ``|x_ij|`` per unit.  Each row
+    spends at most its budget, on the coordinates with the most gain in
+    ``v . y`` per unit of cost first: a fractional knapsack.
+    """
+    ax = np.abs(x)
+    gain = np.where(bendable & (v * y > 0.0), np.abs(y), 0.0)
+    ratio = np.divide(gain, ax, out=np.zeros_like(gain), where=gain > 0.0)
+    order = np.argsort(-ratio, axis=1, kind="stable")
+    unit = np.take_along_axis(np.where(gain > 0.0, ax, 0.0), order, axis=1)
+    spent = np.cumsum(2.0 * unit, axis=1) - 2.0 * unit
+    step = np.divide(budget - spent, unit, out=np.zeros_like(unit), where=unit > 0.0)
+    dev = np.zeros_like(v)
+    np.put_along_axis(dev, order, np.clip(step, 0.0, 2.0), axis=1)
+    return v - np.sign(v) * dev
+
+
+def _face_duals(kind, diffs, r, ztol, caps, paired, push=None):
     """Dual blocks on the alignment faces whose sum has least norm, by Wolfe's method.
 
-    Block ``i``'s face is the part of its unit dual ball that pairs with the
-    displacement ``x_i`` to ``r_i``.  On the sum ground it fixes ``W_ij =
-    sign(x_ij)`` where ``|x_ij| > ztol`` and leaves the other coordinates free
-    in ``[-1, 1]``; on the max ground it is the hull of ``sign(x_ij) e_j``
-    over the coordinates within ``ztol`` of the row's maximum.  A block whose
-    displacement is within ``ztol`` of zero gets its whole dual ball.  Under
-    the sum generator (``farthest`` is None) every block is in play with cap
-    one, and the oracle returns each block's best face vertex, so the
-    candidate sums fill the Minkowski sum of the faces.  Under the max
-    generator only the ``farthest`` blocks are, and the oracle returns the
-    single best vertex over their faces, so the candidate sums fill the hull
-    of the faces' union and the convex weights add up to the caps.
+    Block ``i`` is its cap ``c_i`` times a point of its face, the part of
+    the unit dual ball that pairs with the displacement ``x_i`` to ``r_i``.
+    On the sum ground the face fixes ``W_ij = sign(x_ij)`` where ``|x_ij| >
+    ztol`` and leaves the other coordinates free in ``[-1, 1]``; on the max
+    ground it is the hull of ``sign(x_ij) e_j`` over the coordinates within
+    ``ztol`` of the row's maximum.  A block whose displacement is within
+    ``ztol`` of zero gets its whole dual ball.  With fixed ``caps`` (the sum
+    and finite power generators) the blocks of positive cap are in play, and
+    the oracle returns each block's best face vertex times its cap, so the
+    candidate sums fill the Minkowski sum of the scaled faces.  With
+    ``caps`` None (the max generator) the ``paired`` blocks are in play, and
+    the oracle returns the single best vertex over their faces, so the
+    candidate sums fill the hull of the faces' union and the convex weights
+    are the caps.
 
-    With ``widen`` the max-ground faces grow towards what the checker
-    accepts: a coordinate short of the row's maximum by ``delta`` may carry
-    weight ``w`` as long as ``w * delta``, summed over the block (under the
-    max generator, over all the farthest blocks), stays within ``ztol`` less
-    a thousandth for rounding.  Returns the ``(n, d)`` blocks; their sum is
-    the least-norm point of the candidate sums.
+    ``push``, the imbalance a pass on these faces left, widens them towards
+    what the checker accepts: a block may pair short of ``c_i r_i`` by
+    ``ztol`` less a thousandth for rounding, so its face may fall short by
+    ``ztol / c_i`` (one cap under the max generator).  On the sum ground a
+    fixed coordinate may move off its sign at a cost of ``|x_ij|`` per unit,
+    except the block's largest, which keeps the block's dual norm at one.
+    On the max ground a coordinate short of the row's maximum by ``delta``
+    may carry weight ``w`` at a cost of ``w * delta``, summed over the block
+    (under the max generator, over all the farthest blocks); off the tie
+    only the sign that pushes ``push`` back is allowed, whatever the sign of
+    ``x_ij``.  Returns the ``(n, d)`` blocks; their sum is the least-norm
+    point of the candidate sums.
     """
     n, d = diffs.shape
-    chebyshev = farthest is not None
-    idx = np.flatnonzero(farthest) if chebyshev else np.arange(n)
+    chebyshev = caps is None
+    idx = np.flatnonzero(paired if chebyshev else caps > 0.0)
     x, rx = diffs[idx], r[idx]
+    cap = 1.0 if chebyshev else caps[idx, None]
+    budget = ztol if push is None else ztol * (1.0 - 1e-3) / cap
     if kind == "sum":
         sign = np.sign(x)
         fixed = np.abs(x) > ztol
         lo, hi = np.where(fixed, sign, -1.0), np.where(fixed, sign, 1.0)
+        bendable = fixed.copy()
+        bendable[np.arange(idx.size), np.abs(x).argmax(axis=1)] = False
 
         def oracle(y):
             v = np.where(y > 0.0, lo, hi)
+            if push is not None:
+                v = _bend(v, y, x, bendable, budget)
             if chebyshev:
                 k = int(np.argmin(v @ y))
                 atom = np.zeros_like(v)
                 atom[k] = v[k]
                 v = atom
+            v = cap * v
             return v.tobytes(), v
 
     else:
         # Atoms are the signed unit vectors, column j for +e_j and d + j for
-        # -e_j; each costs its shortfall from the row's maximum, the
-        # misaligned sign is barred and a ball block's atoms are free.
+        # -e_j; each costs its shortfall from the row's maximum, a barred
+        # sign costs infinity and a ball block's atoms are free.
         sx = np.concatenate([x, -x], axis=1)
-        cost = np.where(sx >= 0.0, rx[:, None] - sx, np.inf)
+        short = rx[:, None] - sx
+        allowed = sx >= 0.0
+        if push is not None:
+            tie = np.tile(rx[:, None] - np.abs(x) <= ztol, 2)
+            allowed = np.where(tie, allowed, np.concatenate([push < 0.0, push > 0.0]))
+        cost = np.where(allowed, short, np.inf)
         cost[rx <= ztol] = 0.0
         groups = cost.reshape(1, -1) if chebyshev else cost
-        budget = ztol * (1.0 - 1e-3) if widen else ztol
 
         def oracle(y):
             g = np.broadcast_to(np.concatenate([y, -y]), cost.shape).reshape(groups.shape)
-            w = _cheapest(g, groups, budget, widen).reshape(cost.shape)
-            v = w[:, :d] - w[:, d:]
+            w = _cheapest(g, groups, budget, push is not None).reshape(cost.shape)
+            v = cap * (w[:, :d] - w[:, d:])
             return v.tobytes(), v
 
     # An atom's point has squared norm at most this many squared vertex norms.
+    # The stop is 1e-22 of it: at 1e-12 Wolfe left imbalances up to 2.5e-4,
+    # and 62 cells of the 900-cell probe failed at 1e-7.
     reach = 1 if chebyshev else idx.size
     atom_sq = reach * reach * (d if kind == "sum" else 1)
-    _, _, blocks = _min_norm_weights(oracle, oracle(np.zeros(d)), 1e-12 * atom_sq)
+    _, _, blocks = _min_norm_weights(oracle, oracle(np.zeros(d)), 1e-22 * atom_sq)
     duals = np.zeros((n, d))
     duals[idx] = blocks
     return duals
@@ -479,12 +451,12 @@ def recover_certificate(
     summing to one.  Blocks whose displacement vanishes at ``tol`` relative
     to the largest are not paired with it.
 
-    On the sum and max grounds under the sum and max generators the blocks
-    come from the alignment faces by Wolfe's method (``_face_duals``), with
-    ``tol`` times the largest block norm as the zero and tie tolerance; when
-    max-ground faces leave the blocks unbalanced, the faces are widened once
-    to the alignment slack the checker allows.  Under the other power
-    generators on those grounds one elastic linear program finds them.
+    On the sum and max grounds each block is its cap times a point of its
+    alignment face, and Wolfe's method reads the blocks off the faces
+    (``_face_duals``), with ``tol`` times the largest block norm as the zero
+    and tie tolerance; when the faces leave the blocks unbalanced by more
+    than a thousandth of ``tol``, they are widened once to the alignment
+    slack the checker allows.
 
     The returned certificate always passes the generator's specialized
     checker at ``tol``; an :class:`Infeasible` result means ``u`` is not
@@ -513,17 +485,13 @@ def recover_certificate(
         caps = np.where(r > ztol, profile, 0.0)
         paired = caps > 0.0
     kind = prob.norm.ground.kind
-    if kind in ("sum", "max") and theorem == P_FERMAT:
-        duals, violation = _polyhedral_duals(prob, diffs, r, caps, caps, paired, tol)
-        if violation > tol * max(1.0, float(r.sum())):
-            return Infeasible(theorem, "no feasible dual blocks", violation)
-    elif kind in ("sum", "max"):
-        farthest = paired if theorem == CHEBYSHEV else None
-        duals = _face_duals(kind, diffs, r, ztol, farthest)
-        if kind == "max" and float(np.abs(duals.sum(axis=0)).sum()) > tol:
+    if kind in ("sum", "max"):
+        duals = _face_duals(kind, diffs, r, ztol, caps, paired)
+        push = duals.sum(axis=0)
+        if float(np.abs(push).sum()) > 1e-3 * tol:
             # The exact faces do not balance; spend the alignment slack the
-            # checker allows on coordinates just short of the maximum.
-            duals = _face_duals(kind, diffs, r, ztol, farthest, widen=True)
+            # checker allows.
+            duals = _face_duals(kind, diffs, r, ztol, caps, paired, push)
     else:
         # Smooth grounds: each paired block is its cap times the ground
         # gradient; free caps are the convex weights of the gradients'

@@ -34,7 +34,6 @@ from .errors import (
     InputFormatError,
     MembershipViolationError,
     NormMinError,
-    RecoveryError,
 )
 from .examples import find_cases, run_case
 from .psi_generators import validate_psi
@@ -313,9 +312,6 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except RecoveryError:
-        # internal invariants broke; crash loudly rather than report exit 1
-        raise
     except NormMinError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

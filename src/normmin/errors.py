@@ -33,10 +33,6 @@ class BudgetExceededError(NormMinError):
     """A grid or enumeration request exceeds the configured size cap."""
 
 
-class RecoveryError(NormMinError):
-    """The feasibility subproblem behind certificate recovery failed numerically."""
-
-
 class InputFormatError(NormMinError):
     """JSON input does not match the documented schema.
 

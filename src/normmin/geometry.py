@@ -70,9 +70,10 @@ def _min_norm_weights(oracle, first, tol: float):
     and solves the affine least-squares problem on the active set, stepping
     back along the weights whenever one turns negative.  Exact,
     deterministic and finite; the active set never holds more than ``d + 1``
-    atoms.  Callers pass ``tol`` as 1e-12 times the largest squared norm an
-    atom's point can have.  Explicit rows are the case ``n = 1`` (see
-    ``_min_norm_rows``).
+    atoms.  Callers pass ``tol`` as a small multiple of the largest squared
+    norm an atom's point can have: 1e-12 for explicit rows, 1e-22 for the
+    alignment faces of dual recovery.  Explicit rows are the case ``n = 1``
+    (see ``_min_norm_rows``).
 
     Returns the active atoms' keys, their weights and the weighted sum of
     their stacks, an ``(n, d)`` array whose row sum is the minimum-norm

@@ -299,17 +299,24 @@ def test_entry_point_subprocess_determinism(tmp_path):
 
 
 def test_sum_and_max_generator_commands_import_no_scipy_optimize(tmp_path):
-    # Recovery under the sum and max generators reads the blocks off the
-    # alignment faces, so neither command should load scipy's LP solver.
+    # Recovery on the sum and max grounds reads the blocks off the alignment
+    # faces under every power generator, so neither command should load
+    # scipy's LP solver.
     prob_path = tmp_path / "prob.json"
     prob_path.write_text(dumps(FT_LINF_PROBLEM), encoding="utf-8")
+    power_path = tmp_path / "power-prob.json"
+    power_path.write_text(dumps(dict(FT_LINF_PROBLEM, ground={"kind": "sum"}, generator={"kind": "p", "p": 2.0})), encoding="utf-8")
     point_path = tmp_path / "point.json"
     point_path.write_text(dumps({"point": [1.0, 0.5]}), encoding="utf-8")
+    middle_path = tmp_path / "middle.json"
+    middle_path.write_text(dumps({"point": [1.0, 0.0]}), encoding="utf-8")
     script = (
         "import sys\n"
         "from normmin.cli import main\n"
         f"codes = [main(['recover', {str(prob_path)!r}, {str(point_path)!r}, '-o', 'recover.json']),\n"
-        "         main(['reproduce-examples', '--only', 'ft-l1-pair', '--grid', '81', '-o', 'cases'])]\n"
+        f"         main(['recover', {str(power_path)!r}, {str(middle_path)!r}, '-o', 'power.json']),\n"
+        "         main(['reproduce-examples', '--only', 'ft-l1-pair', '--grid', '81', '-o', 'cases']),\n"
+        "         main(['reproduce-examples', '--only', 'pft-linf-pair', '--grid', '81', '-o', 'cases'])]\n"
         "print(codes, 'scipy.optimize' in sys.modules)\n"
     )
     src = str(Path(normmin.__file__).resolve().parents[1])
@@ -318,5 +325,7 @@ def test_sum_and_max_generator_commands_import_no_scipy_optimize(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0] False"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
     assert load_path(tmp_path / "recover.json")["duals"] == [[1.0, 0.0], [-1.0, 0.0]]
+    half = np.sqrt(0.5)
+    assert np.allclose(load_path(tmp_path / "power.json")["duals"], [[half, 0.0], [-half, 0.0]], rtol=0.0, atol=1e-15)

@@ -11,13 +11,13 @@ Prints one JSON line per cell, then one summary line with the cell count,
 the failures at each tolerance, the cells whose solve reports
 ``converged=False``, the seconds spent in ``recover_certificate`` per ground
 (both tolerances together) and the process's peak resident set size.  Exits
-1 if any cell fails to certify at 1e-7 or reports ``converged=False``.  Run
-from the repository root:
+1 if any cell fails to certify at 1e-7, if more than ``MAX_FAILURES_1E_9``
+cells fail to certify at 1e-9, or if any cell reports ``converged=False``.
+Run from the repository root:
 
     PYTHONPATH=src python tools/certify_grid.py
 
-It takes under a minute on two cores, most of it in the recovery programs of
-the finite power generators on the sum and max grounds.
+It takes under a minute on two cores, most of it in the solves.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ SIZES = (4, 13, 64, 256)
 DIMS = (2, 3, 10)
 SEEDS = (0, 1, 2)
 TOLS = (1e-7, 1e-9)
+# The count of cells that fail to certify at 1e-9 today; lower it when a
+# change certifies more of them.
+MAX_FAILURES_1E_9 = 40
 
 
 def outcome(prob: ProblemInstance, point: np.ndarray, tol: float) -> dict:
@@ -112,7 +115,8 @@ def main() -> int:
         "recover_s": {g: round(t, 3) for g, t in recover_s.items()},
         "peak_rss_mb": round(peak_mb, 1),
     }))
-    return 1 if failures[f"{TOLS[0]:.0e}"] or not_converged else 0
+    too_many = failures[f"{TOLS[1]:.0e}"] > MAX_FAILURES_1E_9
+    return 1 if failures[f"{TOLS[0]:.0e}"] or too_many or not_converged else 0
 
 
 if __name__ == "__main__":
