@@ -1,15 +1,18 @@
 """Small exact-geometry helpers: affine hulls, Wolfe's minimum-norm point of
-a polytope given by a linear-minimisation oracle, and coordinate-major
-lattice tiles.
+a polytope given by a linear-minimisation oracle, and the lattice walk.
 
 The minimum-norm point serves three callers: the hull projection and the
 convex weights that dual recovery balances block gradients with (the oracle
 over explicit rows), and dual recovery on the sum and max grounds (oracles
-over the alignment faces)."""
+over the alignment faces).
+
+The lattice walk serves region sampling and the grid oracle.  It judges
+blocks of the lattice by their middle points and a caller's Lipschitz
+bound, drops the blocks that provably hold nothing the caller wants, and
+hands the rest over in row-major, coordinate-major chunks of at most a
+tile."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -131,18 +134,170 @@ def hull_distance(points: np.ndarray, u: np.ndarray) -> float:
 # cache; on a Xeon core with that cache, 4x larger tiles ran 1.7x slower.
 _TILE_POINTS = 1 << 13
 
+# The lattice walk's blocks stop splitting at leaves of about this many
+# points, and a block has about this many children: every level costs a
+# judge call and a few dozen small array operations, so a 1-D walk that
+# halves its blocks spends more on levels than on points.
+_LEAF_POINTS = 64
+_CHILDREN = 16
 
-def _lattice_tiles(axes):
-    """The row-major lattice of ``axes`` in tiles of whole first-axis layers.
 
-    Yields ``(m, len(axes))`` point arrays of at most ``_TILE_POINTS`` points
-    (one layer if a layer holds more) whose concatenation is the whole lattice
-    in row-major order; each is the transpose view of a ``(len(axes), m)``
-    array.  A tile is built only after the previous one has been handed over
-    and the generator keeps no reference to it, so the caller's peak memory
-    is about one tile.
+def _lattice_walk(axes, judge):
+    """The row-major lattice of nondecreasing ``axes``, less the blocks ``judge`` rules out.
+
+    A branch and bound over index blocks (Piyavskii 1972; Shubert 1972).  The
+    walk starts from the whole index box and, at each level, cuts every axis
+    of a block into a few even runs, about ``_CHILDREN`` children in all,
+    down to leaves of about ``_LEAF_POINTS`` points; no leaf holds a single
+    point unless the lattice does.  ``judge(centers, radii)``
+    receives each block's middle lattice point as a row and the Euclidean
+    radius of the block's points about it.  It returns two boolean arrays
+    over the blocks: ``out``, the blocks that provably hold no point the
+    caller wants, which are dropped, and ``near``, the blocks whose middle
+    point is one the caller wants.  The surviving children of a block are
+    split further unless most of the children are near, in which case each
+    survivor that fits a tile is taken whole: a lattice where every point is
+    wanted costs a few centers more than a dense walk, and a thin wanted set
+    is still refined down to leaves.  A lattice of at most a tile, or of one
+    leaf, is walked whole, unjudged.
+
+    Yields ``(m, len(axes))`` point arrays of 2 to ``_TILE_POINTS`` points
+    (one point only for a one-point lattice) whose concatenation is every
+    point of the kept blocks in row-major order; each is the transpose view
+    of a ``(len(axes), m)`` array.  The order comes from a mask over the
+    leaves, not from a sort, and a chunk is built only after the previous one
+    has been handed over, so the caller's peak memory is about one tile.
+    Every block is judged before the first chunk is yielded.
     """
-    step = max(1, _TILE_POINTS // math.prod(a.size for a in axes[1:]))
-    for i in range(0, axes[0].size, step):
-        mesh = np.meshgrid(axes[0][i : i + step], *axes[1:], indexing="ij", copy=False)
-        yield np.stack(mesh).reshape(len(axes), -1).T
+    shape = np.array([a.size for a in axes])
+    inner = (
+        np.stack(np.meshgrid(*axes[1:], indexing="ij")).reshape(shape.size - 1, -1)
+        if shape.size > 1
+        else np.empty((0, 1))
+    )
+    side = max(2, round(_LEAF_POINTS ** (1.0 / shape.size)))
+    # A one-point remainder joins the leaf before it.
+    leaves = np.maximum(1, (shape + side - 2) // side)
+    if shape.prod() <= _TILE_POINTS or leaves.max() == 1:
+        # Judging costs more than walking a lattice of one tile or one leaf.
+        yield from (piece.T for piece in _layer_pieces(axes[0], inner))
+        return
+    sizes = [np.append(np.full(g - 1, side), n - (g - 1) * side) for g, n in zip(leaves, shape)]
+    kept = _kept_leaves(axes, side, sizes, judge)
+    if kept.any():
+        yield from _packed(_kept_pieces(axes, inner, kept, sizes))
+
+
+def _kept_leaves(axes, side, sizes, judge):
+    """Boolean mask over the leaves of the blocks that ``judge`` keeps."""
+    shape = np.array([a.size for a in axes])
+    leaves = np.array([s.size for s in sizes])
+
+    def survive(lo, hi):
+        first = lo * side
+        last = np.where(hi == leaves, shape, hi * side) - 1
+        mid = (first + last) // 2
+        centers = np.empty(mid.shape)
+        reach = np.empty(mid.shape)
+        for k, a in enumerate(axes):
+            centers[:, k] = a[mid[:, k]]
+            reach[:, k] = np.maximum(centers[:, k] - a[first[:, k]], a[last[:, k]] - centers[:, k])
+        out, near = judge(centers, np.sqrt((reach * reach).sum(axis=1)))
+        return ~out, near, last + 1 - first
+
+    kept = np.zeros(leaves, dtype=bool)
+    lo, hi = np.zeros((1, leaves.size), dtype=np.intp), leaves[None, :]
+    # A block splits each axis of more than one leaf into ``parts`` runs;
+    # child j takes run ``part[j, k]`` of axis k.
+    split = leaves > 1
+    parts = max(2, round(_CHILDREN ** (1.0 / split.sum())))
+    runs = np.unravel_index(np.arange(parts ** split.sum()), (parts,) * split.sum())
+    part = np.zeros((runs[0].size, leaves.size), dtype=np.intp)
+    part[:, split] = np.stack(runs, axis=1)
+    while lo.size:
+        span = (hi - lo)[:, None]
+        clo = lo[:, None] + span * part // parts
+        chi = lo[:, None] + span * (part + 1) // parts
+        real = (chi > clo).all(axis=2)
+        live = np.zeros(real.shape, dtype=bool)
+        near = np.zeros(real.shape, dtype=bool)
+        points = np.zeros(real.shape, dtype=np.intp)
+        live[real], near[real], extent = survive(clo[real], chi[real])
+        points[real] = extent.prod(axis=1)
+        most = 2 * near.sum(axis=1) > real.sum(axis=1)
+        leaf = (chi - clo == 1).all(axis=2)
+        done = live & (leaf | (most[:, None] & (points <= _TILE_POINTS)))
+        kept[tuple(clo[done & leaf].T)] = True
+        for l, h in zip(clo[done & ~leaf].tolist(), chi[done & ~leaf].tolist()):
+            kept[tuple(map(slice, l, h))] = True
+        lo, hi = clo[live & ~done], chi[live & ~done]
+    return kept
+
+
+def _kept_pieces(axes, inner, kept, sizes):
+    """``(len(axes), m)`` coordinates of the kept leaves' points, row-major, in pieces.
+
+    ``inner`` is the ``(len(axes) - 1, m)`` lattice of the other axes.  Runs
+    of first-axis leaf slabs with the same mask share one inner point set,
+    ``inner`` less the dropped leaves.
+    """
+    d = len(axes)
+    if kept.all():
+        yield from _layer_pieces(axes[0], inner)
+        return
+    slabs = kept.reshape(kept.shape[0], -1)
+    starts = np.flatnonzero(np.append(True, (slabs[1:] != slabs[:-1]).any(axis=1)))
+    ends = np.append(starts[1:], slabs.shape[0])
+    bounds = np.append(0, np.cumsum(sizes[0]))
+    for a, b in zip(starts, ends):
+        if not slabs[a].any():
+            continue
+        mask = kept[a]
+        for k in range(d - 1):
+            mask = np.repeat(mask, sizes[k + 1], axis=k)
+        coords = inner if slabs[a].all() else inner[:, np.flatnonzero(mask)]
+        yield from _layer_pieces(axes[0][bounds[a] : bounds[b]], coords)
+
+
+def _layer_pieces(layers, coords):
+    """Each of ``layers`` with every column of ``coords``, row-major, in pieces.
+
+    A piece is a few whole layers, or a part of one layer that holds more
+    than a tile.  Layers and columns are split evenly, so a piece is never a
+    single point when there are two or more.
+    """
+    d, m = coords.shape[0] + 1, coords.shape[1]
+    if m > _TILE_POINTS:
+        cuts = _even_cuts(m, -(-m // _TILE_POINTS))
+        for x in layers:
+            for lo, hi in zip(cuts, cuts[1:]):
+                piece = np.empty((d, hi - lo))
+                piece[0] = x
+                piece[1:] = coords[:, lo:hi]
+                yield piece
+        return
+    cuts = _even_cuts(layers.size, -(-layers.size // (_TILE_POINTS // m)))
+    for lo, hi in zip(cuts, cuts[1:]):
+        piece = np.empty((d, hi - lo, m))
+        piece[0] = layers[lo:hi, None]
+        piece[1:] = coords[:, None, :]
+        yield piece.reshape(d, -1)
+
+
+def _even_cuts(n: int, parts: int) -> list[int]:
+    """Bounds of ``parts`` runs of ``range(n)`` whose lengths differ by at most one."""
+    q, r = divmod(n, parts)
+    return [i * q + min(i, r) for i in range(parts + 1)]
+
+
+def _packed(pieces):
+    """Consecutive pieces joined into transposed chunks of at most a tile."""
+    buf, size = [], 0
+    for piece in pieces:
+        if buf and size + piece.shape[1] > _TILE_POINTS:
+            yield (buf[0] if len(buf) == 1 else np.concatenate(buf, axis=1)).T
+            buf, size = [], 0
+        buf.append(piece)
+        size += piece.shape[1]
+    if buf:
+        yield (buf[0] if len(buf) == 1 else np.concatenate(buf, axis=1)).T

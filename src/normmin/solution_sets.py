@@ -36,7 +36,7 @@ from .errors import (
     InvalidInputError,
     MembershipViolationError,
 )
-from .geometry import _lattice_tiles
+from .geometry import _lattice_walk
 from .ground_norms import (
     GroundNorm,
     alignment_set_contains,
@@ -47,6 +47,7 @@ from .ground_norms import (
 from .problem import ProblemInstance, _displacements_many
 from .product_norms import _from_block_norms_many
 from .psi_generators import conjugate_exponent
+from .solvers import _rounding_slack, _value_slope, lipschitz_bound
 
 GENERAL_PREDICATE = "general_predicate"
 FT_INTERSECTION = "ft_intersection"
@@ -201,6 +202,70 @@ _KERNELS = {
 }
 
 
+def _block_test(desc: SolutionSetDescription, tol: float):
+    """``judge(centers, radii)`` of :func:`~normmin.geometry._lattice_walk` for the kernel.
+
+    A block of radius rho about a middle point c is ruled out when a residual
+    the kernel tests, evaluated at c, exceeds the kernel's largest threshold
+    over the block by more than the residual's Lipschitz slope times rho,
+    plus a rounding margin; it is near when every such residual at c is
+    within its threshold.  With d_i the pairing of dual block y_i (dual norm
+    w_i) with the displacement from anchor i, r_i its ground norm, kappa the
+    ground norm's Euclidean Lipschitz constant and L the objective's:
+
+    - alignment (FT and the first half of PFT): w_i r_i - d_i against
+      tol * max(1, w_i r_i), slope w_i kappa + |y_i|_2;
+    - Chebyshev: w_i max(r) - d_i against tol * max(1, max(r)) over the
+      blocks with w_i > tol, slope w_i kappa + |y_i|_2;
+    - general: |sum(d) - f| against tol * max(1, f), slope |sum(y)|_2 + L.
+    """
+    prob = desc.instance
+    y, w = desc.certificate.duals, desc.dual_norms
+    kappa = lipschitz_bound(prob) / prob.n
+    slack = _rounding_slack(prob)
+    if desc.kind == GENERAL_PREDICATE:
+        gen = prob.norm.generator
+        lip = _value_slope(prob)
+        slope = float(np.linalg.norm(y.sum(axis=0))) + lip
+
+        def excess(centers, radii):
+            dots, r = _pairings(desc, centers)
+            f = _from_block_norms_many(gen, r)
+            reach = f + lip * radii
+            limit = tol * np.maximum(1.0, reach)
+            scale = reach + (r + kappa * radii[:, None]) @ w + limit
+            gap = np.abs(dots.sum(axis=1) - f) - slack * scale - limit
+            return gap[:, None], slope * radii[:, None]
+
+    elif desc.kind == CHEBYSHEV_INTERSECTION:
+        on = w > tol
+        slope = w[on] * kappa + np.linalg.norm(y[on], axis=1)
+
+        def excess(centers, radii):
+            dots, r = _pairings(desc, centers)
+            m = r.max(axis=1)[:, None]
+            reach = m + kappa * radii[:, None]
+            limit = tol * np.maximum(1.0, reach)
+            gap = w[on] * m - dots[:, on] - slack * (w[on] * reach + limit) - limit
+            return gap, slope * radii[:, None]
+
+    else:
+        slope = w * kappa + np.linalg.norm(y, axis=1)
+
+        def excess(centers, radii):
+            dots, r = _pairings(desc, centers)
+            reach = w * (r + kappa * radii[:, None])
+            limit = tol * np.maximum(1.0, reach)
+            gap = w * r - dots - slack * (reach + limit) - limit
+            return gap, slope * radii[:, None]
+
+    def judge(centers, radii):
+        gap, spread = excess(centers, radii)
+        return (gap > spread).any(axis=1), (gap <= 0.0).all(axis=1)
+
+    return judge
+
+
 # ---------------------------------------------------------------------------
 # Scalar predicates
 # ---------------------------------------------------------------------------
@@ -326,6 +391,14 @@ def sample_solution_region(
     ``box`` holds one (low, high) pair per coordinate; the lattice uses
     ``grid`` points per axis and the result keeps row-major lattice order.
     An empty box yields an empty result.
+
+    The lattice is walked block by block (see
+    :func:`~normmin.geometry._lattice_walk`): a block is dropped unevaluated
+    when a residual of the predicate at its middle point exceeds the
+    threshold by more than a Lipschitz bound allows over the block (see
+    ``_block_test``), and the predicate runs on the points of the kept
+    blocks.  The answer is bitwise the one of evaluating every lattice
+    point.
     """
     prob = desc.instance
     b = np.asarray(box, dtype=float)
@@ -344,4 +417,19 @@ def sample_solution_region(
         return np.empty((0, prob.dim))
     axes = [np.linspace(lo, hi, grid) for lo, hi in b]
     kernel = _KERNELS[desc.kind]
-    return np.concatenate([pts[kernel(desc, pts, tol)] for pts in _lattice_tiles(axes)])
+    walk = _lattice_walk(axes, _block_test(desc, tol))
+    found = [_rows(pts, kernel(desc, pts, tol)) for pts in walk]
+    return np.concatenate(found) if found else np.empty((0, prob.dim))
+
+
+def _rows(pts: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``pts[keep]`` for a coordinate-major chunk, gathered a coordinate at a time.
+
+    Boolean indexing of the chunk's transpose view copies row by row and
+    takes several times longer.
+    """
+    idx = np.flatnonzero(keep)
+    out = np.empty((idx.size, pts.shape[1]))
+    for k, column in enumerate(pts.T):
+        out[:, k] = column.take(idx)
+    return out

@@ -38,7 +38,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedGeneratorError,
 )
-from .geometry import _lattice_tiles, affine_hull_basis
+from .geometry import _lattice_walk, affine_hull_basis
 from .ground_norms import dual_ground_norm, ground_norm_eval_many
 from .problem import (
     ProblemInstance,
@@ -48,6 +48,7 @@ from .problem import (
     objective_subgradient,
     solve_bound,
 )
+from .psi_generators import _EVAL_BAND
 
 _GRID_POINT_CAP = 100_000_000
 _NEAR_MIN_SLACK = 1e-9
@@ -119,6 +120,26 @@ def lipschitz_bound(prob: ProblemInstance) -> float:
     else:
         kappa = 1.0
     return prob.n * kappa
+
+
+def _value_slope(prob: ProblemInstance) -> float:
+    """A Euclidean Lipschitz constant of the objective as it is evaluated.
+
+    The objective's change is at most the total change of the block norms
+    times the generator's largest vertex value; a tabulated generator's
+    values may exceed 1 by ``_EVAL_BAND``.
+    """
+    lip = lipschitz_bound(prob)
+    return lip * (1.0 + _EVAL_BAND) if prob.norm.generator.kind == "tabulated" else lip
+
+
+def _rounding_slack(prob: ProblemInstance) -> float:
+    """Relative bound on the rounding between two evaluated block bounds.
+
+    Objective values, block norms and pairings each round by at most about
+    ``(n + d + 8)`` ulps of their scale; a block bound compares two of them.
+    """
+    return 8.0 * (prob.n + prob.dim + 8) * float(np.finfo(float).eps)
 
 
 def midpoint_shortcut(prob: ProblemInstance) -> SolveResult:
@@ -689,8 +710,13 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
 
     Supports dimension at most 3 and at most 1e8 lattice points.  The box is
     the solution ball's bounding box; a single-point grid degenerates to the
-    anchor centroid.  The lattice is evaluated in coordinate-major tiles (see
-    :func:`~normmin.geometry._lattice_tiles`), merged in tile order.
+    anchor centroid.  The lattice is walked block by block (see
+    :func:`~normmin.geometry._lattice_walk`): a block whose middle point's
+    value, less the objective's Lipschitz constant times the block's radius,
+    still exceeds the least value seen so far by more than the near-minimum
+    slack holds neither the minimum nor a near-minimal point and is dropped
+    unevaluated.  The value and the near-minimal points, in row-major order,
+    are bitwise those of evaluating every lattice point.
     """
     if prob.dim > 3:
         raise ContractError("grid oracle supports dimension at most 3")
@@ -711,14 +737,24 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
         axes = [np.linspace(-radius, radius, grid) for _ in range(prob.dim)]
         spacing = 2.0 * radius / (grid - 1)
     lip = lipschitz_bound(prob)
+    slope, slack = _value_slope(prob), _rounding_slack(prob)
+    best = math.inf
+
+    def judge(centers, radii):
+        nonlocal best
+        vals = objective_eval_many(prob, centers)
+        best = min(best, float(vals.min()))
+        spread = slope * radii
+        gap = vals - slack * (vals + spread) - (best + _NEAR_MIN_SLACK)
+        return gap > spread, gap <= 0.0
 
     results = []
-    for pts in _lattice_tiles(axes):
+    for pts in _lattice_walk(axes, judge):
         vals = objective_eval_many(prob, pts)
         lo = float(vals.min())
         near = vals <= lo + _NEAR_MIN_SLACK
         results.append((lo, pts[near], vals[near]))
-        # Release this tile before the next one is built.
+        # Release this chunk before the next one is built.
         del pts, vals
     value = min(lo for lo, _, _ in results)
     pts = []

@@ -595,3 +595,39 @@ def test_face_recovery_is_scale_free():
                 for prob, point in ((unit, u), (tiny, u * 1e-9)):
                     got = recover_certificate(prob, point, tol=1e-7)
                     assert isinstance(got, Certificate), (ground.kind, p, seed, got)
+
+
+def test_recovery_certifies_whenever_either_face_pass_would():
+    # Wolfe's method balances the Euclidean norm of the blocks' sum and the
+    # checker its dual ground norm, so the widened faces can balance worse
+    # than the exact ones: recovery keeps whichever pass the checker accepts.
+    from normmin.certificates import _cap_table, _face_duals, matching_theorem
+    from normmin.problem import displacements
+
+    only_exact = 0
+    for ground in (GroundNorm.sum(), GroundNorm.max()):
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            for n, d, s in ((4, 10, 0), (4, 2, 1), (13, 3, 0), (13, 10, 2)):
+                anchors = np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2
+                prob = ProblemInstance(anchors, ProductNorm(ground, PsiGenerator.power(p)))
+                u = solve_subgradient(prob).point
+                diffs = displacements(prob, u)
+                r = ground_norm_eval_many(ground, diffs)
+                for tol in (1e-7, 1e-9):
+                    ztol = tol * float(r.max())
+                    caps, paired = _cap_table(matching_theorem(prob), prob.norm.generator, r, ztol)
+                    exact = _face_duals(ground.kind, diffs, r, ztol, caps, paired)
+                    push = exact.sum(axis=0)
+                    widened = _face_duals(ground.kind, diffs, r, ztol, caps, paired, push)
+                    passes = [
+                        check_certificate(prob, Certificate(u, b), tol=tol).verdict
+                        for b in (exact, widened)
+                    ]
+                    got = recover_certificate(prob, u, tol=tol)
+                    if any(passes):
+                        assert isinstance(got, Certificate), (ground.kind, p, n, d, s, tol, got)
+                    only_exact += passes == [True, False]
+                    if (ground.kind, p, n, d, s, tol) == ("max", 2.0, 4, 10, 0, 1e-9):
+                        # Only the exact faces balance well enough here.
+                        assert passes == [True, False]
+    assert only_exact

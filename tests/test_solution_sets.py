@@ -37,7 +37,8 @@ from normmin import (
     solve_subgradient,
 )
 from normmin import geometry
-from normmin.solution_sets import DESCRIPTION_TOL
+from normmin.solution_sets import _KERNELS, DESCRIPTION_TOL
+from normmin.solvers import _NEAR_MIN_SLACK
 
 
 def case_desc(case_id):
@@ -335,6 +336,10 @@ def pair_on_axis(d, ground, p, solution, dual):
     )
 
 
+def keep_every_block(centers, radii):
+    return np.zeros(len(centers), dtype=bool), np.ones(len(centers), dtype=bool)
+
+
 @pytest.mark.parametrize("tile_points", [15, 60])
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize(
@@ -349,19 +354,24 @@ def pair_on_axis(d, ground, p, solution, dual):
 def test_region_sampling_across_tile_boundaries(
     monkeypatch, tile_points, d, kind, ground, p, solution, dual
 ):
-    # With 15 points per tile, the 7 x 7 plane splits into 2+2+2+1 layers
-    # and each 5 x 5 layer of the 5^3 lattice already exceeds a tile; with
-    # 60, the plane fits in one tile and the space splits into 2+2+1 layers.
+    # Both lattices are a single leaf of the walk.  With 15 points per tile,
+    # the 7 x 7 plane splits into 2+2+2+1 layers and each 5 x 5 layer of the
+    # 5^3 lattice into halves of 13 and 12 points; with 60, the plane fits in
+    # one tile and the space splits into 2+2+1 layers.
     monkeypatch.setattr(geometry, "_TILE_POINTS", tile_points)
     desc = pair_on_axis(d, ground, p, solution, dual)
     assert desc.kind == kind
     grid = 7 if d == 2 else 5
     box = np.array([[-1.0, 3.0]] + [[-2.0, 2.0]] * (d - 1))
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
-    tiles = list(geometry._lattice_tiles(axes))
-    layers = [t.shape[0] // grid ** (d - 1) for t in tiles]
-    expected = {(15, 2): [2, 2, 2, 1], (15, 3): [1] * 5, (60, 2): [7], (60, 3): [2, 2, 1]}
-    assert layers == expected[tile_points, d]
+    tiles = list(geometry._lattice_walk(axes, keep_every_block))
+    expected = {
+        (15, 2): [14, 14, 14, 7],
+        (15, 3): [13, 12] * 5,
+        (60, 2): [49],
+        (60, 3): [50, 50, 25],
+    }
+    assert [t.shape[0] for t in tiles] == expected[tile_points, d]
     assert all(t.T.flags.c_contiguous for t in tiles)
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     assert np.array_equal(np.concatenate(tiles), lattice)
@@ -401,3 +411,97 @@ def test_hull_containment_for_euclidean_instances():
         pts = sample_solution_region(desc, np.stack([lo, hi], axis=1), 41, tol=1e-6)
         for pt in pts:
             assert hull_distance(prob.anchors, pt) <= 1e-6
+
+
+def dense_tiles(axes):
+    """The dense walk that the block walk replaced: whole first-axis layers."""
+    step = max(1, geometry._TILE_POINTS // math.prod(a.size for a in axes[1:]))
+    for i in range(0, axes[0].size, step):
+        mesh = np.meshgrid(axes[0][i : i + step], *axes[1:], indexing="ij", copy=False)
+        yield np.stack(mesh).reshape(len(axes), -1).T
+
+
+def dense_sample(desc, box, grid, tol):
+    kernel = _KERNELS[desc.kind]
+    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
+    return np.concatenate([pts[kernel(desc, pts, tol)] for pts in dense_tiles(axes)])
+
+
+def dense_oracle(prob, grid):
+    radius = solve_bound(prob).radius
+    if grid == 1:
+        axes = [np.array([c]) for c in prob.centroid()]
+    else:
+        axes = [np.linspace(-radius, radius, grid) for _ in range(prob.dim)]
+    pts = list(dense_tiles(axes))
+    vals = np.concatenate([objective_eval_many(prob, t) for t in pts])
+    value = float(vals.min())
+    return value, np.concatenate(pts)[vals <= value + _NEAR_MIN_SLACK]
+
+
+def tabulated_copy(gen, n):
+    p = gen.p
+    if p == math.inf:
+        return PsiGenerator.tabulated(lambda t: float(np.max(t)), n, symmetric=True)
+    return PsiGenerator.tabulated(
+        lambda t: float(np.sum(np.asarray(t) ** p) ** (1.0 / p)), n, symmetric=True
+    )
+
+
+def assert_walk_matches_dense(desc, box, grid, tol):
+    got = sample_solution_region(desc, box, grid, tol)
+    want = dense_sample(desc, box, grid, tol)
+    assert got.shape == want.shape and np.array_equal(got, want), (desc.kind, grid, tol)
+    return want.shape[0]
+
+
+def test_block_walk_matches_the_dense_tile_walk():
+    # Every sample and oracle answer is bitwise the dense walk's: the walk
+    # only drops blocks whose Lipschitz bound proves they hold no answer.
+    # Lattices of more than a tile are judged block by block.
+    rng = make_rng(71)
+    grids = {1: (1, 2, 300, 9001, 30001), 2: (1, 2, 33, 101, 201), 3: (1, 2, 17, 23, 41)}
+    tabulated_grids = {1: 9001, 2: 101, 3: 23}
+    seen = set()
+    for cell in range(72):
+        d = 1 + cell % 3
+        tol = (1e-7, 1e-4, 1e-2)[cell // 3 % 3]
+        prob = random_instance(rng, d=d, n=int(rng.integers(2, 5)))
+        cert = recover_certificate(prob, solve_subgradient(prob).point, tol=1e-7)
+        if isinstance(cert, Infeasible):
+            continue
+        desc = describe_solution_set(prob, cert)
+        half = rng.choice([0.01, 0.3, 3.0]) * rng.random(d)
+        box = np.stack([cert.solution - half, cert.solution + half], axis=1)
+        grid = int(rng.choice(grids[d]))
+        if cell % 8 == 7:
+            gen = tabulated_copy(prob.norm.generator, prob.n)
+            copy = ProblemInstance(prob.anchors, ProductNorm(prob.norm.ground, gen))
+            desc = describe_solution_set(copy, cert, tol=1e-6)
+            grid = tabulated_grids[d]
+        assert_walk_matches_dense(desc, box, grid, tol)
+        seen.add((desc.kind, d, tol, desc.instance.norm.generator.kind))
+        oracle = grid_oracle(prob, grid)
+        value, argmin = dense_oracle(prob, grid)
+        assert oracle.value == value and np.array_equal(oracle.argmin, argmin)
+    assert {k for k, _, _, _ in seen} == set(_KERNELS)
+    assert {d for _, d, _, _ in seen} == {1, 2, 3}
+    assert {t for _, _, t, _ in seen} == {1e-7, 1e-4, 1e-2}
+    assert "tabulated" in {g for _, _, _, g in seen}
+
+
+@pytest.mark.parametrize("grid", [1, 101, 997])
+def test_block_walk_on_boxes_where_every_or_no_point_is_accepted(monkeypatch, grid):
+    desc, _ = case_desc("ft-linf-pair")
+    every = np.array([[0.7, 1.3], [-0.25, 0.25]])
+    assert assert_walk_matches_dense(desc, every, grid, DESCRIPTION_TOL) == grid**2
+    none = np.array([[4.0, 5.0], [-0.25, 0.25]])
+    assert assert_walk_matches_dense(desc, none, grid, DESCRIPTION_TOL) == 0
+    # Far from the solution set, every block is dropped unevaluated.
+    rows = []
+    kernel = _KERNELS[desc.kind]
+    monkeypatch.setitem(
+        _KERNELS, desc.kind, lambda *args: rows.append(len(args[1])) or kernel(*args)
+    )
+    sample_solution_region(desc, none, grid)
+    assert rows == ([] if grid > 1 else [1])
