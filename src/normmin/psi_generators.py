@@ -38,6 +38,11 @@ MAX_TABULATED_ARITY = 8
 _LATTICE_POINTS = 64
 _STENCIL_STEPS = 4
 
+# The conjugate search multiplies its scale by this after a poll with no gain,
+# and stops once the scale is at or below the stop scale.
+_CONTRACTION = 0.25
+_RHO_STOP = 2.5e-13
+
 # A search move must raise the ratio by more than this relative amount, so
 # rounding noise in a flat ratio cannot keep the search crawling.
 _GAIN_RTOL = 1e-15
@@ -134,18 +139,23 @@ def _psi_value_raw(gen: PsiGenerator, t: np.ndarray) -> float:
     return float(gen.func(t))
 
 
+def _band_error(val: float, lo: float) -> MembershipViolationError:
+    """The error for a tabulated value ``val`` outside [``lo``, 1 + band]."""
+    if not math.isfinite(val):
+        return MembershipViolationError("tabulated generator returned a non-finite value")
+    return MembershipViolationError(
+        f"tabulated generator value {val!r} outside [{lo!r}, {1.0 + _EVAL_BAND!r}]"
+    )
+
+
 def _psi_value(gen: PsiGenerator, t: np.ndarray) -> float:
     """Evaluation without input validation; ``t`` must already be a simplex point."""
     if gen.kind == "p":
         return _psi_value_builtin(gen.p, t)
     val = float(gen.func(t))
-    if not math.isfinite(val):
-        raise MembershipViolationError("tabulated generator returned a non-finite value")
     lo = float(t.max()) - _EVAL_BAND
-    if val < lo or val > 1.0 + _EVAL_BAND:
-        raise MembershipViolationError(
-            f"tabulated generator value {val!r} outside [{lo!r}, {1.0 + _EVAL_BAND!r}]"
-        )
+    if not lo <= val <= 1.0 + _EVAL_BAND:
+        raise _band_error(val, lo)
     return val
 
 
@@ -168,9 +178,15 @@ def psi_eval_many(gen: PsiGenerator, ts: np.ndarray) -> np.ndarray:
         if gen.p == math.inf:
             return ts.max(axis=-1)
         return _power_norm(ts, gen.p)
-    return np.array([_psi_value(gen, row) for row in ts.reshape(-1, ts.shape[-1])]).reshape(
-        ts.shape[:-1]
-    )
+    # Call the callable row by row, then guard every value in one pass; the
+    # error names the first bad row, as a row-by-row guard would.
+    rows = ts.reshape(-1, ts.shape[-1])
+    vals = np.array([float(gen.func(row)) for row in rows], dtype=float)
+    lo = rows.max(axis=-1) - _EVAL_BAND
+    bad = np.flatnonzero(~((lo <= vals) & (vals <= 1.0 + _EVAL_BAND)))
+    if bad.size:
+        raise _band_error(float(vals[bad[0]]), float(lo[bad[0]]))
+    return vals.reshape(ts.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +389,6 @@ def _onto_simplex(ts: np.ndarray) -> np.ndarray:
     return ts / ts.sum(axis=-1, keepdims=True)
 
 
-def _ratios(gen: PsiGenerator, weights: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """<t, weights> / psi(t) for each row ``t`` of ``ts``."""
-    vals = psi_eval_many(gen, ts)
-    bad = np.flatnonzero(vals <= 0.0)
-    if bad.size:
-        raise MembershipViolationError(
-            f"generator must stay positive, got {vals[bad[0]]!r} at {ts[bad[0]].tolist()}"
-        )
-    return ts @ weights / vals
-
-
 def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: int) -> float:
     """Sup of <t, weights> / psi(t) over the simplex.
 
@@ -392,32 +397,55 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: int) -> float:
     most ``grid`` subdivisions) starts a pattern search: a small local lattice
     minus its barycenter, in both orientations, scaled by ``rho``.  A move to
     its best point that gains is repeated with doubled length while it keeps
-    gaining; a batch with no gain halves ``rho``.
+    gaining; a batch with no gain multiplies ``rho`` by ``_CONTRACTION`` (1/4),
+    and the search stops once ``rho`` is at or below ``_RHO_STOP`` (2.5e-13),
+    so its finest scale lies in (2.5e-13, 1e-12].  A memo keyed by the
+    point's bytes calls ``psi`` once per distinct point: a batch with no gain
+    leaves ``t`` in place, so the next scale's row ``4 s`` repeats this
+    scale's row ``s`` wherever the stencil holds both, and clipping onto the
+    simplex merges rows near a face.  The value is a ratio at a point the
+    search evaluated, so it never exceeds the supremum.
     """
+    seen: dict[bytes, float] = {}
+
+    def ratios(ts: np.ndarray) -> np.ndarray:
+        keys = [row.tobytes() for row in ts]
+        fresh = {key: row for key, row in zip(keys, ts) if key not in seen}
+        if fresh:
+            pts = np.array(list(fresh.values()))
+            vals = psi_eval_many(gen, pts)
+            bad = np.flatnonzero(vals <= 0.0)
+            if bad.size:
+                raise MembershipViolationError(
+                    f"generator must stay positive, got {vals[bad[0]]!r} at {pts[bad[0]].tolist()}"
+                )
+            seen.update(zip(fresh, vals))
+        return ts @ weights / np.array([seen[key] for key in keys])
+
     n = weights.size
     m = _subdivisions(n, grid)
     starts = _compositions(n, m) / m
-    ratios = _ratios(gen, weights, starts)
-    i = int(np.argmax(ratios))
-    t, best = starts[i], ratios[i]
+    vals = ratios(starts)
+    i = int(np.argmax(vals))
+    t, best = starts[i], vals[i]
     k = _subdivisions(n, _STENCIL_STEPS)
     local = n * _compositions(n, k) - k
     stencil = np.unique(np.vstack([local, -local]), axis=0)
     stencil = stencil[np.any(stencil, axis=1)] / (n * k)
     rho = 1.0 / m
-    while rho > 1e-12:
+    while rho > _RHO_STOP:
         cands = _onto_simplex(t + rho * stencil)
-        ratios = _ratios(gen, weights, cands)
-        i = int(np.argmax(ratios))
-        if ratios[i] <= best * (1.0 + _GAIN_RTOL):
-            rho *= 0.5
+        vals = ratios(cands)
+        i = int(np.argmax(vals))
+        if vals[i] <= best * (1.0 + _GAIN_RTOL):
+            rho *= _CONTRACTION
             continue
-        step, t, best = cands[i] - t, cands[i], ratios[i]
+        step, t, best = cands[i] - t, cands[i], vals[i]
         # Repeat the winning move with doubled length while it keeps gaining.
         while True:
             step *= 2.0
             cand = _onto_simplex(t + step)
-            ratio = _ratios(gen, weights, cand[None])[0]
+            ratio = ratios(cand[None])[0]
             if ratio <= best * (1.0 + _GAIN_RTOL):
                 break
             t, best = cand, ratio
@@ -432,8 +460,9 @@ def psi_conjugate_eval(gen: PsiGenerator, s, grid: int = 200) -> float:
     the best point of a coarse simplex lattice, whose subdivisions ``grid``
     caps, starts a shrinking local pattern search.  The value is attained at
     a point the search evaluated, so it never exceeds the supremum.  On power
-    generators behind a callable it has stayed within 1e-12 relative of the
-    closed form at arities 2 to 8; at a kink it can stop short.
+    generators behind a callable it stays within 1e-12 relative of the closed
+    form on the 560 cells of ``tools/conjugate_probe.py`` (arities 2 to 8,
+    worst 7.2e-13 short); at a kink it can stop short.
     """
     s = as_simplex_point(s, "s")
     if gen.kind == "p":
@@ -474,7 +503,8 @@ def psi_conjugate_generator(gen: PsiGenerator, grid: int = 200) -> PsiGenerator:
 
     Power generators conjugate in closed form.  For tabulated generators the
     result is itself tabulated, each evaluation running the search of
-    ``psi_conjugate_eval`` (a few thousand generator calls at arity 3 or 4).
+    ``psi_conjugate_eval`` (on power generators, up to about 1 100 generator
+    calls at arity 3 and 3 000 at arity 4).
     """
     if gen.kind == "p":
         return PsiGenerator.power(conjugate_exponent(gen.p))
