@@ -42,7 +42,7 @@ from .problem import (
     objective_eval,
 )
 from .product_norms import as_product_vector
-from .psi_generators import conjugate_exponent, dual_norm_from_block_norms
+from .psi_generators import _block_sum, conjugate_exponent, dual_norm_from_block_norms
 
 RECOVERY_TOL = 1e-7
 
@@ -128,21 +128,21 @@ def _report(theorem: str, residuals: dict, tol: float, warnings=None) -> Certifi
 
 
 def check_general(
-    prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL, grid: int = 200
+    prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL
 ) -> CertificateReport:
     """Score the generator-independent optimality conditions.
 
     Dual blocks must sum to zero, have unit dual product norm, and pair with
     the anchor displacements to the objective value.  Works for every
     generator; tabulated generators price the dual norm with the search of
-    ``psi_conjugate_eval`` (start lattice capped by ``grid``), which can stop
-    short at a kink of the generator, so choose ``tol`` accordingly for them.
+    ``psi_conjugate_eval``, which can stop short at a kink of the generator,
+    so choose ``tol`` accordingly for them.
     """
     diffs, r, rstar = _cert_arrays(prob, cert)
     f = objective_eval(prob, cert.solution)
     dual_sum = ground_norm_eval(dual_ground_norm(prob.norm.ground), cert.duals.sum(axis=0))
     dual_scale = max(1.0, float(rstar.max()))
-    dual_norm = float(dual_norm_from_block_norms(prob.norm.generator, rstar, grid=grid))
+    dual_norm = float(dual_norm_from_block_norms(prob.norm.generator, rstar))
     paired = float(np.sum(cert.duals * diffs))
     residuals = {
         "dual_sum": dual_sum / dual_scale,
@@ -224,7 +224,7 @@ def _power_profile(r: np.ndarray, p: float) -> np.ndarray:
     peak = r.max(axis=-1, keepdims=True)
     safe = np.where(peak > 0.0, peak, 1.0)
     w = (r / safe) ** p
-    return w / w.sum(axis=-1, keepdims=True)
+    return w / _block_sum(w)[..., None]
 
 
 def check_p_fermat(
@@ -273,13 +273,12 @@ def check_certificate(
     cert: Certificate,
     tol: float = DEFAULT_TOL,
     theorem: str = "auto",
-    grid: int = 200,
 ) -> CertificateReport:
     """Dispatch to a checker by name, or to the generator's specialized one."""
     if theorem == "auto":
         theorem = matching_theorem(prob)
     if theorem == GENERAL:
-        return check_general(prob, cert, tol, grid=grid)
+        return check_general(prob, cert, tol)
     if theorem == FERMAT_TORRICELLI:
         return check_fermat_torricelli(prob, cert, tol)
     if theorem == CHEBYSHEV:

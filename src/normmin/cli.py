@@ -14,6 +14,7 @@ generator axioms violated); 4 an example reproduction mismatched.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -84,8 +85,8 @@ def _load_certificate(path):
 def _tol(args, fallback: float) -> float:
     if args.tol is None:
         return fallback
-    if args.tol <= 0.0:
-        raise InputFormatError("--tol", "must be positive")
+    if not 0.0 < args.tol < math.inf:
+        raise InputFormatError("--tol", "must be finite and positive")
     return args.tol
 
 

@@ -10,7 +10,7 @@ The lattice walk serves region sampling and the grid oracle.  It judges
 blocks of the lattice by their middle points and a caller's Lipschitz
 bound, drops the blocks that provably hold nothing the caller wants, and
 hands the rest over in row-major, coordinate-major chunks of at most a
-tile."""
+tile, cut at plain tile strides; a chunk may hold a single point."""
 
 from __future__ import annotations
 
@@ -148,8 +148,7 @@ def _lattice_walk(axes, judge):
     A branch and bound over index blocks (Piyavskii 1972; Shubert 1972).  The
     walk starts from the whole index box and, at each level, cuts every axis
     of a block into a few even runs, about ``_CHILDREN`` children in all,
-    down to leaves of about ``_LEAF_POINTS`` points; no leaf holds a single
-    point unless the lattice does.  ``judge(centers, radii)``
+    down to leaves of about ``_LEAF_POINTS`` points.  ``judge(centers, radii)``
     receives each block's middle lattice point as a row and the Euclidean
     radius of the block's points about it.  It returns two boolean arrays
     over the blocks: ``out``, the blocks that provably hold no point the
@@ -161,12 +160,12 @@ def _lattice_walk(axes, judge):
     is still refined down to leaves.  A lattice of at most a tile, or of one
     leaf, is walked whole, unjudged.
 
-    Yields ``(m, len(axes))`` point arrays of 2 to ``_TILE_POINTS`` points
-    (one point only for a one-point lattice) whose concatenation is every
-    point of the kept blocks in row-major order; each is the transpose view
-    of a ``(len(axes), m)`` array.  The order comes from a mask over the
-    leaves, not from a sort, and a chunk is built only after the previous one
-    has been handed over, so the caller's peak memory is about one tile.
+    Yields ``(m, len(axes))`` point arrays of at most ``_TILE_POINTS``
+    points whose concatenation is every point of the kept blocks in
+    row-major order; each is the transpose view of a ``(len(axes), m)``
+    array.  The order comes from a mask over the leaves, not from a sort,
+    and a chunk is built only after the previous one has been handed over,
+    so the caller's peak memory is about one tile.
     Every block is judged before the first chunk is yielded.
     """
     shape = np.array([a.size for a in axes])
@@ -176,8 +175,7 @@ def _lattice_walk(axes, judge):
         else np.empty((0, 1))
     )
     side = max(2, round(_LEAF_POINTS ** (1.0 / shape.size)))
-    # A one-point remainder joins the leaf before it.
-    leaves = np.maximum(1, (shape + side - 2) // side)
+    leaves = -(-shape // side)
     if shape.prod() <= _TILE_POINTS or leaves.max() == 1:
         # Judging costs more than walking a lattice of one tile or one leaf.
         yield from (piece.T for piece in _layer_pieces(axes[0], inner))
@@ -195,7 +193,7 @@ def _kept_leaves(axes, side, sizes, judge):
 
     def survive(lo, hi):
         first = lo * side
-        last = np.where(hi == leaves, shape, hi * side) - 1
+        last = np.minimum(hi * side, shape) - 1
         mid = (first + last) // 2
         centers = np.empty(mid.shape)
         reach = np.empty(mid.shape)
@@ -262,32 +260,23 @@ def _kept_pieces(axes, inner, kept, sizes):
 def _layer_pieces(layers, coords):
     """Each of ``layers`` with every column of ``coords``, row-major, in pieces.
 
-    A piece is a few whole layers, or a part of one layer that holds more
-    than a tile.  Layers and columns are split evenly, so a piece is never a
-    single point when there are two or more.
+    A piece is as many whole layers as fit a tile, or a tile of one layer
+    that holds more than a tile; the last piece takes what is left.
     """
     d, m = coords.shape[0] + 1, coords.shape[1]
     if m > _TILE_POINTS:
-        cuts = _even_cuts(m, -(-m // _TILE_POINTS))
         for x in layers:
-            for lo, hi in zip(cuts, cuts[1:]):
-                piece = np.empty((d, hi - lo))
-                piece[0] = x
-                piece[1:] = coords[:, lo:hi]
-                yield piece
+            for lo in range(0, m, _TILE_POINTS):
+                cols = coords[:, lo : lo + _TILE_POINTS]
+                yield np.vstack([np.full((1, cols.shape[1]), x), cols])
         return
-    cuts = _even_cuts(layers.size, -(-layers.size // (_TILE_POINTS // m)))
-    for lo, hi in zip(cuts, cuts[1:]):
-        piece = np.empty((d, hi - lo, m))
-        piece[0] = layers[lo:hi, None]
+    step = _TILE_POINTS // m
+    for lo in range(0, layers.size, step):
+        run = layers[lo : lo + step]
+        piece = np.empty((d, run.size, m))
+        piece[0] = run[:, None]
         piece[1:] = coords[:, None, :]
         yield piece.reshape(d, -1)
-
-
-def _even_cuts(n: int, parts: int) -> list[int]:
-    """Bounds of ``parts`` runs of ``range(n)`` whose lengths differ by at most one."""
-    q, r = divmod(n, parts)
-    return [i * q + min(i, r) for i in range(parts + 1)]
 
 
 def _packed(pieces):

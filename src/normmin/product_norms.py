@@ -28,6 +28,8 @@ from .ground_norms import (
 )
 from .psi_generators import (
     PsiGenerator,
+    _block_sum,
+    _power_aggregate,
     conjugate_exponent,
     dual_norm_from_block_norms,
     psi_eval_many,
@@ -88,17 +90,6 @@ def _check_arity(pn: ProductNorm, n: int) -> None:
         )
 
 
-def _closed_aggregate(p: float, profile: np.ndarray) -> np.ndarray:
-    """Power-family product norm straight from the block norms (last axis)."""
-    if p == 1.0:
-        return profile.sum(axis=-1)
-    if p == math.inf:
-        return profile.max(axis=-1)
-    from .ground_norms import _power_norm
-
-    return _power_norm(profile, p)
-
-
 def product_norm_from_block_norms(gen: PsiGenerator, r: np.ndarray) -> float:
     """Product norm value given the vector of block norms."""
     r = np.asarray(r, dtype=float)
@@ -112,9 +103,9 @@ def _from_block_norms_many(gen: PsiGenerator, rs: np.ndarray) -> np.ndarray:
     the total by the generator at the normalized block-norm profile.
     """
     rs = np.asarray(rs, dtype=float)
-    totals = rs.sum(axis=-1)
+    totals = _block_sum(rs)
     if gen.kind == "p":
-        return np.where(totals > _ZERO_TOTAL, _closed_aggregate(gen.p, rs), 0.0)
+        return np.where(totals > _ZERO_TOTAL, _power_aggregate(rs, gen.p), 0.0)
     safe = np.where(totals > _ZERO_TOTAL, totals, 1.0)
     vals = psi_eval_many(gen, rs / safe[..., None])
     return np.where(totals > _ZERO_TOTAL, totals * vals, 0.0)
@@ -133,15 +124,15 @@ def dual_block_norms(pn: ProductNorm, dual_blocks) -> np.ndarray:
     return ground_norm_eval_many(dual_ground_norm(pn.ground), arr)
 
 
-def dual_product_norm_eval(pn: ProductNorm, dual_blocks, grid: int = 200) -> float:
+def dual_product_norm_eval(pn: ProductNorm, dual_blocks) -> float:
     """Dual norm of a dual block stack.
 
     Power generators conjugate in closed form; tabulated generators maximize
     the weighted block-norm sum over the generator with the search of
-    ``psi_conjugate_eval``, whose start lattice ``grid`` caps.
+    ``psi_conjugate_eval``.
     """
     rstar = dual_block_norms(pn, dual_blocks)
-    return float(dual_norm_from_block_norms(pn.generator, rstar, grid=grid))
+    return float(dual_norm_from_block_norms(pn.generator, rstar))
 
 
 def pairing(dual_blocks, blocks) -> float:
@@ -153,7 +144,7 @@ def pairing(dual_blocks, blocks) -> float:
     return float(np.sum(a * b))
 
 
-def holder_gap(pn: ProductNorm, dual_blocks, blocks, grid: int = 200) -> float:
+def holder_gap(pn: ProductNorm, dual_blocks, blocks) -> float:
     """Product of the two norms minus the blockwise norm-product sum.
 
     Nonnegative up to rounding; a meaningfully negative value would violate
@@ -162,7 +153,7 @@ def holder_gap(pn: ProductNorm, dual_blocks, blocks, grid: int = 200) -> float:
     r = block_norms(pn, blocks)
     rstar = dual_block_norms(pn, dual_blocks)
     primal = product_norm_from_block_norms(pn.generator, r)
-    dual = float(dual_norm_from_block_norms(pn.generator, rstar, grid=grid))
+    dual = float(dual_norm_from_block_norms(pn.generator, rstar))
     return dual * primal - float(np.dot(rstar, r))
 
 

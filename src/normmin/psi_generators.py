@@ -22,7 +22,7 @@ from .errors import (
     InvalidInputError,
     MembershipViolationError,
 )
-from .ground_norms import DEFAULT_TOL, _power_norm
+from .ground_norms import DEFAULT_TOL
 
 # Sum-to-one slack accepted on simplex points.
 SIMPLEX_TOL = 1e-12
@@ -124,18 +124,44 @@ class PsiGenerator:
         return psi_eval(self, t)
 
 
-def _psi_value_builtin(p: float, t: np.ndarray) -> float:
+def _block_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last (block) axis, added left to right whatever the layout.
+
+    ``numpy.sum`` adds a contiguous run of eight or more entries pairwise but
+    strided columns in order, so a row's total would depend on how many rows
+    are summed with it.  A lone row is accumulated; a batch adds its block
+    columns one at a time, which costs a few array passes where accumulating
+    every row costs about ten times more.
+    """
+    if x.size == x.shape[-1]:
+        return np.add.accumulate(x, axis=-1)[..., -1]
+    total = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
+def _power_aggregate(x: np.ndarray, p: float) -> np.ndarray:
+    """The power-family aggregate of nonnegative data over the last axis.
+
+    The sum at ``p = 1``, the max at ``p = inf`` and the ``p``-norm in
+    between, with the max factored out so large exponents cannot underflow.
+    Every product norm, dual norm and power generator of the family is this
+    aggregate of block norms or weights.
+    """
     if p == 1.0:
-        return 1.0
+        return _block_sum(x)
+    m = x.max(axis=-1)
     if p == math.inf:
-        return float(t.max())
-    return float(_power_norm(np.asarray(t, dtype=float), p))
+        return m
+    safe = np.where(m[..., None] > 0.0, m[..., None], 1.0)
+    return m * _block_sum((x / safe) ** p) ** (1.0 / p)
 
 
 def _psi_value_raw(gen: PsiGenerator, t: np.ndarray) -> float:
     """Evaluation without the range guard; axiom validation wants raw values."""
     if gen.kind == "p":
-        return _psi_value_builtin(gen.p, t)
+        return float(psi_eval_many(gen, t))
     return float(gen.func(t))
 
 
@@ -148,17 +174,6 @@ def _band_error(val: float, lo: float) -> MembershipViolationError:
     )
 
 
-def _psi_value(gen: PsiGenerator, t: np.ndarray) -> float:
-    """Evaluation without input validation; ``t`` must already be a simplex point."""
-    if gen.kind == "p":
-        return _psi_value_builtin(gen.p, t)
-    val = float(gen.func(t))
-    lo = float(t.max()) - _EVAL_BAND
-    if not lo <= val <= 1.0 + _EVAL_BAND:
-        raise _band_error(val, lo)
-    return val
-
-
 def psi_eval(gen: PsiGenerator, t) -> float:
     """Value of the generator at a simplex point."""
     t = as_simplex_point(t)
@@ -166,18 +181,18 @@ def psi_eval(gen: PsiGenerator, t) -> float:
         raise InvalidInputError(
             f"generator arity {gen.arity} does not accept weight vector of size {t.size}"
         )
-    return _psi_value(gen, t)
+    return float(psi_eval_many(gen, t))
 
 
 def psi_eval_many(gen: PsiGenerator, ts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over rows of ``ts``; rows must be simplex points."""
+    """Vectorized evaluation over rows of ``ts``; rows must be simplex points.
+
+    A 1-D ``ts`` is one row and gives a 0-d array.
+    """
     ts = np.asarray(ts, dtype=float)
     if gen.kind == "p":
-        if gen.p == 1.0:
-            return np.ones(ts.shape[:-1])
-        if gen.p == math.inf:
-            return ts.max(axis=-1)
-        return _power_norm(ts, gen.p)
+        # The constant generator is exactly 1, not a rounded sum of weights.
+        return np.ones(ts.shape[:-1]) if gen.p == 1.0 else _power_aggregate(ts, gen.p)
     # Call the callable row by row, then guard every value in one pass; the
     # error names the first bad row, as a row-by-row guard would.
     rows = ts.reshape(-1, ts.shape[-1])
@@ -389,21 +404,22 @@ def _onto_simplex(ts: np.ndarray) -> np.ndarray:
     return ts / ts.sum(axis=-1, keepdims=True)
 
 
-def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: int) -> float:
+def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.inf) -> float:
     """Sup of <t, weights> / psi(t) over the simplex.
 
     The ratio is a nonnegative linear function over a positive convex one, so
     every local maximum is global.  The best point of a coarse lattice (at
-    most ``grid`` subdivisions) starts a pattern search: a small local lattice
-    minus its barycenter, in both orientations, scaled by ``rho``.  A move to
-    its best point that gains is repeated with doubled length while it keeps
-    gaining; a batch with no gain multiplies ``rho`` by ``_CONTRACTION`` (1/4),
-    and the search stops once ``rho`` is at or below ``_RHO_STOP`` (2.5e-13),
-    so its finest scale lies in (2.5e-13, 1e-12].  A memo keyed by the
-    point's bytes calls ``psi`` once per distinct point: a batch with no gain
-    leaves ``t`` in place, so the next scale's row ``4 s`` repeats this
-    scale's row ``s`` wherever the stencil holds both, and clipping onto the
-    simplex merges rows near a face.  The value is a ratio at a point the
+    most ``grid`` subdivisions and ``_LATTICE_POINTS`` points) starts a
+    pattern search: a small local lattice minus its barycenter, in both
+    orientations, scaled by ``rho``.  A move to its best point that gains is
+    repeated with doubled length while it keeps gaining; a batch with no
+    gain multiplies ``rho`` by ``_CONTRACTION`` (1/4), and the search stops
+    once ``rho`` is at or below ``_RHO_STOP`` (2.5e-13), so its finest scale
+    lies in (2.5e-13, 1e-12].  A memo keyed by the point's bytes calls
+    ``psi`` once per distinct point: a batch with no gain leaves ``t`` in
+    place, so the next scale's row ``4 s`` repeats this scale's row ``s``
+    wherever the stencil holds both, and clipping onto the simplex merges
+    rows near a face.  The value is a ratio at a point the
     search evaluated, so it never exceeds the supremum.
     """
     seen: dict[bytes, float] = {}
@@ -466,8 +482,7 @@ def psi_conjugate_eval(gen: PsiGenerator, s, grid: int = 200) -> float:
     """
     s = as_simplex_point(s, "s")
     if gen.kind == "p":
-        q = conjugate_exponent(gen.p)
-        return _psi_value_builtin(q, s)
+        return float(psi_eval_many(psi_conjugate_generator(gen), s))
     if s.size != gen.arity:
         raise InvalidInputError("conjugate argument arity mismatch")
     if grid < 2:
@@ -475,30 +490,24 @@ def psi_conjugate_eval(gen: PsiGenerator, s, grid: int = 200) -> float:
     return _conjugate_sup(gen, s, grid)
 
 
-def dual_norm_from_block_norms(gen: PsiGenerator, rstar: np.ndarray, grid: int = 200) -> float:
+def dual_norm_from_block_norms(gen: PsiGenerator, rstar: np.ndarray) -> float:
     """Dual product norm given the blockwise dual ground norms ``rstar``.
 
     For power generators this is the conjugate-exponent aggregate; for
     tabulated generators it maximizes the weighted sum over the generator on
-    the simplex with the search of ``psi_conjugate_eval``, whose start
-    lattice ``grid`` caps.
+    the simplex with the search of ``psi_conjugate_eval``.
     """
     rstar = np.asarray(rstar, dtype=float)
     if gen.kind == "p":
-        q = conjugate_exponent(gen.p)
-        if q == 1.0:
-            return float(rstar.sum())
-        if q == math.inf:
-            return float(rstar.max())
-        return float(_power_norm(np.abs(rstar), q))
+        return float(_power_aggregate(np.abs(rstar), conjugate_exponent(gen.p)))
     if rstar.size != gen.arity:
         raise InvalidInputError("block count disagrees with tabulated arity")
     if not np.any(rstar):
         return 0.0
-    return _conjugate_sup(gen, rstar, grid)
+    return _conjugate_sup(gen, rstar)
 
 
-def psi_conjugate_generator(gen: PsiGenerator, grid: int = 200) -> PsiGenerator:
+def psi_conjugate_generator(gen: PsiGenerator) -> PsiGenerator:
     """The conjugate as a generator object.
 
     Power generators conjugate in closed form.  For tabulated generators the
@@ -509,7 +518,7 @@ def psi_conjugate_generator(gen: PsiGenerator, grid: int = 200) -> PsiGenerator:
     if gen.kind == "p":
         return PsiGenerator.power(conjugate_exponent(gen.p))
     return PsiGenerator.tabulated(
-        lambda s: _conjugate_sup(gen, np.asarray(s, dtype=float), grid),
+        lambda s: _conjugate_sup(gen, np.asarray(s, dtype=float)),
         arity=gen.arity,
         symmetric=gen.symmetric,
     )
@@ -528,7 +537,7 @@ def psi_min_symmetric(gen: PsiGenerator, arity: int | None = None) -> tuple[np.n
     if n < 2:
         raise InvalidInputError("arity must be >= 2")
     t = np.full(n, 1.0 / n)
-    return t, _psi_value(gen, t / t.sum())
+    return t, float(psi_eval_many(gen, t / t.sum()))
 
 
 def psi_sandwich_bounds(gen: PsiGenerator, t) -> tuple[float, float]:

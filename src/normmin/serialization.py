@@ -250,6 +250,8 @@ def parse_box(text: str, dim: int) -> np.ndarray:
         raise InputFormatError(
             "--box", f"expected {2 * dim} comma-separated numbers, got {len(vals)}"
         )
+    if not all(math.isfinite(v) for v in vals):
+        raise InputFormatError("--box", "bounds must be finite")
     return np.asarray(vals, dtype=float).reshape(dim, 2)
 
 

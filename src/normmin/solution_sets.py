@@ -8,7 +8,9 @@ blockwise into alignment cones, farthest-point conditions, and power-profile
 matching, and agree with the general predicate wherever both apply.
 
 All predicates share one set of vectorized residual kernels, so scalar
-queries and region sampling cannot drift apart.
+queries and region sampling cannot drift apart.  The kernels sum over blocks
+left to right whatever the batch, so a point's answer does not depend on the
+rows evaluated with it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .ground_norms import (
 )
 from .problem import ProblemInstance, _displacements_many
 from .product_norms import _from_block_norms_many
-from .psi_generators import conjugate_exponent
+from .psi_generators import _block_sum, conjugate_exponent
 from .solvers import _rounding_slack, _value_slope, lipschitz_bound
 
 GENERAL_PREDICATE = "general_predicate"
@@ -157,7 +159,7 @@ def _pairings(desc: SolutionSetDescription, us: np.ndarray):
 def _member_general(desc: SolutionSetDescription, us: np.ndarray, tol: float):
     dots, r = _pairings(desc, us)
     f = _from_block_norms_many(desc.instance.norm.generator, r)
-    resid = np.abs(dots.sum(axis=1) - f)
+    resid = np.abs(_block_sum(dots) - f)
     return resid <= tol * np.maximum(1.0, f)
 
 
@@ -234,7 +236,7 @@ def _block_test(desc: SolutionSetDescription, tol: float):
             reach = f + lip * radii
             limit = tol * np.maximum(1.0, reach)
             scale = reach + (r + kappa * radii[:, None]) @ w + limit
-            gap = np.abs(dots.sum(axis=1) - f) - slack * scale - limit
+            gap = np.abs(_block_sum(dots) - f) - slack * scale - limit
             return gap[:, None], slope * radii[:, None]
 
     elif desc.kind == CHEBYSHEV_INTERSECTION:
@@ -406,6 +408,8 @@ def sample_solution_region(
         raise InvalidInputError(
             f"box must hold {prob.dim} (low, high) pairs, got shape {b.shape}"
         )
+    if not np.all(np.isfinite(b)):
+        raise InvalidInputError("box bounds must be finite")
     if grid < 1:
         raise InvalidInputError("grid must be at least 1")
     total = grid**prob.dim

@@ -246,6 +246,40 @@ def test_tol_must_be_positive(tmp_path):
     assert "--tol" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "@prob", "@cert", "--tol", "nan"],
+        ["certify", "@prob", "@cert", "--tol", "inf"],
+        ["recover", "@prob", "@pt", "--tol", "nan"],
+    ],
+)
+def test_tol_must_be_finite(tmp_path, argv):
+    code, out, err = run_cli(
+        argv,
+        tmp_path,
+        prob=FT_LINF_PROBLEM,
+        cert=FT_LINF_CERT,
+        pt={"point": [1.0, 0.0]},
+    )
+    assert code == 1
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("box", ["nan,3,-3,3", "-3,inf,-3,3", "-3,3,-inf,3"])
+def test_sample_rejects_non_finite_box(tmp_path, box):
+    code, out, err = run_cli(
+        ["sample", "@prob", "@cert", "--box", box],
+        tmp_path,
+        prob=FT_LINF_PROBLEM,
+        cert=FT_LINF_CERT,
+    )
+    assert code == 1
+    assert out == ""
+    assert "--box" in err
+
+
 def test_unknown_subcommand(tmp_path):
     code, _, err = run_cli(["frobnicate"], tmp_path)
     assert code == 1

@@ -57,14 +57,17 @@ def test_objective_strictly_positive_everywhere():
     assert np.all(objective_eval_many(prob, us) > 0.0)
 
 
+@pytest.mark.parametrize("n", [3, 8, 13])
 @pytest.mark.parametrize("d", [1, 2, 3, 10])
-def test_objective_many_matches_row_by_row(d):
-    # The batched objective reads a coordinate-major displacement stack; the
-    # scalar one a row-major (n, d) block.  Up to d = 3 both sum the same
-    # terms in the same order; at d >= 8 numpy sums a contiguous row
-    # pairwise, so the two may differ by a few ulp.
-    rng = make_rng(40 + d)
-    anchors = random_anchors(rng, 3, d)
+def test_objective_many_matches_row_by_row(n, d):
+    # Sums over blocks run left to right in every batch, so a row's value
+    # does not depend on the rows evaluated with it.  The scalar objective
+    # reads a row-major (n, d) block, the batched one a coordinate-major
+    # stack: up to d = 3 both also sum the d terms in the same order; at
+    # d >= 8 numpy sums a contiguous row pairwise, so the two may differ by
+    # a few ulp.
+    rng = make_rng(40 + d + 100 * n)
+    anchors = random_anchors(rng, n, d)
     us = np.concatenate(
         [
             rng.normal(scale=3.0, size=(20, d)),
@@ -72,13 +75,17 @@ def test_objective_many_matches_row_by_row(d):
             1e200 * rng.normal(size=(4, d)),  # squares overflow: the same fallback
         ]
     )
-    tabulated = PsiGenerator.tabulated(lambda t: float(np.sqrt(np.sum(t * t))), arity=3)
+    generators = ALL_GENERATORS
+    if n <= 8:
+        generators += (PsiGenerator.tabulated(lambda t: float(np.sqrt(np.sum(t * t))), arity=n),)
     for ground in ALL_GROUNDS:
-        for gen in ALL_GENERATORS + (tabulated,):
+        for gen in generators:
             prob = ProblemInstance(anchors=anchors, norm=ProductNorm(ground=ground, generator=gen))
             many = objective_eval_many(prob, us)
+            one = np.concatenate([objective_eval_many(prob, u[None]) for u in us])
             rows = np.array([objective_eval(prob, u) for u in us])
             assert np.all(np.isfinite(many))
+            assert one.tobytes() == many.tobytes(), (ground, gen)
             if d <= 3:
                 assert many.tobytes() == rows.tobytes(), (ground, gen)
             else:

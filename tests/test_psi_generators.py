@@ -171,7 +171,7 @@ def test_conjugate_of_tabulated_is_valid_generator():
     tab = PsiGenerator.tabulated(
         lambda t: float(np.sqrt(np.sum(np.square(t)))), arity=2, symmetric=True
     )
-    conj = psi_conjugate_generator(tab, grid=200)
+    conj = psi_conjugate_generator(tab)
     assert conj.kind == "tabulated"
     assert validate_psi(conj, samples=300, tol=1e-3).passed
     rng = make_rng(15)
@@ -310,7 +310,7 @@ def test_conjugate_search_calls_psi_once_per_point():
                 assert len(set(psi.points)) == psi.calls, (n, s, psi.calls)
                 psi = Counted(func)
                 rstar = rng.exponential(size=n)
-                dual_norm_from_block_norms(PsiGenerator.tabulated(psi, n), rstar, grid=grid)
+                dual_norm_from_block_norms(PsiGenerator.tabulated(psi, n), rstar)
                 assert len(set(psi.points)) == psi.calls, (n, rstar, psi.calls)
 
 

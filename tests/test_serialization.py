@@ -133,6 +133,9 @@ def test_parse_box():
         parse_box("1,2,3", 2)
     with pytest.raises(InputFormatError):
         parse_box("a,b,c,d", 2)
+    for text in ("nan,3,-3,3", "-3,3,-3,inf", "-inf,3,-3,3"):
+        with pytest.raises(InputFormatError, match="finite"):
+            parse_box(text, 2)
 
 
 def test_region_csv_headers_and_rows():

@@ -36,7 +36,7 @@ from normmin import (
     solve_bound,
     solve_subgradient,
 )
-from normmin import geometry
+from normmin import geometry, solution_sets, solvers
 from normmin.solution_sets import _KERNELS, DESCRIPTION_TOL
 from normmin.solvers import _NEAR_MIN_SLACK
 
@@ -354,10 +354,10 @@ def keep_every_block(centers, radii):
 def test_region_sampling_across_tile_boundaries(
     monkeypatch, tile_points, d, kind, ground, p, solution, dual
 ):
-    # Both lattices are a single leaf of the walk.  With 15 points per tile,
-    # the 7 x 7 plane splits into 2+2+2+1 layers and each 5 x 5 layer of the
-    # 5^3 lattice into halves of 13 and 12 points; with 60, the plane fits in
-    # one tile and the space splits into 2+2+1 layers.
+    # Every block is kept.  With 15 points per tile, the 7 x 7 plane splits
+    # into 2+2+2+1 layers and each 5 x 5 layer of the 5^3 lattice into a
+    # tile of 15 points and the 10 left; with 60, the plane fits in one tile
+    # and the space splits into 2+2+1 layers.
     monkeypatch.setattr(geometry, "_TILE_POINTS", tile_points)
     desc = pair_on_axis(d, ground, p, solution, dual)
     assert desc.kind == kind
@@ -367,7 +367,7 @@ def test_region_sampling_across_tile_boundaries(
     tiles = list(geometry._lattice_walk(axes, keep_every_block))
     expected = {
         (15, 2): [14, 14, 14, 7],
-        (15, 3): [13, 12] * 5,
+        (15, 3): [15, 10] * 5,
         (60, 2): [49],
         (60, 3): [50, 50, 25],
     }
@@ -378,6 +378,14 @@ def test_region_sampling_across_tile_boundaries(
     inside = np.array([solution_set_contains(desc, pt) for pt in lattice])
     assert 0 < inside.sum() < inside.size
     assert np.array_equal(sample_solution_region(desc, box, grid), lattice[inside])
+
+
+def test_region_sampling_rejects_non_finite_boxes():
+    desc, _ = case_desc("ft-linf-pair")
+    for bad in (math.nan, math.inf, -math.inf):
+        box = np.array([[-3.0, 3.0], [-3.0, bad]])
+        with pytest.raises(InvalidInputError, match="finite"):
+            sample_solution_region(desc, box, 11)
 
 
 def test_region_sampling_budget_guard():
@@ -488,6 +496,52 @@ def test_block_walk_matches_the_dense_tile_walk():
     assert {d for _, d, _, _ in seen} == {1, 2, 3}
     assert {t for _, _, t, _ in seen} == {1e-7, 1e-4, 1e-2}
     assert "tabulated" in {g for _, _, _, g in seen}
+
+
+def test_one_point_chunks_answer_as_their_rows_of_the_lattice(monkeypatch):
+    # Thirteen anchors: numpy would add one row's block terms pairwise and a
+    # batch's in order.  With seven-point tiles the 36 x 36 lattices' kept
+    # runs leave one-point chunks for the kernels and the objective, and
+    # every answer must still be the one of a dense evaluation.
+    angles = 2.0 * np.pi * np.arange(12) / 12.0
+    ring = (1.0 + 0.1 * np.arange(12))[:, None] * np.stack([np.cos(angles), np.sin(angles)], 1)
+    anchors = np.vstack([np.zeros(2), ring])
+    # The sum objective with its minimizer on anchor 0 uses the general predicate.
+    median = ProblemInstance(anchors, ProductNorm(GroundNorm.euclidean(), PsiGenerator.power(1.0)))
+    units = -ring / np.linalg.norm(ring, axis=1)[:, None]
+    general = describe_solution_set(
+        median, Certificate(solution=np.zeros(2), duals=np.vstack([-units.sum(axis=0), units]))
+    )
+    assert general.kind == "general_predicate"
+    power = ProblemInstance(anchors, ProductNorm(GroundNorm.power(3.0), PsiGenerator.power(2.0)))
+    cert = recover_certificate(power, solve_subgradient(power).point, tol=1e-7)
+    profile = describe_solution_set(power, cert)
+    assert profile.kind == "pft_intersection"
+    grid = 36
+    runs = [(general, 1e-2), (profile, 1e-4)]
+    boxes = [desc.certificate.solution[:, None] + [-0.5, 0.5] for desc, _ in runs]
+    samples = [dense_sample(desc, box, grid, tol) for (desc, tol), box in zip(runs, boxes)]
+    oracles = [dense_oracle(prob, grid) for prob in (median, power)]
+    monkeypatch.setattr(geometry, "_TILE_POINTS", 7)
+    sizes = []
+
+    def walk(axes, judge, walk=geometry._lattice_walk):
+        for chunk in walk(axes, judge):
+            sizes[-1].append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(solution_sets, "_lattice_walk", walk)
+    monkeypatch.setattr(solvers, "_lattice_walk", walk)
+    for ((desc, tol), box), want in zip(zip(runs, boxes), samples):
+        sizes.append([])
+        got = sample_solution_region(desc, box, grid, tol)
+        assert 0 < len(want) < grid**2 and 1 in sizes[-1]
+        assert got.shape == want.shape and np.array_equal(got, want), desc.kind
+    for prob, (value, argmin) in zip((median, power), oracles):
+        sizes.append([])
+        oracle = grid_oracle(prob, grid)
+        assert 1 in sizes[-1]
+        assert oracle.value == value and np.array_equal(oracle.argmin, argmin)
 
 
 @pytest.mark.parametrize("grid", [1, 101, 997])

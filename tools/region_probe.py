@@ -1,27 +1,37 @@
-"""Region probe: the block walk against the dense lattice walk on 1 125 cells.
+"""Region probe: the block walk against the dense lattice walk on 2 025 cells.
 
 The grid is grounds {Euclidean, p=3, p=1.5, sum, max} x power generators
-p in {1, 1.5, 2, 3, inf} x d in {1, 2, 3} x seeds s in {0, ..., 14}.  A
-cell draws 2 to 5 anchors from ``numpy.random.default_rng([d, s])`` times 2,
-runs ``solve`` -> ``recover_certificate`` -> ``describe_solution_set`` and
-samples a random box about the solution at a random tolerance in
+p in {1, 1.5, 2, 3, inf} x d in {1, 2, 3} x seeds, in two parts.  For
+s in {0, ..., 14} a cell draws 2 to 5 anchors from
+``numpy.random.default_rng([d, s])`` times 2; for s in {0, ..., 5} and
+n in {8, 13} it draws n anchors from ``default_rng([d, s, n])``.  From 8
+blocks on, numpy's own sum would add a lone row's block terms in another
+order than a batch's, so the second part checks that the walk's one-point
+chunks answer as their rows of the lattice do: its walks cut chunks at 7
+points, where runs of 64-point leaves (d = 1) or of 8-column leaves (d = 2)
+leave one point over.
+
+A cell runs ``solve`` -> ``recover_certificate`` -> ``describe_solution_set``
+and samples a random box about the solution at a random tolerance in
 {1e-7, 1e-4, 1e-2} and a random grid, and runs ``grid_oracle`` on the same
-instance.  Every sixth cell samples a tabulated copy of its generator (the
-same power generator behind an opaque callable) with the same certificate.
-Each answer is compared bitwise with the dense walk over every lattice
-point in tiles of whole first-axis layers, which the block walk replaced.
+instance.  Every sixth cell of at most 8 anchors samples a tabulated copy of
+its generator (the same power generator behind an opaque callable) with the
+same certificate.  Each answer is compared bitwise with the dense walk over
+every lattice point in tiles of whole first-axis layers, which the block
+walk replaced.
 
 Prints one JSON line per cell, then one summary line with, per kind (the
 description's predicate, or ``oracle``), the cells, the share of lattice
 points the walk evaluated (block middle points and the points of the
-blocks it kept), the seconds of the walk and of the dense walk (each the
-lesser of two runs) and the mismatches, and the process's peak resident
-set size.  Exits 1 if any answer differs from the dense walk's.  Run from
-the repository root:
+blocks it kept), the chunks of one point the walk handed over, the seconds
+of the walk and of the dense walk (each the lesser of two runs; the 7-point
+tiles make the second part's walks slower than its dense walks) and the
+mismatches, and the process's peak resident set size.  Exits 1 if any
+answer differs from the dense walk's.  Run from the repository root:
 
     PYTHONPATH=src python tools/region_probe.py
 
-It takes under a minute on one core.
+It takes about four minutes on one core.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from normmin import (
     solve_bound,
 )
 from normmin import geometry, solution_sets, solvers
+from normmin.psi_generators import MAX_TABULATED_ARITY
 
 GROUNDS = {
     "euclidean": GroundNorm.euclidean(),
@@ -60,13 +71,18 @@ GROUNDS = {
 EXPONENTS = (1.0, 1.5, 2.0, 3.0, math.inf)
 DIMS = (1, 2, 3)
 SEEDS = range(15)
+# Anchor counts of the second part, its seeds, and the tile its walks cut
+# chunks at.
+MANY_ANCHORS = (8, 13)
+MANY_SEEDS = range(6)
+ONE_POINT_TILE = 7
 TOLS = (1e-7, 1e-4, 1e-2)
 HALF_WIDTHS = (0.01, 0.3, 3.0)
 # Lattices of at most a tile (8 192 points) are walked whole, unjudged.
 SAMPLE_GRIDS = {1: (1, 2, 999, 9001, 20001), 2: (1, 2, 57, 101, 201), 3: (1, 2, 6, 23, 41)}
 TABULATED_GRIDS = {1: (2, 999, 9001), 2: (2, 33, 101), 3: (2, 11, 23)}
 ORACLE_GRIDS = {1: (1, 2, 999, 20001), 2: (1, 2, 57, 201), 3: (1, 2, 23, 41)}
-COUNTS = ("cells", "lattice", "evaluated", "walk_s", "dense_s", "mismatches")
+COUNTS = ("cells", "lattice", "evaluated", "single", "walk_s", "dense_s", "mismatches")
 
 
 def dense_tiles(axes):
@@ -95,10 +111,10 @@ def dense_oracle(prob, grid):
 
 
 class Counted:
-    """The lattice walk, counting the points it evaluates."""
+    """The lattice walk, counting the points it evaluates and its one-point chunks."""
 
     def __init__(self):
-        self.points = 0
+        self.points = self.single = 0
         self.walk = geometry._lattice_walk
 
     def __call__(self, axes, judge):
@@ -108,6 +124,7 @@ class Counted:
 
         for pts in self.walk(axes, counted):
             self.points += len(pts)
+            self.single += len(pts) == 1
             yield pts
 
 
@@ -129,9 +146,24 @@ def timed(f):
     return out, min(seconds)
 
 
-def run_cell(ground: str, p: float, d: int, s: int, counter: Counted) -> list[dict]:
-    rng = np.random.default_rng([d, s])
-    n = int(rng.integers(2, 6))
+def walked(tile: int, f):
+    """``timed(f)`` with the walk cutting its chunks at ``tile`` points."""
+    shipped, geometry._TILE_POINTS = geometry._TILE_POINTS, tile
+    try:
+        return timed(f)
+    finally:
+        geometry._TILE_POINTS = shipped
+
+
+def run_cell(ground: str, p: float, d: int, s: int, n: int | None, counter: Counted) -> list[dict]:
+    """The cell's answers; ``n`` None draws 2 to 5 anchors."""
+    tile = geometry._TILE_POINTS
+    if n is None:
+        rng = np.random.default_rng([d, s])
+        n = int(rng.integers(2, 6))
+    else:
+        rng = np.random.default_rng([d, s, n])
+        tile = ONE_POINT_TILE
     anchors = rng.normal(size=(n, d)) * 2
     prob = ProblemInstance(anchors, ProductNorm(GROUNDS[ground], PsiGenerator.power(p)))
     tag = {"ground": ground, "p": "inf" if p == math.inf else p, "n": n, "d": d, "s": s}
@@ -139,7 +171,7 @@ def run_cell(ground: str, p: float, d: int, s: int, counter: Counted) -> list[di
     if not isinstance(cert, Certificate):
         return [{**tag, "kind": None, "reason": cert.reason}]
     desc = describe_solution_set(prob, cert)
-    tabulated = s % 6 == 5
+    tabulated = s % 6 == 5 and n <= MAX_TABULATED_ARITY
     if tabulated:
         copy = ProblemInstance(anchors, ProductNorm(GROUNDS[ground], tabulated_copy(p, n)))
         desc = describe_solution_set(copy, cert, tol=1e-6)
@@ -147,9 +179,9 @@ def run_cell(ground: str, p: float, d: int, s: int, counter: Counted) -> list[di
     half = rng.choice(HALF_WIDTHS) * rng.random(d)
     box = np.stack([cert.solution - half, cert.solution + half], axis=1)
     grid = int(rng.choice((TABULATED_GRIDS if tabulated else SAMPLE_GRIDS)[d]))
-    counter.points = 0
-    got, walk_s = timed(lambda: sample_solution_region(desc, box, grid, tol))
-    evaluated = counter.points // 2
+    counter.points = counter.single = 0
+    got, walk_s = walked(tile, lambda: sample_solution_region(desc, box, grid, tol))
+    evaluated, single = counter.points // 2, counter.single // 2
     want, dense_s = timed(lambda: dense_sample(desc, box, grid, tol))
     cells = [{
         **tag,
@@ -159,15 +191,16 @@ def run_cell(ground: str, p: float, d: int, s: int, counter: Counted) -> list[di
         "grid": grid,
         "lattice": grid**d,
         "evaluated": evaluated,
+        "one_point_chunks": single,
         "accepted": len(want),
         "walk_s": round(walk_s, 5),
         "dense_s": round(dense_s, 5),
         "match": got.shape == want.shape and bool(np.array_equal(got, want)),
     }]
     grid = int(rng.choice(ORACLE_GRIDS[d]))
-    counter.points = 0
-    got, walk_s = timed(lambda: grid_oracle(prob, grid))
-    evaluated = counter.points // 2
+    counter.points = counter.single = 0
+    got, walk_s = walked(tile, lambda: grid_oracle(prob, grid))
+    evaluated, single = counter.points // 2, counter.single // 2
     (value, argmin), dense_s = timed(lambda: dense_oracle(prob, grid))
     cells.append({
         **tag,
@@ -175,6 +208,7 @@ def run_cell(ground: str, p: float, d: int, s: int, counter: Counted) -> list[di
         "grid": grid,
         "lattice": grid**d,
         "evaluated": evaluated,
+        "one_point_chunks": single,
         "accepted": len(argmin),
         "walk_s": round(walk_s, 5),
         "dense_s": round(dense_s, 5),
@@ -188,24 +222,31 @@ def main() -> int:
     solution_sets._lattice_walk = solvers._lattice_walk = counter
     kinds: dict[str, dict] = {}
     skipped = 0
-    for ground in GROUNDS:
-        for p in EXPONENTS:
-            for d in DIMS:
-                for s in SEEDS:
-                    for cell in run_cell(ground, p, d, s, counter):
-                        print(json.dumps(cell), flush=True)
-                        if cell["kind"] is None:
-                            skipped += 1
-                            continue
-                        k = kinds.setdefault(cell["kind"], dict.fromkeys(COUNTS, 0))
-                        k["cells"] += 1
-                        k["mismatches"] += not cell["match"]
-                        for key in ("lattice", "evaluated", "walk_s", "dense_s"):
-                            k[key] += cell[key]
+    cells = [
+        (ground, p, d, s, n)
+        for n, seeds in [(None, SEEDS)] + [(n, MANY_SEEDS) for n in MANY_ANCHORS]
+        for ground in GROUNDS
+        for p in EXPONENTS
+        for d in DIMS
+        for s in seeds
+    ]
+    for args in cells:
+        for cell in run_cell(*args, counter):
+            print(json.dumps(cell), flush=True)
+            if cell["kind"] is None:
+                skipped += 1
+                continue
+            k = kinds.setdefault(cell["kind"], dict.fromkeys(COUNTS, 0))
+            k["cells"] += 1
+            k["mismatches"] += not cell["match"]
+            k["single"] += cell["one_point_chunks"]
+            for key in ("lattice", "evaluated", "walk_s", "dense_s"):
+                k[key] += cell[key]
     summary = {
         kind: {
             "cells": k["cells"],
             "evaluated_share": round(k["evaluated"] / k["lattice"], 4),
+            "one_point_chunks": k["single"],
             "walk_s": round(k["walk_s"], 3),
             "dense_s": round(k["dense_s"], 3),
             "mismatches": k["mismatches"],
