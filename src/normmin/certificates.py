@@ -102,119 +102,6 @@ class Infeasible:
     residual: float
 
 
-def _cert_arrays(prob: ProblemInstance, cert: Certificate):
-    if cert.duals.shape != prob.anchors.shape:
-        raise InvalidInputError(
-            f"certificate blocks {cert.duals.shape} do not match anchors "
-            f"{prob.anchors.shape}"
-        )
-    if cert.solution.size != prob.dim:
-        raise InvalidInputError("certificate solution dimension mismatch")
-    diffs = displacements(prob, cert.solution)
-    r = ground_norm_eval_many(prob.norm.ground, diffs)
-    rstar = ground_norm_eval_many(dual_ground_norm(prob.norm.ground), cert.duals)
-    return diffs, r, rstar
-
-
-def _report(theorem: str, residuals: dict, tol: float, warnings=None) -> CertificateReport:
-    verdict = all(v <= tol for v in residuals.values())
-    return CertificateReport(
-        theorem=theorem,
-        verdict=verdict,
-        residuals=residuals,
-        tol=tol,
-        warnings=list(warnings or []),
-    )
-
-
-def check_general(
-    prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL
-) -> CertificateReport:
-    """Score the generator-independent optimality conditions.
-
-    Dual blocks must sum to zero, have unit dual product norm, and pair with
-    the anchor displacements to the objective value.  Works for every
-    generator; tabulated generators price the dual norm with the search of
-    ``psi_conjugate_eval``, which can stop short at a kink of the generator,
-    so choose ``tol`` accordingly for them.
-    """
-    diffs, r, rstar = _cert_arrays(prob, cert)
-    f = objective_eval(prob, cert.solution)
-    dual_sum = ground_norm_eval(dual_ground_norm(prob.norm.ground), cert.duals.sum(axis=0))
-    dual_scale = max(1.0, float(rstar.max()))
-    dual_norm = float(dual_norm_from_block_norms(prob.norm.generator, rstar))
-    paired = float(np.sum(cert.duals * diffs))
-    residuals = {
-        "dual_sum": dual_sum / dual_scale,
-        "normalization": abs(dual_norm - 1.0),
-        "pairing": abs(paired - f) / f,
-    }
-    return _report(GENERAL, residuals, tol)
-
-
-def _require_power(prob: ProblemInstance, value: float, theorem: str) -> None:
-    gen = prob.norm.generator
-    if gen.kind != "p" or gen.p != value:
-        raise UnsupportedGeneratorError(
-            f"{theorem} conditions require the power generator with exponent "
-            f"{value}, got {gen.kind}"
-            + (f"({gen.p})" if gen.kind == "p" else "")
-        )
-
-
-def check_fermat_torricelli(
-    prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL
-) -> CertificateReport:
-    """Optimality conditions for the constant generator (sum of block norms).
-
-    Dual blocks sum to zero, the largest dual norm is one, each block pairs
-    with its displacement to the displacement's norm, and blocks of dual norm
-    below one only occur where the displacement vanishes.
-    """
-    _require_power(prob, 1.0, FERMAT_TORRICELLI)
-    diffs, r, rstar = _cert_arrays(prob, cert)
-    dual_sum = ground_norm_eval(dual_ground_norm(prob.norm.ground), cert.duals.sum(axis=0))
-    paired = np.sum(cert.duals * diffs, axis=1)
-    scale = float(r.max())
-    residuals = {
-        "dual_sum": dual_sum / max(1.0, float(rstar.max())),
-        "max_dual_norm": abs(float(rstar.max()) - 1.0),
-        "alignment": float(np.abs(paired - r).max()) / scale,
-        "complementarity": float((np.abs(rstar - 1.0) * r).max()) / scale,
-    }
-    return _report(FERMAT_TORRICELLI, residuals, tol)
-
-
-def check_chebyshev(
-    prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL
-) -> CertificateReport:
-    """Optimality conditions for the max generator (largest block norm).
-
-    Dual norms sum to one, every block with a nonzero dual is aligned with
-    its displacement, and nonzero duals only sit on blocks whose displacement
-    norm attains the maximum.  Fewer than two nonzero duals is geometrically
-    impossible at a true optimum and is reported as a warning.
-    """
-    _require_power(prob, math.inf, CHEBYSHEV)
-    diffs, r, rstar = _cert_arrays(prob, cert)
-    m = float(r.max())
-    dual_sum = ground_norm_eval(dual_ground_norm(prob.norm.ground), cert.duals.sum(axis=0))
-    paired = np.sum(cert.duals * diffs, axis=1)
-    residuals = {
-        "dual_sum": dual_sum / max(1.0, float(rstar.max())),
-        "dual_norm_total": abs(float(rstar.sum()) - 1.0),
-        "alignment": float(np.abs(paired - rstar * r).max()) / m,
-        "complementarity": float(((m - r) * rstar).max()) / m,
-    }
-    warnings = []
-    nonzero = int(np.sum(rstar > tol))
-    if nonzero < 2:
-        warnings.append(
-            f"only {nonzero} nonzero dual block(s); an optimum needs at least 2"
-        )
-    return _report(CHEBYSHEV, residuals, tol, warnings)
-
-
 def _power_profile(r: np.ndarray, p: float) -> np.ndarray:
     """Block norms to the power ``p``, normalized to sum to one along the last axis.
 
@@ -225,35 +112,6 @@ def _power_profile(r: np.ndarray, p: float) -> np.ndarray:
     safe = np.where(peak > 0.0, peak, 1.0)
     w = (r / safe) ** p
     return w / _block_sum(w)[..., None]
-
-
-def check_p_fermat(
-    prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL
-) -> CertificateReport:
-    """Optimality conditions for finite power generators above exponent one.
-
-    Dual norms raised to the conjugate exponent sum to one and follow the
-    profile of the displacement norms raised to the exponent; every block is
-    aligned with its displacement.
-    """
-    gen = prob.norm.generator
-    if gen.kind != "p" or gen.p == 1.0 or gen.p == math.inf:
-        raise UnsupportedGeneratorError(
-            "power-profile conditions require a finite power generator above 1"
-        )
-    p = gen.p
-    q = conjugate_exponent(p)
-    diffs, r, rstar = _cert_arrays(prob, cert)
-    dual_sum = ground_norm_eval(dual_ground_norm(prob.norm.ground), cert.duals.sum(axis=0))
-    paired = np.sum(cert.duals * diffs, axis=1)
-    powers = rstar**q
-    residuals = {
-        "dual_sum": dual_sum / max(1.0, float(rstar.max())),
-        "dual_power_total": abs(float(powers.sum()) - 1.0),
-        "alignment": float(np.abs(paired - rstar * r).max()) / float(r.max()),
-        "proportionality": float(np.abs(powers - _power_profile(r, p)).max()),
-    }
-    return _report(P_FERMAT, residuals, tol)
 
 
 def matching_theorem(prob: ProblemInstance) -> str:
@@ -274,18 +132,122 @@ def check_certificate(
     tol: float = DEFAULT_TOL,
     theorem: str = "auto",
 ) -> CertificateReport:
-    """Dispatch to a checker by name, or to the generator's specialized one."""
-    if theorem == "auto":
-        theorem = matching_theorem(prob)
+    """Score a certificate against a named condition set, or the generator's own.
+
+    Every set asks the dual blocks to sum to zero (``dual_sum``).  The
+    general set, valid for every generator, adds the conditions of
+    :func:`check_general`.  A power theorem asks each block to pair with its
+    displacement to its cap times the displacement's norm (``alignment``);
+    the cap is the block's dual norm, or one under the sum generator.  The
+    power theorems differ only in the two residuals on the caps, stated in
+    :func:`check_fermat_torricelli`, :func:`check_chebyshev` and
+    :func:`check_p_fermat`.  ``theorem`` is ``"auto"`` (the generator's
+    :func:`matching_theorem`), :data:`GENERAL` or the matching power theorem.
+    """
+    own = matching_theorem(prob)
+    theorem = own if theorem == "auto" else theorem
+    if theorem not in (GENERAL, FERMAT_TORRICELLI, CHEBYSHEV, P_FERMAT):
+        raise InvalidInputError(f"unknown theorem name {theorem!r}")
+    if theorem not in (GENERAL, own):
+        raise UnsupportedGeneratorError(
+            f"{theorem} conditions do not apply to a generator whose own are {own}"
+        )
+    if cert.duals.shape != prob.anchors.shape:
+        raise InvalidInputError(
+            f"certificate blocks {cert.duals.shape} do not match anchors "
+            f"{prob.anchors.shape}"
+        )
+    diffs = displacements(prob, cert.solution)
+    r = ground_norm_eval_many(prob.norm.ground, diffs)
+    rstar = ground_norm_eval_many(dual_ground_norm(prob.norm.ground), cert.duals)
+    dual_sum = ground_norm_eval(dual_ground_norm(prob.norm.ground), cert.duals.sum(axis=0))
+    residuals = {"dual_sum": dual_sum / max(1.0, float(rstar.max()))}
+    warnings = []
     if theorem == GENERAL:
-        return check_general(prob, cert, tol)
-    if theorem == FERMAT_TORRICELLI:
-        return check_fermat_torricelli(prob, cert, tol)
-    if theorem == CHEBYSHEV:
-        return check_chebyshev(prob, cert, tol)
-    if theorem == P_FERMAT:
-        return check_p_fermat(prob, cert, tol)
-    raise InvalidInputError(f"unknown theorem name {theorem!r}")
+        f = objective_eval(prob, cert.solution)
+        dual_norm = float(dual_norm_from_block_norms(prob.norm.generator, rstar))
+        residuals["normalization"] = abs(dual_norm - 1.0)
+        residuals["pairing"] = abs(float(np.sum(cert.duals * diffs)) - f) / f
+    else:
+        m = float(r.max())
+        if theorem == FERMAT_TORRICELLI:
+            bound = r
+            total = "max_dual_norm", abs(float(rstar.max()) - 1.0)
+            rule = "complementarity", float((np.abs(rstar - 1.0) * r).max()) / m
+        elif theorem == CHEBYSHEV:
+            bound = rstar * r
+            total = "dual_norm_total", abs(float(rstar.sum()) - 1.0)
+            rule = "complementarity", float(((m - r) * rstar).max()) / m
+            nonzero = int(np.sum(rstar > tol))
+            if nonzero < 2:
+                warnings.append(
+                    f"only {nonzero} nonzero dual block(s); an optimum needs at least 2"
+                )
+        else:
+            bound, p = rstar * r, prob.norm.generator.p
+            powers = rstar ** conjugate_exponent(p)
+            total = "dual_power_total", abs(float(powers.sum()) - 1.0)
+            rule = "proportionality", float(np.abs(powers - _power_profile(r, p)).max())
+        alignment = float(np.abs(np.sum(cert.duals * diffs, axis=1) - bound).max()) / m
+        residuals.update([total, ("alignment", alignment), rule])
+    return CertificateReport(
+        theorem=theorem,
+        verdict=all(v <= tol for v in residuals.values()),
+        residuals=residuals,
+        tol=tol,
+        warnings=warnings,
+    )
+
+
+def check_general(
+    prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL
+) -> CertificateReport:
+    """Score the generator-independent optimality conditions.
+
+    Dual blocks must sum to zero, have unit dual product norm, and pair with
+    the anchor displacements to the objective value.  Works for every
+    generator; tabulated generators price the dual norm with the search of
+    ``psi_conjugate_eval``, which can stop short at a kink of the generator,
+    so choose ``tol`` accordingly for them.
+    """
+    return check_certificate(prob, cert, tol, GENERAL)
+
+
+def check_fermat_torricelli(
+    prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL
+) -> CertificateReport:
+    """Optimality conditions for the constant generator (sum of block norms).
+
+    Dual blocks sum to zero, the largest dual norm is one, each block pairs
+    with its displacement to the displacement's norm, and blocks of dual norm
+    below one only occur where the displacement vanishes.
+    """
+    return check_certificate(prob, cert, tol, FERMAT_TORRICELLI)
+
+
+def check_chebyshev(
+    prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL
+) -> CertificateReport:
+    """Optimality conditions for the max generator (largest block norm).
+
+    Dual norms sum to one, every block with a nonzero dual is aligned with
+    its displacement, and nonzero duals only sit on blocks whose displacement
+    norm attains the maximum.  Fewer than two nonzero duals is geometrically
+    impossible at a true optimum and is reported as a warning.
+    """
+    return check_certificate(prob, cert, tol, CHEBYSHEV)
+
+
+def check_p_fermat(
+    prob: ProblemInstance, cert: Certificate, tol: float = DEFAULT_TOL
+) -> CertificateReport:
+    """Optimality conditions for finite power generators above exponent one.
+
+    Dual norms raised to the conjugate exponent sum to one and follow the
+    profile of the displacement norms raised to the exponent; every block is
+    aligned with its displacement.
+    """
+    return check_certificate(prob, cert, tol, P_FERMAT)
 
 
 # ---------------------------------------------------------------------------

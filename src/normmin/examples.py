@@ -38,6 +38,9 @@ from .solvers import solve
 _EPS = 1e-9
 _A = 1.0 / math.sqrt(3.0)
 
+# How far the solver's value may sit from a case's known value.
+_VALUE_TOL = 1e-6
+
 
 @dataclasses.dataclass(frozen=True)
 class ExampleCase:
@@ -274,13 +277,12 @@ def run_case(
     case: ExampleCase,
     grid: int = 241,
     tol: float = 1e-7,
-    value_tol: float = 1e-6,
 ) -> CaseResult:
     """Solve, recover, certify, and sample one bundled case end to end."""
     failures = []
     prob = case.instance()
     res = solve(prob)
-    if abs(res.value - case.value) > value_tol:
+    if abs(res.value - case.value) > _VALUE_TOL:
         failures.append(
             f"solver value {res.value!r} misses known value {case.value!r}"
         )

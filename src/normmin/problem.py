@@ -54,10 +54,7 @@ class ProblemInstance:
             )
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("anchors must be finite")
-        diffs = arr[:, None, :] - arr[None, :, :]
-        dists = np.sqrt((diffs * diffs).sum(-1))
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() <= _MIN_ANCHOR_GAP:
+        if _closest_pair_within(arr, _MIN_ANCHOR_GAP):
             raise InvalidInputError("anchors must be distinct")
         if not self.norm.arity_accepts(arr.shape[0]):
             raise ArityMismatchError(
@@ -76,6 +73,28 @@ class ProblemInstance:
 
     def centroid(self) -> np.ndarray:
         return self.anchors.mean(axis=0)
+
+
+def _closest_pair_within(arr: np.ndarray, gap: float) -> bool:
+    """Whether two rows of ``arr`` lie within Euclidean distance ``gap``, in O(n d) memory.
+
+    The rows are sorted by their coordinate of largest spread, and the
+    sorted order is walked offset by offset; only pairs whose sort keys lie
+    within ``2 gap`` get a distance.  A pair within ``gap`` is within it on
+    every coordinate, so no such pair is skipped.  Once no pair at some
+    offset has close keys, none at a larger offset has.
+    """
+    axis = int(np.argmax(arr.max(axis=0) - arr.min(axis=0)))
+    rows = arr[np.argsort(arr[:, axis], kind="stable")]
+    keys = rows[:, axis]
+    for offset in range(1, arr.shape[0]):
+        near = np.flatnonzero(keys[offset:] - keys[:-offset] <= 2.0 * gap)
+        if near.size == 0:
+            return False
+        diffs = rows[near + offset] - rows[near]
+        if np.sqrt((diffs * diffs).sum(-1)).min() <= gap:
+            return True
+    return False
 
 
 def displacements(prob: ProblemInstance, u) -> np.ndarray:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .certificates import (
     Certificate,
     _power_profile,
     check_certificate,
-    matching_theorem,
 )
 from .errors import (
     BudgetExceededError,
@@ -100,19 +98,17 @@ def describe_solution_set(
     does not cover a minimizer sitting on an anchor, so that case downgrades
     to the general pairing predicate.
     """
-    theorem = matching_theorem(prob)
-    report = check_certificate(prob, cert, tol=tol, theorem=theorem)
+    report = check_certificate(prob, cert, tol=tol)
     if not report.verdict:
         name, value = report.worst
         raise MembershipViolationError(
-            f"certificate fails the {theorem} conditions: {name}={value:.3e}"
+            f"certificate fails the {report.theorem} conditions: {name}={value:.3e}"
         )
-    kind = _KIND_BY_THEOREM[theorem]
+    kind = _KIND_BY_THEOREM[report.theorem]
     note = ""
     skipped: tuple = ()
-    diffs = cert.solution[None, :] - prob.anchors
-    r = ground_norm_eval_many(prob.norm.ground, diffs)
     if kind == FT_INTERSECTION:
+        r = ground_norm_eval_many(prob.norm.ground, cert.solution[None, :] - prob.anchors)
         if float(r.min()) <= tol * max(1.0, float(r.max())):
             kind = GENERAL_PREDICATE
             note = "solution coincides with an anchor; using the general predicate"
@@ -273,18 +269,25 @@ def _block_test(desc: SolutionSetDescription, tol: float):
 # ---------------------------------------------------------------------------
 
 
-def _require_generator(desc: SolutionSetDescription, p: float, label: str) -> None:
-    gen = desc.instance.norm.generator
-    if gen.kind != "p" or gen.p != p:
-        raise ContractError(f"{label} predicate needs the matching built-in generator")
+def _require_kind(desc: SolutionSetDescription, kind: str) -> None:
+    if desc.kind != kind:
+        raise ContractError(
+            f"the {kind} predicate does not apply to a {desc.kind} description"
+            + (f": {desc.note}" if desc.note else "")
+        )
+
+
+def _contains(desc: SolutionSetDescription, u, tol: float, kind: str) -> bool:
+    """Whether the ``kind`` kernel accepts ``u``; the description must be of that kind."""
+    _require_kind(desc, kind)
+    return bool(_KERNELS[kind](desc, _query_rows(desc, u), tol)[0])
 
 
 def sol_contains_general(
     desc: SolutionSetDescription, u, tol: float = DESCRIPTION_TOL
 ) -> bool:
     """Whether the certified pairing attains the objective value at ``u``."""
-    us = _query_rows(desc, u)
-    return bool(_member_general(desc, us, tol)[0])
+    return bool(_member_general(desc, _query_rows(desc, u), tol)[0])
 
 
 def sol_contains_ft(
@@ -295,30 +298,21 @@ def sol_contains_ft(
     Valid only when the certified minimizer is off the anchors; otherwise
     the caller is directed to the general predicate, which has no caveat.
     """
-    _require_generator(desc, 1.0, "sum-objective")
-    if desc.kind != FT_INTERSECTION:
-        raise ContractError(
-            "certified minimizer coincides with an anchor; "
-            "use sol_contains_general"
-        )
-    us = _query_rows(desc, u)
-    return bool(_member_ft(desc, us, tol)[0])
+    return _contains(desc, u, tol, FT_INTERSECTION)
 
 
 def sol_contains_chebyshev(
     desc: SolutionSetDescription, u, tol: float = DESCRIPTION_TOL
 ) -> bool:
     """Pairing-attains-max membership over blocks with dual mass above tol."""
-    _require_generator(desc, math.inf, "max-objective")
-    us = _query_rows(desc, u)
-    return bool(_member_chebyshev(desc, us, tol)[0])
+    return _contains(desc, u, tol, CHEBYSHEV_INTERSECTION)
 
 
 def sol_contains_chebyshev_via_cells(
     desc: SolutionSetDescription, u, tol: float = DESCRIPTION_TOL
 ) -> bool:
     """Equivalent route: alignment cone plus farthest-cell per massive block."""
-    _require_generator(desc, math.inf, "max-objective")
+    _require_kind(desc, CHEBYSHEV_INTERSECTION)
     us = _query_rows(desc, u)
     prob = desc.instance
     rstar = desc.dual_norms
@@ -339,20 +333,14 @@ def sol_contains_pft(
     desc: SolutionSetDescription, u, tol: float = DESCRIPTION_TOL
 ) -> bool:
     """Alignment plus power-profile proportionality for power generators."""
-    gen = desc.instance.norm.generator
-    if gen.kind != "p" or not (1.0 < gen.p < math.inf):
-        raise ContractError(
-            "profile predicate needs a built-in generator with finite exponent above 1"
-        )
-    us = _query_rows(desc, u)
-    return bool(_member_pft(desc, us, tol)[0])
+    return _contains(desc, u, tol, PFT_INTERSECTION)
 
 
 def solution_set_contains(
     desc: SolutionSetDescription, u, tol: float = DESCRIPTION_TOL
 ) -> bool:
     """Dispatch to the predicate selected at description time."""
-    return bool(_KERNELS[desc.kind](desc, _query_rows(desc, u), tol)[0])
+    return _contains(desc, u, tol, desc.kind)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,10 @@ _MULTIPLIER_TOL = 1e-7
 # gains at most this much, relative to max(1, value).
 _STALL_TOL = 1e-9
 
+# The largest search dimension in which the pattern search was checked
+# against the exact methods; above it, it never reports convergence.
+_VERIFIED_DIM = 3
+
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
@@ -631,11 +635,13 @@ def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = No
     centroid and each from the best point so far, at simplex sizes 1, 1e-2
     and 1e-4 times 5% of the anchor spread.  ``config.max_iters`` caps the
     iterations of all runs together, and ``iterations`` reports the total.
-    ``converged`` means every run ran and the last one gained at most
-    ``_STALL_TOL`` times max(1, value).  The value is never above the
-    centroid's.  Verified against the exact methods in dimension at most 3;
-    from dimension 5 on it can stop up to about 1e-2 relative above the
-    optimum, sometimes with ``converged`` True.
+    ``converged`` means the search has at most ``_VERIFIED_DIM`` directions,
+    every run ran and the last one gained at most ``_STALL_TOL`` times
+    max(1, value).  The value is never above the centroid's.  Verified
+    against the exact methods in dimension at most 3; from dimension 5 on it
+    can stop up to about 1e-2 relative above the optimum with a last run
+    that gains nothing, so with more directions it never reports
+    ``converged``.
     """
     from scipy.optimize import minimize
 
@@ -673,7 +679,7 @@ def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = No
         if gain > 0.0:
             y, f = res.x, float(res.fun)
     else:
-        converged = gain <= _STALL_TOL * max(1.0, f)
+        converged = y.size <= _VERIFIED_DIM and gain <= _STALL_TOL * max(1.0, f)
     return SolveResult(point=u0 + basis @ y, value=f, iterations=iterations, converged=converged)
 
 

@@ -14,8 +14,10 @@ from normmin import (
     GENERAL,
     P_FERMAT,
     Certificate,
+    ContractError,
     GroundNorm,
     Infeasible,
+    InvalidInputError,
     ProblemInstance,
     ProductNorm,
     PsiGenerator,
@@ -28,6 +30,7 @@ from normmin import (
     check_general,
     check_p_fermat,
     conjugate_exponent,
+    describe_solution_set,
     dual_ground_norm,
     ground_norm_eval,
     ground_norm_eval_many,
@@ -35,6 +38,9 @@ from normmin import (
     objective_eval,
     objective_eval_many,
     recover_certificate,
+    sol_contains_chebyshev,
+    sol_contains_ft,
+    sol_contains_pft,
     solve_bound,
     solve_subgradient,
 )
@@ -145,6 +151,62 @@ def test_check_certificate_dispatch_and_theorem_field():
     assert report.theorem == FERMAT_TORRICELLI
     report2 = check_certificate(prob, good, theorem=GENERAL)
     assert report2.theorem == GENERAL and report2.verdict
+
+
+_GUARD_GENERATORS = {
+    "p1": PsiGenerator.power(1.0),
+    "p1.5": PsiGenerator.power(1.5),
+    "pinf": PsiGenerator.power(math.inf),
+    # The 1.5-norm behind an opaque callable.
+    "tabulated": PsiGenerator.tabulated(
+        lambda t: float(np.sum(np.abs(t) ** 1.5) ** (1.0 / 1.5)), arity=3, symmetric=True
+    ),
+}
+_PUBLIC_CHECKERS = {
+    GENERAL: check_general,
+    FERMAT_TORRICELLI: check_fermat_torricelli,
+    CHEBYSHEV: check_chebyshev,
+    P_FERMAT: check_p_fermat,
+}
+_PREDICATES = {
+    FERMAT_TORRICELLI: (sol_contains_ft, "ft_intersection"),
+    CHEBYSHEV: (sol_contains_chebyshev, "chebyshev_intersection"),
+    P_FERMAT: (sol_contains_pft, "pft_intersection"),
+}
+
+
+@pytest.mark.parametrize("gen_id", sorted(_GUARD_GENERATORS))
+@pytest.mark.parametrize("name", ["auto", GENERAL, FERMAT_TORRICELLI, CHEBYSHEV, P_FERMAT, "fermat"])
+def test_theorem_and_predicate_guards(name, gen_id):
+    # Three anchors whose Fermat point is off the anchors, so the sum
+    # generator keeps its blockwise predicate.
+    anchors = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
+    gen = _GUARD_GENERATORS[gen_id]
+    prob = ProblemInstance(anchors=anchors, norm=ProductNorm(ground=GroundNorm.euclidean(), generator=gen))
+    source = gen if gen.kind == "p" else PsiGenerator.power(1.5)
+    solved = ProblemInstance(anchors=anchors, norm=ProductNorm(ground=GroundNorm.euclidean(), generator=source))
+    good = recover_certificate(solved, solve_subgradient(solved).point)
+    assert isinstance(good, Certificate)
+    own = matching_theorem(prob)
+    if name not in _PUBLIC_CHECKERS and name != "auto":
+        with pytest.raises(InvalidInputError):
+            check_certificate(prob, good, theorem=name)
+    elif name not in ("auto", GENERAL, own):
+        with pytest.raises(UnsupportedGeneratorError):
+            check_certificate(prob, good, theorem=name)
+        with pytest.raises(UnsupportedGeneratorError):
+            _PUBLIC_CHECKERS[name](prob, good)
+    else:
+        public = _PUBLIC_CHECKERS[own if name == "auto" else name]
+        assert check_certificate(prob, good, tol=1e-7, theorem=name) == public(prob, good, tol=1e-7)
+    if name in _PREDICATES:
+        predicate, kind = _PREDICATES[name]
+        desc = describe_solution_set(prob, good)
+        if desc.kind != kind:
+            with pytest.raises(ContractError):
+                predicate(desc, good.solution)
+        else:
+            assert predicate(desc, good.solution)
 
 
 def test_recover_examples():

@@ -1,6 +1,7 @@
 """Problem instances, the objective, its subgradients, and structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from normmin import (
     solve_bound,
     strict_convexity_class,
 )
-from normmin.problem import _ground_subgradient
+from normmin.problem import _MIN_ANCHOR_GAP, _ground_subgradient
 
 
 def two_anchor(ground, gen):
@@ -104,6 +105,54 @@ def test_instance_invariants():
             anchors=np.array([[0.0, 0.0], [2.0, 0.0]]),
             norm=ProductNorm(ground=GroundNorm.max(), generator=tab),
         )
+
+
+def _dense_has_duplicates(anchors):
+    # The all-pairs distance test, with its (n, n, d) difference array.
+    diffs = anchors[:, None, :] - anchors[None, :, :]
+    dists = np.sqrt((diffs * diffs).sum(-1))
+    np.fill_diagonal(dists, np.inf)
+    return dists.min() <= _MIN_ANCHOR_GAP
+
+
+def test_distinctness_verdict_matches_all_pairs():
+    # Pairs planted at, just inside and just outside the gap, along one
+    # coordinate or a random direction, and pairs that tie on a coordinate
+    # while lying far apart on the others.
+    rng = make_rng(77)
+    norm = ProductNorm(ground=GroundNorm.euclidean(), generator=PsiGenerator.power(1.0))
+    verdicts = set()
+    for _ in range(400):
+        n, d = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+        if rng.random() < 0.2:
+            anchors = rng.integers(0, 3, size=(n, d)).astype(float)
+        else:
+            anchors = rng.normal(size=(n, d))
+        i, j = rng.choice(n, size=2, replace=False)
+        step = rng.normal(size=d) if rng.random() < 0.5 else np.eye(d)[rng.integers(d)]
+        factor = rng.choice([0.0, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 1e6])
+        anchors[j] = anchors[i] + step / np.linalg.norm(step) * factor * _MIN_ANCHOR_GAP
+        expected = _dense_has_duplicates(anchors)
+        verdicts.add(bool(expected))
+        if expected:
+            with pytest.raises(InvalidInputError, match="distinct"):
+                ProblemInstance(anchors=anchors, norm=norm)
+        else:
+            ProblemInstance(anchors=anchors, norm=norm)
+    assert verdicts == {True, False}
+
+
+def test_distinctness_check_memory_is_linear():
+    # At n=2048, d=10 the all-pairs difference array alone takes 335 MB.
+    anchors = make_rng(78).normal(size=(2048, 10))
+    norm = ProductNorm(ground=GroundNorm.euclidean(), generator=PsiGenerator.power(1.0))
+    tracemalloc.start()
+    try:
+        ProblemInstance(anchors=anchors, norm=norm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 def test_solve_bound_examples():

@@ -253,6 +253,24 @@ def test_pattern_search_matches_exact_methods(ground, p):
         assert abs(res.value - exact.value) <= 1e-9 * max(1.0, exact.value), (d, tabulated)
 
 
+@pytest.mark.parametrize(
+    "ground,p,d,s",
+    [(GroundNorm.euclidean(), math.inf, 5, 2), (GroundNorm.max(), 2.0, 10, 0)],
+    ids=["euclidean-pinf-d5", "max-p2-d10"],
+)
+def test_pattern_search_converged_only_where_verified(ground, p, d, s):
+    # On these cells the pattern search stops about 1e-8 relative above the
+    # optimum while its last run gains nothing, so ``converged`` must not
+    # claim the optimum there.
+    n = 8
+    prob = _instance(np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2, ground, p)
+    exact = solve_subgradient(prob)
+    res = solve_pattern_search(_tabulated_copy(prob)[0])
+    assert exact.converged
+    if res.converged:
+        assert abs(res.value - exact.value) <= 1e-9 * max(1.0, exact.value)
+
+
 def test_lipschitz_bound_formula_and_validity():
     rng = make_rng(74)
     d = 3
