@@ -38,10 +38,16 @@ MAX_TABULATED_ARITY = 8
 _LATTICE_POINTS = 64
 _STENCIL_STEPS = 4
 
-# The conjugate search multiplies its scale by this after a poll with no gain,
-# and stops once the scale is at or below the stop scale.
+# The conjugate search multiplies its scale by the contraction after a poll
+# with no gain, or by the model contraction when the quadratic model's step
+# gains instead, and stops once the scale is at or below the stop scale.
 _CONTRACTION = 0.25
+_MODEL_CONTRACTION = 1.0 / 16.0
 _RHO_STOP = 2.5e-13
+
+# After a winning move the conjugate search first polls only the stencil
+# points within this cosine of that move.
+_NEAR_COSINE = 0.8
 
 # A search move must raise the ratio by more than this relative amount, so
 # rounding noise in a flat ratio cannot keep the search crawling.
@@ -404,23 +410,86 @@ def _onto_simplex(ts: np.ndarray) -> np.ndarray:
     return ts / ts.sum(axis=-1, keepdims=True)
 
 
+def _model_step(stencil: np.ndarray) -> Callable:
+    """The search step of a quadratic model fitted to a failed poll's values.
+
+    The model is a least-squares quadratic on the centre and the stencil, in
+    an orthonormal basis of the sum-zero plane; its pseudo-inverse depends
+    only on the stencil, so each fit is one matrix-vector product.  The
+    returned ``peak(t, rho, best, vals)`` takes the centre ``t``, its value
+    ``best`` and the values ``vals`` at ``t + rho * stencil``.  It gives the
+    model's maximizer, or None unless the fitted Hessian is negative definite
+    and the maximizer lies within the stencil's radius and inside the
+    simplex; and whether the model is flat: it reproduces every value, and
+    its maximum lies above ``best``, by at most ``_GAIN_RTOL`` relative.
+    """
+    n = stencil.shape[1]
+    basis = np.linalg.qr(np.eye(n)[:, :-1] - 1.0 / n)[0]
+    zs = np.vstack([np.zeros(n - 1), stencil @ basis])
+    upper = np.triu_indices(n - 1)
+    design = np.hstack([np.ones((len(zs), 1)), zs, zs[:, upper[0]] * zs[:, upper[1]]])
+    pinv = np.linalg.pinv(design)
+    radius = float(np.linalg.norm(stencil, axis=1).max())
+
+    def peak(
+        t: np.ndarray, rho: float, best: float, vals: np.ndarray
+    ) -> tuple[np.ndarray | None, bool]:
+        rise = np.append(0.0, vals - best)
+        coef = pinv @ rise
+        hess = np.zeros((n - 1, n - 1))
+        hess[upper] = coef[n:]
+        hess += hess.T
+        if np.linalg.eigvalsh(hess)[-1] >= 0.0:
+            return None, False
+        z = np.linalg.solve(hess, -coef[1:n])
+        top = t + rho * (basis @ z)
+        if z @ z > radius * radius or top.min() < 0.0:
+            return None, False
+        # c + g.z + z'Hz/2 peaks at z = -H^-1 g, with value c + g.z/2.
+        top_rise = coef[0] + 0.5 * coef[1:n] @ z
+        flat = max(np.abs(design @ coef - rise).max(), top_rise) <= _GAIN_RTOL * best
+        return _onto_simplex(top), flat
+
+    return peak
+
+
 def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.inf) -> float:
     """Sup of <t, weights> / psi(t) over the simplex.
 
     The ratio is a nonnegative linear function over a positive convex one, so
     every local maximum is global.  The best point of a coarse lattice (at
     most ``grid`` subdivisions and ``_LATTICE_POINTS`` points) starts a
-    pattern search: a small local lattice minus its barycenter, in both
-    orientations, scaled by ``rho``.  A move to its best point that gains is
-    repeated with doubled length while it keeps gaining; a batch with no
-    gain multiplies ``rho`` by ``_CONTRACTION`` (1/4), and the search stops
-    once ``rho`` is at or below ``_RHO_STOP`` (2.5e-13), so its finest scale
-    lies in (2.5e-13, 1e-12].  A memo keyed by the point's bytes calls
-    ``psi`` once per distinct point: a batch with no gain leaves ``t`` in
-    place, so the next scale's row ``4 s`` repeats this scale's row ``s``
-    wherever the stencil holds both, and clipping onto the simplex merges
-    rows near a face.  The value is a ratio at a point the
-    search evaluated, so it never exceeds the supremum.
+    pattern search, split into a poll and a model-driven search step in the
+    manner of mesh adaptive direct search (Audet and Dennis 2006).
+
+    - The poll tries ``t + rho * stencil``, where the stencil is a small local
+      lattice minus its barycenter, in both orientations.  After a winning
+      move it first tries only the stencil points within cosine
+      ``_NEAR_COSINE`` (0.8) of that move, and falls back to the whole
+      stencil when none of them gains.  A move to the best point that gains
+      is repeated with doubled length while it keeps gaining.
+    - A full poll with no gain ends the search when its lowest ratio lies
+      within ``_GAIN_RTOL`` of the best: no finer poll could register a gain.
+    - Otherwise, if the stencil lies wholly inside the simplex, a quadratic is
+      fitted to the values the poll paid for (``_model_step``; Conn,
+      Scheinberg and Vicente 2009) and its maximizer is tried.  If that
+      gains, the search moves there and multiplies ``rho`` by
+      ``_MODEL_CONTRACTION`` (1/16).  If it does not, and the model is flat
+      (it reproduces the poll and peaks within ``_GAIN_RTOL``), the search
+      ends for the same reason as at a flat poll.  Else ``rho`` is
+      multiplied by ``_CONTRACTION`` (1/4).
+    - The search stops once ``rho`` is at or below ``_RHO_STOP`` (2.5e-13).
+      That floor governs at kinks, where the poll's drops are linear in
+      ``rho`` and the model does not fit.
+
+    Smooth maxima thus converge superlinearly, and ridges are climbed by
+    polls of a few points.  A memo keyed by the point's bytes calls ``psi``
+    once per distinct point: a failed poll leaves ``t`` in place, so the
+    next scale's row ``4 s`` repeats this scale's row ``s`` wherever the
+    stencil holds both, the full poll repeats the points of the directed
+    one, and clipping onto the simplex merges rows near a face.  The value
+    is a ratio at a point the search evaluated, so it never exceeds the
+    supremum.
     """
     seen: dict[bytes, float] = {}
 
@@ -448,15 +517,35 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
     local = n * _compositions(n, k) - k
     stencil = np.unique(np.vstack([local, -local]), axis=0)
     stencil = stencil[np.any(stencil, axis=1)] / (n * k)
+    units = stencil / np.linalg.norm(stencil, axis=1)[:, None]
+    peak = _model_step(stencil)
+    near = stencil[:0]
     rho = 1.0 / m
     while rho > _RHO_STOP:
-        cands = _onto_simplex(t + rho * stencil)
-        vals = ratios(cands)
-        i = int(np.argmax(vals))
-        if vals[i] <= best * (1.0 + _GAIN_RTOL):
-            rho *= _CONTRACTION
+        for poll in (near, stencil):
+            if not len(poll):
+                continue
+            raw = t + rho * poll
+            cands = _onto_simplex(raw)
+            vals = ratios(cands)
+            i = int(np.argmax(vals))
+            if vals[i] > best * (1.0 + _GAIN_RTOL):
+                break
+        else:
+            # The full poll failed: stop where it is flat, else try the model.
+            if vals.min() >= best * (1.0 - _GAIN_RTOL):
+                break
+            top, flat = peak(t, rho, best, vals) if raw.min() >= 0.0 else (None, False)
+            ratio = ratios(top[None])[0] if top is not None else -math.inf
+            if ratio > best * (1.0 + _GAIN_RTOL):
+                t, best, rho = top, ratio, rho * _MODEL_CONTRACTION
+            elif flat:
+                break
+            else:
+                rho *= _CONTRACTION
             continue
         step, t, best = cands[i] - t, cands[i], vals[i]
+        near = stencil[units @ step >= _NEAR_COSINE * np.linalg.norm(step)]
         # Repeat the winning move with doubled length while it keeps gaining.
         while True:
             step *= 2.0
@@ -474,11 +563,12 @@ def psi_conjugate_eval(gen: PsiGenerator, s, grid: int = 200) -> float:
     Power generators use closed forms (exponent 1 and infinity swap, finite
     exponents conjugate).  Tabulated generators run a deterministic search:
     the best point of a coarse simplex lattice, whose subdivisions ``grid``
-    caps, starts a shrinking local pattern search.  The value is attained at
-    a point the search evaluated, so it never exceeds the supremum.  On power
-    generators behind a callable it stays within 1e-12 relative of the closed
-    form on the 560 cells of ``tools/conjugate_probe.py`` (arities 2 to 8,
-    worst 7.2e-13 short); at a kink it can stop short.
+    caps, starts a shrinking local pattern search with a quadratic-model
+    step.  The value is attained at a point the search evaluated, so it never
+    exceeds the supremum.  On power generators behind a callable it stays
+    within 1e-12 relative of the closed form on the 560 cells of
+    ``tools/conjugate_probe.py`` (arities 2 to 8, worst 6.2e-13 short); at a
+    kink it can stop short.
     """
     s = as_simplex_point(s, "s")
     if gen.kind == "p":
@@ -512,8 +602,9 @@ def psi_conjugate_generator(gen: PsiGenerator) -> PsiGenerator:
 
     Power generators conjugate in closed form.  For tabulated generators the
     result is itself tabulated, each evaluation running the search of
-    ``psi_conjugate_eval`` (on power generators, up to about 1 100 generator
-    calls at arity 3 and 3 000 at arity 4).
+    ``psi_conjugate_eval`` (on power generators, up to about 700 generator
+    calls at arity 3 and 1 500 at arity 4 on the probe's cells; the max
+    generator's kink at the uniform point can take 3 000 at arity 4).
     """
     if gen.kind == "p":
         return PsiGenerator.power(conjugate_exponent(gen.p))

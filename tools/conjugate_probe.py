@@ -12,7 +12,8 @@ Prints one JSON line per cell, then one summary line with the cells beyond
 1e-12, the largest relative excess over the closed form and shortfall under
 it, the total generator calls and, per arity, the largest call count and the
 seconds of the search.  Exits 1 if any value lies more than 1e-12 relative
-above or below the closed form.  Run from the repository root:
+above or below the closed form, or if the generator calls of all cells
+together exceed ``MAX_CALLS``.  Run from the repository root:
 
     PYTHONPATH=src python tools/conjugate_probe.py
 
@@ -37,6 +38,9 @@ POINTS = 8
 # The start-lattice caps of ``SEARCH_GRIDS`` in tests/test_psi_generators.py.
 SEARCH_GRIDS = {2: 200, 3: 200, 4: 40, 5: 20, 6: 12, 7: 12, 8: 12}
 RTOL = 1e-12
+# The total generator calls of the search on these cells (843 924 when this
+# gate was set) plus about 5%, so a change that makes the search costlier fails.
+MAX_CALLS = 886_000
 
 
 class Counted:
@@ -101,7 +105,7 @@ def main() -> int:
             for n, a in arities.items()
         },
     }))
-    return 1 if beyond else 0
+    return 1 if beyond or calls > MAX_CALLS else 0
 
 
 if __name__ == "__main__":
