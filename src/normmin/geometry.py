@@ -148,12 +148,14 @@ def _lattice_walk(axes, judge):
     A branch and bound over index blocks (Piyavskii 1972; Shubert 1972).  The
     walk starts from the whole index box and, at each level, cuts every axis
     of a block into a few even runs, about ``_CHILDREN`` children in all,
-    down to leaves of about ``_LEAF_POINTS`` points.  ``judge(centers, radii)``
-    receives each block's middle lattice point as a row and the Euclidean
-    radius of the block's points about it.  It returns two boolean arrays
-    over the blocks: ``out``, the blocks that provably hold no point the
-    caller wants, which are dropped, and ``near``, the blocks whose middle
-    point is one the caller wants.  The surviving children of a block are
+    down to leaves of about ``_LEAF_POINTS`` points.
+    ``judge(centers, radii, lows, highs)`` receives, one row per block, the
+    block's middle lattice point, the Euclidean radius of the block's points
+    about it, and its first and last lattice coordinates (the lowest and
+    highest corners of its box).  It returns two boolean arrays over the
+    blocks: ``out``, the blocks that provably hold no point the caller
+    wants, which are dropped, and ``near``, the blocks whose middle point is
+    one the caller wants.  The surviving children of a block are
     split further unless most of the children are near, in which case each
     survivor that fits a tile is taken whole: a lattice where every point is
     wanted costs a few centers more than a dense walk, and a thin wanted set
@@ -195,12 +197,11 @@ def _kept_leaves(axes, side, sizes, judge):
         first = lo * side
         last = np.minimum(hi * side, shape) - 1
         mid = (first + last) // 2
-        centers = np.empty(mid.shape)
-        reach = np.empty(mid.shape)
+        centers, lows, highs = np.empty(mid.shape), np.empty(mid.shape), np.empty(mid.shape)
         for k, a in enumerate(axes):
-            centers[:, k] = a[mid[:, k]]
-            reach[:, k] = np.maximum(centers[:, k] - a[first[:, k]], a[last[:, k]] - centers[:, k])
-        out, near = judge(centers, np.sqrt((reach * reach).sum(axis=1)))
+            centers[:, k], lows[:, k], highs[:, k] = a[mid[:, k]], a[first[:, k]], a[last[:, k]]
+        reach = np.maximum(centers - lows, highs - centers)
+        out, near = judge(centers, np.sqrt((reach * reach).sum(axis=1)), lows, highs)
         return ~out, near, last + 1 - first
 
     kept = np.zeros(leaves, dtype=bool)

@@ -36,7 +36,7 @@ from .errors import (
     InvalidInputError,
     MembershipViolationError,
 )
-from .geometry import _lattice_walk
+from .geometry import _LEAF_POINTS, _TILE_POINTS, _lattice_walk
 from .ground_norms import (
     GroundNorm,
     alignment_set_contains,
@@ -46,7 +46,7 @@ from .ground_norms import (
 )
 from .problem import ProblemInstance, _displacements_many
 from .product_norms import _from_block_norms_many
-from .psi_generators import _block_sum, conjugate_exponent
+from .psi_generators import _EVAL_BAND, _block_sum, conjugate_exponent
 from .solvers import _rounding_slack, _value_slope, lipschitz_bound
 
 GENERAL_PREDICATE = "general_predicate"
@@ -201,7 +201,7 @@ _KERNELS = {
 
 
 def _block_test(desc: SolutionSetDescription, tol: float):
-    """``judge(centers, radii)`` of :func:`~normmin.geometry._lattice_walk` for the kernel.
+    """``judge(centers, radii, lows, highs)`` of :func:`~normmin.geometry._lattice_walk` for the kernel.
 
     A block of radius rho about a middle point c is ruled out when a residual
     the kernel tests, evaluated at c, exceeds the kernel's largest threshold
@@ -215,27 +215,17 @@ def _block_test(desc: SolutionSetDescription, tol: float):
       tol * max(1, w_i r_i), slope w_i kappa + |y_i|_2;
     - Chebyshev: w_i max(r) - d_i against tol * max(1, max(r)) over the
       blocks with w_i > tol, slope w_i kappa + |y_i|_2;
-    - general: |sum(d) - f| against tol * max(1, f), slope |sum(y)|_2 + L.
+    - general: |sum(d) - f| against tol * max(1, f), slope |sum(y)|_2 + L;
+      a block this bound neither rules out nor marks near is also ruled out
+      by a midpoint convexity bound (see ``_general_judge``).
     """
     prob = desc.instance
     y, w = desc.certificate.duals, desc.dual_norms
     kappa = lipschitz_bound(prob) / prob.n
     slack = _rounding_slack(prob)
     if desc.kind == GENERAL_PREDICATE:
-        gen = prob.norm.generator
-        lip = _value_slope(prob)
-        slope = float(np.linalg.norm(y.sum(axis=0))) + lip
-
-        def excess(centers, radii):
-            dots, r = _pairings(desc, centers)
-            f = _from_block_norms_many(gen, r)
-            reach = f + lip * radii
-            limit = tol * np.maximum(1.0, reach)
-            scale = reach + (r + kappa * radii[:, None]) @ w + limit
-            gap = np.abs(_block_sum(dots) - f) - slack * scale - limit
-            return gap[:, None], slope * radii[:, None]
-
-    elif desc.kind == CHEBYSHEV_INTERSECTION:
+        return _general_judge(desc, tol, kappa, slack)
+    if desc.kind == CHEBYSHEV_INTERSECTION:
         on = w > tol
         slope = w[on] * kappa + np.linalg.norm(y[on], axis=1)
 
@@ -257,11 +247,85 @@ def _block_test(desc: SolutionSetDescription, tol: float):
             gap = w * r - dots - slack * (reach + limit) - limit
             return gap, slope * radii[:, None]
 
-    def judge(centers, radii):
+    def judge(centers, radii, *_):
         gap, spread = excess(centers, radii)
         return (gap > spread).any(axis=1), (gap <= 0.0).all(axis=1)
 
     return judge
+
+
+def _general_judge(desc: SolutionSetDescription, tol: float, kappa: float, slack: float):
+    """The general predicate's judge: a Lipschitz bound, then a midpoint convexity bound.
+
+    The residual phi = f - sum(d) is convex, as f is a norm of the
+    displacements and sum(d) is affine in the point.  Every x of a block B
+    with middle point c has its mirror image 2c - x in the box 2c - B, so
+    phi(x) >= 2 phi(c) - max phi over the corners of 2c - B, the lower
+    bound of convex branch and bound (Horst and Tuy 1996).  The mirror box
+    is the one to take, not B: c sits half a spacing off B's centre on runs
+    of even length.  B holds no accepted point when this floor exceeds
+    tol * max(1, f(c) + L rho), which bounds the threshold over B.  The
+    floor is lowered by ``_rounding_slack`` times the evaluations' scale for
+    each of the four evaluated terms (phi at c twice, at a corner and at x)
+    and, for a tabulated generator, by 4 ``_EVAL_BAND`` times a bound on
+    sum(r) over the ball of radius rho about c, which holds B and its
+    mirror: the generator's values are trusted to lie within the band of a
+    convex generator, as ``_value_slope`` trusts them.  Only the blocks the
+    Lipschitz bound neither rules out nor marks near have their corners
+    evaluated, and only while 2^d <= ``_LEAF_POINTS``: from d = 7 on, the
+    walk's leaves hold 2^d points, so the corners of the blocks near the
+    leaves cost as many evaluations as their points.
+    """
+    prob = desc.instance
+    gen = prob.norm.generator
+    w = desc.dual_norms
+    lip = _value_slope(prob)
+    slope = float(np.linalg.norm(desc.certificate.duals.sum(axis=0))) + lip
+    band = _EVAL_BAND if gen.kind == "tabulated" else 0.0
+    mirror = (1 << prob.dim) <= _LEAF_POINTS
+
+    def residual(us):
+        dots, r = _pairings(desc, us)
+        f = _from_block_norms_many(gen, r)
+        return f - _block_sum(dots), f, r
+
+    def judge(centers, radii, lows, highs):
+        phi, f, r = residual(centers)
+        reach = f + lip * radii
+        limit = tol * np.maximum(1.0, reach)
+        norms = r + kappa * radii[:, None]
+        scale = reach + norms @ w + limit
+        gap = np.abs(phi) - slack * scale - limit
+        out, near = gap > slope * radii, gap <= 0.0
+        rest = np.flatnonzero(~(out | near))
+        if mirror and rest.size:
+            top = _mirror_max(lambda us: residual(us)[0], centers[rest], lows[rest], highs[rest])
+            margin = 4.0 * (slack * scale[rest] + band * _block_sum(norms[rest]))
+            out[rest] = 2.0 * phi[rest] - top - margin > limit[rest]
+        return out, near
+
+    return judge
+
+
+def _mirror_max(residual, centers, lows, highs):
+    """Largest ``residual`` over the corners of each block's mirror box 2c - [lows, highs].
+
+    An axis on which a block is one point wide adds no corners, so a block
+    has no more corners than points.  Blocks go in batches of about a tile
+    of corners.
+    """
+    d = centers.shape[1]
+    pick = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1).astype(bool)
+    top = np.empty(len(centers))
+    step = max(1, _TILE_POINTS >> d)
+    for lo in range(0, len(centers), step):
+        c, a, b = (v[lo : lo + step, None, :] for v in (centers, lows, highs))
+        corners = 2.0 * c - np.where(pick, b, a)
+        real = ~(pick & (a == b)).any(axis=2)
+        vals = np.full(real.shape, -np.inf)
+        vals[real] = residual(corners[real])
+        top[lo : lo + step] = vals.max(axis=1)
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +449,11 @@ def sample_solution_region(
     The lattice is walked block by block (see
     :func:`~normmin.geometry._lattice_walk`): a block is dropped unevaluated
     when a residual of the predicate at its middle point exceeds the
-    threshold by more than a Lipschitz bound allows over the block (see
-    ``_block_test``), and the predicate runs on the points of the kept
-    blocks.  The answer is bitwise the one of evaluating every lattice
-    point.
+    threshold by more than a Lipschitz bound allows over the block, or,
+    under the general predicate, when a convexity bound from the middle
+    point and the corners of the block's mirror image rules it out (see
+    ``_block_test``).  The predicate runs on the points of the kept blocks.
+    The answer is bitwise the one of evaluating every lattice point.
     """
     prob = desc.instance
     b = np.asarray(box, dtype=float)

@@ -746,7 +746,7 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
     slope, slack = _value_slope(prob), _rounding_slack(prob)
     best = math.inf
 
-    def judge(centers, radii):
+    def judge(centers, radii, *_):
         nonlocal best
         vals = objective_eval_many(prob, centers)
         best = min(best, float(vals.min()))

@@ -22,12 +22,13 @@ walk replaced.
 
 Prints one JSON line per cell, then one summary line with, per kind (the
 description's predicate, or ``oracle``), the cells, the share of lattice
-points the walk evaluated (block middle points and the points of the
-blocks it kept), the chunks of one point the walk handed over, the seconds
-of the walk and of the dense walk (each the lesser of two runs; the 7-point
-tiles make the second part's walks slower than its dense walks) and the
-mismatches, and the process's peak resident set size.  Exits 1 if any
-answer differs from the dense walk's.  Run from the repository root:
+points the walk evaluated (block middle points, the mirror corners that the
+general predicate's judge evaluates, and the points of the blocks it kept),
+the chunks of one point the walk handed over, the seconds of the walk and
+of the dense walk (each the lesser of two runs; the 7-point tiles make the
+second part's walks slower than its dense walks) and the mismatches, and
+the process's peak resident set size.  Exits 1 if any answer differs from
+the dense walk's.  Run from the repository root:
 
     PYTHONPATH=src python tools/region_probe.py
 
@@ -111,16 +112,28 @@ def dense_oracle(prob, grid):
 
 
 class Counted:
-    """The lattice walk, counting the points it evaluates and its one-point chunks."""
+    """The lattice walk, counting the points it evaluates and its one-point chunks.
+
+    Its ``mirror_max``, installed as ``solution_sets._mirror_max``, counts
+    the mirror corners that the general predicate's judge evaluates.
+    """
 
     def __init__(self):
         self.points = self.single = 0
         self.walk = geometry._lattice_walk
+        self.top = solution_sets._mirror_max
+
+    def mirror_max(self, residual, *blocks):
+        def counted(us):
+            self.points += len(us)
+            return residual(us)
+
+        return self.top(counted, *blocks)
 
     def __call__(self, axes, judge):
-        def counted(centers, radii):
+        def counted(centers, *blocks):
             self.points += len(centers)
-            return judge(centers, radii)
+            return judge(centers, *blocks)
 
         for pts in self.walk(axes, counted):
             self.points += len(pts)
@@ -220,6 +233,7 @@ def run_cell(ground: str, p: float, d: int, s: int, n: int | None, counter: Coun
 def main() -> int:
     counter = Counted()
     solution_sets._lattice_walk = solvers._lattice_walk = counter
+    solution_sets._mirror_max = counter.mirror_max
     kinds: dict[str, dict] = {}
     skipped = 0
     cells = [
