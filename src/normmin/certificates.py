@@ -29,6 +29,7 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedGeneratorError
 from .ground_norms import (
     DEFAULT_TOL,
+    _ground_subgradient,
     as_vector,
     dual_ground_norm,
     ground_norm_eval,
@@ -37,7 +38,6 @@ from .ground_norms import (
 from .geometry import _min_norm_rows, _min_norm_weights
 from .problem import (
     ProblemInstance,
-    _ground_subgradient,
     displacements,
     objective_eval,
 )

@@ -23,6 +23,10 @@ MAX_EXPONENT = 50.0
 
 _KINDS = ("sum", "max", "p", "euclidean")
 
+# Relative tie width when spreading weight over tied maxima (of a row's
+# coordinates, or of the block norms under the max generator).
+_TIE_RTOL = 1e-12
+
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate and convert to a 1-D float array with finite entries."""
@@ -131,6 +135,30 @@ def ground_norm_eval_many(nrm: GroundNorm, xs) -> np.ndarray:
 def ground_norm_eval(nrm: GroundNorm, x) -> float:
     x = as_vector(x)
     return float(ground_norm_eval_many(nrm, x))
+
+
+def _ground_subgradient(nrm: GroundNorm, x: np.ndarray) -> np.ndarray:
+    """A deterministic subgradient selection of the ground norm, row by row.
+
+    ``x`` is an ``(..., d)`` stack of rows.  A zero row maps to the zero
+    vector; any other row maps to a unit-dual-norm vector whose pairing with
+    the row equals its norm (up to tie rounding for the max kind, which
+    splits the weight evenly over the coordinates tied for the maximum).
+    """
+    x = np.asarray(x, dtype=float)
+    if nrm.kind == "sum":
+        return np.sign(x)
+    a = np.abs(x)
+    if nrm.kind == "max":
+        m = a.max(axis=-1, keepdims=True)
+        active = (a >= m * (1.0 - _TIE_RTOL)) & (m > 0.0)
+        ties = np.maximum(active.sum(axis=-1, keepdims=True), 1)
+        return np.where(active, np.sign(x), 0.0) / ties
+    nx = ground_norm_eval_many(nrm, x)[..., None]
+    safe = np.where(nx > 0.0, nx, 1.0)
+    if nrm.kind == "euclidean":
+        return x / safe
+    return np.sign(x) * (a / safe) ** (nrm.p - 1.0)
 
 
 def dual_ground_norm(nrm: GroundNorm) -> GroundNorm:
@@ -279,15 +307,11 @@ def alignment_ray_basis(nrm: GroundNorm, xstar, tol: float = DEFAULT_TOL):
     xstar = as_vector(xstar, "xstar")
     if not np.any(xstar):
         return WholeSpace(dim=xstar.size)
-    if nrm.kind == "euclidean":
-        gen = xstar / float(np.linalg.norm(xstar))
-        return Ray(generator=gen)
-    if nrm.kind == "p":
-        scale_star = float(np.abs(xstar).max())
-        xs = xstar / scale_star
-        gen = np.sign(xs) * np.abs(xs) ** (nrm.q / nrm.p)
-        gen = gen / float(np.linalg.norm(gen))
-        return Ray(generator=gen)
+    if nrm.kind in ("euclidean", "p"):
+        # The dual norm's gradient at xstar is the unit-norm vector that xstar
+        # aligns with.
+        gen = _ground_subgradient(dual_ground_norm(nrm), xstar)
+        return Ray(generator=gen / float(np.linalg.norm(gen)))
     if nrm.kind == "max":
         signs = tuple(int(np.sign(v)) for v in xstar)
         active = tuple(i for i, v in enumerate(xstar) if v != 0.0)

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ArityMismatchError, InvalidInputError
 from .ground_norms import (
     DEFAULT_TOL,
-    GroundNorm,
+    _TIE_RTOL,
+    _ground_subgradient,
     as_vector,
     ground_norm_eval,
     ground_norm_eval_many,
@@ -30,9 +31,6 @@ from .product_norms import (
 
 # Anchors closer than this are considered duplicated.
 _MIN_ANCHOR_GAP = 1e-12
-
-# Relative tie width when spreading max-generator weight across blocks.
-_TIE_RTOL = 1e-12
 
 STRICTLY_CONVEX = "strictly_convex"
 STRICT_BY_COLLINEARITY = "strict_by_collinearity"
@@ -97,20 +95,28 @@ def _closest_pair_within(arr: np.ndarray, gap: float) -> bool:
     return False
 
 
-def displacements(prob: ProblemInstance, u) -> np.ndarray:
-    """Block stack of ``u`` minus each anchor."""
+def _point(prob: ProblemInstance, u) -> np.ndarray:
+    """``u`` as a validated vector of the anchors' dimension."""
     u = as_vector(u, "u")
     if u.size != prob.dim:
         raise InvalidInputError(
             f"point has dimension {u.size}, anchors have dimension {prob.dim}"
         )
-    return u[None, :] - prob.anchors
+    return u
+
+
+def displacements(prob: ProblemInstance, u) -> np.ndarray:
+    """Block stack of ``u`` minus each anchor."""
+    return _point(prob, u)[None, :] - prob.anchors
 
 
 def objective_eval(prob: ProblemInstance, u) -> float:
-    """Objective value at ``u``."""
-    r = ground_norm_eval_many(prob.norm.ground, displacements(prob, u))
-    return product_norm_from_block_norms(prob.norm.generator, r)
+    """Objective value at ``u``: its row of :func:`objective_eval_many`, bit for bit.
+
+    The point goes through the batch path as a one-row batch, so its sums
+    over coordinates and over blocks run in the batch's order.
+    """
+    return float(objective_eval_many(prob, _point(prob, u)[None, :])[0])
 
 
 def objective_eval_many(prob: ProblemInstance, us: np.ndarray) -> np.ndarray:
@@ -144,30 +150,6 @@ def solve_bound(prob: ProblemInstance) -> SolveBound:
     """Every minimizer has ground norm at most (1 + 1/n) times the anchor norm total."""
     total = float(sum(ground_norm_eval(prob.norm.ground, v) for v in prob.anchors))
     return SolveBound(radius=(1.0 + 1.0 / prob.n) * total)
-
-
-def _ground_subgradient(nrm: GroundNorm, x: np.ndarray) -> np.ndarray:
-    """A deterministic subgradient selection of the ground norm, row by row.
-
-    ``x`` is an ``(..., d)`` stack of rows.  A zero row maps to the zero
-    vector; any other row maps to a unit-dual-norm vector whose pairing with
-    the row equals its norm (up to tie rounding for the max kind, which
-    splits the weight evenly over the coordinates tied for the maximum).
-    """
-    x = np.asarray(x, dtype=float)
-    if nrm.kind == "sum":
-        return np.sign(x)
-    a = np.abs(x)
-    if nrm.kind == "max":
-        m = a.max(axis=-1, keepdims=True)
-        active = (a >= m * (1.0 - _TIE_RTOL)) & (m > 0.0)
-        ties = np.maximum(active.sum(axis=-1, keepdims=True), 1)
-        return np.where(active, np.sign(x), 0.0) / ties
-    nx = ground_norm_eval_many(nrm, x)[..., None]
-    safe = np.where(nx > 0.0, nx, 1.0)
-    if nrm.kind == "euclidean":
-        return x / safe
-    return np.sign(x) * (a / safe) ** (nrm.p - 1.0)
 
 
 def dual_selection(prob: ProblemInstance, u) -> np.ndarray:

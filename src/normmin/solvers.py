@@ -13,8 +13,9 @@ the dual optimality conditions:
   over an exact linear model of the block norms in a box around the
   incumbent, solved by SLSQP box by box;
 - Euclidean or power ground with finite p: the objective is smooth away from
-  the anchors, so damped Newton from the centroid (after testing whether an
-  anchor is optimal when p = 1);
+  the anchors, so damped Newton from the centroid with the analytic Hessian;
+  when p = 1 each iteration also tests the anchor nearest the iterate for
+  optimality and steps off it when it fails;
 - Euclidean or power ground with p = inf: SLSQP on the epigraph of the
   largest block norm.
 
@@ -39,10 +40,9 @@ from .errors import (
     UnsupportedGeneratorError,
 )
 from .geometry import _lattice_walk, affine_hull_basis
-from .ground_norms import dual_ground_norm, ground_norm_eval_many
+from .ground_norms import _ground_subgradient, dual_ground_norm, ground_norm_eval_many
 from .problem import (
     ProblemInstance,
-    _ground_subgradient,
     objective_eval,
     objective_eval_many,
     objective_subgradient,
@@ -52,9 +52,6 @@ from .psi_generators import _EVAL_BAND
 
 _GRID_POINT_CAP = 100_000_000
 _NEAR_MIN_SLACK = 1e-9
-
-# Anchor-test rows are evaluated in chunks of about this many entries.
-_ANCHOR_TEST_ENTRIES = 1 << 20
 
 # Step halvings tried before a Newton iteration counts as stalled.
 _BACKTRACKS = 50
@@ -404,52 +401,29 @@ def _polyhedral_epigraph(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarra
     return u0 + length * u, steps, converged
 
 
-def _anchor_optimum(prob: ProblemInstance):
-    """An anchor that minimizes the sum of block norms, or None.
-
-    Anchor ``v_k`` is optimal exactly when the unit gradients of the other
-    blocks at ``v_k`` sum to at most one in the dual norm (Vardi and Zhang
-    2000, "The multivariate L1-median and associated data depth").
-    """
-    ground = prob.norm.ground
-    n, d = prob.anchors.shape
-    chunk = max(1, _ANCHOR_TEST_ENTRIES // (n * d))
-    pull = np.empty(n)
-    for lo in range(0, n, chunk):
-        diffs = prob.anchors[lo : lo + chunk, None, :] - prob.anchors[None, :, :]
-        pull[lo : lo + chunk] = ground_norm_eval_many(
-            dual_ground_norm(ground), _ground_subgradient(ground, diffs).sum(axis=1)
-        )
-    k = int(np.argmin(pull))
-    return prob.anchors[k].copy() if pull[k] <= 1.0 else None
-
-
 def _hessian(prob: ProblemInstance, u, f: float, g, basis: np.ndarray) -> np.ndarray:
     """Objective Hessian at ``u`` (value ``f``, gradient ``g``) in the coordinates of ``basis``.
 
-    Analytic on the Euclidean ground; elsewhere central differences of
-    :func:`objective_subgradient` along each basis vector, with a step of
-    the cube root of machine epsilon times the nearest anchor distance.
+    With ground exponent ``e`` (2 on the Euclidean ground), ``a_i = |u - v_i|
+    / r_i`` elementwise, ``g_i`` block ``i``'s unit gradient and ``c_i = (r_i
+    / f)^(p - 1) / r_i``, the Hessian is ``(e - 1) diag(sum_i c_i a_i^(e -
+    2)) + (p - e) sum_i c_i g_i g_i^T - (p - 1) g g^T / f``.  Below exponent
+    2 a coordinate that meets its anchor's has unbounded curvature; it
+    counts as flat, and the step's backtracking takes the rest.
     """
     ground = prob.norm.ground
     p = prob.norm.generator.p
+    e = 2.0 if ground.kind == "euclidean" else ground.p
     diffs = u - prob.anchors
     r = np.maximum(ground_norm_eval_many(ground, diffs), np.finfo(float).tiny)
-    if ground.kind == "euclidean":
-        # sum_i c_i (I + (p - 2) e_i e_i^T) - (p - 1) g g^T / f, with unit
-        # displacements e_i and c_i = (r_i / f)^(p - 1) / r_i
-        e = (diffs / r[:, None]) @ basis
-        c = (r / f) ** (p - 1.0) / r
-        gb = basis.T @ g
-        hess = c.sum() * np.eye(basis.shape[1]) + (p - 2.0) * (e.T * c) @ e
-        return hess - (p - 1.0) / f * np.outer(gb, gb)
-    h = np.cbrt(np.finfo(float).eps) * float(r.min())
-    cols = [
-        objective_subgradient(prob, u + h * b) - objective_subgradient(prob, u - h * b)
-        for b in basis.T
-    ]
-    hess = basis.T @ np.column_stack(cols) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
+    c = (r / f) ** (p - 1.0) / r
+    a = np.abs(diffs) / r[:, None]
+    unit = (np.sign(diffs) * a ** (e - 1.0)) @ basis
+    if e < 2.0:
+        a[a == 0.0] = np.inf
+    gb = basis.T @ g
+    hess = (e - 1.0) * (basis.T * (c @ a ** (e - 2.0))) @ basis + (p - e) * (unit.T * c) @ unit
+    return hess - (p - 1.0) / f * np.outer(gb, gb)
 
 
 def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
@@ -460,8 +434,19 @@ def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float)
     or the gradient norm; the gradient norm keeps shrinking long after the
     value stops resolving a descent.  Stops converged once the gradient norm
     is within ``_GRAD_ULPS`` ulps of the sum of its blocks' dual norms.
+
+    When p = 1 each iteration first tests the anchor nearest the iterate, in
+    O(n d) (Vardi and Zhang 2000, "The multivariate L1-median and associated
+    data depth"): it is optimal, and returned converged, exactly when the
+    other blocks' unit gradients there sum to at most one in the dual norm,
+    as its own block's dual may be anything in the dual ball.  A failing
+    anchor no higher than the iterate replaces it, and the step leaves along
+    the dual map of the pull (minus that sum) by the Weiszfeld length
+    ``(|pull| - 1) / sum_i 1 / r_i`` over the other blocks; Newton alone
+    creeps towards such an anchor.
     """
     ground = prob.norm.ground
+    dual = dual_ground_norm(ground)
     basis = _search_basis(prob)
     radius = solve_bound(prob).radius
     p = prob.norm.generator.p
@@ -470,23 +455,37 @@ def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float)
     g = objective_subgradient(prob, u)
     steps, converged = 0, False
     while steps < cfg.max_iters:
+        r = ground_norm_eval_many(ground, u - prob.anchors)
+        s = None
+        if p == 1.0:
+            k = int(np.argmin(r))
+            anchor = prob.anchors[k].copy()
+            pull = -_ground_subgradient(ground, anchor - prob.anchors).sum(axis=0)
+            excess = float(ground_norm_eval_many(dual, pull)) - 1.0
+            if excess <= 0.0:
+                return anchor, steps, True
+            fk = objective_eval(prob, anchor)
+            if fk <= f:
+                others = np.delete(ground_norm_eval_many(ground, anchor - prob.anchors), k)
+                out = excess / float((1.0 / others).sum()) * _ground_subgradient(dual, pull)
+                u, f, g, s = anchor, fk, -pull, basis.T @ out
         gb = basis.T @ g
         gn = float(np.linalg.norm(gb))
-        r = ground_norm_eval_many(ground, u - prob.anchors)
-        # The dual norms of the gradient's blocks are (r_i / f)^(p - 1).
-        if gn <= _GRAD_ULPS * eps * float(((r / f) ** (p - 1.0)).sum()):
-            converged = True
-            break
-        hess = _hessian(prob, u, f, g, basis)
-        try:
-            s = np.linalg.solve(hess, -gb)
-        except np.linalg.LinAlgError:
-            s = -gb
-        if not np.all(np.isfinite(s)) or float(s @ gb) >= 0.0:
-            s = -gb
-        length = float(np.linalg.norm(s))
-        if length > radius:
-            s *= radius / length
+        if s is None:
+            # The dual norms of the gradient's blocks are (r_i / f)^(p - 1).
+            if gn <= _GRAD_ULPS * eps * float(((r / f) ** (p - 1.0)).sum()):
+                converged = True
+                break
+            hess = _hessian(prob, u, f, g, basis)
+            try:
+                s = np.linalg.solve(hess, -gb)
+            except np.linalg.LinAlgError:
+                s = -gb
+            if not np.all(np.isfinite(s)) or float(s @ gb) >= 0.0:
+                s = -gb
+            length = float(np.linalg.norm(s))
+            if length > radius:
+                s *= radius / length
         for _ in range(_BACKTRACKS):
             trial = u + basis @ s
             ft = objective_eval(prob, trial)
@@ -537,9 +536,11 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
         jac[:, :d] = -_ground_subgradient(ground, z[:d] - prob.anchors)
         return jac
 
+    # The start lies on its largest constraint in the constraints' own
+    # arithmetic, whatever the order of the objective's sums.
     res = minimize(
         obj,
-        np.append(u0, f0),
+        np.append(u0, ground_norm_eval_many(ground, u0 - prob.anchors).max()),
         jac=obj_grad,
         method="SLSQP",
         constraints=[{"type": "ineq", "fun": cons, "jac": cons_jac}],
@@ -555,15 +556,6 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
         slack = float((lam * (t - r)).max()) / t
         converged = max(weights, balance, slack) <= _MULTIPLIER_TOL
     return u, int(res.nit), converged
-
-
-def _anchor_or_newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Euclidean or power ground with finite p: an optimal anchor, else Newton."""
-    if prob.norm.generator.p == 1.0:
-        anchor = _anchor_optimum(prob)
-        if anchor is not None:
-            return anchor, 0, True
-    return _newton(prob, cfg, u0, f0)
 
 
 def _validate_config(cfg: SolverConfig) -> None:
@@ -583,10 +575,10 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
       linear model of the block norms in a box around the incumbent, box by
       box (:func:`_polyhedral_epigraph`); ``converged`` means the last
       SLSQP solve succeeded with its answer in the inner half of its box.
-    - Euclidean or power ground, finite p: for p = 1 an anchor that passes
-      the dual-norm test is returned as is; otherwise damped Newton from the
-      centroid, where ``converged`` means the gradient norm fell to the
-      rounding floor of its blocks.
+    - Euclidean or power ground, finite p: damped Newton from the centroid
+      (:func:`_newton`), where ``converged`` means the gradient norm fell to
+      the rounding floor of its blocks, or, for p = 1, that the anchor
+      nearest an iterate passed the dual-norm test and is returned as is.
     - Euclidean or power ground, p = inf: the epigraph SLSQP from the
       centroid (:func:`_minimax`); ``converged`` means SLSQP reported
       success, or ended in mode 8 with multipliers that meet the Chebyshev
@@ -618,7 +610,7 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
     elif prob.norm.ground.kind in ("sum", "max"):
         method = _polyhedral_lp if p in (1.0, math.inf) else _polyhedral_epigraph
     else:
-        method = _minimax if p == math.inf else _anchor_or_newton
+        method = _minimax if p == math.inf else _newton
     u, steps, converged = method(prob, cfg, u0, f0)
     f = objective_eval(prob, u)
     if f > f0:

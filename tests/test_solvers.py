@@ -27,12 +27,15 @@ from normmin import (
     lipschitz_bound,
     midpoint_shortcut,
     objective_eval,
+    objective_subgradient,
     psi_eval,
     recover_certificate,
     solve,
     solve_pattern_search,
     solve_subgradient,
 )
+from normmin import certificates, ground_norms, problem, solvers
+from normmin.solvers import _hessian
 
 
 def two_anchor(ground, gen, b=(2.0, 0.0)):
@@ -361,6 +364,7 @@ TOLERANCE_EDGE_ANCHORS = [
     [-1.812478187249973, 2.330958564302605, 1.262094804299144],
     [3.9510371594920763, -1.0533103927545768, -1.487081173205689],
 ]
+CROSS_POLYTOPE = np.vstack([np.zeros(4), np.eye(4), -np.eye(4), 2.0 * np.eye(4)[:1]])
 FORMER_FAULTS = [
     # the sum-ground p=2 instance in R^10 where subgradient steps stalled
     ("d10-polyhedral", np.random.default_rng(306).normal(size=(4, 10)) * 2, GroundNorm.sum(), 2.0, 1e-7),
@@ -373,6 +377,11 @@ FORMER_FAULTS = [
     # a displacement vanishes
     ("ground-1.5-p1", np.random.default_rng(13101).normal(size=(13, 10)) * 2, GroundNorm.power(1.5), 1.0, 1e-9),
     ("ground-1.5-p2", np.random.default_rng(13101).normal(size=(13, 10)) * 2, GroundNorm.power(1.5), 2.0, 1e-9),
+    # The centroid of the origin, +-e_j and 2 e_0 meets the anchors' zero
+    # coordinates, where that Hessian is infinite: central differences took
+    # 266 Newton steps at p=1.5 and stopped unconverged after 2 000 at p=2.
+    ("ground-1.5-zero-coordinates-p1.5", CROSS_POLYTOPE, GroundNorm.power(1.5), 1.5, 1e-9),
+    ("ground-1.5-zero-coordinates-p2", CROSS_POLYTOPE, GroundNorm.power(1.5), 2.0, 1e-9),
 ]
 
 
@@ -503,6 +512,77 @@ def test_many_zero_coordinates_keep_the_model_small(ground, d):
     res = solve_subgradient(prob)
     assert res.converged
     assert res.value < objective_eval(prob, prob.centroid())
+    cert = recover_certificate(prob, res.point, tol=1e-7)
+    assert not isinstance(cert, Infeasible), cert
+    assert check_certificate(prob, cert, tol=1e-7).verdict
+
+
+def _region_probe_anchors():
+    # tools/region_probe.py draws the anchor count, then the anchors.
+    rng = np.random.default_rng([2, 3])
+    return rng.normal(size=(int(rng.integers(2, 6)), 2)) * 2
+
+
+STALL_CELLS = [
+    # Newton stepped onto anchor 1, whose pull is 1.098 > 1, and stalled
+    # there at 8.888363 (n is 5).
+    ("euclidean-region-probe", _region_probe_anchors(), GroundNorm.euclidean(), 8.887211642634503),
+    # An exact Hessian alone creeps towards anchor 0, which is not optimal.
+    ("p3-creep", np.random.default_rng(4031).normal(size=(4, 3)) * 2, GroundNorm.power(3.0), 11.347105744858858),
+]
+
+
+@pytest.mark.parametrize(
+    "anchors,ground,value", [c[1:] for c in STALL_CELLS], ids=[c[0] for c in STALL_CELLS]
+)
+def test_newton_leaves_a_failing_anchor(anchors, ground, value):
+    prob = _instance(anchors, ground, 1.0)
+    res = solve_subgradient(prob)
+    assert res.converged
+    assert abs(res.value - value) <= 1e-12 * value
+    cert = recover_certificate(prob, res.point, tol=1e-7)
+    assert not isinstance(cert, Infeasible), cert
+    assert check_certificate(prob, cert, tol=1e-7).verdict
+
+
+@pytest.mark.parametrize(
+    "ground",
+    [GroundNorm.euclidean(), GroundNorm.power(1.5), GroundNorm.power(3.0), GroundNorm.power(7.0)],
+    ids=["euclidean", "p1.5", "p3", "p7"],
+)
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_hessian_matches_central_differences(ground, p):
+    rng = make_rng(int(10 * p) + 7)
+    for _ in range(4):
+        prob = _instance(random_anchors(rng, 6, 3), ground, p)
+        u = prob.centroid() + rng.normal(size=3)
+        f, g = objective_eval(prob, u), objective_subgradient(prob, u)
+        hess = _hessian(prob, u, f, g, np.eye(3))
+        h = 1e-5
+        cols = [objective_subgradient(prob, u + h * e) - objective_subgradient(prob, u - h * e) for e in np.eye(3)]
+        diff = np.column_stack(cols) / (2.0 * h)
+        assert np.abs(hess - diff).max() <= 1e-6 * np.abs(hess).max()
+
+
+@pytest.mark.parametrize("ground", [GroundNorm.euclidean(), GroundNorm.power(3.0)], ids=["euclidean", "p3"])
+def test_p1_newton_tests_one_anchor_per_iteration(monkeypatch, ground):
+    # The anchor test runs at the anchor nearest each iterate, in O(n d);
+    # testing every anchor would hand the ground gradient n^2 rows.
+    n = 2048
+    prob = _instance(np.random.default_rng(1000 * n + 100).normal(size=(n, 10)) * 2, ground, 1.0)
+    rows = []
+    select = ground_norms._ground_subgradient
+
+    def counted(nrm, x):
+        rows.append(np.asarray(x).size // np.shape(x)[-1])
+        return select(nrm, x)
+
+    for module in (ground_norms, problem, solvers, certificates):
+        monkeypatch.setattr(module, "_ground_subgradient", counted)
+    res = solve_subgradient(prob)
+    assert sum(rows) < n * n
+    monkeypatch.undo()
+    assert res.converged
     cert = recover_certificate(prob, res.point, tol=1e-7)
     assert not isinstance(cert, Infeasible), cert
     assert check_certificate(prob, cert, tol=1e-7).verdict
