@@ -11,6 +11,7 @@ by sampling.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable
@@ -52,6 +53,12 @@ _NEAR_COSINE = 0.8
 # A search move must raise the ratio by more than this relative amount, so
 # rounding noise in a flat ratio cannot keep the search crawling.
 _GAIN_RTOL = 1e-15
+
+# A poll's drops count as first order in the scale when each is a quarter of
+# the drop at four times the scale within this relative amount.  Measured
+# ratios run from 1.00 to 1.11 at vertices and stay below 0.48 on smooth
+# faces, where the drops are quadratic.
+_LINEAR_RTOL = 0.25
 
 
 def as_simplex_point(t, name: str = "weights") -> np.ndarray:
@@ -164,11 +171,13 @@ def _power_aggregate(x: np.ndarray, p: float) -> np.ndarray:
     return m * _block_sum((x / safe) ** p) ** (1.0 / p)
 
 
-def _psi_value_raw(gen: PsiGenerator, t: np.ndarray) -> float:
-    """Evaluation without the range guard; axiom validation wants raw values."""
+def _psi_values_raw(gen: PsiGenerator, ts: np.ndarray) -> np.ndarray:
+    """Evaluation over rows without the range guard; axiom validation wants raw values."""
     if gen.kind == "p":
-        return float(psi_eval_many(gen, t))
-    return float(gen.func(t))
+        # The constant generator is exactly 1, not a rounded sum of weights.
+        return np.ones(ts.shape[:-1]) if gen.p == 1.0 else _power_aggregate(ts, gen.p)
+    rows = ts.reshape(-1, ts.shape[-1])
+    return np.array([float(gen.func(row)) for row in rows], dtype=float).reshape(ts.shape[:-1])
 
 
 def _band_error(val: float, lo: float) -> MembershipViolationError:
@@ -196,18 +205,15 @@ def psi_eval_many(gen: PsiGenerator, ts: np.ndarray) -> np.ndarray:
     A 1-D ``ts`` is one row and gives a 0-d array.
     """
     ts = np.asarray(ts, dtype=float)
-    if gen.kind == "p":
-        # The constant generator is exactly 1, not a rounded sum of weights.
-        return np.ones(ts.shape[:-1]) if gen.p == 1.0 else _power_aggregate(ts, gen.p)
-    # Call the callable row by row, then guard every value in one pass; the
-    # error names the first bad row, as a row-by-row guard would.
-    rows = ts.reshape(-1, ts.shape[-1])
-    vals = np.array([float(gen.func(row)) for row in rows], dtype=float)
-    lo = rows.max(axis=-1) - _EVAL_BAND
-    bad = np.flatnonzero(~((lo <= vals) & (vals <= 1.0 + _EVAL_BAND)))
-    if bad.size:
-        raise _band_error(float(vals[bad[0]]), float(lo[bad[0]]))
-    return vals.reshape(ts.shape[:-1])
+    vals = _psi_values_raw(gen, ts)
+    if gen.kind == "tabulated":
+        # Guard every value in one pass; the error names the first bad row,
+        # as a row-by-row guard would.
+        lo = ts.max(axis=-1) - _EVAL_BAND
+        bad = np.flatnonzero(~((lo <= vals) & (vals <= 1.0 + _EVAL_BAND)))
+        if bad.size:
+            raise _band_error(float(np.ravel(vals)[bad[0]]), float(np.ravel(lo)[bad[0]]))
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +266,6 @@ class ValidationReport:
         }
 
 
-def _removal_value(gen: PsiGenerator, t: np.ndarray, i: int) -> float:
-    """(1 - t_i) times the generator at t with slot i removed and renormalized."""
-    rest = 1.0 - t[i]
-    reduced = t.copy()
-    reduced[i] = 0.0
-    reduced = reduced / rest
-    # Renormalization leaves the sum within a few ulps of 1; snap it exactly.
-    reduced = reduced / reduced.sum()
-    return rest * _psi_value_raw(gen, reduced)
-
-
 def validate_psi(
     gen: PsiGenerator,
     samples: int = 2000,
@@ -282,8 +277,9 @@ def validate_psi(
 
     Draws Dirichlet points on the simplex and tests vertex values, midpoint
     convexity, the zeroed-slot restriction inequality, the bracketing between
-    the largest weight and 1, and (if declared) permutation symmetry.  The
-    report records the first counterexample per failed axiom.
+    the largest weight and 1, and (if declared) permutation symmetry.  Every
+    probe row is built first and evaluated in one batch; the report records
+    the first counterexample per failed axiom.
     """
     if gen.kind == "p":
         n = arity if arity is not None else 3
@@ -295,73 +291,64 @@ def validate_psi(
         raise InvalidInputError(f"need at least arity+1 samples, got {samples}")
 
     rng = np.random.default_rng(seed)
+    pts = rng.dirichlet(np.ones(n), size=samples)
+    half = samples // 2
+    mids = 0.5 * (pts[:half] + pts[half : 2 * half])
+    mids = mids / mids.sum(axis=1, keepdims=True)
+    # Each sample with slot i zeroed and the rest renormalized, for every slot
+    # that does not hold almost all the weight.
+    owner, slot = np.nonzero(pts < 1.0 - 1e-9)
+    rest = 1.0 - pts[owner, slot]
+    reduced = pts[owner]
+    reduced[np.arange(owner.size), slot] = 0.0
+    reduced = reduced / rest[:, None]
+    # Renormalization leaves the sum within a few ulps of 1; snap it exactly.
+    reduced = reduced / reduced.sum(axis=1, keepdims=True)
+    swept = min(samples, 200) if gen.symmetric else 0
+    perms = np.array([rng.permutation(n) for _ in range(swept)], dtype=int).reshape(swept, n)
+    permuted = pts[np.arange(swept)[:, None], perms]
+
+    rows = np.vstack([np.eye(n), pts, mids, reduced, permuted])
+    cuts = np.cumsum([n, samples, half, owner.size])
+    tops, vals, vm, lower, vp = np.split(_psi_values_raw(gen, rows), cuts)
+    lower = rest * lower
     failures: dict[str, str] = {}
 
-    vertex_ok = True
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        v = _psi_value_raw(gen, e)
-        if not math.isfinite(v) or abs(v - 1.0) > tol:
-            vertex_ok = False
-            failures.setdefault("vertex_values", f"value {v!r} at vertex {i}")
-            break
+    def first(bad: np.ndarray) -> int | None:
+        return int(np.argmax(bad)) if bad.any() else None
 
-    pts = rng.dirichlet(np.ones(n), size=samples)
-    vals = np.array([_psi_value_raw(gen, t) for t in pts])
+    i = first(~np.isfinite(tops) | (np.abs(tops - 1.0) > tol))
+    if i is not None:
+        failures["vertex_values"] = f"value {float(tops[i])!r} at vertex {i}"
 
-    bounds_ok = True
-    for t, v in zip(pts, vals):
-        if not math.isfinite(v) or v < t.max() - tol or v > 1.0 + tol:
-            bounds_ok = False
-            failures.setdefault("bounds", f"value {v!r} at {t.tolist()}")
-            break
+    i = first(~np.isfinite(vals) | (vals < pts.max(axis=1) - tol) | (vals > 1.0 + tol))
+    if i is not None:
+        failures["bounds"] = f"value {vals[i]!r} at {pts[i].tolist()}"
 
-    convex_ok = True
-    half = samples // 2
-    for a, va, b, vb in zip(pts[:half], vals[:half], pts[half : 2 * half], vals[half : 2 * half]):
-        if not (math.isfinite(va) and math.isfinite(vb)):
-            continue
-        mid = 0.5 * (a + b)
-        vm = _psi_value_raw(gen, mid / mid.sum())
-        if vm > 0.5 * (va + vb) + tol:
-            convex_ok = False
-            failures.setdefault(
-                "midpoint_convexity",
-                f"midpoint value {vm!r} above chord between {a.tolist()} and {b.tolist()}",
-            )
-            break
+    va, vb = vals[:half], vals[half : 2 * half]
+    i = first(np.isfinite(va) & np.isfinite(vb) & (vm > 0.5 * (va + vb) + tol))
+    if i is not None:
+        failures["midpoint_convexity"] = (
+            f"midpoint value {float(vm[i])!r} above chord between "
+            f"{pts[i].tolist()} and {pts[half + i].tolist()}"
+        )
 
-    restriction_ok = True
-    for t, v in zip(pts, vals):
-        if not math.isfinite(v):
-            continue
-        for i in range(n):
-            if t[i] >= 1.0 - 1e-9:
-                continue
-            lower = _removal_value(gen, t, i)
-            if v < lower - tol:
-                restriction_ok = False
-                failures.setdefault(
-                    "restriction",
-                    f"value {v!r} below zeroed-slot bound {lower!r} at {t.tolist()} slot {i}",
-                )
-                break
-        if not restriction_ok:
-            break
+    v = vals[owner]
+    i = first(np.isfinite(v) & (v < lower - tol))
+    if i is not None:
+        failures["restriction"] = (
+            f"value {v[i]!r} below zeroed-slot bound {lower[i]!r} "
+            f"at {pts[owner[i]].tolist()} slot {slot[i]}"
+        )
 
     symmetry_ok: bool | None = None
     if gen.symmetric:
-        symmetry_ok = True
-        for t, v in zip(pts[: min(samples, 200)], vals[: min(samples, 200)]):
-            perm = rng.permutation(n)
-            vp = _psi_value_raw(gen, t[perm])
-            if abs(vp - v) > tol:
-                symmetry_ok = False
-                failures.setdefault(
-                    "symmetry", f"values {v!r} vs {vp!r} under permutation of {t.tolist()}"
-                )
-                break
+        i = first(np.abs(vp - vals[:swept]) > tol)
+        symmetry_ok = i is None
+        if i is not None:
+            failures["symmetry"] = (
+                f"values {vals[i]!r} vs {float(vp[i])!r} under permutation of {pts[i].tolist()}"
+            )
 
     diffs = pts[1:] - pts[:-1]
     gaps = np.abs(vals[1:] - vals[:-1])
@@ -373,10 +360,10 @@ def validate_psi(
         arity=n,
         samples=samples,
         tol=tol,
-        vertex_values_ok=vertex_ok,
-        midpoint_convexity_ok=convex_ok,
-        restriction_ok=restriction_ok,
-        bounds_ok=bounds_ok,
+        vertex_values_ok="vertex_values" not in failures,
+        midpoint_convexity_ok="midpoint_convexity" not in failures,
+        restriction_ok="restriction" not in failures,
+        bounds_ok="bounds" not in failures,
         symmetry_ok=symmetry_ok,
         lipschitz_estimate=lipschitz,
         failures=failures,
@@ -453,14 +440,39 @@ def _model_step(stencil: np.ndarray) -> Callable:
     return peak
 
 
+@functools.cache
+def _search_frame(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable]:
+    """The conjugate search's start lattice, stencil, stencil directions and
+    model step at arity ``n`` and ``m`` subdivisions.
+
+    They depend on nothing else, so each is built once and kept read-only;
+    tabulated arities stop at ``MAX_TABULATED_ARITY`` and the lattice point
+    cap bounds ``m``, so few frames exist.  The start lattice holds the
+    barycenter even where ``m`` misses it.
+    """
+    starts = _compositions(n, m) / m
+    if m % n:
+        starts = np.vstack([starts, np.full(n, 1.0 / n)])
+    k = _subdivisions(n, _STENCIL_STEPS)
+    local = n * _compositions(n, k) - k
+    stencil = np.unique(np.vstack([local, -local]), axis=0)
+    stencil = stencil[np.any(stencil, axis=1)] / (n * k)
+    units = stencil / np.linalg.norm(stencil, axis=1)[:, None]
+    for arr in (starts, stencil, units):
+        arr.flags.writeable = False
+    return starts, stencil, units, _model_step(stencil)
+
+
 def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.inf) -> float:
     """Sup of <t, weights> / psi(t) over the simplex.
 
     The ratio is a nonnegative linear function over a positive convex one, so
     every local maximum is global.  The best point of a coarse lattice (at
-    most ``grid`` subdivisions and ``_LATTICE_POINTS`` points) starts a
-    pattern search, split into a poll and a model-driven search step in the
-    manner of mesh adaptive direct search (Audet and Dennis 2006).
+    most ``grid`` subdivisions and ``_LATTICE_POINTS`` points), together with
+    the barycenter where the lattice misses it (the minimizer of every
+    symmetric generator and the max generator's kink), starts a pattern
+    search, split into a poll and a model-driven search step in the manner of
+    mesh adaptive direct search (Audet and Dennis 2006).
 
     - The poll tries ``t + rho * stencil``, where the stencil is a small local
       lattice minus its barycenter, in both orientations.  After a winning
@@ -468,8 +480,18 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
       ``_NEAR_COSINE`` (0.8) of that move, and falls back to the whole
       stencil when none of them gains.  A move to the best point that gains
       is repeated with doubled length while it keeps gaining.
+    - The search ends once the best ratio comes within ``_GAIN_RTOL`` of the
+      sum of the positive weights: ``psi(t) >= max(t)`` caps every ratio
+      there, so the sup is reached wherever the conjugate is that sum.
     - A full poll with no gain ends the search when its lowest ratio lies
       within ``_GAIN_RTOL`` of the best: no finer poll could register a gain.
+    - If the stencil leaves the simplex, no model fits the clipped poll.  A
+      failed full poll at ``rho`` that follows one at ``4 rho`` from the same
+      point ends the search when the same points drop both times and each
+      drop is a quarter of the earlier one within ``_LINEAR_RTOL`` (25%):
+      drops linear in ``rho`` are first order, so finer scales only repeat
+      them.  This ends the search at a vertex maximum; else ``rho`` is
+      multiplied by ``_CONTRACTION`` (1/4).
     - Otherwise, if the stencil lies wholly inside the simplex, a quadratic is
       fitted to the values the poll paid for (``_model_step``; Conn,
       Scheinberg and Vicente 2009) and its maximizer is tried.  If that
@@ -479,8 +501,8 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
       ends for the same reason as at a flat poll.  Else ``rho`` is
       multiplied by ``_CONTRACTION`` (1/4).
     - The search stops once ``rho`` is at or below ``_RHO_STOP`` (2.5e-13).
-      That floor governs at kinks, where the poll's drops are linear in
-      ``rho`` and the model does not fit.
+      That floor governs at kinks inside the simplex, where the poll's drops
+      are linear in ``rho`` and the model does not fit.
 
     Smooth maxima thus converge superlinearly, and ridges are climbed by
     polls of a few points.  A memo keyed by the point's bytes calls ``psi``
@@ -509,19 +531,16 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
 
     n = weights.size
     m = _subdivisions(n, grid)
-    starts = _compositions(n, m) / m
+    starts, stencil, units, peak = _search_frame(n, m)
     vals = ratios(starts)
     i = int(np.argmax(vals))
     t, best = starts[i], vals[i]
-    k = _subdivisions(n, _STENCIL_STEPS)
-    local = n * _compositions(n, k) - k
-    stencil = np.unique(np.vstack([local, -local]), axis=0)
-    stencil = stencil[np.any(stencil, axis=1)] / (n * k)
-    units = stencil / np.linalg.norm(stencil, axis=1)[:, None]
-    peak = _model_step(stencil)
+    # psi(t) >= max(t) caps the ratio at the sum of the positive weights.
+    cap = np.maximum(weights, 0.0).sum() * (1.0 - _GAIN_RTOL)
     near = stencil[:0]
+    drops = None
     rho = 1.0 / m
-    while rho > _RHO_STOP:
+    while rho > _RHO_STOP and best < cap:
         for poll in (near, stencil):
             if not len(poll):
                 continue
@@ -535,10 +554,23 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
             # The full poll failed: stop where it is flat, else try the model.
             if vals.min() >= best * (1.0 - _GAIN_RTOL):
                 break
-            top, flat = peak(t, rho, best, vals) if raw.min() >= 0.0 else (None, False)
+            if raw.min() < 0.0:
+                # No model fits a clipped stencil.  Drops a quarter of those
+                # at 4 rho, at the same points, are first order in rho.
+                last, drops = drops, best - vals
+                fell = drops > _GAIN_RTOL * best
+                if (
+                    last is not None
+                    and np.array_equal(fell, last > _GAIN_RTOL * best)
+                    and np.all(np.abs(4.0 * drops[fell] / last[fell] - 1.0) <= _LINEAR_RTOL)
+                ):
+                    break
+                rho *= _CONTRACTION
+                continue
+            top, flat = peak(t, rho, best, vals)
             ratio = ratios(top[None])[0] if top is not None else -math.inf
             if ratio > best * (1.0 + _GAIN_RTOL):
-                t, best, rho = top, ratio, rho * _MODEL_CONTRACTION
+                t, best, rho, drops = top, ratio, rho * _MODEL_CONTRACTION, None
             elif flat:
                 break
             else:
@@ -546,6 +578,7 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
             continue
         step, t, best = cands[i] - t, cands[i], vals[i]
         near = stencil[units @ step >= _NEAR_COSINE * np.linalg.norm(step)]
+        drops = None
         # Repeat the winning move with doubled length while it keeps gaining.
         while True:
             step *= 2.0
@@ -567,8 +600,10 @@ def psi_conjugate_eval(gen: PsiGenerator, s, grid: int = 200) -> float:
     step.  The value is attained at a point the search evaluated, so it never
     exceeds the supremum.  On power generators behind a callable it stays
     within 1e-12 relative of the closed form on the 560 cells of
-    ``tools/conjugate_probe.py`` (arities 2 to 8, worst 6.2e-13 short); at a
-    kink it can stop short.
+    ``tools/conjugate_probe.py`` (arities 2 to 8, worst 6.2e-13 short).  At a
+    vertex maximum (exponent 1) and at the max generator's kink it ends on the
+    exact value within two polls of the start lattice; at a kink inside the
+    simplex that lies off the lattice it can stop short.
     """
     s = as_simplex_point(s, "s")
     if gen.kind == "p":
@@ -585,7 +620,8 @@ def dual_norm_from_block_norms(gen: PsiGenerator, rstar: np.ndarray) -> float:
 
     For power generators this is the conjugate-exponent aggregate; for
     tabulated generators it maximizes the weighted sum over the generator on
-    the simplex with the search of ``psi_conjugate_eval``.
+    the simplex with the search of ``psi_conjugate_eval``.  Either way the
+    dual ground norms enter in absolute value.
     """
     rstar = np.asarray(rstar, dtype=float)
     if gen.kind == "p":
@@ -594,7 +630,7 @@ def dual_norm_from_block_norms(gen: PsiGenerator, rstar: np.ndarray) -> float:
         raise InvalidInputError("block count disagrees with tabulated arity")
     if not np.any(rstar):
         return 0.0
-    return _conjugate_sup(gen, rstar)
+    return _conjugate_sup(gen, np.abs(rstar))
 
 
 def psi_conjugate_generator(gen: PsiGenerator) -> PsiGenerator:
@@ -604,7 +640,8 @@ def psi_conjugate_generator(gen: PsiGenerator) -> PsiGenerator:
     result is itself tabulated, each evaluation running the search of
     ``psi_conjugate_eval`` (on power generators, up to about 700 generator
     calls at arity 3 and 1 500 at arity 4 on the probe's cells; the max
-    generator's kink at the uniform point can take 3 000 at arity 4).
+    generator ends at the barycenter after the start lattice, 57 calls at
+    arity 4).
     """
     if gen.kind == "p":
         return PsiGenerator.power(conjugate_exponent(gen.p))

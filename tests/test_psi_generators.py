@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from normmin import (
     psi_sandwich_bounds,
     validate_psi,
 )
+from normmin.psi_generators import _EVAL_BAND, _search_frame, _subdivisions
 
 
 def random_simplex(rng, count, n):
@@ -259,7 +261,7 @@ def _walk(psi, weights, grid):
 
 
 SEARCH_GRIDS = {2: 200, 3: 200, 4: 40, 5: 20, 6: 12, 7: 12, 8: 12}
-CALL_CEILINGS = {3: 620, 4: 3_300}
+CALL_CEILINGS = {3: 440, 4: 700}
 
 
 def test_conjugate_search_accuracy_and_cost():
@@ -281,6 +283,64 @@ def test_conjugate_search_accuracy_and_cost():
                 psi_conjugate_eval(PsiGenerator.tabulated(psi, n), s, grid=grid)
                 _, walk_calls = _walk(_power(p), s, grid)
                 assert psi.calls <= walk_calls, (n, p, s, psi.calls, walk_calls)
+
+
+def test_conjugate_search_stops_at_a_vertex_and_at_the_kink():
+    # p = 1 peaks at a vertex, where every poll drops linearly in rho, and
+    # p = inf at the barycenter, where the ratio meets the sandwich bound.
+    # Both end within the start lattice (plus the barycenter) and two polls.
+    rng = make_rng(20)
+    for n in (3, 4):
+        grid = SEARCH_GRIDS[n]
+        starts, stencil, _, _ = _search_frame(n, _subdivisions(n, grid))
+        for p in (1.0, math.inf):
+            closed = PsiGenerator.power(conjugate_exponent(p))
+            for s in random_simplex(rng, 4, n):
+                psi = Counted(_power(p))
+                value = psi_conjugate_eval(PsiGenerator.tabulated(psi, n), s, grid=grid)
+                assert psi.calls <= len(starts) + 2 * len(stencil), (n, p, s, psi.calls)
+                # The closed form at p = inf reads 1 where the weights sum to
+                # 1 within an ulp.
+                ulps = 0 if p == 1.0 else 2
+                assert abs(value - psi_eval(closed, s)) <= ulps * np.finfo(float).eps, (n, p, s)
+
+
+def test_conjugate_search_returns_an_evaluated_ratio_below_the_sandwich():
+    # A generator up to half the evaluation band below max(t) lifts the ratio
+    # above the sum of the weights, so the sandwich stop fires early; the
+    # value must still be a ratio at a point the search evaluated.
+    dip = lambda t: float(np.max(t)) - 0.5 * _EVAL_BAND * (1.0 - float(np.max(t)))
+    rng = make_rng(21)
+    for n in (2, 3, 4):
+        for w in random_simplex(rng, 3, n):
+            for run in (psi_conjugate_eval, dual_norm_from_block_norms):
+                psi = Counted(dip)
+                value = run(PsiGenerator.tabulated(psi, n), w)
+                pts = np.array([np.frombuffer(b) for b in psi.points])
+                evaluated = pts @ w / np.array([dip(t) for t in pts])
+                assert value > w.sum()
+                assert value <= evaluated.max() * (1.0 + 1e-15), (n, w, value)
+
+
+def test_dual_norm_of_negative_block_norms():
+    # Dual ground norms are taken in absolute value, as on the power branch.
+    # With all-negative entries the search once never ended, spinning on
+    # memoized points, so an alarm turns a hang into a failure.
+    def hang(*_):
+        raise TimeoutError("conjugate search does not end")
+
+    l2 = lambda t: float(np.sqrt(np.sum(t**2)))
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        for rstar in ((-1.0, -0.5), (-1.0, 0.5)):
+            rstar = np.array(rstar)
+            got = dual_norm_from_block_norms(PsiGenerator.tabulated(l2, 2), rstar)
+            want = dual_norm_from_block_norms(PsiGenerator.power(2.0), rstar)
+            assert abs(got - want) <= 1e-12 * want, (rstar, got, want)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_conjugate_search_on_kinked_generators():

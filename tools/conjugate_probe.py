@@ -38,9 +38,9 @@ POINTS = 8
 # The start-lattice caps of ``SEARCH_GRIDS`` in tests/test_psi_generators.py.
 SEARCH_GRIDS = {2: 200, 3: 200, 4: 40, 5: 20, 6: 12, 7: 12, 8: 12}
 RTOL = 1e-12
-# The total generator calls of the search on these cells (843 924 when this
+# The total generator calls of the search on these cells (561 005 when this
 # gate was set) plus about 5%, so a change that makes the search costlier fails.
-MAX_CALLS = 886_000
+MAX_CALLS = 590_000
 
 
 class Counted:
