@@ -3,8 +3,7 @@
 A certificate pairs a candidate solution with one dual block per anchor.
 Checkers score it against the optimality conditions for the claimed norm
 family and return named residuals; recovery reconstructs dual blocks at a
-given point, or reports that none exist, which certifies the point is not
-optimal at the requested tolerance.
+given point, or reports which condition its blocks fail and by how much.
 
 Recovery is one routine for the three theorems.  Block ``i`` lies in ``c_i``
 times the ground subdifferential at its displacement, and a cap table read
@@ -95,7 +94,7 @@ class CertificateReport:
 
 @dataclasses.dataclass(frozen=True)
 class Infeasible:
-    """Recovery outcome certifying no dual blocks exist at the tolerance."""
+    """Recovery outcome: no dual blocks found at the tolerance, why, and by how much."""
 
     theorem: str
     reason: str
@@ -255,65 +254,7 @@ def check_p_fermat(
 # ---------------------------------------------------------------------------
 
 
-def _cheapest(g, cost, budget, edges):
-    """Row by row, weights of the least-``g`` point of a cut simplex.
-
-    The simplex is over the columns and the cut is ``w . cost <= budget``,
-    with a column of budgets, one per row, or one budget for all.  Its
-    vertices are the columns within budget and, when ``edges`` is set, the
-    points on the edges between a column within budget and one beyond it
-    where the cut is tight; without ``edges`` only the columns within budget
-    are candidates.  Columns of infinite cost never enter.
-    """
-    budget = np.broadcast_to(budget, (g.shape[0], 1))
-    within = cost <= budget
-    single = np.where(within, g, np.inf)
-    best = single.argmin(axis=1)
-    w = np.zeros(g.shape)
-    w[np.arange(g.shape[0]), best] = 1.0
-    if not edges:
-        return w
-    # One row of edge values per column within budget, over every column of
-    # its row; only the columns beyond budget count.
-    row, a = np.nonzero(within)
-    ga, ca = g[row, a, None], cost[row, a, None]
-    beyond = (cost[row] > budget[row]) & np.isfinite(cost[row])
-    mu = np.divide(budget[row] - ca, cost[row] - ca, out=np.zeros(beyond.shape), where=beyond)
-    val = np.where(beyond, ga + mu * (g[row] - ga), np.inf)
-    b = val.argmin(axis=1)
-    low = val[np.arange(row.size), b]
-    least = np.full(g.shape[0], np.inf)
-    np.minimum.at(least, row, low)
-    # The first edge of least value in each row that beats its best column.
-    hit = np.flatnonzero((low == least[row]) & (least < single.min(axis=1))[row])
-    i, first = np.unique(row[hit], return_index=True)
-    k = hit[first]
-    w[i, best[i]] = 0.0
-    w[i, a[k]], w[i, b[k]] = 1.0 - mu[k, b[k]], mu[k, b[k]]
-    return w
-
-
-def _bend(v, y, x, bendable, budget):
-    """Rows of ``v`` moved off their signs towards least ``v . y``, within budget.
-
-    A bendable coordinate of ``v`` sits at ``sign(x_ij)`` and may move by up
-    to 2 towards ``-sign(x_ij)`` at a cost of ``|x_ij|`` per unit.  Each row
-    spends at most its budget, on the coordinates with the most gain in
-    ``v . y`` per unit of cost first: a fractional knapsack.
-    """
-    ax = np.abs(x)
-    gain = np.where(bendable & (v * y > 0.0), np.abs(y), 0.0)
-    ratio = np.divide(gain, ax, out=np.zeros_like(gain), where=gain > 0.0)
-    order = np.argsort(-ratio, axis=1, kind="stable")
-    unit = np.take_along_axis(np.where(gain > 0.0, ax, 0.0), order, axis=1)
-    spent = np.cumsum(2.0 * unit, axis=1) - 2.0 * unit
-    step = np.divide(budget - spent, unit, out=np.zeros_like(unit), where=unit > 0.0)
-    dev = np.zeros_like(v)
-    np.put_along_axis(dev, order, np.clip(step, 0.0, 2.0), axis=1)
-    return v - np.sign(v) * dev
-
-
-def _face_duals(kind, diffs, r, ztol, caps, paired, push=None):
+def _face_duals(kind, diffs, r, ztol, caps, paired):
     """Dual blocks on the alignment faces whose sum has least norm, by Wolfe's method.
 
     Block ``i`` is its cap ``c_i`` times a point of its face, the part of
@@ -329,38 +270,21 @@ def _face_duals(kind, diffs, r, ztol, caps, paired, push=None):
     ``caps`` None (the max generator) the ``paired`` blocks are in play, and
     the oracle returns the single best vertex over their faces, so the
     candidate sums fill the hull of the faces' union and the convex weights
-    are the caps.
-
-    ``push``, the imbalance a pass on these faces left, widens them towards
-    what the checker accepts: a block may pair short of ``c_i r_i`` by
-    ``ztol`` less a thousandth for rounding, so its face may fall short by
-    ``ztol / c_i`` (one cap under the max generator).  On the sum ground a
-    fixed coordinate may move off its sign at a cost of ``|x_ij|`` per unit,
-    except the block's largest, which keeps the block's dual norm at one.
-    On the max ground a coordinate short of the row's maximum by ``delta``
-    may carry weight ``w`` at a cost of ``w * delta``, summed over the block
-    (under the max generator, over all the farthest blocks); off the tie
-    only the sign that pushes ``push`` back is allowed, whatever the sign of
-    ``x_ij``.  Returns the ``(n, d)`` blocks; their sum is the least-norm
-    point of the candidate sums.
+    are the caps.  Returns the ``(n, d)`` blocks; their sum is the
+    least-norm point of the candidate sums.
     """
     n, d = diffs.shape
     chebyshev = caps is None
     idx = np.flatnonzero(paired if chebyshev else caps > 0.0)
     x, rx = diffs[idx], r[idx]
     cap = 1.0 if chebyshev else caps[idx, None]
-    budget = ztol if push is None else ztol * (1.0 - 1e-3) / cap
     if kind == "sum":
         sign = np.sign(x)
         fixed = np.abs(x) > ztol
         lo, hi = np.where(fixed, sign, -1.0), np.where(fixed, sign, 1.0)
-        bendable = fixed.copy()
-        bendable[np.arange(idx.size), np.abs(x).argmax(axis=1)] = False
 
         def oracle(y):
             v = np.where(y > 0.0, lo, hi)
-            if push is not None:
-                v = _bend(v, y, x, bendable, budget)
             if chebyshev:
                 k = int(np.argmin(v @ y))
                 atom = np.zeros_like(v)
@@ -371,21 +295,19 @@ def _face_duals(kind, diffs, r, ztol, caps, paired, push=None):
 
     else:
         # Atoms are the signed unit vectors, column j for +e_j and d + j for
-        # -e_j; each costs its shortfall from the row's maximum, a barred
-        # sign costs infinity and a ball block's atoms are free.
+        # -e_j: those of a block's coordinates of the right sign within ztol
+        # of its maximum, and all of a ball block's.  Under the max generator
+        # the atoms of all blocks form one group.
         sx = np.concatenate([x, -x], axis=1)
-        short = rx[:, None] - sx
-        allowed = sx >= 0.0
-        if push is not None:
-            tie = np.tile(rx[:, None] - np.abs(x) <= ztol, 2)
-            allowed = np.where(tie, allowed, np.concatenate([push < 0.0, push > 0.0]))
-        cost = np.where(allowed, short, np.inf)
-        cost[rx <= ztol] = 0.0
-        groups = cost.reshape(1, -1) if chebyshev else cost
+        face = ((sx >= 0.0) & (rx[:, None] - sx <= ztol)) | (rx[:, None] <= ztol)
+        groups = face.reshape(1, -1) if chebyshev else face
 
         def oracle(y):
-            g = np.broadcast_to(np.concatenate([y, -y]), cost.shape).reshape(groups.shape)
-            w = _cheapest(g, groups, budget, push is not None).reshape(cost.shape)
+            g = np.broadcast_to(np.concatenate([y, -y]), face.shape).reshape(groups.shape)
+            best = np.where(groups, g, np.inf).argmin(axis=1)
+            w = np.zeros(groups.shape)
+            w[np.arange(groups.shape[0]), best] = 1.0
+            w = w.reshape(face.shape)
             v = cap * (w[:, :d] - w[:, d:])
             return v.tobytes(), v
 
@@ -431,16 +353,15 @@ def recover_certificate(
     On the sum and max grounds each block is its cap times a point of its
     alignment face, and Wolfe's method reads the blocks off the faces
     (``_face_duals``), with ``tol`` times the largest block norm as the zero
-    and tie tolerance.  When the faces leave the blocks unbalanced by more
-    than a thousandth of ``tol``, they are also widened once to the alignment
-    slack the checker allows, and of the passes the checker accepts the one
-    with the smaller worst residual is returned.
+    and tie tolerance.  There is one pass, over the exact faces: at a point
+    whose gradient on its face exceeds about ``tol``, the blocks stay
+    unbalanced and the :class:`Infeasible` result says by how much.
 
     The returned certificate always passes the generator's specialized
-    checker at ``tol``; an :class:`Infeasible` result means ``u`` is not
-    optimal at that tolerance.  The default tolerance is looser than the
-    checking default because recovery stacks solver error on top of
-    arithmetic error.
+    checker at ``tol``; an :class:`Infeasible` result names the condition
+    the reconstructed blocks fail and by how much.  The default tolerance
+    is looser than the checking default because recovery stacks solver
+    error on top of arithmetic error.
     """
     u = as_vector(u, "u")
     theorem = matching_theorem(prob)
@@ -453,14 +374,7 @@ def recover_certificate(
     caps, paired = _cap_table(theorem, prob.norm.generator, r, ztol)
     kind = prob.norm.ground.kind
     if kind in ("sum", "max"):
-        passes = [_face_duals(kind, diffs, r, ztol, caps, paired)]
-        push = passes[0].sum(axis=0)
-        if float(np.abs(push).sum()) > 1e-3 * tol:
-            # The exact faces do not balance; spend the alignment slack the
-            # checker allows.  Wolfe's method balances the Euclidean norm of
-            # the sum and the checker its dual ground norm, so the widened
-            # blocks may balance worse: both passes go to the checker.
-            passes.append(_face_duals(kind, diffs, r, ztol, caps, paired, push))
+        duals = _face_duals(kind, diffs, r, ztol, caps, paired)
     else:
         # Smooth grounds: each paired block is its cap times the ground
         # gradient; free caps are the convex weights of the gradients'
@@ -488,16 +402,13 @@ def recover_certificate(
                 return Infeasible(
                     theorem, "anchor-coincident block would need dual norm above one", excess
                 )
-        passes = [duals]
-    certs = [Certificate(solution=u, duals=duals) for duals in passes]
-    reports = [check_certificate(prob, cert, tol=tol) for cert in certs]
-    passed = [i for i, report in enumerate(reports) if report.verdict]
-    if passed:
-        # The pass with the smaller worst residual, the exact one on a tie.
-        return certs[min(passed, key=lambda i: reports[i].worst[1])]
-    name, value = reports[-1].worst
-    return Infeasible(
-        reports[-1].theorem,
-        f"reconstructed blocks fail the {name} condition",
-        value,
-    )
+    cert = Certificate(solution=u, duals=duals)
+    report = check_certificate(prob, cert, tol=tol)
+    if report.verdict:
+        return cert
+    name, value = report.worst
+    if kind in ("sum", "max") and name == "dual_sum":
+        reason = f"the exact alignment faces leave the blocks unbalanced by {value:.3g}"
+    else:
+        reason = f"reconstructed blocks fail the {name} condition"
+    return Infeasible(theorem, reason, value)

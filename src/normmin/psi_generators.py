@@ -323,7 +323,7 @@ def validate_psi(
 
     i = first(~np.isfinite(vals) | (vals < pts.max(axis=1) - tol) | (vals > 1.0 + tol))
     if i is not None:
-        failures["bounds"] = f"value {vals[i]!r} at {pts[i].tolist()}"
+        failures["bounds"] = f"value {float(vals[i])!r} at {pts[i].tolist()}"
 
     va, vb = vals[:half], vals[half : 2 * half]
     i = first(np.isfinite(va) & np.isfinite(vb) & (vm > 0.5 * (va + vb) + tol))
@@ -337,7 +337,7 @@ def validate_psi(
     i = first(np.isfinite(v) & (v < lower - tol))
     if i is not None:
         failures["restriction"] = (
-            f"value {v[i]!r} below zeroed-slot bound {lower[i]!r} "
+            f"value {float(v[i])!r} below zeroed-slot bound {float(lower[i])!r} "
             f"at {pts[owner[i]].tolist()} slot {slot[i]}"
         )
 
@@ -347,7 +347,7 @@ def validate_psi(
         symmetry_ok = i is None
         if i is not None:
             failures["symmetry"] = (
-                f"values {vals[i]!r} vs {float(vp[i])!r} under permutation of {pts[i].tolist()}"
+                f"values {float(vals[i])!r} vs {float(vp[i])!r} under permutation of {pts[i].tolist()}"
             )
 
     diffs = pts[1:] - pts[:-1]

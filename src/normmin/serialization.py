@@ -24,7 +24,7 @@ from .errors import InputFormatError, NormMinError
 from .ground_norms import GroundNorm
 from .problem import ProblemInstance
 from .product_norms import ProductNorm
-from .psi_generators import PsiGenerator, psi_eval
+from .psi_generators import PsiGenerator, psi_eval_many
 
 _GROUND_KINDS = ("sum", "max", "euclidean", "p")
 
@@ -193,7 +193,7 @@ def generator_from_json(obj, field: str = "generator") -> PsiGenerator:
                 )
 
             def func(t, _base=base):
-                return psi_eval(_base, t)
+                return float(psi_eval_many(_base, t))
 
             func.source_spec = {"kind": "p", "p": _exponent_json(base.p)}
             return PsiGenerator.tabulated(func, arity=arity, symmetric=True)

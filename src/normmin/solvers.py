@@ -11,7 +11,8 @@ the dual optimality conditions:
   program;
 - sum or max ground with finite p > 1: the smooth objective ``sum r_i^p``
   over an exact linear model of the block norms in a box around the
-  incumbent, solved by SLSQP box by box;
+  incumbent, solved by SLSQP box by box, then Newton on the face of the
+  block norms that holds SLSQP's answer, where they are affine;
 - Euclidean or power ground with finite p: the objective is smooth away from
   the anchors, so damped Newton from the centroid with the analytic Hessian;
   when p = 1 each iteration also tests the anchor nearest the iterate for
@@ -67,8 +68,15 @@ _LP_TOL = 1e-10
 _MODEL_ROWS = 32
 
 # Relative rounding allowed between a polyhedral model's value and the
-# block norms it models.
+# block norms it models, and between a face finish's value and its start's.
 _SUM_RTOL = 1e-12
+
+# Coordinates within this much of an anchor's (sum ground) or of their
+# block's largest (max ground), relative to the largest block norm, hold the
+# face of a polyhedral finite-p answer; Newton takes at most
+# ``_FACE_STEPS`` steps on it.
+_FACE_TOL = 1e-9
+_FACE_STEPS = 16
 
 # Box radii at or below this count as zero in the polyhedral finite-p solve,
 # whose rounds scale the largest block norm at the centroid to one.  A round
@@ -344,7 +352,9 @@ def _polyhedral_epigraph(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarra
     The box radius keeps the model within ``_MODEL_ROWS`` inequality rows
     (:func:`_box_radius`).  The rounds work on anchors shifted to the
     centroid and scaled by the largest block norm there, since SLSQP's
-    tolerances are absolute.
+    tolerances are absolute; so does the face finish (:func:`_face_finish`)
+    that ends the solve, since ``r^(p-2)`` underflows at large p on tiny
+    anchors.
     """
     from scipy.optimize import minimize
 
@@ -398,7 +408,66 @@ def _polyhedral_epigraph(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarra
         if inside:
             converged = bool(res.success)
             break
+    un = _face_finish(ground.kind, u, anchors, r, p)
+    if float((ground_norm_eval_many(ground, un - anchors) ** p).sum()) <= total * (1.0 + _SUM_RTOL):
+        u = un
     return u0 + length * u, steps, converged
+
+
+def _face_finish(kind: str, u: np.ndarray, anchors: np.ndarray, r: np.ndarray, p: float):
+    """Newton on ``sum r_i^p`` over the face of the block norms that holds ``u``.
+
+    On the sum ground each coordinate within ``_FACE_TOL`` of an anchor's is
+    fixed to it; on the max ground each block's coordinates within
+    ``_FACE_TOL`` of its largest stay tied to it.  On that face the block
+    norms are affine, ``r = a u - b`` subject to ``e u = c``, so the
+    objective is smooth with gradient ``p a^T r^(p-1)`` and Hessian ``p (p
+    - 1) a^T diag(r^(p-2)) a``.  The point is projected onto ``e u = c`` and
+    Newton steps run in the null space of ``e``.  The value cannot resolve
+    the last digits of the gradient, so the steps stop once the face
+    gradient's norm stops falling, and the iterate of least norm is returned.
+    """
+    x = u - anchors
+    ax = np.abs(x)
+    tol = _FACE_TOL * float(r.max())
+    n, d = x.shape
+    if kind == "sum":
+        near = ax.argmin(axis=0)
+        pinned = np.flatnonzero(ax[near, np.arange(d)] <= tol)
+        at = u.copy()
+        at[pinned] = anchors[near[pinned], pinned]
+        a = np.sign(at - anchors)
+        e, c = np.eye(d)[pinned], at[pinned]
+    else:
+        top = ax.argmax(axis=1)
+        a = np.zeros((n, d))
+        a[np.arange(n), top] = np.sign(x[np.arange(n), top])
+        ti, tj = np.nonzero((ax >= r[:, None] - tol) & (np.arange(d) != top[:, None]))
+        e = -a[ti]
+        e[np.arange(ti.size), tj] = np.sign(x[ti, tj])
+        c = np.einsum("ij,ij->i", e, anchors[ti])
+    b = np.einsum("ij,ij->i", a, anchors)
+    null = np.eye(d)
+    if e.shape[0]:
+        _, sv, vt = np.linalg.svd(e)
+        null = vt[int((sv > 1e-12 * sv[0]).sum()):].T
+        u = u + np.linalg.lstsq(e, c - e @ u, rcond=None)[0]
+    if not null.shape[1]:
+        return u
+    an = a @ null
+    best, least = u, math.inf
+    for _ in range(_FACE_STEPS):
+        rm = a @ u - b
+        pos = rm > 0.0
+        rs = np.where(pos, rm, 1.0)
+        w = np.where(pos, rs ** (p - 2.0), 0.0)
+        g = an.T @ (w * rs)
+        gn = float(np.linalg.norm(g))
+        if not gn < least:
+            break
+        best, least = u, gn
+        u = u + null @ np.linalg.lstsq((an.T * ((p - 1.0) * w)) @ an, -g, rcond=None)[0]
+    return best
 
 
 def _hessian(prob: ProblemInstance, u, f: float, g, basis: np.ndarray) -> np.ndarray:
@@ -575,6 +644,9 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
       linear model of the block norms in a box around the incumbent, box by
       box (:func:`_polyhedral_epigraph`); ``converged`` means the last
       SLSQP solve succeeded with its answer in the inner half of its box.
+      SLSQP stops about 1e-8 short in the gradient, so Newton then finishes
+      on the face that holds its answer (:func:`_face_finish`), whose point
+      is kept unless its value is more than 1e-12 relative above SLSQP's.
     - Euclidean or power ground, finite p: damped Newton from the centroid
       (:func:`_newton`), where ``converged`` means the gradient norm fell to
       the rounding floor of its blocks, or, for p = 1, that the anchor

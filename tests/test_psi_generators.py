@@ -103,6 +103,26 @@ def test_validate_psi_rejects_sum_of_squares():
     assert not (report.midpoint_convexity_ok and report.restriction_ok and report.bounds_ok)
 
 
+def test_validate_psi_failures_print_plain_floats():
+    # numpy 2 reprs its scalars as np.float64(...); every counterexample
+    # number is printed as a Python float instead.
+    gens = [
+        PsiGenerator.tabulated(lambda t: 0.5, arity=2),
+        PsiGenerator.tabulated(lambda t: float(np.sum(np.square(t))), arity=3, symmetric=True),
+        PsiGenerator.tabulated(lambda t: float(np.sqrt(np.max(t))), arity=3, symmetric=True),
+        PsiGenerator.tabulated(
+            lambda t: float(np.linalg.norm(t, 2 if t[0] > t[1] else 3)), arity=3, symmetric=True
+        ),
+    ]
+    seen = set()
+    for gen in gens:
+        failures = validate_psi(gen, samples=400).failures
+        seen.update(failures)
+        for message in failures.values():
+            assert "np.float64(" not in message, message
+    assert seen == {"vertex_values", "bounds", "midpoint_convexity", "restriction", "symmetry"}
+
+
 def test_bounds_sampled():
     rng = make_rng(12)
     for gen in ALL_GENERATORS:

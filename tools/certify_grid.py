@@ -57,9 +57,9 @@ SIZES = (4, 13, 64, 256)
 DIMS = (2, 3, 10)
 SEEDS = (0, 1, 2)
 TOLS = (1e-7, 1e-9)
-# The count of cells that fail to certify at 1e-9 today; lower it when a
-# change certifies more of them.
-MAX_FAILURES_1E_9 = 40
+# The count of cells that fail to certify at 1e-9 today, all on the smooth
+# grounds with p = inf; lower it when a change certifies more of them.
+MAX_FAILURES_1E_9 = 23
 
 
 def outcome(prob: ProblemInstance, point: np.ndarray, tol: float) -> dict:

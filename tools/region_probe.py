@@ -29,9 +29,8 @@ of the dense walk (each the lesser of two runs; the 7-point tiles make the
 second part's walks slower than its dense walks) and the mismatches, the
 cells whose solve point recovers no certificate at 1e-7 (each as ``[ground,
 p, n, d, s]``; they are skipped), and the process's peak resident set size.
-Exits 1 if any answer differs from the dense walk's, or if a cell outside
-``KNOWN_UNRECOVERED`` recovers no certificate.  Run from the repository
-root:
+Exits 1 if any answer differs from the dense walk's, or if any cell
+recovers no certificate.  Run from the repository root:
 
     PYTHONPATH=src python tools/region_probe.py
 
@@ -87,10 +86,6 @@ SAMPLE_GRIDS = {1: (1, 2, 999, 9001, 20001), 2: (1, 2, 57, 101, 201), 3: (1, 2, 
 TABULATED_GRIDS = {1: (2, 999, 9001), 2: (2, 33, 101), 3: (2, 11, 23)}
 ORACLE_GRIDS = {1: (1, 2, 999, 20001), 2: (1, 2, 57, 201), 3: (1, 2, 23, 41)}
 COUNTS = ("cells", "lattice", "evaluated", "single", "walk_s", "dense_s", "mismatches")
-# Cells (ground, p, n, d, s) whose solve point recovers no certificate at
-# 1e-7: on these d = 1 cells the finite-p epigraph solve stops a little
-# short of the optimum.  Any other unrecovered cell fails the probe.
-KNOWN_UNRECOVERED = (("sum", 1.5, 13, 1, 3), ("max", 1.5, 13, 1, 3))
 
 
 def dense_tiles(axes):
@@ -275,7 +270,6 @@ def main() -> int:
         for kind, k in sorted(kinds.items())
     }
     mismatches = sum(k["mismatches"] for k in kinds.values())
-    unknown = [cell for cell in unrecovered if cell not in KNOWN_UNRECOVERED]
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({
         "cells": sum(k["cells"] for k in kinds.values()),
@@ -284,7 +278,7 @@ def main() -> int:
         "kinds": summary,
         "peak_rss_mb": round(peak_mb, 1),
     }))
-    return 1 if mismatches or unknown else 0
+    return 1 if mismatches or unrecovered else 0
 
 
 if __name__ == "__main__":
