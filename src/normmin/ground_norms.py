@@ -133,8 +133,8 @@ def ground_norm_eval_many(nrm: GroundNorm, xs) -> np.ndarray:
 
 
 def ground_norm_eval(nrm: GroundNorm, x) -> float:
-    x = as_vector(x)
-    return float(ground_norm_eval_many(nrm, x))
+    """Norm of one vector: its row of :func:`ground_norm_eval_many`, bit for bit."""
+    return float(ground_norm_eval_many(nrm, as_vector(x)[None, :])[0])
 
 
 def _ground_subgradient(nrm: GroundNorm, x: np.ndarray) -> np.ndarray:

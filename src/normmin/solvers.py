@@ -6,7 +6,8 @@ the dual optimality conditions:
 - two anchors under a symmetric generator: the midpoint;
 - sum ground with p = 1: the objective splits by coordinate, so the
   coordinatewise median;
-- otherwise sum or max ground with p in {1, inf}: every block norm is a
+- max ground with p = inf: the midpoint of the anchors' bounding box;
+- max ground with p = 1, sum ground with p = inf: every block norm is a
   maximum of linear pieces, so the problem is one sparse HiGHS linear
   program;
 - sum or max ground with finite p > 1: the smooth objective ``sum r_i^p``
@@ -180,35 +181,36 @@ def _search_basis(prob: ProblemInstance) -> np.ndarray:
 
 
 def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Polyhedral ground with p in {1, inf}: one sparse HiGHS linear program.
+    """Max ground with p = 1 or sum ground with p = inf: one sparse HiGHS linear program.
 
     HiGHS runs its interior-point method, whose iteration count stays in the
     tens as the program grows (its default simplex choice hit a 2000
     iteration cap on the sum ground at n=256, d=10), then crosses over to a
     vertex.
 
-    Variables are ``u``, one epigraph variable per block for p = 1 or one
-    shared by all blocks for p = inf, and on the sum ground the coordinate
-    bounds ``s_ij >= |u_j - v_ij|``.  The rows are built from index arrays:
-    coordinate ``j`` of block ``i`` sits in row ``i d + j``.
+    Variables are ``u``, then on the max ground one epigraph variable
+    ``t_i`` per block, and on the sum ground the coordinate bounds ``s_ij
+    >= |u_j - v_ij|`` and one epigraph variable ``t`` shared by all blocks.
+    The rows are built from index arrays: coordinate ``j`` of block ``i``
+    sits in row ``i d + j``.
     """
     from scipy import sparse
     from scipy.optimize import linprog
 
     n, d = prob.anchors.shape
     nd, v, rows = n * d, prob.anchors.ravel(), np.arange(n * d)
-    tcol = np.arange(n) if prob.norm.generator.p == 1.0 else np.zeros(n, dtype=int)
-    nt, on_max = int(tcol[-1]) + 1, prob.norm.ground.kind == "max"
+    on_max = prob.norm.ground.kind == "max"
     # +-(u_j - v_ij) <= e_r with r = i d + j: e_r is t_i on the max ground and
-    # s_ij on the sum ground, whose last rows are sum_j s_ij <= t_i.
-    ecol = d + (tcol[rows // d] if on_max else rows)
+    # s_ij on the sum ground, whose last rows are sum_j s_ij <= t.
+    ecol = d + (rows // d if on_max else rows)
     ri, ci = [rows, rows, nd + rows, nd + rows], [rows % d, ecol, rows % d, ecol]
     vals, b_ub = [1.0, -1.0, -1.0, -1.0], [v, -v]
     if not on_max:
         ri += [2 * nd + rows // d, 2 * nd + np.arange(n)]
-        ci += [d + rows, d + nd + tcol]
+        ci += [d + rows, np.full(n, d + nd)]
         vals += [1.0, -1.0]
         b_ub.append(np.zeros(n))
+    nt = n if on_max else 1
     b_ub, width = np.concatenate(b_ub), d + nt + (0 if on_max else nd)
     data = np.repeat(vals, [r.size for r in ri])
     a_ub = sparse.csc_matrix((data, (np.concatenate(ri), np.concatenate(ci))), shape=(b_ub.size, width))
@@ -241,22 +243,21 @@ def _coordinate_median(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray,
     return 0.5 * (col[(prob.n - 1) // 2] + col[prob.n // 2]), 0, True
 
 
-def _model_rows(kind: str, a: np.ndarray, r: np.ndarray, anchors: np.ndarray, delta: float) -> int:
-    """Inequality rows of :func:`_box_model` for box radius ``delta``.
-
-    Counted without building the model, whose dense rows would take
-    ``O(n d)`` columns each at the large radii the search tries.
-    """
-    if kind == "sum":
-        free = a <= delta
-        cols = np.nonzero(free)[1]
-        return 2 * np.unique(np.column_stack([cols, anchors[free]]), axis=0).shape[0]
-    near = a >= r[:, None] - 2.0 * delta
-    counts = (near * np.where(a <= delta, 2, 1)).sum(axis=1)
-    return int(counts[counts >= 2].sum())
+def _box_center(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
+    """Max ground with p = inf: the anchors' bounding-box midpoint, at half the widest range."""
+    return 0.5 * (prob.anchors.min(axis=0) + prob.anchors.max(axis=0)), 0, True
 
 
-def _box_radius(kind: str, x: np.ndarray, r: np.ndarray, anchors: np.ndarray) -> float:
+def _anchor_pairs(anchors: np.ndarray):
+    """Columns and values of the sorted distinct (column, anchor value) pairs, and each entry's pair."""
+    n, d = anchors.shape
+    pairs, slot = np.unique(
+        np.column_stack([np.tile(np.arange(d), n), anchors.ravel()]), axis=0, return_inverse=True
+    )
+    return pairs[:, 0].astype(int), pairs[:, 1], slot.reshape(n, d)
+
+
+def _box_radius(kind: str, u: np.ndarray, x: np.ndarray, r: np.ndarray, pairs) -> float:
     """Largest box radius whose model keeps within ``_MODEL_ROWS`` rows.
 
     The candidates are the radii at which a block gains a piece, above
@@ -264,14 +265,20 @@ def _box_radius(kind: str, x: np.ndarray, r: np.ndarray, anchors: np.ndarray) ->
     the smallest candidate breaks the cap, that candidate is used: its model
     still has at most two rows per distinct anchor coordinate within the
     radius on the sum ground, and at most ``2 d`` per block on the max
-    ground, so it stays linear in the size of the instance.
+    ground, so it stays linear in the size of the instance.  The rows are
+    counted without building the model; on the sum ground they are two per
+    pair of :func:`_anchor_pairs` within the radius of ``u``.
     """
-    a = np.abs(x)
+    a = np.abs(u[pairs[0]] - pairs[1]) if kind == "sum" else np.abs(x)
     cand = np.unique(a if kind == "sum" else np.concatenate([a, (r[:, None] - a) / 2.0]))
     cand = cand[cand > _KINK]
 
     def overfull(delta):
-        return _model_rows(kind, a, r, anchors, delta) > _MODEL_ROWS
+        if kind == "sum":
+            return 2 * np.count_nonzero(a <= delta) > _MODEL_ROWS
+        near = a >= r[:, None] - 2.0 * delta
+        counts = (near * np.where(a <= delta, 2, 1)).sum(axis=1)
+        return int(counts[counts >= 2].sum()) > _MODEL_ROWS
 
     k = bisect.bisect_left(cand, True, key=overfull)
     if k == cand.size:
@@ -279,7 +286,7 @@ def _box_radius(kind: str, x: np.ndarray, r: np.ndarray, anchors: np.ndarray) ->
     return float(cand[max(k - 1, 0)])
 
 
-def _box_model(kind: str, x: np.ndarray, r: np.ndarray, anchors: np.ndarray, delta: float):
+def _box_model(kind: str, x: np.ndarray, r: np.ndarray, anchors: np.ndarray, delta: float, pairs):
     """Linear model of the block norms inside a box of radius ``delta`` around ``u``.
 
     The box holds every ``u'`` within ``delta`` of ``u = x + anchors`` in
@@ -302,20 +309,20 @@ def _box_model(kind: str, x: np.ndarray, r: np.ndarray, anchors: np.ndarray, del
     if kind == "sum":
         free = a <= delta
         fi, fj = np.nonzero(free)
-        pairs, slot = np.unique(np.column_stack([fj, anchors[free]]), axis=0, return_inverse=True)
-        m = pairs.shape[0]
+        keep, slot = np.unique(pairs[2][free], return_inverse=True)
+        cols, vals, m = pairs[0][keep], pairs[1][keep], keep.size
         fixed = np.where(free, 0.0, sign)
         lin = np.zeros((n, d + m))
         lin[:, :d] = fixed
-        lin[fi, d + slot.ravel()] = 1.0
+        lin[fi, d + slot] = 1.0
         off = np.einsum("ij,ij->i", fixed, anchors)
         picks = np.zeros((m, d))
-        picks[np.arange(m), pairs[:, 0].astype(int)] = 1.0
+        picks[np.arange(m), cols] = 1.0
         # s_k >= +-(u'_j - c_k)
         cons = np.hstack([np.vstack([picks, -picks]), np.vstack([np.eye(m), np.eye(m)])])
-        cons_off = np.concatenate([-pairs[:, 1], pairs[:, 1]])
+        cons_off = np.concatenate([-vals, vals])
         w0 = np.zeros(m)
-        w0[slot.ravel()] = a[fi, fj]
+        w0[slot] = a[fi, fj]
         return lin, off, cons, cons_off, w0
     near = a >= r[:, None] - 2.0 * delta
     flip = near & (a <= delta)
@@ -365,12 +372,13 @@ def _polyhedral_epigraph(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarra
     length = float(r.max())
     anchors = (prob.anchors - u0) / length
     u, r = np.zeros(d), r / length
+    pairs = _anchor_pairs(anchors) if ground.kind == "sum" else None
     scale = total = float((r**p).sum())
     steps, converged = 0, False
     while steps < cfg.max_iters:
         x = u - anchors
-        delta = _box_radius(ground.kind, x, r, anchors)
-        lin, off, cons, cons_off, w0 = _box_model(ground.kind, x, r, anchors, delta)
+        delta = _box_radius(ground.kind, u, x, r, pairs)
+        lin, off, cons, cons_off, w0 = _box_model(ground.kind, x, r, anchors, delta, pairs)
 
         def obj(z):
             s = np.maximum(lin @ z - off, 0.0)
@@ -637,9 +645,10 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
 
     - Two anchors under a symmetric generator: :func:`midpoint_shortcut`.
     - Sum ground, p = 1: the coordinatewise median, converged.
-    - Max ground with p in {1, inf}, sum ground with p = inf: one sparse
-      HiGHS linear program (interior point, then crossover); ``converged``
-      means HiGHS reported an optimal solution (status 0).
+    - Max ground, p = inf: the bounding-box midpoint, converged.
+    - Max ground with p = 1, sum ground with p = inf: one sparse HiGHS
+      linear program (interior point, then crossover); ``converged`` means
+      HiGHS reported an optimal solution (status 0).
     - Sum or max ground, finite p > 1: SLSQP on ``sum r_i^p`` over an exact
       linear model of the block norms in a box around the incumbent, box by
       box (:func:`_polyhedral_epigraph`); ``converged`` means the last
@@ -679,6 +688,8 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
     p = prob.norm.generator.p
     if prob.norm.ground.kind == "sum" and p == 1.0:
         method = _coordinate_median
+    elif prob.norm.ground.kind == "max" and p == math.inf:
+        method = _box_center
     elif prob.norm.ground.kind in ("sum", "max"):
         method = _polyhedral_lp if p in (1.0, math.inf) else _polyhedral_epigraph
     else:

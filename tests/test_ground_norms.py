@@ -24,6 +24,17 @@ from normmin import (
 from normmin.ground_norms import DEFAULT_TOL
 
 
+def test_single_vector_is_its_row_of_the_batch():
+    # A power norm's root rounds differently on a numpy scalar than in an
+    # array loop, so one vector goes through the batch as a one-row batch.
+    rng = make_rng(77)
+    for ground in ALL_GROUNDS + (GroundNorm.power(1.5),):
+        for d in (1, 2, 3, 7, 10, 33):
+            rows = rng.normal(size=(50, d))
+            batch = ground_norm_eval_many(ground, rows).tolist()
+            assert [ground_norm_eval(ground, v) for v in rows] == batch
+
+
 def test_eval_examples():
     assert ground_norm_eval(GroundNorm.max(), (1.0, -2.0)) == 2.0
     assert ground_norm_eval(GroundNorm.sum(), (1.0, -2.0)) == 3.0

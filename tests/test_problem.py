@@ -161,6 +161,20 @@ def test_solve_bound_examples():
     assert solve_bound(tri).radius == pytest.approx(4.0)
 
 
+def test_solve_bound_is_the_per_anchor_sum():
+    # One batch of anchor norms, summed by Python's ``sum``, gives bitwise
+    # the total of one evaluation per anchor.
+    rng = make_rng(33)
+    for ground in ALL_GROUNDS + (GroundNorm.power(1.5),):
+        for scale in (1e-3, 1.0, 1e200):
+            for _ in range(10):
+                n, d = int(rng.integers(2, 60)), int(rng.integers(1, 40))
+                anchors = random_anchors(rng, n, d) * scale
+                prob = ProblemInstance(anchors, ProductNorm(ground, PsiGenerator.power(2.0)))
+                total = sum(ground_norm_eval(ground, v) for v in prob.anchors)
+                assert solve_bound(prob).radius == (1.0 + 1.0 / n) * total
+
+
 def test_solve_bound_contains_grid_argmin():
     from normmin import grid_oracle
 

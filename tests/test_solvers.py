@@ -1,5 +1,6 @@
 """Exact per-family solves, Nelder-Mead pattern search, midpoint shortcut, grid oracle."""
 
+import bisect
 import dataclasses
 import math
 
@@ -625,3 +626,90 @@ def test_p1_newton_tests_one_anchor_per_iteration(monkeypatch, ground):
     cert = recover_certificate(prob, res.point, tol=1e-7)
     assert not isinstance(cert, Infeasible), cert
     assert check_certificate(prob, cert, tol=1e-7).verdict
+
+
+def _former_sum_radius(x, anchors):
+    # The former sum-ground radius: a bisection over the candidate radii whose
+    # every probe sorts the free (column, anchor value) pairs to count them.
+    a = np.abs(x)
+    cand = np.unique(a)
+    cand = cand[cand > solvers._KINK]
+
+    def overfull(delta):
+        free = a <= delta
+        pairs = np.unique(np.column_stack([np.nonzero(free)[1], anchors[free]]), axis=0)
+        return 2 * pairs.shape[0] > solvers._MODEL_ROWS
+
+    k = bisect.bisect_left(cand, True, key=overfull)
+    return math.inf if k == cand.size else float(cand[max(k - 1, 0)])
+
+
+def test_sum_box_radius_matches_a_brute_force_row_count():
+    # Anchor coordinates repeat within a column (a coarse grid), and the
+    # point shares whole rows or single coordinates with the anchors, so
+    # pairs are held by several anchors and displacements are exactly zero.
+    # In dimension above 16 an anchor's row alone breaks the row cap.
+    rng = make_rng(2024)
+    kinds = set()
+    for cell in range(320):
+        n, d = int(rng.integers(2, 41)), int(rng.integers(1, 7) if cell % 4 else rng.integers(12, 25))
+        coarse = rng.integers(-4, 5, size=(n, d)) / 4.0
+        anchors = np.where(rng.random(d) < 0.6, coarse, rng.normal(size=(n, d)))
+        u = rng.normal(size=d)
+        if cell % 3 == 0:
+            u = anchors[int(rng.integers(n))].copy()
+        elif cell % 3 == 1:
+            copy = rng.random(d) < 0.5
+            u[copy] = anchors[rng.integers(n, size=d), np.arange(d)][copy]
+        x = u - anchors
+        got = solvers._box_radius("sum", u, x, np.abs(x).sum(axis=1), solvers._anchor_pairs(anchors))
+        want = _former_sum_radius(x, anchors)
+        assert got == want, (cell, got, want)
+        if want == math.inf:
+            kinds.add("inf")
+        else:
+            kinds.add("least" if want == np.abs(x)[np.abs(x) > solvers._KINK].min() else "inner")
+    assert kinds == {"inf", "least", "inner"}
+
+
+@pytest.mark.parametrize("n", [3, 4096])
+def test_max_ground_chebyshev_is_the_bounding_box_midpoint(n):
+    anchors = np.random.default_rng(1000 * n + 100).normal(size=(n, 10)) * 2
+    prob = _instance(anchors, GroundNorm.max(), math.inf)
+    res = solve_subgradient(prob)
+    assert res.point.tobytes() == (0.5 * (anchors.min(axis=0) + anchors.max(axis=0))).tobytes()
+    assert res.converged and res.iterations == 0
+    assert res.value == 0.5 * float(np.ptp(anchors, axis=0).max())
+    cert = recover_certificate(prob, res.point, tol=1e-9)
+    assert not isinstance(cert, Infeasible), cert
+    assert check_certificate(prob, cert, tol=1e-9).verdict
+
+
+def _former_chebyshev_lp_value(prob):
+    # The HiGHS program that solved the max ground with p = inf before the
+    # closed form: minimize t subject to +-(u_j - v_ij) <= t.
+    from scipy.optimize import linprog
+
+    n, d = prob.anchors.shape
+    cols, ones, v = np.tile(np.eye(d), (n, 1)), np.ones((n * d, 1)), prob.anchors.ravel()
+    res = linprog(
+        np.eye(d + 1)[d],
+        A_ub=np.block([[cols, -ones], [-cols, -ones]]),
+        b_ub=np.concatenate([v, -v]),
+        bounds=(None, None),
+        method="highs-ipm",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success
+    return objective_eval(prob, res.x[:d])
+
+
+def test_max_ground_chebyshev_matches_the_former_lp_on_the_probe_grid():
+    # The certification probe's max-ground p = inf cells.
+    for n in (4, 13, 64, 256):
+        for d in (2, 3, 10):
+            for s in (0, 1, 2):
+                anchors = np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2
+                prob = _instance(anchors, GroundNorm.max(), math.inf)
+                value, lp = solve_subgradient(prob).value, _former_chebyshev_lp_value(prob)
+                assert abs(value - lp) <= 1e-12 * lp, (n, d, s, value, lp)
