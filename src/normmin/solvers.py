@@ -19,7 +19,7 @@ the dual optimality conditions:
   when p = 1 each iteration also tests the anchor nearest the iterate for
   optimality and steps off it when it fails;
 - Euclidean or power ground with p = inf: SLSQP on the epigraph of the
-  largest block norm.
+  largest block norm, then Newton on the Chebyshev conditions.
 
 Derivative-free Nelder-Mead restarts from the centroid cover generators
 that are opaque callables; :func:`solve` picks between the two by
@@ -41,7 +41,7 @@ from .errors import (
     InvalidInputError,
     UnsupportedGeneratorError,
 )
-from .geometry import _lattice_walk, affine_hull_basis
+from .geometry import _lattice_walk, _min_norm_rows, affine_hull_basis
 from .ground_norms import _ground_subgradient, dual_ground_norm, ground_norm_eval_many
 from .problem import (
     ProblemInstance,
@@ -69,13 +69,13 @@ _LP_TOL = 1e-10
 _MODEL_ROWS = 32
 
 # Relative rounding allowed between a polyhedral model's value and the
-# block norms it models, and between a face finish's value and its start's.
+# block norms it models, and between a Newton finish's value and its start's.
 _SUM_RTOL = 1e-12
 
 # Coordinates within this much of an anchor's (sum ground) or of their
 # block's largest (max ground), relative to the largest block norm, hold the
-# face of a polyhedral finite-p answer; Newton takes at most
-# ``_FACE_STEPS`` steps on it.
+# face of a polyhedral finite-p answer; a Newton finish takes at most
+# ``_FACE_STEPS`` steps.
 _FACE_TOL = 1e-9
 _FACE_STEPS = 16
 
@@ -84,9 +84,6 @@ _FACE_STEPS = 16
 # that ends on a box edge at a kink leaves that coordinate a few ulps off
 # zero; a box that small would stop the next round where it starts.
 _KINK = 1e-12
-
-# Tolerance of the Chebyshev conditions on SLSQP's multipliers at a mode-8 end.
-_MULTIPLIER_TOL = 1e-7
 
 # The pattern search reports convergence when its last Nelder-Mead run
 # gains at most this much, relative to max(1, value).
@@ -422,18 +419,36 @@ def _polyhedral_epigraph(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarra
     return u0 + length * u, steps, converged
 
 
+def _kkt_newton(system, z: np.ndarray, floor: float):
+    """Least-squares Newton on ``F(z) = 0``, where ``system(z)`` returns ``F`` and its Jacobian.
+
+    Stops once ``|F|`` reaches the rounding ``floor`` or stops falling (or
+    is NaN), after at most ``_FACE_STEPS`` steps; returns the iterate of
+    least ``|F|`` and that norm.
+    """
+    best, least = z, math.inf
+    for _ in range(_FACE_STEPS):
+        f, jac = system(z)
+        norm = float(np.linalg.norm(f))
+        if not norm < least:
+            break
+        best, least = z, norm
+        if norm <= floor:
+            break
+        z = z + np.linalg.lstsq(jac, -f, rcond=None)[0]
+    return best, least
+
+
 def _face_finish(kind: str, u: np.ndarray, anchors: np.ndarray, r: np.ndarray, p: float):
-    """Newton on ``sum r_i^p`` over the face of the block norms that holds ``u``.
+    """Newton on the KKT system of ``sum r_i^p`` over the face of the block norms that holds ``u``.
 
     On the sum ground each coordinate within ``_FACE_TOL`` of an anchor's is
     fixed to it; on the max ground each block's coordinates within
     ``_FACE_TOL`` of its largest stay tied to it.  On that face the block
-    norms are affine, ``r = a u - b`` subject to ``e u = c``, so the
-    objective is smooth with gradient ``p a^T r^(p-1)`` and Hessian ``p (p
-    - 1) a^T diag(r^(p-2)) a``.  The point is projected onto ``e u = c`` and
-    Newton steps run in the null space of ``e``.  The value cannot resolve
-    the last digits of the gradient, so the steps stop once the face
-    gradient's norm stops falling, and the iterate of least norm is returned.
+    norms are affine, ``r = a u - b`` subject to ``e u = c``: Newton from
+    ``mu = 0`` on ``a^T r^(p-1) + e^T mu = 0``, ``e u = c`` (Jacobian ``[[(p -
+    1) a^T diag(r^(p-2)) a, e^T], [e, 0]]``, floor ``_GRAD_ULPS`` ulps of
+    ``sum r_i^(p-1)``; :func:`_kkt_newton`).
     """
     x = u - anchors
     ax = np.abs(x)
@@ -455,27 +470,19 @@ def _face_finish(kind: str, u: np.ndarray, anchors: np.ndarray, r: np.ndarray, p
         e[np.arange(ti.size), tj] = np.sign(x[ti, tj])
         c = np.einsum("ij,ij->i", e, anchors[ti])
     b = np.einsum("ij,ij->i", a, anchors)
-    null = np.eye(d)
-    if e.shape[0]:
-        _, sv, vt = np.linalg.svd(e)
-        null = vt[int((sv > 1e-12 * sv[0]).sum()):].T
-        u = u + np.linalg.lstsq(e, c - e @ u, rcond=None)[0]
-    if not null.shape[1]:
-        return u
-    an = a @ null
-    best, least = u, math.inf
-    for _ in range(_FACE_STEPS):
-        rm = a @ u - b
+    m = e.shape[0]
+    jac = np.block([[np.zeros((d, d)), e.T], [e, np.zeros((m, m))]])
+
+    def kkt(z):
+        rm = a @ z[:d] - b
         pos = rm > 0.0
         rs = np.where(pos, rm, 1.0)
         w = np.where(pos, rs ** (p - 2.0), 0.0)
-        g = an.T @ (w * rs)
-        gn = float(np.linalg.norm(g))
-        if not gn < least:
-            break
-        best, least = u, gn
-        u = u + null @ np.linalg.lstsq((an.T * ((p - 1.0) * w)) @ an, -g, rcond=None)[0]
-    return best
+        jac[:d, :d] = (a.T * ((p - 1.0) * w)) @ a
+        return np.concatenate([a.T @ (w * rs) + e.T @ z[d:], e @ z[:d] - c]), jac
+
+    floor = _GRAD_ULPS * float(np.finfo(float).eps * (r ** (p - 1.0)).sum())
+    return _kkt_newton(kkt, np.concatenate([u, np.zeros(m)]), floor)[0][:d]
 
 
 def _hessian(prob: ProblemInstance, u, f: float, g, basis: np.ndarray) -> np.ndarray:
@@ -583,27 +590,23 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
     """Euclidean or power ground with p = inf: SLSQP on the epigraph of the largest block norm.
 
     Minimizing t subject to ground(u - v_i) <= t is a smooth constrained
-    program whenever the ground norm is differentiable away from zero.  The
-    n constraints go to SLSQP as one vector-valued inequality with an
-    (n, d + 1) Jacobian.  SLSQP can end in mode 8 (positive directional
-    derivative in the line search) at a point that is optimal.  Such an end
-    is judged by SLSQP's own multipliers ``lam``, the dual weights of the
-    Chebyshev conditions: it counts as converged when ``sum lam`` is 1, and
-    ``|sum lam_i grad r_i|`` and ``max lam_i (t - r_i) / t`` (with ``t`` the
-    largest block norm) are 0, each within ``_MULTIPLIER_TOL``.
+    program whenever the ground norm is differentiable away from zero.
+    Newton then solves the Chebyshev conditions ``sum lam_i grad r_i = 0``,
+    ``r_i = t``, ``sum lam_i = 1`` (:func:`_kkt_newton`) on the blocks within
+    1e-7 relative of SLSQP's value that carry Wolfe's minimum-norm weights
+    of their gradients (:func:`~normmin.geometry._min_norm_rows`), which
+    start ``lam``, on anchors shifted to SLSQP's point and scaled by its
+    value.  Block ``i``'s Hessian is ``(e - 1) / r_i (diag(a_i^(e-2)) - g_i
+    g_i^T)``, with ``a_i``, ``g_i`` and the flat coordinates of
+    :func:`_hessian`.  The point is kept when no weight is below the
+    ``_GRAD_ULPS`` ulps floor and its value is at most ``_SUM_RTOL`` above
+    SLSQP's; ``converged`` means it was kept with its residual at the floor.
     """
     from scipy.optimize import minimize
 
     ground = prob.norm.ground
     n, d = prob.anchors.shape
-
-    def obj(z):
-        return z[d]
-
-    def obj_grad(z):
-        g = np.zeros(d + 1)
-        g[d] = 1.0
-        return g
+    e = 2.0 if ground.kind == "euclidean" else ground.p
 
     def cons(z):
         return z[d] - ground_norm_eval_many(ground, z[:d] - prob.anchors)
@@ -613,26 +616,38 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
         jac[:, :d] = -_ground_subgradient(ground, z[:d] - prob.anchors)
         return jac
 
-    # The start lies on its largest constraint in the constraints' own
-    # arithmetic, whatever the order of the objective's sums.
     res = minimize(
-        obj,
-        np.append(u0, ground_norm_eval_many(ground, u0 - prob.anchors).max()),
-        jac=obj_grad,
+        lambda z: z[d],
+        np.append(u0, f0),
+        jac=lambda z: np.eye(d + 1)[d],
         method="SLSQP",
         constraints=[{"type": "ineq", "fun": cons, "jac": cons_jac}],
-        options={"maxiter": cfg.max_iters, "ftol": 1e-14},
+        options={"maxiter": cfg.max_iters, "ftol": 1e-10},
     )
-    u, converged = res.x[:d], bool(res.success)
-    if res.status == 8:
-        lam, diffs = res.multipliers, u - prob.anchors
-        r = ground_norm_eval_many(ground, diffs)
-        t = float(r.max())
-        weights = abs(float(lam.sum()) - 1.0)
-        balance = float(np.linalg.norm(lam @ _ground_subgradient(ground, diffs)))
-        slack = float((lam * (t - r)).max()) / t
-        converged = max(weights, balance, slack) <= _MULTIPLIER_TOL
-    return u, int(res.nit), converged
+    us = res.x[:d]
+    r = ground_norm_eval_many(ground, us - prob.anchors)
+    t, floor = float(r.max()), _GRAD_ULPS * float(np.finfo(float).eps)
+    near = np.flatnonzero(r >= t * (1.0 - 1e-7))
+    sel, lam, _ = _min_norm_rows(_ground_subgradient(ground, us - prob.anchors[near]))
+    anchors, k = (prob.anchors[near[sel]] - us) / t, sel.size
+    jac = np.zeros((d + k + 1, d + k + 1))
+    jac[d:-1, d], jac[-1, d + 1:] = -1.0, 1.0
+
+    def chebyshev(z):
+        x, lam = z[:d] - anchors, z[d + 1:]
+        r = ground_norm_eval_many(ground, x)
+        a = np.abs(x) / r[:, None]
+        g = np.sign(x) * a ** (e - 1.0)
+        a[(a == 0.0) & (e < 2.0)] = np.inf
+        jac[:d, :d] = (e - 1.0) * (np.diag((lam / r) @ a ** (e - 2.0)) - (g.T * (lam / r)) @ g)
+        jac[:d, d + 1:], jac[d:-1, :d] = g.T, g
+        return np.concatenate([lam @ g, r - z[d], [lam.sum() - 1.0]]), jac
+
+    z, least = _kkt_newton(chebyshev, np.concatenate([np.zeros(d), [1.0], lam]), floor)
+    u = us + t * z[:d]
+    if z[d + 1:].min() >= -floor and ground_norm_eval_many(ground, u - prob.anchors).max() <= t * (1.0 + _SUM_RTOL):
+        return u, int(res.nit), least <= floor
+    return us, int(res.nit), False
 
 
 def _validate_config(cfg: SolverConfig) -> None:
@@ -661,9 +676,9 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
       the rounding floor of its blocks, or, for p = 1, that the anchor
       nearest an iterate passed the dual-norm test and is returned as is.
     - Euclidean or power ground, p = inf: the epigraph SLSQP from the
-      centroid (:func:`_minimax`); ``converged`` means SLSQP reported
-      success, or ended in mode 8 with multipliers that meet the Chebyshev
-      conditions.
+      centroid, then Newton on the Chebyshev conditions (:func:`_minimax`);
+      ``converged`` means the finished point was kept with the conditions'
+      residual within ``_GRAD_ULPS`` ulps.
 
     Each method returns ``(point, iterations, converged)``.
     ``config.max_iters`` caps the simplex, SQP or Newton iterations of the

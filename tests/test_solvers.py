@@ -442,9 +442,10 @@ MODE_8_GROUNDS = {"euclidean": GroundNorm.euclidean(), "p3": GroundNorm.power(3.
 
 @pytest.mark.parametrize("ground,n,d,s", MODE_8_CELLS, ids=[f"{g}-n{n}-d{d}-s{s}" for g, n, d, s in MODE_8_CELLS])
 def test_minimax_mode_8_on_an_optimum_is_converged(monkeypatch, ground, n, d, s):
-    # SLSQP ends these epigraph solves in mode 8 (positive directional
-    # derivative in the line search) at points that certify.  The solve
-    # judges the end by SLSQP's own multipliers, without dual recovery.
+    # With an ftol of 1e-14 SLSQP ended these epigraph solves in mode 8
+    # (positive directional derivative in the line search) at points that
+    # certify.  At the solve's ftol they end in mode 0, and the Newton finish
+    # on the Chebyshev conditions decides convergence, without dual recovery.
     prob = _instance(
         np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2, MODE_8_GROUNDS[ground], math.inf
     )
@@ -469,11 +470,11 @@ GRID_GENERATORS = (1.0, 2.0, math.inf)
     ids=[f"{g.kind}-p{p}" for g in ALL_GROUNDS for p in GRID_GENERATORS],
 )
 def test_random_grid_certifies(ground, p):
-    # Every cell certifies at 1e-7.  The median, the linear program and the
-    # face-finished epigraph solve (polyhedral grounds) and Newton's method
-    # (smooth grounds, finite p) are exact up to rounding, so their cells
-    # also certify at 1e-9.
-    exact = ground.kind in ("sum", "max") or p != math.inf
+    # Every method is exact up to rounding: the median, the bounding-box
+    # midpoint, the linear program and the face-finished epigraph solve
+    # (polyhedral grounds), Newton's method (smooth grounds, finite p) and
+    # the Chebyshev-finished epigraph solve (smooth grounds, p = inf).  So
+    # every cell certifies at 1e-7 and at 1e-9.
     failures = []
     for n in (4, 13, 64):
         for d in (2, 3, 10):
@@ -481,7 +482,7 @@ def test_random_grid_certifies(ground, p):
             res = solve_subgradient(prob)
             if res.value > objective_eval(prob, prob.centroid()):
                 failures.append((n, d, "above the centroid"))
-            for tol in (1e-7, 1e-9) if exact else (1e-7,):
+            for tol in (1e-7, 1e-9):
                 cert = recover_certificate(prob, res.point, tol=tol)
                 if isinstance(cert, Infeasible):
                     failures.append((n, d, tol, cert))
@@ -489,9 +490,11 @@ def test_random_grid_certifies(ground, p):
 
 
 # Cells (ground, p, n, d, s) of the certification probe's grid whose
-# epigraph answer, without the face finish, was short of 1e-9
-# certification, with that answer's value.  The finish certifies each at
-# 1e-9 and moves no value by more than 1e-12 relative.
+# epigraph answer, without a Newton finish, was short of 1e-9
+# certification, with that answer's value: polyhedral grounds with finite p
+# (the face finish) and smooth grounds with p = inf (the Chebyshev finish).
+# The finish certifies each at 1e-9 and moves no value by more than 1e-12
+# relative.
 FACE_FINISH_CELLS = [
     ("sum", 1.5, 4, 2, 0, 5.397813843745076),
     ("sum", 1.5, 4, 2, 1, 3.424777526321153),
@@ -510,21 +513,92 @@ FACE_FINISH_CELLS = [
     ("max", 1.5, 4, 10, 1, 8.081433002345905),
     ("max", 1.5, 64, 2, 0, 42.029751693353525),
     ("max", 3.0, 13, 3, 1, 5.796645638395286),
+    ("euclidean", math.inf, 4, 2, 2, 3.002094056834102),
+    ("euclidean", math.inf, 4, 10, 1, 5.5183952056027215),
+    ("euclidean", math.inf, 64, 2, 2, 5.569803554023716),
+    ("p3", math.inf, 4, 3, 0, 2.4184040134357767),
+    ("p3", math.inf, 4, 10, 0, 5.12377737135498),
+    ("p3", math.inf, 4, 10, 1, 4.460205478723355),
+    ("p3", math.inf, 4, 10, 2, 3.8143621631342977),
+    ("p3", math.inf, 13, 10, 1, 5.774867906838416),
+    ("p3", math.inf, 64, 10, 2, 6.480395742243625),
+    ("p3", math.inf, 256, 10, 2, 7.862968161739892),
+    ("p1.5", math.inf, 4, 3, 1, 4.186954951414645),
+    ("p1.5", math.inf, 4, 10, 0, 8.812080692483411),
+    ("p1.5", math.inf, 4, 10, 1, 7.250545611658366),
+    ("p1.5", math.inf, 4, 10, 2, 6.4343500929250705),
+    ("p1.5", math.inf, 13, 10, 0, 10.163061133543051),
+    ("p1.5", math.inf, 13, 10, 1, 10.183777068387704),
+    ("p1.5", math.inf, 13, 10, 2, 9.521556084829607),
+    ("p1.5", math.inf, 64, 2, 2, 6.137870459564815),
+    ("p1.5", math.inf, 64, 10, 0, 11.201048343912332),
+    ("p1.5", math.inf, 64, 10, 1, 12.418756789614763),
+    ("p1.5", math.inf, 64, 10, 2, 11.137629587069481),
+    ("p1.5", math.inf, 256, 10, 1, 13.265836361400014),
+    ("p1.5", math.inf, 256, 10, 2, 12.78430821424769),
 ]
+FINISH_GROUNDS = {"sum": GroundNorm.sum(), "max": GroundNorm.max(), **MODE_8_GROUNDS}
 
 
 @pytest.mark.parametrize(
     "ground,p,n,d,s,value", FACE_FINISH_CELLS, ids=[f"{c[0]}-p{c[1]}-n{c[2]}-d{c[3]}-s{c[4]}" for c in FACE_FINISH_CELLS]
 )
-def test_face_finish_certifies_polyhedral_cells_at_1e_9(ground, p, n, d, s, value):
+def test_newton_finish_certifies_cells_at_1e_9(ground, p, n, d, s, value):
     anchors = np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2
-    prob = _instance(anchors, getattr(GroundNorm, ground)(), p)
+    prob = _instance(anchors, FINISH_GROUNDS[ground], p)
     res = solve_subgradient(prob)
     assert res.converged
     assert abs(res.value - value) <= 1e-12 * value
     cert = recover_certificate(prob, res.point, tol=1e-9)
     assert not isinstance(cert, Infeasible), cert
     assert check_certificate(prob, cert, tol=1e-9).verdict
+
+
+START_CELLS = [("euclidean", 4, 0), ("euclidean", 13, 2), ("euclidean", 64, 0), ("p1.5", 256, 0)]
+
+
+@pytest.mark.parametrize("ground,n,s", START_CELLS, ids=[f"{g}-n{n}-d10-s{s}" for g, n, s in START_CELLS])
+def test_minimax_answer_does_not_depend_on_the_start_rounding(ground, n, s):
+    # The epigraph variable's start moved by an ulp or two once decided
+    # whether these cells certified at 1e-9; the Chebyshev finish ends each
+    # start on the same optimum.
+    anchors = np.random.default_rng(1000 * n + 100 + s).normal(size=(n, 10)) * 2
+    prob = _instance(anchors, MODE_8_GROUNDS[ground], math.inf)
+    u0 = prob.centroid()
+    f0 = objective_eval(prob, u0)
+    values = []
+    for ulps in (-2, -1, 0, 1, 2):
+        start = f0
+        for _ in range(abs(ulps)):
+            start = np.nextafter(start, math.copysign(math.inf, ulps))
+        point, _, converged = solvers._minimax(prob, SolverConfig(), u0, float(start))
+        assert converged, ulps
+        cert = recover_certificate(prob, point, tol=1e-9)
+        assert not isinstance(cert, Infeasible), (ulps, cert)
+        values.append(objective_eval(prob, point))
+    assert max(values) - min(values) <= 1e-12 * min(values), values
+
+
+def test_minimax_with_a_zero_weight_block_is_converged():
+    # The third anchor is as far from the optimum (the origin) as the other
+    # two, yet its gradient takes no weight; Newton ends a rounding error
+    # below zero on it.
+    prob = _instance([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], GroundNorm.euclidean(), math.inf)
+    res = solve_subgradient(prob)
+    assert res.converged
+    assert abs(res.value - 1.0) <= 1e-15
+    assert not isinstance(recover_certificate(prob, res.point, tol=1e-9), Infeasible)
+
+
+def test_minimax_coordinate_on_an_anchor_counts_as_flat():
+    # At the optimum (0, -0.25) the third displacement's first coordinate is
+    # exactly zero, where the p = 1.5 ground's curvature is unbounded; an
+    # infinite Jacobian entry would stall the least-squares solve.
+    prob = _instance([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.5]], GroundNorm.power(1.5), math.inf)
+    res = solve_subgradient(prob)
+    assert res.converged
+    assert res.value == 1.25
+    assert not isinstance(recover_certificate(prob, res.point, tol=1e-9), Infeasible)
 
 
 def _cross_polytope(d, extra):

@@ -1,7 +1,7 @@
-"""Certification probe: solve and recover a certificate on a 900-cell grid.
+"""Certification probe: solve and recover a certificate on a 1 200-cell grid.
 
 The grid is grounds {Euclidean, p=3, p=1.5, sum, max} x power generators
-p in {1, 1.5, 2, 3, inf} x n in {4, 13, 64, 256} anchors x d in {2, 3, 10}
+p in {1, 1.5, 2, 3, inf} x n in {4, 13, 64, 256} anchors x d in {1, 2, 3, 10}
 x seeds s in {0, 1, 2}.  The anchors of a cell are
 ``numpy.random.default_rng(1000 n + 10 d + s).normal(size=(n, d)) * 2``.
 Each cell runs ``solve_subgradient`` and then ``recover_certificate`` at the
@@ -13,8 +13,8 @@ Prints one JSON line per cell, then one summary line with the cell count,
 the failures at each tolerance, the cells whose solve reports
 ``converged=False``, the seconds spent in ``recover_certificate`` per ground
 (both tolerances together) and the process's peak resident set size.  Exits
-1 if any cell fails to certify at 1e-7, if more than ``MAX_FAILURES_1E_9``
-cells fail to certify at 1e-9, or if any cell reports ``converged=False``.
+1 if any cell fails to certify at either tolerance or reports
+``converged=False``.
 Run from the repository root:
 
     PYTHONPATH=src python tools/certify_grid.py
@@ -54,12 +54,9 @@ GROUNDS = {
 }
 EXPONENTS = (1.0, 1.5, 2.0, 3.0, math.inf)
 SIZES = (4, 13, 64, 256)
-DIMS = (2, 3, 10)
+DIMS = (1, 2, 3, 10)
 SEEDS = (0, 1, 2)
 TOLS = (1e-7, 1e-9)
-# The count of cells that fail to certify at 1e-9 today, all on the smooth
-# grounds with p = inf; lower it when a change certifies more of them.
-MAX_FAILURES_1E_9 = 23
 
 
 def outcome(prob: ProblemInstance, point: np.ndarray, tol: float) -> dict:
@@ -120,8 +117,7 @@ def main() -> int:
         "recover_s": {g: round(t, 3) for g, t in recover_s.items()},
         "peak_rss_mb": round(peak_mb, 1),
     }))
-    too_many = failures[f"{TOLS[1]:.0e}"] > MAX_FAILURES_1E_9
-    return 1 if failures[f"{TOLS[0]:.0e}"] or too_many or not_converged else 0
+    return 1 if any(failures.values()) or not_converged else 0
 
 
 if __name__ == "__main__":

@@ -5,14 +5,15 @@ p in {1, 2, inf} x n in {1 024, 4 096} anchors, in dimension d = 10.  The
 anchors of a cell are
 ``numpy.random.default_rng(1000 n + 10 d).normal(size=(n, d)) * 2``.  Each
 cell runs ``solve_subgradient`` and then ``recover_certificate`` at the point
-it returns, at tolerance 1e-7.
+it returns, at tolerances 1e-7 and 1e-9.
 
 Prints one JSON line per cell (its value, whether the solve converged, the
-seconds of the solve and of the recovery, and whether the recovery
-certified at 1e-7, with the reason and residual when it did not), then one
-summary line with the cell count, the uncertified and unconverged cells,
-the seconds per phase and the process's peak resident set size.  Exits 1 if
-any cell fails to certify at 1e-7 or the peak resident set reaches
+seconds of the solve and of the recoveries, and, per tolerance, whether the
+recovery certified, with the reason and residual when it did not), then one
+summary line with the cell count, the uncertified cells per tolerance, the
+unconverged cells, the seconds per phase and the process's peak resident
+set size.  Exits 1 if any cell fails to certify at either tolerance or
+reports ``converged=False``, or if the peak resident set reaches
 ``MAX_RSS_MB``.  Run from the repository root:
 
     PYTHONPATH=src python tools/scale_probe.py
@@ -55,7 +56,7 @@ GROUNDS = {
 EXPONENTS = (1.0, 2.0, math.inf)
 SIZES = (1024, 4096)
 DIM = 10
-TOL = 1e-7
+TOLS = (1e-7, 1e-9)
 MAX_RSS_MB = 500.0
 
 
@@ -65,8 +66,6 @@ def run_cell(ground: str, p: float, n: int) -> dict:
     t0 = time.perf_counter()
     res = solve_subgradient(prob)
     t1 = time.perf_counter()
-    got = recover_certificate(prob, res.point, tol=TOL)
-    t2 = time.perf_counter()
     cell = {
         "ground": ground,
         "p": "inf" if p == math.inf else p,
@@ -75,16 +74,20 @@ def run_cell(ground: str, p: float, n: int) -> dict:
         "value": res.value,
         "converged": res.converged,
         "solve_s": round(t1 - t0, 4),
-        "recover_s": round(t2 - t1, 4),
-        "certified": isinstance(got, Certificate),
     }
-    if not cell["certified"]:
-        cell.update(reason=got.reason, residual=got.residual)
+    for tol in TOLS:
+        got = recover_certificate(prob, res.point, tol=tol)
+        outcome = {"certified": isinstance(got, Certificate)}
+        if not outcome["certified"]:
+            outcome.update(reason=got.reason, residual=got.residual)
+        cell[f"{tol:.0e}"] = outcome
+    cell["recover_s"] = round(time.perf_counter() - t1, 4)
     return cell
 
 
 def main() -> int:
-    cells = uncertified = not_converged = 0
+    cells = not_converged = 0
+    uncertified = {f"{tol:.0e}": 0 for tol in TOLS}
     seconds = {"solve_s": 0.0, "recover_s": 0.0}
     for ground in GROUNDS:
         for p in EXPONENTS:
@@ -92,7 +95,8 @@ def main() -> int:
                 cell = run_cell(ground, p, n)
                 print(json.dumps(cell), flush=True)
                 cells += 1
-                uncertified += not cell["certified"]
+                for key in uncertified:
+                    uncertified[key] += not cell[key]["certified"]
                 not_converged += not cell["converged"]
                 for key in seconds:
                     seconds[key] += cell[key]
@@ -104,7 +108,7 @@ def main() -> int:
         **{key: round(t, 3) for key, t in seconds.items()},
         "peak_rss_mb": round(peak_mb, 1),
     }))
-    return 1 if uncertified or peak_mb >= MAX_RSS_MB else 0
+    return 1 if any(uncertified.values()) or not_converged or peak_mb >= MAX_RSS_MB else 0
 
 
 if __name__ == "__main__":
