@@ -464,21 +464,48 @@ def test_minimax_mode_8_on_an_optimum_is_converged(monkeypatch, ground, n, d, s)
 GRID_GENERATORS = (1.0, 2.0, math.inf)
 
 
-@pytest.mark.parametrize(
-    "ground,p",
-    [(g, p) for g in ALL_GROUNDS for p in GRID_GENERATORS],
-    ids=[f"{g.kind}-p{p}" for g in ALL_GROUNDS for p in GRID_GENERATORS],
-)
-def test_random_grid_certifies(ground, p):
+def _gaussian_anchors(n, d):
+    return np.random.default_rng(1000 * n + 10 * d).normal(size=(n, d)) * 2
+
+
+def _lattice_anchors(n, d):
+    # n distinct points of {-k, ..., k}^d, k the least integer >= 2 with
+    # (2k+1)^d >= 2n: the lattice grid of tools/certify_grid.py at s = 0.
+    k = 2
+    while (2 * k + 1) ** d < 2 * n:
+        k += 1
+    side = 2 * k + 1
+    picks = np.random.default_rng(1000 * n + 10 * d).choice(side**d, n, replace=False)
+    return np.stack(np.unravel_index(picks, (side,) * d), axis=1) - float(k)
+
+
+# Tied max-ground pieces fill the epigraph solve's 32-row cap: n = 13 and
+# n = 64 at d = 10 end uncertified (the first FOUND line of CHANGES.md on
+# the lattice grid).
+MAX_LATTICE_XFAIL = pytest.mark.xfail(strict=True, reason="tied max-ground pieces fill the 32-row cap")
+GRID_CASES = [
+    pytest.param(
+        g, p, sample, id=f"{g.kind}-p{p}{tag}", marks=MAX_LATTICE_XFAIL if tag and (g.kind, p) == ("max", 2.0) else ()
+    )
+    for sample, tag in ((_gaussian_anchors, ""), (_lattice_anchors, "-lattice"))
+    for g in ALL_GROUNDS
+    for p in GRID_GENERATORS
+]
+
+
+@pytest.mark.parametrize("ground,p,sample", GRID_CASES)
+def test_random_grid_certifies(ground, p, sample):
     # Every method is exact up to rounding: the median, the bounding-box
     # midpoint, the linear program and the face-finished epigraph solve
     # (polyhedral grounds), Newton's method (smooth grounds, finite p) and
     # the Chebyshev-finished epigraph solve (smooth grounds, p = inf).  So
-    # every cell certifies at 1e-7 and at 1e-9.
+    # every cell certifies at 1e-7 and at 1e-9, on Gaussian anchors and on
+    # lattice anchors, whose coordinates tie (but for the max ground's
+    # xfailed case).
     failures = []
     for n in (4, 13, 64):
         for d in (2, 3, 10):
-            prob = _instance(np.random.default_rng(1000 * n + 10 * d).normal(size=(n, d)) * 2, ground, p)
+            prob = _instance(sample(n, d), ground, p)
             res = solve_subgradient(prob)
             if res.value > objective_eval(prob, prob.centroid()):
                 failures.append((n, d, "above the centroid"))

@@ -1,31 +1,46 @@
-"""Certification probe: solve and recover a certificate on a 1 200-cell grid.
+"""Certification probe: solve and recover a certificate on three grids of cells.
 
-The grid is grounds {Euclidean, p=3, p=1.5, sum, max} x power generators
-p in {1, 1.5, 2, 3, inf} x n in {4, 13, 64, 256} anchors x d in {1, 2, 3, 10}
-x seeds s in {0, 1, 2}.  The anchors of a cell are
-``numpy.random.default_rng(1000 n + 10 d + s).normal(size=(n, d)) * 2``.
+A cell is a ground, a power generator exponent p, n anchors in dimension d
+and a seed s.  The grids, run in this order:
+
+- gaussian: grounds {Euclidean, p=3, p=1.5, sum, max} x p in
+  {1, 1.5, 2, 3, inf} x n in {4, 13, 64, 256} x d in {1, 2, 3, 10} x
+  s in {0, 1, 2}, 1 200 cells with the anchors
+  ``numpy.random.default_rng(1000 n + 10 d + s).normal(size=(n, d)) * 2``;
+- scale: grounds {sum, max, Euclidean, p=3} x p in {1, 2, inf} x
+  n in {1 024, 4 096}, d = 10, s = 0, 24 cells with the same anchor formula;
+- lattice: the gaussian grid's 1 200 cells on n distinct points of
+  {-k, ..., k}^d, where k is the least integer >= 2 with (2k+1)^d >= 2n:
+  ``default_rng(1000 n + 10 d + s).choice((2k+1)**d, n, replace=False)``
+  unravelled over ``(2k+1,) * d``, minus k.  Integer anchors tie
+  coordinates, which Gaussian anchors never do.
+
 Each cell runs ``solve_subgradient`` and then ``recover_certificate`` at the
 point it returns, at tolerances 1e-7 and 1e-9, and records, per tolerance,
 the ``check_certificate`` residuals of each recovered certificate, or the
-reason and residual of an ``Infeasible`` outcome.
+reason and residual of an ``Infeasible`` outcome.  A cell passes when its
+solve reports ``converged=True`` and it certifies at both tolerances.
 
-Prints one JSON line per cell, then one summary line with the cell count,
-the failures at each tolerance, the cells whose solve reports
-``converged=False``, the seconds spent in ``recover_certificate`` per ground
-(both tolerances together) and the process's peak resident set size.  Exits
-1 if any cell fails to certify at either tolerance or reports
-``converged=False``.
-Run from the repository root:
+Prints one JSON line per cell, tagged with its grid, then one summary line
+with, per grid, the cell count, the uncertified cells per tolerance, the
+unconverged cells and the seconds taken; the count of failing cells outside
+``PINNED``; the pinned cells that now pass (a fix can drop them from the
+list); and the process's peak resident set size.  Exits 1 if any cell
+outside ``PINNED`` fails, or if the peak resident set reaches
+``MAX_RSS_MB``.  Run from the repository root:
 
     PYTHONPATH=src python tools/certify_grid.py
 
-It takes under a minute on two cores, most of it in the solves.  Two runs
-whose cell lines agree once the ``*_s`` timing fields are dropped computed
-the same reports bit for bit, since JSON floats round-trip exactly.
+It takes about half a minute on two cores: about 7 s for the gaussian grid,
+10 s for the scale grid (most of it in the sum-ground p = inf linear program
+at n = 4 096) and 11 s for the lattice grid.  Two runs whose cell lines
+agree once the ``*_s`` timing fields are dropped computed the same reports
+bit for bit, since JSON floats round-trip exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import resource
@@ -33,6 +48,9 @@ import sys
 import time
 
 import numpy as np
+# Imported here so that the first cell to call SLSQP or HiGHS does not count
+# scipy's import in its solve time.
+import scipy.optimize  # noqa: F401
 
 from normmin import (
     Certificate,
@@ -57,6 +75,48 @@ SIZES = (4, 13, 64, 256)
 DIMS = (1, 2, 3, 10)
 SEEDS = (0, 1, 2)
 TOLS = (1e-7, 1e-9)
+MAX_RSS_MB = 500.0
+
+# Lattice cells (ground, p, n, d, s) known to fail, which do not fail the
+# probe.  The max ground with p in {1.5, 2, 3} at d = 10 reports
+# converged=True at uncertified points (tied pieces fill the epigraph solve's
+# 32-row cap); the p=1.5 ground with p = inf and the sum ground with p = 3
+# report converged=False.
+PINNED = {
+    *(("max", p, n, 10, s) for p in (1.5, 2.0, 3.0) for n in (13, 64, 256) for s in SEEDS),
+    ("p1.5", math.inf, 4, 2, 1),
+    ("p1.5", math.inf, 4, 10, 2),
+    ("sum", 3.0, 4, 10, 0),
+}
+
+
+def gaussian_anchors(n: int, d: int, s: int) -> np.ndarray:
+    return np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2
+
+
+def lattice_anchors(n: int, d: int, s: int) -> np.ndarray:
+    """n distinct points of {-k, ..., k}^d, k the least integer >= 2 with (2k+1)^d >= 2n."""
+    k = 2
+    while (2 * k + 1) ** d < 2 * n:
+        k += 1
+    side = 2 * k + 1
+    picks = np.random.default_rng(1000 * n + 10 * d + s).choice(side**d, n, replace=False)
+    return np.stack(np.unravel_index(picks, (side,) * d), axis=1) - float(k)
+
+
+CELLS = list(itertools.product(GROUNDS, EXPONENTS, SIZES, DIMS, SEEDS))
+SCALE_CELLS = [
+    (g, p, n, 10, 0) for g in ("sum", "max", "euclidean", "p3") for p in (1.0, 2.0, math.inf) for n in (1024, 4096)
+]
+GRIDS = {
+    "gaussian": (gaussian_anchors, CELLS),
+    "scale": (gaussian_anchors, SCALE_CELLS),
+    "lattice": (lattice_anchors, CELLS),
+}
+
+
+def label(p: float) -> float | str:
+    return "inf" if p == math.inf else p
 
 
 def outcome(prob: ProblemInstance, point: np.ndarray, tol: float) -> dict:
@@ -66,58 +126,59 @@ def outcome(prob: ProblemInstance, point: np.ndarray, tol: float) -> dict:
     return {"certified": False, "reason": got.reason, "residual": got.residual}
 
 
-def run_cell(ground: str, p: float, n: int, d: int, s: int) -> tuple[dict, float]:
-    """The cell's JSON record and its seconds in ``recover_certificate``."""
-    anchors = np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2
+def run_cell(grid: str, ground: str, p: float, n: int, d: int, s: int) -> dict:
+    anchors = GRIDS[grid][0](n, d, s)
     prob = ProblemInstance(anchors, ProductNorm(GROUNDS[ground], PsiGenerator.power(p)))
     t0 = time.perf_counter()
     res = solve_subgradient(prob)
-    t1 = time.perf_counter()
     cell = {
+        "grid": grid,
         "ground": ground,
-        "p": "inf" if p == math.inf else p,
+        "p": label(p),
         "n": n,
         "d": d,
         "s": s,
         "converged": res.converged,
         "value": res.value,
-        "solve_s": round(t1 - t0, 4),
+        "solve_s": round(time.perf_counter() - t0, 4),
     }
-    recover_s = 0.0
     for tol in TOLS:
         t0 = time.perf_counter()
         cell[f"{tol:.0e}"] = outcome(prob, res.point, tol)
-        dt = time.perf_counter() - t0
-        cell[f"recover_{tol:.0e}_s"] = round(dt, 4)
-        recover_s += dt
-    return cell, recover_s
+        cell[f"recover_{tol:.0e}_s"] = round(time.perf_counter() - t0, 4)
+    return cell
 
 
 def main() -> int:
-    failures = {f"{tol:.0e}": 0 for tol in TOLS}
-    cells = not_converged = 0
-    recover_s = dict.fromkeys(GROUNDS, 0.0)
-    for ground in GROUNDS:
-        for p in EXPONENTS:
-            for n in SIZES:
-                for d in DIMS:
-                    for s in SEEDS:
-                        cell, seconds = run_cell(ground, p, n, d, s)
-                        print(json.dumps(cell), flush=True)
-                        cells += 1
-                        not_converged += not cell["converged"]
-                        recover_s[ground] += seconds
-                        for key in failures:
-                            failures[key] += not cell[key]["certified"]
+    grids = {}
+    unpinned_failures = 0
+    pinned_passing = []
+    for grid, (_, keys) in GRIDS.items():
+        tally = {"cells": len(keys), "uncertified": {f"{tol:.0e}": 0 for tol in TOLS}, "not_converged": 0}
+        t0 = time.perf_counter()
+        for key in keys:
+            cell = run_cell(grid, *key)
+            print(json.dumps(cell), flush=True)
+            tally["not_converged"] += not cell["converged"]
+            for tol in tally["uncertified"]:
+                tally["uncertified"][tol] += not cell[tol]["certified"]
+            passed = cell["converged"] and all(cell[tol]["certified"] for tol in tally["uncertified"])
+            if grid == "lattice" and key in PINNED:
+                if passed:
+                    ground, p, n, d, s = key
+                    pinned_passing.append([ground, label(p), n, d, s])
+            else:
+                unpinned_failures += not passed
+        tally["seconds"] = round(time.perf_counter() - t0, 3)
+        grids[grid] = tally
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({
-        "cells": cells,
-        "failures": failures,
-        "not_converged": not_converged,
-        "recover_s": {g: round(t, 3) for g, t in recover_s.items()},
+        "grids": grids,
+        "unpinned_failures": unpinned_failures,
+        "pinned_passing": pinned_passing,
         "peak_rss_mb": round(peak_mb, 1),
     }))
-    return 1 if any(failures.values()) or not_converged else 0
+    return 1 if unpinned_failures or peak_mb >= MAX_RSS_MB else 0
 
 
 if __name__ == "__main__":
