@@ -464,18 +464,18 @@ def test_minimax_mode_8_on_an_optimum_is_converged(monkeypatch, ground, n, d, s)
 GRID_GENERATORS = (1.0, 2.0, math.inf)
 
 
-def _gaussian_anchors(n, d):
-    return np.random.default_rng(1000 * n + 10 * d).normal(size=(n, d)) * 2
+def _gaussian_anchors(n, d, s=0):
+    return np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2
 
 
-def _lattice_anchors(n, d):
+def _lattice_anchors(n, d, s=0):
     # n distinct points of {-k, ..., k}^d, k the least integer >= 2 with
-    # (2k+1)^d >= 2n: the lattice grid of tools/certify_grid.py at s = 0.
+    # (2k+1)^d >= 2n: the lattice grid of tools/certify_grid.py.
     k = 2
     while (2 * k + 1) ** d < 2 * n:
         k += 1
     side = 2 * k + 1
-    picks = np.random.default_rng(1000 * n + 10 * d).choice(side**d, n, replace=False)
+    picks = np.random.default_rng(1000 * n + 10 * d + s).choice(side**d, n, replace=False)
     return np.stack(np.unravel_index(picks, (side,) * d), axis=1) - float(k)
 
 
@@ -814,3 +814,82 @@ def test_max_ground_chebyshev_matches_the_former_lp_on_the_probe_grid():
                 prob = _instance(anchors, GroundNorm.max(), math.inf)
                 value, lp = solve_subgradient(prob).value, _former_chebyshev_lp_value(prob)
                 assert abs(value - lp) <= 1e-12 * lp, (n, d, s, value, lp)
+
+
+def _former_l1_chebyshev_lp_value(prob):
+    # The HiGHS program that solved the sum ground with p = inf before the
+    # facet method: coordinate bounds s_ij >= |u_j - v_ij|, with
+    # sum_j s_ij <= t, over n d + d + 1 variables.
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, d = prob.anchors.shape
+    nd, v, rows = n * d, prob.anchors.ravel(), np.arange(n * d)
+    ri = np.concatenate([rows, rows, nd + rows, nd + rows, 2 * nd + rows // d, 2 * nd + np.arange(n)])
+    ci = np.concatenate([rows % d, d + rows, rows % d, d + rows, d + rows, np.full(n, d + nd)])
+    data = np.repeat([1.0, -1.0, -1.0, -1.0, 1.0, -1.0], [nd] * 5 + [n])
+    a_ub = sparse.csc_matrix((data, (ri, ci)), shape=(2 * nd + n, d + nd + 1))
+    res = linprog(
+        np.eye(d + nd + 1)[-1],
+        A_ub=a_ub,
+        b_ub=np.concatenate([v, -v, np.zeros(n)]),
+        bounds=(None, None),
+        method="highs-ipm",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success
+    return objective_eval(prob, res.x[:d])
+
+
+def _l1_chebyshev_cells():
+    # The certification probe's sum-ground p = inf cells, Gaussian and
+    # lattice, then d = 13 and 14, where the program starts from the facets
+    # that hold each anchor at the centroid and adds violated ones, and five
+    # anchors in R^24, whose rounds take over 2 000 simplex iterations.
+    for sample in (_gaussian_anchors, _lattice_anchors):
+        for n in (4, 13, 64, 256):
+            for d in (1, 2, 3, 10):
+                for s in (0, 1, 2):
+                    yield sample(n, d, s)
+    for n in (5, 40, 200):
+        for d in (13, 14):
+            yield _gaussian_anchors(n, d)
+    yield _gaussian_anchors(5, 24)
+
+
+def test_l1_chebyshev_matches_the_former_lp():
+    for anchors in _l1_chebyshev_cells():
+        prob = _instance(anchors, GroundNorm.sum(), math.inf)
+        res = solve_subgradient(prob)
+        lp = _former_l1_chebyshev_lp_value(prob)
+        assert res.converged, anchors.shape
+        assert abs(res.value - lp) <= 1e-12 * lp, (anchors.shape, res.value, lp)
+
+
+@pytest.mark.parametrize("n,d", [(64, 2), (64, 3), (4096, 10), (40, 13)])
+def test_l1_chebyshev_is_deterministic(monkeypatch, n, d):
+    # The facet sums add coordinates in one order, in chunks of anchors, so
+    # neither the anchors' order, a second run nor the chunk size moves the
+    # answer by a bit.
+    anchors = _gaussian_anchors(n, d)
+    point = solve_subgradient(_instance(anchors, GroundNorm.sum(), math.inf)).point
+    again = solve_subgradient(_instance(anchors, GroundNorm.sum(), math.inf)).point
+    shuffled = anchors[np.random.default_rng(n).permutation(n)]
+    assert point.tobytes() == again.tobytes()
+    assert solve_subgradient(_instance(shuffled, GroundNorm.sum(), math.inf)).point.tobytes() == point.tobytes()
+    monkeypatch.setattr(solvers, "_FACET_CHUNK", 100)
+    assert solve_subgradient(_instance(anchors, GroundNorm.sum(), math.inf)).point.tobytes() == point.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 10])
+def test_facet_floor_paths_agree(d):
+    # The doubling that builds every facet's sum and the sums over a few
+    # given facets add the same terms in the same order; a set of more than
+    # half the facets is picked from the doubling.
+    anchors = _gaussian_anchors(300, d)
+    signs = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
+    floor = solvers._facet_floor(anchors)
+    np.testing.assert_allclose(floor, (signs @ anchors.T).min(axis=1), rtol=0, atol=1e-12)
+    for rows in (np.arange(0, 1 << d, 2), np.arange(1, 1 << d)):
+        picked = np.random.default_rng(d).permutation(rows)
+        assert solvers._facet_floor(anchors, signs[picked]).tobytes() == floor[picked].tobytes()

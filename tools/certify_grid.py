@@ -8,7 +8,8 @@ and a seed s.  The grids, run in this order:
   s in {0, 1, 2}, 1 200 cells with the anchors
   ``numpy.random.default_rng(1000 n + 10 d + s).normal(size=(n, d)) * 2``;
 - scale: grounds {sum, max, Euclidean, p=3} x p in {1, 2, inf} x
-  n in {1 024, 4 096}, d = 10, s = 0, 24 cells with the same anchor formula;
+  n in {1 024, 4 096, 16 384}, d = 10, s = 0, 36 cells with the same
+  anchor formula;
 - lattice: the gaussian grid's 1 200 cells on n distinct points of
   {-k, ..., k}^d, where k is the least integer >= 2 with (2k+1)^d >= 2n:
   ``default_rng(1000 n + 10 d + s).choice((2k+1)**d, n, replace=False)``
@@ -31,11 +32,12 @@ outside ``PINNED`` fails, or if the peak resident set reaches
 
     PYTHONPATH=src python tools/certify_grid.py
 
-It takes about half a minute on two cores: about 7 s for the gaussian grid,
-10 s for the scale grid (most of it in the sum-ground p = inf linear program
-at n = 4 096) and 11 s for the lattice grid.  Two runs whose cell lines
-agree once the ``*_s`` timing fields are dropped computed the same reports
-bit for bit, since JSON floats round-trip exactly.
+It takes about half a minute on two cores: about 6 s for the gaussian grid,
+12 s for the scale grid (most of it in the max-ground p = 1 linear program
+and the max- and sum-ground p = 2 solves at n = 16 384) and 7 s for the
+lattice grid, with a peak resident set of about 320 MB.  Two runs whose
+cell lines agree once the ``*_s`` timing fields are dropped computed the
+same reports bit for bit, since JSON floats round-trip exactly.
 """
 
 from __future__ import annotations
@@ -106,7 +108,10 @@ def lattice_anchors(n: int, d: int, s: int) -> np.ndarray:
 
 CELLS = list(itertools.product(GROUNDS, EXPONENTS, SIZES, DIMS, SEEDS))
 SCALE_CELLS = [
-    (g, p, n, 10, 0) for g in ("sum", "max", "euclidean", "p3") for p in (1.0, 2.0, math.inf) for n in (1024, 4096)
+    (g, p, n, 10, 0)
+    for g in ("sum", "max", "euclidean", "p3")
+    for p in (1.0, 2.0, math.inf)
+    for n in (1024, 4096, 16384)
 ]
 GRIDS = {
     "gaussian": (gaussian_anchors, CELLS),
