@@ -9,12 +9,13 @@ the dual optimality conditions:
 - max ground with p = inf: the midpoint of the anchors' bounding box;
 - sum ground with p = inf: the l1 norm is the support function of its dual
   ball, a maximum over the ``2^d`` sign vectors, so the largest block norm
-  is a maximum of ``2^d`` linear pieces in ``u`` and the problem is one
-  dense HiGHS program in ``d + 1`` variables, its rows added as they are
-  violated when ``2^d`` is large; in the plane, where the l1 ball is a
-  turned square, the bounding-box midpoint in turned coordinates;
-- max ground with p = 1: every block norm is a maximum of linear pieces, so
-  the problem is one sparse HiGHS linear program;
+  is a maximum of ``2^d`` linear pieces in ``u`` and, up to d = 12, the
+  problem is one dense HiGHS program in ``d + 1`` variables; in the plane,
+  where the l1 ball is a turned square, the bounding-box midpoint in turned
+  coordinates;
+- max ground with p = 1, and sum ground with p = inf beyond d = 12: every
+  block norm is a maximum of linear pieces, so the problem is one sparse
+  HiGHS linear program over coordinate bounds;
 - sum or max ground with finite p > 1: the smooth objective ``sum r_i^p``
   over an exact linear model of the block norms in a box around the
   incumbent, solved by SLSQP box by box, then Newton on the face of the
@@ -70,9 +71,9 @@ _GRAD_ULPS = 16.0
 # HiGHS feasibility tolerances of the polyhedral programs.
 _LP_TOL = 1e-10
 
-# The sum ground's Chebyshev program takes every facet of the l1 ball up to
-# this many, and otherwise adds them as they are violated; its facet sums go
-# in chunks of about ``_FACET_CHUNK`` (facet, anchor) entries.
+# The sum ground's Chebyshev center is solved over the facets of the l1 ball
+# up to this many (d <= 12), and by the coordinate-bound program beyond; the
+# facet sums go in chunks of about ``_FACET_CHUNK`` (facet, anchor) entries.
 _FACETS = 4096
 _FACET_CHUNK = 1 << 18
 
@@ -189,28 +190,45 @@ def _search_basis(prob: ProblemInstance) -> np.ndarray:
 
 
 def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Max ground with p = 1: one sparse HiGHS linear program.
+    """Max ground with p = 1, sum ground with p = inf beyond d = 12: one sparse HiGHS program.
 
     HiGHS runs its interior-point method, whose iteration count stays in the
-    tens as the program grows, then crosses over to a vertex.
+    tens as the program grows (its default simplex choice hit a 2000
+    iteration cap on the sum ground at n=256, d=10), then crosses over to a
+    vertex.
 
-    Variables are ``u``, then one epigraph variable ``t_i`` per block.  The
-    rows are built from index arrays: ``+-(u_j - v_ij) <= t_i`` sits in row
-    ``i d + j`` and ``n d + i d + j``.
+    Variables are ``u``, then on the max ground one epigraph variable
+    ``t_i`` per block, and on the sum ground the coordinate bounds ``s_ij
+    >= |u_j - v_ij|`` and one epigraph variable ``t`` shared by all blocks.
+    The rows are built from index arrays: coordinate ``j`` of block ``i``
+    sits in row ``i d + j``.
     """
     from scipy import sparse
     from scipy.optimize import linprog
 
     n, d = prob.anchors.shape
     nd, v, rows = n * d, prob.anchors.ravel(), np.arange(n * d)
-    ecol = d + rows // d
-    ri, ci = np.concatenate([rows, rows, nd + rows, nd + rows]), np.concatenate([rows % d, ecol, rows % d, ecol])
-    data = np.repeat([1.0, -1.0, -1.0, -1.0], nd)
-    a_ub = sparse.csc_matrix((data, (ri, ci)), shape=(2 * nd, d + n))
+    on_max = prob.norm.ground.kind == "max"
+    # +-(u_j - v_ij) <= e_r with r = i d + j: e_r is t_i on the max ground and
+    # s_ij on the sum ground, whose last rows are sum_j s_ij <= t.
+    ecol = d + (rows // d if on_max else rows)
+    ri, ci = [rows, rows, nd + rows, nd + rows], [rows % d, ecol, rows % d, ecol]
+    vals, b_ub = [1.0, -1.0, -1.0, -1.0], [v, -v]
+    if not on_max:
+        ri += [2 * nd + rows // d, 2 * nd + np.arange(n)]
+        ci += [d + rows, np.full(n, d + nd)]
+        vals += [1.0, -1.0]
+        b_ub.append(np.zeros(n))
+    nt = n if on_max else 1
+    b_ub, width = np.concatenate(b_ub), d + nt + (0 if on_max else nd)
+    data = np.repeat(vals, [r.size for r in ri])
+    a_ub = sparse.csc_matrix((data, (np.concatenate(ri), np.concatenate(ci))), shape=(b_ub.size, width))
+    cost = np.zeros(width)
+    cost[-nt:] = 1.0
     res = linprog(
-        np.concatenate([np.zeros(d), np.ones(n)]),
+        cost,
         A_ub=a_ub,
-        b_ub=np.concatenate([v, -v]),
+        b_ub=b_ub,
         bounds=(None, None),
         method="highs-ipm",
         options={
@@ -222,56 +240,40 @@ def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0:
     return (u0 if res.x is None else res.x[:d]), int(res.nit), bool(res.success)
 
 
-def _facet_floor(anchors: np.ndarray, signs: np.ndarray | None = None) -> np.ndarray:
-    """``min_i <s, v_i>`` for each sign vector ``s``, a facet of the l1 ball.
+def _facet_floor(anchors: np.ndarray) -> np.ndarray:
+    """``min_i <s, v_i>`` for each of the ``2^d`` sign vectors ``s`` (the l1 ball's facets).
 
-    The facets are the rows of ``signs``, or, when it is None, all ``2^d``,
-    with ``s_j = -1`` where bit ``j`` of the row index is set; those sums are
-    built by doubling, coordinate by coordinate, which also serves a set of
-    more than half of them.  Both paths add ``s_j v_ij`` in coordinate order,
-    so no sum depends on the path, the anchors' order or the thread count.
-    Anchors go in chunks of about ``_FACET_CHUNK`` sums.
+    Row ``k`` has ``s_j = -1`` where bit ``j`` of ``k`` is set.  The sums are
+    built by doubling, coordinate by coordinate, so each adds ``s_j v_ij`` in
+    coordinate order and none depends on the anchors' order or the thread
+    count.  Anchors go in chunks of about ``_FACET_CHUNK`` sums.
     """
     n, d = anchors.shape
-    if signs is not None and 2 * signs.shape[0] > 1 << d:
-        return _facet_floor(anchors)[(signs < 0.0) @ (1 << np.arange(d))]
-    rows = 1 << d if signs is None else signs.shape[0]
+    rows = 1 << d
     step = max(1, _FACET_CHUNK // rows)
     floor = np.full(rows, np.inf)
     for lo in range(0, n, step):
         v = anchors[lo : lo + step]
-        if signs is None:
-            acc = np.empty((rows, v.shape[0]))
-            acc[0], acc[1] = v[:, 0], -v[:, 0]
-            for j in range(1, d):
-                h = 1 << j
-                np.subtract(acc[:h], v[:, j], out=acc[h : 2 * h])
-                acc[:h] += v[:, j]
-        else:
-            acc = signs[:, :1] * v[:, 0]
-            for j in range(1, d):
-                acc += signs[:, j : j + 1] * v[:, j]
+        acc = np.empty((rows, v.shape[0]))
+        acc[0], acc[1] = v[:, 0], -v[:, 0]
+        for j in range(1, d):
+            h = 1 << j
+            np.subtract(acc[:h], v[:, j], out=acc[h : 2 * h])
+            acc[:h] += v[:, j]
         np.minimum(floor, acc.min(axis=1), out=floor)
     return floor
 
 
 def _l1_chebyshev(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Sum ground with p = inf: a dense HiGHS program over the facets of the l1 ball.
+    """Sum ground with p = inf up to d = 12: a dense HiGHS program over the l1 ball's facets.
 
-    ``|y|_1 = max_s <s, y>`` over the sign vectors ``s``, so the largest
-    block norm is ``max_s (<s, u> - c_s)`` with ``c_s = min_i <s, v_i>``
-    (:func:`_facet_floor`): minimize ``t`` subject to ``<s, u> - t <= c_s``,
-    with ``u`` in the anchors' bounding box, since clamping ``u`` to it
-    shortens every ``|u_j - v_ij|``.  HiGHS's dual simplex solves it on
-    anchors shifted to the box's midpoint and scaled by its widest side, as
-    its tolerances are absolute.  Up to ``_FACETS`` facets the program has
-    them all.  Beyond, it starts from the facets that hold each anchor at the
-    centroid and adds the facet of every anchor farther than ``t`` beyond
-    rounding, solve by solve, until none is new (Kelley's cutting planes).
-    ``config.max_iters`` caps the simplex iterations of each solve and the
-    number of solves; each solve starts afresh, and with few anchors in
-    many dimensions the rounds together can take more (over 2 000 for 5
-    anchors in R^24).
+    ``|y|_1 = max_s <s, y>`` over the ``2^d`` sign vectors ``s``, so the
+    largest block norm is ``max_s (<s, u> - c_s)`` with ``c_s = min_i <s,
+    v_i>`` (:func:`_facet_floor`): minimize ``t`` subject to ``<s, u> - t <=
+    c_s``, with ``u`` in the anchors' bounding box, since clamping ``u`` to
+    it shortens every ``|u_j - v_ij|``.  HiGHS's dual simplex solves it once
+    on anchors shifted to the box's midpoint and scaled by its widest side,
+    as its tolerances are absolute.
 
     In the plane ``|y|_1 = |(y_0 + y_1, y_0 - y_1)|_inf``, so the center is
     the bounding-box midpoint in those turned coordinates, as on the max
@@ -287,42 +289,21 @@ def _l1_chebyshev(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: 
     lo, hi = prob.anchors.min(axis=0), prob.anchors.max(axis=0)
     mid, length = 0.5 * (lo + hi), float((hi - lo).max())
     anchors, d = (prob.anchors - mid) / length, prob.dim
-    bounds = [*zip(anchors.min(axis=0), anchors.max(axis=0)), (None, None)]
-    if 1 << d <= _FACETS:
-        signs = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
-        floor, known = _facet_floor(anchors), None
-    else:
-        signs = np.unique(np.where((u0 - mid) / length >= anchors, 1.0, -1.0), axis=0)
-        floor, known = _facet_floor(anchors, signs), {s.tobytes() for s in signs}
-    steps = 0
-    for _ in range(cfg.max_iters):
-        res = linprog(
-            np.eye(d + 1)[d],
-            A_ub=np.hstack([signs, -np.ones((signs.shape[0], 1))]),
-            b_ub=floor,
-            bounds=bounds,
-            method="highs-ds",
-            options={
-                "maxiter": cfg.max_iters,
-                "primal_feasibility_tolerance": _LP_TOL,
-                "dual_feasibility_tolerance": _LP_TOL,
-            },
-        )
-        steps += int(res.nit)
-        if res.x is None:
-            return u0, steps, False
-        u = mid + length * res.x[:d]
-        if known is None or not res.success:
-            return u, steps, bool(res.success)
-        x, t = res.x[:d] - anchors, float(res.x[d])
-        far = x[np.abs(x).sum(axis=1) > t + abs(t) * _rounding_slack(prob)]
-        new = [s for s in np.unique(np.where(far >= 0.0, 1.0, -1.0), axis=0) if s.tobytes() not in known]
-        if not new:
-            return u, steps, True
-        known.update(s.tobytes() for s in new)
-        signs = np.vstack([signs, new])
-        floor = np.concatenate([floor, _facet_floor(anchors, np.array(new))])
-    return u, steps, False
+    signs = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
+    res = linprog(
+        np.eye(d + 1)[d],
+        A_ub=np.hstack([signs, -np.ones((1 << d, 1))]),
+        b_ub=_facet_floor(anchors),
+        bounds=[*zip(anchors.min(axis=0), anchors.max(axis=0)), (None, None)],
+        method="highs-ds",
+        options={
+            "maxiter": cfg.max_iters,
+            "primal_feasibility_tolerance": _LP_TOL,
+            "dual_feasibility_tolerance": _LP_TOL,
+        },
+    )
+    u = u0 if res.x is None else mid + length * res.x[:d]
+    return u, int(res.nit), bool(res.success)
 
 
 def _coordinate_median(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
@@ -758,17 +739,15 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
     - Two anchors under a symmetric generator: :func:`midpoint_shortcut`.
     - Sum ground, p = 1: the coordinatewise median, converged.
     - Max ground, p = inf: the bounding-box midpoint, converged.
-    - Sum ground, p = inf: the dense program over the facets of the l1
-      ball (:func:`_l1_chebyshev`), solved by HiGHS's dual simplex, once
-      or, above ``_FACETS`` facets, once per round of added facets;
-      ``converged`` means every solve was optimal (status 0) and the last
-      left no anchor farther than its ``t`` beyond rounding;
-      ``config.max_iters`` caps each solve and the number of solves, and
-      ``iterations`` counts the simplex iterations of all solves.  In the
-      plane it is a closed form, converged, with no iterations.
-    - Max ground, p = 1: one sparse HiGHS linear program (interior point,
-      then crossover); ``converged`` means HiGHS reported an optimal
-      solution (status 0).
+    - Sum ground, p = inf, with at most ``_FACETS`` facets (d <= 12): one
+      dense program over the facets of the l1 ball (:func:`_l1_chebyshev`),
+      solved by HiGHS's dual simplex; ``converged`` means HiGHS reported an
+      optimal solution (status 0) and ``iterations`` counts its simplex
+      iterations.  In the plane it is a closed form, converged, with no
+      iterations.
+    - Max ground with p = 1, sum ground with p = inf beyond d = 12: one
+      sparse HiGHS linear program (interior point, then crossover);
+      ``converged`` means HiGHS reported an optimal solution (status 0).
     - Sum or max ground, finite p > 1: SLSQP on ``sum r_i^p`` over an exact
       linear model of the block norms in a box around the incumbent, box by
       box (:func:`_polyhedral_epigraph`); ``converged`` means the last
@@ -787,11 +766,10 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
 
     Each method returns ``(point, iterations, converged)``.
     ``config.max_iters`` caps the simplex, SQP or Newton iterations of the
-    method that runs (of each solve, on the sum ground with p = inf), and
-    ``iterations`` reports how many it took.  The point is evaluated once
-    here, and a point above the centroid's value gives way to the centroid,
-    not converged.  A centroid with a zero subgradient is optimal and is
-    returned at once, converged.
+    method that runs, and ``iterations`` reports how many it took.  The
+    point is evaluated once here, and a point above the centroid's value
+    gives way to the centroid, not converged.  A centroid with a zero
+    subgradient is optimal and is returned at once, converged.
     """
     cfg = config or SolverConfig()
     _validate_config(cfg)
@@ -811,12 +789,10 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
         method = _coordinate_median
     elif prob.norm.ground.kind == "max" and p == math.inf:
         method = _box_center
-    elif prob.norm.ground.kind == "sum" and p == math.inf:
+    elif prob.norm.ground.kind == "sum" and p == math.inf and 1 << prob.dim <= _FACETS:
         method = _l1_chebyshev
-    elif prob.norm.ground.kind == "max" and p == 1.0:
-        method = _polyhedral_lp
     elif prob.norm.ground.kind in ("sum", "max"):
-        method = _polyhedral_epigraph
+        method = _polyhedral_lp if p in (1.0, math.inf) else _polyhedral_epigraph
     else:
         method = _minimax if p == math.inf else _newton
     u, steps, converged = method(prob, cfg, u0, f0)

@@ -424,6 +424,12 @@ def test_max_iters_caps_every_method(p):
         assert len(calls) <= 50
         assert res.iterations <= 2
         assert res.value <= objective_eval(tab, tab.centroid())
+    # Beyond d = 12 the sum ground with p = inf goes to the coordinate-bound
+    # program, which the cap covers too.
+    prob = _instance(np.random.default_rng(5).normal(size=(13, 13)) * 2, GroundNorm.sum(), p)
+    res = solve_subgradient(prob, SolverConfig(max_iters=2))
+    assert res.iterations <= 2
+    assert res.value <= objective_eval(prob, prob.centroid())
 
 
 MODE_8_CELLS = [
@@ -817,44 +823,26 @@ def test_max_ground_chebyshev_matches_the_former_lp_on_the_probe_grid():
 
 
 def _former_l1_chebyshev_lp_value(prob):
-    # The HiGHS program that solved the sum ground with p = inf before the
-    # facet method: coordinate bounds s_ij >= |u_j - v_ij|, with
-    # sum_j s_ij <= t, over n d + d + 1 variables.
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    n, d = prob.anchors.shape
-    nd, v, rows = n * d, prob.anchors.ravel(), np.arange(n * d)
-    ri = np.concatenate([rows, rows, nd + rows, nd + rows, 2 * nd + rows // d, 2 * nd + np.arange(n)])
-    ci = np.concatenate([rows % d, d + rows, rows % d, d + rows, d + rows, np.full(n, d + nd)])
-    data = np.repeat([1.0, -1.0, -1.0, -1.0, 1.0, -1.0], [nd] * 5 + [n])
-    a_ub = sparse.csc_matrix((data, (ri, ci)), shape=(2 * nd + n, d + nd + 1))
-    res = linprog(
-        np.eye(d + nd + 1)[-1],
-        A_ub=a_ub,
-        b_ub=np.concatenate([v, -v, np.zeros(n)]),
-        bounds=(None, None),
-        method="highs-ipm",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    assert res.success
-    return objective_eval(prob, res.x[:d])
+    # The coordinate-bound HiGHS program that solved the sum ground with
+    # p = inf before the facet method, and still solves it beyond d = 12:
+    # s_ij >= |u_j - v_ij| with sum_j s_ij <= t, over n d + d + 1 variables.
+    u, _, ok = solvers._polyhedral_lp(prob, SolverConfig(), prob.centroid(), math.inf)
+    assert ok
+    return objective_eval(prob, u)
 
 
 def _l1_chebyshev_cells():
     # The certification probe's sum-ground p = inf cells, Gaussian and
-    # lattice, then d = 13 and 14, where the program starts from the facets
-    # that hold each anchor at the centroid and adds violated ones, and five
-    # anchors in R^24, whose rounds take over 2 000 simplex iterations.
+    # lattice, then d = 12, the most facets the dense program takes, and
+    # d = 13, which goes to the coordinate-bound program.
     for sample in (_gaussian_anchors, _lattice_anchors):
         for n in (4, 13, 64, 256):
             for d in (1, 2, 3, 10):
                 for s in (0, 1, 2):
                     yield sample(n, d, s)
     for n in (5, 40, 200):
-        for d in (13, 14):
-            yield _gaussian_anchors(n, d)
-    yield _gaussian_anchors(5, 24)
+        yield _gaussian_anchors(n, 12)
+    yield _gaussian_anchors(40, 13)
 
 
 def test_l1_chebyshev_matches_the_former_lp():
@@ -866,7 +854,7 @@ def test_l1_chebyshev_matches_the_former_lp():
         assert abs(res.value - lp) <= 1e-12 * lp, (anchors.shape, res.value, lp)
 
 
-@pytest.mark.parametrize("n,d", [(64, 2), (64, 3), (4096, 10), (40, 13)])
+@pytest.mark.parametrize("n,d", [(64, 2), (64, 3), (4096, 10), (200, 12)])
 def test_l1_chebyshev_is_deterministic(monkeypatch, n, d):
     # The facet sums add coordinates in one order, in chunks of anchors, so
     # neither the anchors' order, a second run nor the chunk size moves the
@@ -882,14 +870,9 @@ def test_l1_chebyshev_is_deterministic(monkeypatch, n, d):
 
 
 @pytest.mark.parametrize("d", [1, 3, 10])
-def test_facet_floor_paths_agree(d):
-    # The doubling that builds every facet's sum and the sums over a few
-    # given facets add the same terms in the same order; a set of more than
-    # half the facets is picked from the doubling.
+def test_facet_floor_matches_the_product(d):
+    # The doubling builds min_i <s, v_i> for every sign vector s, row k
+    # negating the coordinates of the set bits of k.
     anchors = _gaussian_anchors(300, d)
     signs = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
-    floor = solvers._facet_floor(anchors)
-    np.testing.assert_allclose(floor, (signs @ anchors.T).min(axis=1), rtol=0, atol=1e-12)
-    for rows in (np.arange(0, 1 << d, 2), np.arange(1, 1 << d)):
-        picked = np.random.default_rng(d).permutation(rows)
-        assert solvers._facet_floor(anchors, signs[picked]).tobytes() == floor[picked].tobytes()
+    np.testing.assert_allclose(solvers._facet_floor(anchors), (signs @ anchors.T).min(axis=1), rtol=0, atol=1e-12)
