@@ -16,10 +16,10 @@ the dual optimality conditions:
 - max ground with p = 1, and sum ground with p = inf beyond d = 12: every
   block norm is a maximum of linear pieces, so the problem is one sparse
   HiGHS linear program over coordinate bounds;
-- sum or max ground with finite p > 1: the smooth objective ``sum r_i^p``
-  over an exact linear model of the block norms in a box around the
-  incumbent, solved by SLSQP box by box, then Newton on the face of the
-  block norms that holds SLSQP's answer, where they are affine;
+- sum or max ground with finite p > 1: damped Newton on ``sum r_i^p`` over
+  block norms smoothed at levels 1e-1 down to 1e-11, each level from the
+  last one's point, then Newton on the face of the block norms that holds
+  the last point, where they are affine;
 - Euclidean or power ground with finite p: the objective is smooth away from
   the anchors, so damped Newton from the centroid with the analytic Hessian;
   when p = 1 each iteration also tests the anchor nearest the iterate for
@@ -35,7 +35,6 @@ values for cross-checks.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 
@@ -77,11 +76,7 @@ _LP_TOL = 1e-10
 _FACETS = 4096
 _FACET_CHUNK = 1 << 18
 
-# Cap on the inequality rows of one round of the polyhedral finite-p solve.
-_MODEL_ROWS = 32
-
-# Relative rounding allowed between a polyhedral model's value and the
-# block norms it models, and between a Newton finish's value and its start's.
+# Relative rounding allowed between a Newton finish's value and its start's.
 _SUM_RTOL = 1e-12
 
 # Coordinates within this much of an anchor's (sum ground) or of their
@@ -91,11 +86,9 @@ _SUM_RTOL = 1e-12
 _FACE_TOL = 1e-9
 _FACE_STEPS = 16
 
-# Box radii at or below this count as zero in the polyhedral finite-p solve,
-# whose rounds scale the largest block norm at the centroid to one.  A round
-# that ends on a box edge at a kink leaves that coordinate a few ulps off
-# zero; a box that small would stop the next round where it starts.
-_KINK = 1e-12
+# Smoothing levels of the sum- and max-ground finite-p solve, which scales
+# the largest block norm at the centroid to one.
+_SMOOTHING = tuple(10.0**-k for k in range(1, 12))
 
 # The pattern search reports convergence when its last Nelder-Mead run
 # gains at most this much, relative to max(1, value).
@@ -323,178 +316,95 @@ def _box_center(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: fl
     return 0.5 * (prob.anchors.min(axis=0) + prob.anchors.max(axis=0)), 0, True
 
 
-def _anchor_pairs(anchors: np.ndarray):
-    """Columns and values of the sorted distinct (column, anchor value) pairs, and each entry's pair."""
-    n, d = anchors.shape
-    pairs, slot = np.unique(
-        np.column_stack([np.tile(np.arange(d), n), anchors.ravel()]), axis=0, return_inverse=True
-    )
-    return pairs[:, 0].astype(int), pairs[:, 1], slot.reshape(n, d)
+def _smoothed_norms(kind: str, x: np.ndarray, eps: float):
+    """Smoothed sum- or max-ground norms of the rows of ``x``, with their first and second derivatives.
 
-
-def _box_radius(kind: str, u: np.ndarray, x: np.ndarray, r: np.ndarray, pairs) -> float:
-    """Largest box radius whose model keeps within ``_MODEL_ROWS`` rows.
-
-    The candidates are the radii at which a block gains a piece, above
-    ``_KINK``; the radius is infinite when the whole model fits.  Where even
-    the smallest candidate breaks the cap, that candidate is used: its model
-    still has at most two rows per distinct anchor coordinate within the
-    radius on the sum ground, and at most ``2 d`` per block on the max
-    ground, so it stays linear in the size of the instance.  The rows are
-    counted without building the model; on the sum ground they are two per
-    pair of :func:`_anchor_pairs` within the radius of ``u``.
+    The sum ground smooths each ``|x_ij|`` as ``sqrt(x_ij^2 + eps^2)``; the
+    max ground smooths ``max_j |x_ij|`` as ``eps log sum_j (e^(x_ij / eps) +
+    e^(-x_ij / eps))``, with the row maximum subtracted first (Nesterov 2005,
+    "Smooth minimization of non-smooth functions").  Returns ``(r, g, h,
+    k)``: row ``i``'s smoothed norm ``r_i``, its gradient ``g_i`` and its
+    Hessian ``diag(h_i) - k g_i g_i^T``, with ``k = 0`` on the sum ground and
+    ``1 / eps`` on the max ground.
     """
-    a = np.abs(u[pairs[0]] - pairs[1]) if kind == "sum" else np.abs(x)
-    cand = np.unique(a if kind == "sum" else np.concatenate([a, (r[:, None] - a) / 2.0]))
-    cand = cand[cand > _KINK]
-
-    def overfull(delta):
-        if kind == "sum":
-            return 2 * np.count_nonzero(a <= delta) > _MODEL_ROWS
-        near = a >= r[:, None] - 2.0 * delta
-        counts = (near * np.where(a <= delta, 2, 1)).sum(axis=1)
-        return int(counts[counts >= 2].sum()) > _MODEL_ROWS
-
-    k = bisect.bisect_left(cand, True, key=overfull)
-    if k == cand.size:
-        return math.inf
-    return float(cand[max(k - 1, 0)])
-
-
-def _box_model(kind: str, x: np.ndarray, r: np.ndarray, anchors: np.ndarray, delta: float, pairs):
-    """Linear model of the block norms inside a box of radius ``delta`` around ``u``.
-
-    The box holds every ``u'`` within ``delta`` of ``u = x + anchors`` in
-    the max norm.  The model has variables ``z = (u', w)`` with ``w >= 0``
-    and returns ``(lin, off, cons, cons_off, w0)``: inside the box, block
-    ``i``'s norm is the least ``lin_i z - off_i`` over the ``w`` that meet
-    ``cons z + cons_off >= 0``, and ``w0`` meets them at ``u' = u``.
-
-    On the sum ground a coordinate whose sign is fixed in the box enters
-    block ``i`` linearly; every other one goes through a variable ``s >=
-    |u'_j - c|``, one for each distinct anchor value ``c`` of column ``j``,
-    shared by all blocks that hold it.  On the max ground a block norm is
-    the largest of the signed coordinates that can become the largest in
-    the box; a block with one such piece is that piece, and one with several
-    gets an epigraph variable ``t_i`` above each.
-    """
-    n, d = x.shape
-    a = np.abs(x)
-    sign = np.where(x < 0.0, -1.0, 1.0)
     if kind == "sum":
-        free = a <= delta
-        fi, fj = np.nonzero(free)
-        keep, slot = np.unique(pairs[2][free], return_inverse=True)
-        cols, vals, m = pairs[0][keep], pairs[1][keep], keep.size
-        fixed = np.where(free, 0.0, sign)
-        lin = np.zeros((n, d + m))
-        lin[:, :d] = fixed
-        lin[fi, d + slot] = 1.0
-        off = np.einsum("ij,ij->i", fixed, anchors)
-        picks = np.zeros((m, d))
-        picks[np.arange(m), cols] = 1.0
-        # s_k >= +-(u'_j - c_k)
-        cons = np.hstack([np.vstack([picks, -picks]), np.vstack([np.eye(m), np.eye(m)])])
-        cons_off = np.concatenate([-vals, vals])
-        w0 = np.zeros(m)
-        w0[slot] = a[fi, fj]
-        return lin, off, cons, cons_off, w0
-    near = a >= r[:, None] - 2.0 * delta
-    flip = near & (a <= delta)
-    (ni, nj), (fi, fj) = np.nonzero(near), np.nonzero(flip)
-    owners, cols = np.concatenate([ni, fi]), np.concatenate([nj, fj])
-    pieces = np.zeros((owners.size, d))
-    pieces[np.arange(owners.size), cols] = np.concatenate([sign[near], -sign[flip]])
-    offsets = np.einsum("ij,ij->i", pieces, anchors[owners])
-    multi = np.bincount(owners, minlength=n) >= 2
-    m = int(multi.sum())
-    slot = np.cumsum(multi) - 1
-    lin = np.zeros((n, d + m))
-    off = np.zeros(n)
-    single = ~multi[owners]
-    lin[owners[single], :d] = pieces[single]
-    off[owners[single]] = offsets[single]
-    lin[np.flatnonzero(multi), d + np.arange(m)] = 1.0
-    # t_i >= <piece, u' - v_i>
-    shared = ~single
-    cons = np.hstack([-pieces[shared], np.eye(m)[slot[owners[shared]]]])
-    return lin, off, cons, offsets[shared], r[multi]
+        s = np.sqrt(x * x + eps * eps)
+        return s.sum(axis=1), x / s, eps * eps / s**3, 0.0
+    top = np.abs(x).max(axis=1, keepdims=True)
+    up, down = np.exp((x - top) / eps), np.exp((-x - top) / eps)
+    z = (up + down).sum(axis=1, keepdims=True)
+    return top[:, 0] + eps * np.log(z[:, 0]), (up - down) / z, (up + down) / (eps * z), 1.0 / eps
 
 
-def _polyhedral_epigraph(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Sum or max ground with finite p > 1: SLSQP on ``sum r_i^p``, box by box.
+def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
+    """Sum or max ground with finite p > 1: damped Newton on smoothed block norms, level by level.
 
-    Each round centres a box on the incumbent, builds the exact linear
-    model of the block norms inside it (:func:`_box_model`) and minimizes
-    ``sum r_i^p`` over the box with SLSQP.  Inside the box this program is
-    exact, so a round whose answer is off the box boundary has found the
-    optimum.  SLSQP can stop a little short of a boundary that its answer
-    should reach, so only an answer in the inner half of the box counts;
-    otherwise the next round starts from that answer.
-    The box radius keeps the model within ``_MODEL_ROWS`` inequality rows
-    (:func:`_box_radius`).  The rounds work on anchors shifted to the
-    centroid and scaled by the largest block norm there, since SLSQP's
-    tolerances are absolute; so does the face finish (:func:`_face_finish`)
-    that ends the solve, since ``r^(p-2)`` underflows at large p on tiny
-    anchors.
+    On anchors shifted to the centroid and scaled by the largest block norm
+    there, each smoothing level ``eps`` of ``_SMOOTHING`` (1e-1 down to
+    1e-11) runs damped Newton on ``sum r_i^p`` over the smoothed norms of
+    :func:`_smoothed_norms`, from the last level's point; ``max_iters`` caps
+    the steps of all levels together.  The face finish (:func:`_face_finish`)
+    then lands the point on the face of the block norms that holds it, and
+    its point is kept unless its value is more than ``_SUM_RTOL`` relative
+    above the homotopy's.  ``converged`` means the last level settled and
+    the finish's point was kept.  Three choices keep it fast and exact
+    (timings on a 2-core machine):
+
+    - The step is a least-squares solve (``lstsq``), not ``solve``: the
+      log-sum-exp Hessian reaches a condition number of 1e68 at eps = 1e-3
+      on the cell (max, p=2, n=13, d=10, s=2) of ``tools/certify_grid.py``.
+      With ``solve`` and a gradient fallback that cell ends 3.6e-6 relative
+      above the optimum, and 18 of the 36 max-ground d = 10 cells of the
+      Gaussian grid with finite p fail recovery.
+    - A level settles once the Newton decrement ``-g . s`` is at most
+      ``eps`` times the smoothed objective.  Running Newton to the rounding
+      floor at every level takes a median of 56 steps, against 19, and 47
+      to 55 ms against 31 to 38 ms, on the 15 sum- and max-ground p = 2
+      solves of a solve-certify benchmark run.
+    - Each line search starts at min(1, 4 times the last accepted step) and
+      halves until the value falls.  Starting at 1 takes 10 evaluations per
+      step, against 3, on the max ground with p = 2 at n = 4 096, d = 10:
+      1.3 to 1.5 s against 0.33 to 0.36 s.  A short start can ask for a
+      decrease below the value's rounding, so a search that fails from it
+      is tried once more from 1; a level whose search fails from 1 ends
+      unsettled.
     """
-    from scipy.optimize import minimize
-
     ground = prob.norm.ground
     p = prob.norm.generator.p
-    d = prob.dim
     r = ground_norm_eval_many(ground, u0 - prob.anchors)
     length = float(r.max())
     anchors = (prob.anchors - u0) / length
-    u, r = np.zeros(d), r / length
-    pairs = _anchor_pairs(anchors) if ground.kind == "sum" else None
-    scale = total = float((r**p).sum())
-    steps, converged = 0, False
-    while steps < cfg.max_iters:
-        x = u - anchors
-        delta = _box_radius(ground.kind, u, x, r, pairs)
-        lin, off, cons, cons_off, w0 = _box_model(ground.kind, x, r, anchors, delta, pairs)
-
-        def obj(z):
-            s = np.maximum(lin @ z - off, 0.0)
-            return float((s**p).sum()) / scale
-
-        def obj_grad(z):
-            s = np.maximum(lin @ z - off, 0.0)
-            return (p * s ** (p - 1.0)) @ lin / scale
-
-        box = [(None, None)] * d if delta == math.inf else list(zip(u - delta, u + delta))
-        res = minimize(
-            obj,
-            np.concatenate([u, w0]),
-            jac=obj_grad,
-            method="SLSQP",
-            bounds=box + [(0.0, None)] * w0.size,
-            constraints=[{
-                "type": "ineq",
-                "fun": lambda z: cons @ z + cons_off,
-                "jac": lambda z: cons,
-            }] if w0.size else [],
-            options={"maxiter": cfg.max_iters - steps, "ftol": 1e-14},
-        )
-        steps += max(int(res.nit), 1)
-        un = np.asarray(res.x[:d], dtype=float)
-        rn = ground_norm_eval_many(ground, un - anchors)
-        tn = float((rn**p).sum())
-        inside = delta == math.inf or bool(np.all(np.abs(un - u) <= 0.5 * delta))
-        if tn > total:
-            # The model and the norms sum in different orders, so a round
-            # that confirms the incumbent can end a few ulps above it.
-            converged = inside and bool(res.success) and tn <= total * (1.0 + _SUM_RTOL)
-            break
-        u, r, total = un, rn, tn
-        if inside:
-            converged = bool(res.success)
-            break
+    u = np.zeros(prob.dim)
+    steps, settled, t = 0, False, 1.0
+    for eps in _SMOOTHING:
+        settled = False
+        while steps < cfg.max_iters:
+            rs, g, h, k = _smoothed_norms(ground.kind, u - anchors, eps)
+            c1 = p * rs ** (p - 1.0)
+            grad, f = c1 @ g, float((rs**p).sum())
+            # sum_i c1_i (diag(h_i) - k g_i g_i^T) + (p - 1) c1_i / r_i g_i g_i^T
+            hess = (g.T * ((p - 1.0) * c1 / rs - k * c1)) @ g + np.diag(c1 @ h)
+            s = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            if -float(grad @ s) <= eps * f:
+                settled = True
+                break
+            t = start = min(1.0, 4.0 * t)
+            for _ in range(_BACKTRACKS):
+                trial = u + t * s
+                if float((_smoothed_norms(ground.kind, trial - anchors, eps)[0] ** p).sum()) < f:
+                    break
+                t *= 0.5
+            else:
+                if start == 1.0:
+                    break
+                t = 0.25  # the retry starts at min(1, 4 t) = 1
+                continue
+            u = trial
+            steps += 1
+    r = ground_norm_eval_many(ground, u - anchors)
     un = _face_finish(ground.kind, u, anchors, r, p)
-    if float((ground_norm_eval_many(ground, un - anchors) ** p).sum()) <= total * (1.0 + _SUM_RTOL):
-        u = un
-    return u0 + length * u, steps, converged
+    kept = float((ground_norm_eval_many(ground, un - anchors) ** p).sum()) <= float((r**p).sum()) * (1.0 + _SUM_RTOL)
+    return u0 + length * (un if kept else u), steps, settled and kept
 
 
 def _kkt_newton(system, z: np.ndarray, floor: float):
@@ -748,13 +658,15 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
     - Max ground with p = 1, sum ground with p = inf beyond d = 12: one
       sparse HiGHS linear program (interior point, then crossover);
       ``converged`` means HiGHS reported an optimal solution (status 0).
-    - Sum or max ground, finite p > 1: SLSQP on ``sum r_i^p`` over an exact
-      linear model of the block norms in a box around the incumbent, box by
-      box (:func:`_polyhedral_epigraph`); ``converged`` means the last
-      SLSQP solve succeeded with its answer in the inner half of its box.
-      SLSQP stops about 1e-8 short in the gradient, so Newton then finishes
-      on the face that holds its answer (:func:`_face_finish`), whose point
-      is kept unless its value is more than 1e-12 relative above SLSQP's.
+    - Sum or max ground, finite p > 1: damped Newton on ``sum r_i^p`` over
+      smoothed block norms, level by level from 1e-1 down to 1e-11
+      (:func:`_smoothing_homotopy`), then Newton on the face of the block
+      norms that holds its point (:func:`_face_finish`), whose point is
+      kept unless its value is more than 1e-12 relative above the
+      homotopy's.  ``iterations`` counts the Newton steps of all levels,
+      and ``converged`` means the last level settled (its Newton decrement
+      fell to 1e-11 of the smoothed objective) and the finish's point was
+      kept.
     - Euclidean or power ground, finite p: damped Newton from the centroid
       (:func:`_newton`), where ``converged`` means the gradient norm fell to
       the rounding floor of its blocks, or, for p = 1, that the anchor
@@ -766,7 +678,7 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
 
     Each method returns ``(point, iterations, converged)``.
     ``config.max_iters`` caps the simplex, SQP or Newton iterations of the
-    method that runs, and ``iterations`` reports how many it took.  The
+    method that runs (of all smoothing levels together), and ``iterations`` reports how many it took.  The
     point is evaluated once here, and a point above the centroid's value
     gives way to the centroid, not converged.  A centroid with a zero
     subgradient is optimal and is returned at once, converged.
@@ -792,7 +704,7 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
     elif prob.norm.ground.kind == "sum" and p == math.inf and 1 << prob.dim <= _FACETS:
         method = _l1_chebyshev
     elif prob.norm.ground.kind in ("sum", "max"):
-        method = _polyhedral_lp if p in (1.0, math.inf) else _polyhedral_epigraph
+        method = _polyhedral_lp if p in (1.0, math.inf) else _smoothing_homotopy
     else:
         method = _minimax if p == math.inf else _newton
     u, steps, converged = method(prob, cfg, u0, f0)
