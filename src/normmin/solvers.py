@@ -6,6 +6,9 @@ the dual optimality conditions:
 - two anchors under a symmetric generator: the midpoint;
 - sum ground with p = 1: the objective splits by coordinate, so the
   coordinatewise median;
+- max ground with p = 1 in d <= 2: in the plane ``max(|a|, |b|) = (|a + b| +
+  |a - b|) / 2``, so the coordinatewise median of the turned anchors ``(v_0
+  + v_1, v_0 - v_1)``, turned back; in d = 1 the plain median;
 - max ground with p = inf: the midpoint of the anchors' bounding box;
 - sum ground with p = inf: the l1 norm is the support function of its dual
   ball, a maximum over the ``2^d`` sign vectors, so the largest block norm
@@ -13,13 +16,15 @@ the dual optimality conditions:
   problem is one dense HiGHS program in ``d + 1`` variables; in the plane,
   where the l1 ball is a turned square, the bounding-box midpoint in turned
   coordinates;
-- max ground with p = 1, and sum ground with p = inf beyond d = 12: every
-  block norm is a maximum of linear pieces, so the problem is one sparse
-  HiGHS linear program over coordinate bounds;
+- max ground with p = 1 beyond d = 2, and sum ground with p = inf beyond
+  d = 12: every block norm is a maximum of linear pieces, so the problem is
+  one sparse HiGHS linear program over coordinate bounds;
 - sum or max ground with finite p > 1: damped Newton on ``sum r_i^p`` over
   block norms smoothed at levels 1e-1 down to 1e-11, each level from the
-  last one's point, then Newton on the face of the block norms that holds
-  the last point, where they are affine;
+  last one's point; after each settled level, Newton on the face of the
+  block norms that holds its point, where they are affine, which ends the
+  solve once the face's multipliers lie in the ground norms'
+  subdifferentials (the dual conditions certify the face);
 - Euclidean or power ground with finite p: the objective is smooth away from
   the anchors, so damped Newton from the centroid with the analytic Hessian;
   when p = 1 each iteration also tests the anchor nearest the iterate for
@@ -85,6 +90,10 @@ _SUM_RTOL = 1e-12
 # ``_FACE_STEPS`` steps.
 _FACE_TOL = 1e-9
 _FACE_STEPS = 16
+
+# A face finish certifies its face when its multipliers lie in the ground
+# norms' subdifferentials within this much of ``sum r_i^(p-1)``.
+_DUAL_RTOL = 1e-12
 
 # Smoothing levels of the sum- and max-ground finite-p solve, which scales
 # the largest block norm at the centroid to one.
@@ -183,7 +192,7 @@ def _search_basis(prob: ProblemInstance) -> np.ndarray:
 
 
 def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Max ground with p = 1, sum ground with p = inf beyond d = 12: one sparse HiGHS program.
+    """Max ground with p = 1 beyond d = 2, sum ground with p = inf beyond d = 12: one sparse HiGHS program.
 
     HiGHS runs its interior-point method, whose iteration count stays in the
     tens as the program grows (its default simplex choice hit a 2000
@@ -275,10 +284,8 @@ def _l1_chebyshev(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: 
     from scipy.optimize import linprog
 
     if prob.dim == 2:
-        a = prob.anchors
-        turned = np.column_stack([a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]])
-        m = 0.5 * (turned.min(axis=0) + turned.max(axis=0))
-        return 0.5 * np.array([m[0] + m[1], m[0] - m[1]]), 0, True
+        turned = _turn(prob.anchors)
+        return 0.5 * _turn(0.5 * (turned.min(axis=0) + turned.max(axis=0))), 0, True
     lo, hi = prob.anchors.min(axis=0), prob.anchors.max(axis=0)
     mid, length = 0.5 * (lo + hi), float((hi - lo).max())
     anchors, d = (prob.anchors - mid) / length, prob.dim
@@ -299,16 +306,26 @@ def _l1_chebyshev(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: 
     return u, int(res.nit), bool(res.success)
 
 
+def _turn(x: np.ndarray) -> np.ndarray:
+    """``(x_0 + x_1, x_0 - x_1)`` along the last axis; turning twice doubles ``x``."""
+    return np.stack([x[..., 0] + x[..., 1], x[..., 0] - x[..., 1]], axis=-1)
+
+
 def _coordinate_median(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Sum ground with p = 1: the coordinatewise median.
+    """Sum ground with p = 1, max ground with p = 1 in d <= 2: the coordinatewise median.
 
     The objective ``sum_i sum_j |u_j - v_ij|`` splits into one sum of
     absolute values per coordinate, each minimized by a median of its
     column.  The median is taken from a sort, since ``np.median``'s first
-    call in a process costs about 20 ms.
+    call in a process costs about 20 ms.  On the max ground in the plane
+    ``max(|y_0|, |y_1|) = (|y_0 + y_1| + |y_0 - y_1|) / 2``, so the answer is
+    the median of the turned anchors (:func:`_turn`), turned back; in d = 1
+    both grounds are ``|y|``.
     """
-    col = np.sort(prob.anchors, axis=0)
-    return 0.5 * (col[(prob.n - 1) // 2] + col[prob.n // 2]), 0, True
+    turned = prob.norm.ground.kind == "max" and prob.dim == 2
+    col = np.sort(_turn(prob.anchors) if turned else prob.anchors, axis=0)
+    m = 0.5 * (col[(prob.n - 1) // 2] + col[prob.n // 2])
+    return (0.5 * _turn(m) if turned else m), 0, True
 
 
 def _box_center(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
@@ -344,11 +361,27 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
     1e-11) runs damped Newton on ``sum r_i^p`` over the smoothed norms of
     :func:`_smoothed_norms`, from the last level's point; ``max_iters`` caps
     the steps of all levels together.  The face finish (:func:`_face_finish`)
-    then lands the point on the face of the block norms that holds it, and
+    lands a level's point on the face of the block norms that holds it, and
     its point is kept unless its value is more than ``_SUM_RTOL`` relative
-    above the homotopy's.  ``converged`` means the last level settled and
-    the finish's point was kept.  Three choices keep it fast and exact
-    (timings on a 2-core machine):
+    above the level point's.
+
+    After each settled level but the last, the finish runs on the face
+    within ``max(_FACE_TOL, 10 eps)`` of the level's point; the solve ends
+    there, converged, when the finished point is kept and the finish
+    certifies its face (the paper's optimality conditions are necessary and
+    sufficient, so that point is optimal; Wright 1993, "Identifiable
+    surfaces in constrained optimization").  A face with more equality rows
+    than ``d`` is not tried before the last level: at eps = 1e-1 nearly
+    every max-ground coordinate ties, and the n = 1 024, d = 10 cell of the
+    probe's scale grid did not finish in 300 s with those attempts (0.13 s
+    without).  Otherwise the last level's finish ends the solve, and
+    ``converged`` means that level settled and the finish's point was kept.
+    On the 288 sum- and max-ground finite-p cells of ``tools/certify_grid.py``
+    the early stop takes the Newton steps from 7 091 to 1 959 (Gaussian
+    grid) and from 6 767 to 3 598 (lattice grid).
+
+    Three choices keep each level fast and exact (timings on a 2-core
+    machine):
 
     - The step is a least-squares solve (``lstsq``), not ``solve``: the
       log-sum-exp Hessian reaches a condition number of 1e68 at eps = 1e-3
@@ -376,6 +409,14 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
     anchors = (prob.anchors - u0) / length
     u = np.zeros(prob.dim)
     steps, settled, t = 0, False, 1.0
+
+    def finish(tol: float, rows: float):
+        # The face finish of u, whether it was kept and whether it certified its face.
+        r = ground_norm_eval_many(ground, u - anchors)
+        un, certified = _face_finish(ground.kind, u, anchors, r, p, tol, rows)
+        kept = float((ground_norm_eval_many(ground, un - anchors) ** p).sum()) <= float((r**p).sum()) * (1.0 + _SUM_RTOL)
+        return (un if kept else u), kept, certified
+
     for eps in _SMOOTHING:
         settled = False
         while steps < cfg.max_iters:
@@ -401,10 +442,12 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
                 continue
             u = trial
             steps += 1
-    r = ground_norm_eval_many(ground, u - anchors)
-    un = _face_finish(ground.kind, u, anchors, r, p)
-    kept = float((ground_norm_eval_many(ground, un - anchors) ** p).sum()) <= float((r**p).sum()) * (1.0 + _SUM_RTOL)
-    return u0 + length * (un if kept else u), steps, settled and kept
+        if settled and eps > _SMOOTHING[-1]:
+            un, kept, certified = finish(max(_FACE_TOL, 10.0 * eps), prob.dim)
+            if kept and certified:
+                return u0 + length * un, steps, True
+    un, kept, _ = finish(_FACE_TOL, math.inf)
+    return u0 + length * un, steps, settled and kept
 
 
 def _kkt_newton(system, z: np.ndarray, floor: float):
@@ -427,20 +470,31 @@ def _kkt_newton(system, z: np.ndarray, floor: float):
     return best, least
 
 
-def _face_finish(kind: str, u: np.ndarray, anchors: np.ndarray, r: np.ndarray, p: float):
+def _face_finish(kind: str, u: np.ndarray, anchors: np.ndarray, r: np.ndarray, p: float, tol: float, rows: float):
     """Newton on the KKT system of ``sum r_i^p`` over the face of the block norms that holds ``u``.
 
-    On the sum ground each coordinate within ``_FACE_TOL`` of an anchor's is
-    fixed to it; on the max ground each block's coordinates within
-    ``_FACE_TOL`` of its largest stay tied to it.  On that face the block
-    norms are affine, ``r = a u - b`` subject to ``e u = c``: Newton from
-    ``mu = 0`` on ``a^T r^(p-1) + e^T mu = 0``, ``e u = c`` (Jacobian ``[[(p -
-    1) a^T diag(r^(p-2)) a, e^T], [e, 0]]``, floor ``_GRAD_ULPS`` ulps of
-    ``sum r_i^(p-1)``; :func:`_kkt_newton`).
+    On the sum ground each coordinate within ``tol`` (relative to the
+    largest block norm ``r``) of an anchor's is fixed to it; on the max
+    ground each block's coordinates within ``tol`` of its largest stay tied
+    to it.  On that face the block norms are affine, ``r = a u - b`` subject
+    to ``e u = c``: Newton from ``mu = 0`` on ``a^T r^(p-1) + e^T mu = 0``,
+    ``e u = c`` (Jacobian ``[[(p - 1) a^T diag(r^(p-2)) a, e^T], [e, 0]]``,
+    floor ``_GRAD_ULPS`` ulps of ``sum r_i^(p-1)``; :func:`_kkt_newton`).
+
+    Returns the finished point and whether it certifies the face: the
+    residual reached its floor, the point still lies on the face (on the
+    sum ground no free coordinate changed sign against an anchor; on the
+    max ground no coordinate of a block exceeds its top one), and the
+    multipliers lie in the ground norms' subdifferentials within
+    ``_DUAL_RTOL`` of ``sum r_i^(p-1)``: on the sum ground ``|mu_j|`` is at
+    most the ``r_i^(p-1)`` of the anchors pinned at coordinate ``j``; on the
+    max ground every tie's ``mu`` is non-negative and a block's total at
+    most its ``r_i^(p-1)``.  A face with more than ``rows`` equality rows is
+    not tried: ``u`` comes back uncertified.
     """
     x = u - anchors
     ax = np.abs(x)
-    tol = _FACE_TOL * float(r.max())
+    tol = tol * float(r.max())
     n, d = x.shape
     if kind == "sum":
         near = ax.argmin(axis=0)
@@ -453,13 +507,17 @@ def _face_finish(kind: str, u: np.ndarray, anchors: np.ndarray, r: np.ndarray, p
         top = ax.argmax(axis=1)
         a = np.zeros((n, d))
         a[np.arange(n), top] = np.sign(x[np.arange(n), top])
-        ti, tj = np.nonzero((ax >= r[:, None] - tol) & (np.arange(d) != top[:, None]))
+        tied = (ax >= r[:, None] - tol) & (np.arange(d) != top[:, None])
+        ti, tj = np.nonzero(tied)
         e = -a[ti]
         e[np.arange(ti.size), tj] = np.sign(x[ti, tj])
         c = np.einsum("ij,ij->i", e, anchors[ti])
-    b = np.einsum("ij,ij->i", a, anchors)
     m = e.shape[0]
-    jac = np.block([[np.zeros((d, d)), e.T], [e, np.zeros((m, m))]])
+    if m > rows:
+        return u, False
+    b = np.einsum("ij,ij->i", a, anchors)
+    jac = np.zeros((d + m, d + m))
+    jac[:d, d:], jac[d:, :d] = e.T, e
 
     def kkt(z):
         rm = a @ z[:d] - b
@@ -469,8 +527,22 @@ def _face_finish(kind: str, u: np.ndarray, anchors: np.ndarray, r: np.ndarray, p
         jac[:d, :d] = (a.T * ((p - 1.0) * w)) @ a
         return np.concatenate([a.T @ (w * rs) + e.T @ z[d:], e @ z[:d] - c]), jac
 
-    floor = _GRAD_ULPS * float(np.finfo(float).eps * (r ** (p - 1.0)).sum())
-    return _kkt_newton(kkt, np.concatenate([u, np.zeros(m)]), floor)[0][:d]
+    scale = float((r ** (p - 1.0)).sum())
+    floor = _GRAD_ULPS * float(np.finfo(float).eps) * scale
+    z, least = _kkt_newton(kkt, np.concatenate([u, np.zeros(m)]), floor)
+    un, mu = z[:d], z[d:]
+    xn = un - anchors
+    weight = np.maximum(a @ un - b, 0.0) ** (p - 1.0)
+    slack = _DUAL_RTOL * scale
+    if kind == "sum":
+        on_face = bool(np.all(np.delete(np.sign(xn) == a, pinned, axis=1)))
+        # |mu_j| is at most the weight of the anchors pinned at coordinate j.
+        feasible = bool(np.all(np.abs(mu) <= weight @ (a[:, pinned] == 0.0) + slack))
+    else:
+        on_face = bool(np.all(tied | (np.abs(xn) <= np.einsum("ij,ij->i", a, xn)[:, None])))
+        # Each tie's weight is non-negative; a block's weights total at most its own.
+        feasible = bool(mu.min(initial=0.0) >= -slack and np.all(np.bincount(ti, mu, n) <= weight + slack))
+    return un, least <= floor and on_face and feasible
 
 
 def _hessian(prob: ProblemInstance, u, f: float, g, basis: np.ndarray) -> np.ndarray:
@@ -647,7 +719,9 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
     """Minimize a built-in-generator instance with the exact method for its family.
 
     - Two anchors under a symmetric generator: :func:`midpoint_shortcut`.
-    - Sum ground, p = 1: the coordinatewise median, converged.
+    - Sum ground, p = 1, and max ground, p = 1, in d <= 2: the
+      coordinatewise median (of the turned anchors on the max ground in the
+      plane), converged, with no iterations.
     - Max ground, p = inf: the bounding-box midpoint, converged.
     - Sum ground, p = inf, with at most ``_FACETS`` facets (d <= 12): one
       dense program over the facets of the l1 ball (:func:`_l1_chebyshev`),
@@ -655,18 +729,21 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
       optimal solution (status 0) and ``iterations`` counts its simplex
       iterations.  In the plane it is a closed form, converged, with no
       iterations.
-    - Max ground with p = 1, sum ground with p = inf beyond d = 12: one
-      sparse HiGHS linear program (interior point, then crossover);
-      ``converged`` means HiGHS reported an optimal solution (status 0).
+    - Max ground with p = 1 beyond d = 2, sum ground with p = inf beyond
+      d = 12: one sparse HiGHS linear program (interior point, then
+      crossover); ``converged`` means HiGHS reported an optimal solution
+      (status 0).
     - Sum or max ground, finite p > 1: damped Newton on ``sum r_i^p`` over
       smoothed block norms, level by level from 1e-1 down to 1e-11
-      (:func:`_smoothing_homotopy`), then Newton on the face of the block
-      norms that holds its point (:func:`_face_finish`), whose point is
-      kept unless its value is more than 1e-12 relative above the
-      homotopy's.  ``iterations`` counts the Newton steps of all levels,
-      and ``converged`` means the last level settled (its Newton decrement
-      fell to 1e-11 of the smoothed objective) and the finish's point was
-      kept.
+      (:func:`_smoothing_homotopy`); after each settled level, Newton on
+      the face of the block norms that holds its point
+      (:func:`_face_finish`), whose point is kept unless its value is more
+      than 1e-12 relative above the level point's.  ``iterations`` counts
+      the Newton steps of the levels that ran.  The solve stops, converged,
+      at the first level whose finished point is kept and whose face the
+      dual conditions certify; otherwise ``converged`` means the last level
+      settled (its Newton decrement fell to 1e-11 of the smoothed
+      objective) and the finish's point was kept.
     - Euclidean or power ground, finite p: damped Newton from the centroid
       (:func:`_newton`), where ``converged`` means the gradient norm fell to
       the rounding floor of its blocks, or, for p = 1, that the anchor
@@ -697,7 +774,7 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
     if not np.any(objective_subgradient(prob, u0)):
         return SolveResult(point=u0, value=f0, iterations=0, converged=True)
     p = prob.norm.generator.p
-    if prob.norm.ground.kind == "sum" and p == 1.0:
+    if p == 1.0 and (prob.norm.ground.kind == "sum" or (prob.norm.ground.kind == "max" and prob.dim <= 2)):
         method = _coordinate_median
     elif prob.norm.ground.kind == "max" and p == math.inf:
         method = _box_center

@@ -758,6 +758,59 @@ def test_smoothed_norms_match_central_differences(kind, eps):
         assert np.abs(hess - diff).max() <= 1e-6 * np.abs(hess).max() + 1e-15 / step
 
 
+def _certifies_at_1e_9(prob, point):
+    cert = recover_certificate(prob, point, tol=1e-9)
+    return not isinstance(cert, Infeasible) and check_certificate(prob, cert, tol=1e-9).verdict
+
+
+def test_homotopy_stops_at_the_first_certified_level():
+    # The benchmark's d10-polyhedral instance: every level down to 1e-11
+    # took 36 Newton steps; the face of the 1e-3 level's point certifies.
+    prob = _instance(np.random.default_rng(306).normal(size=(4, 10)) * 2, GroundNorm.sum(), 2.0)
+    res = solve_subgradient(prob)
+    assert res.converged and res.iterations <= 12, res
+    assert _certifies_at_1e_9(prob, res.point)
+
+
+# Gaussian cells (ground, p, n, d, s) of the certification probe, with the
+# value of the homotopy run down to its last level.  Coarse levels' finished
+# points left their face here, up to 5.3e-6 relative above these values, yet
+# their multipliers were dual-feasible.
+OFF_FACE_CELLS = [
+    ("sum", 2.0, 64, 2, 0, 31.130829722645245),
+    ("sum", 3.0, 256, 10, 2, 109.03787060652526),
+    ("max", 1.5, 64, 1, 1, 28.06371594262142),
+    ("max", 3.0, 13, 10, 0, 9.25443726935821),
+]
+
+
+@pytest.mark.parametrize(
+    "ground,p,n,d,s,value", OFF_FACE_CELLS, ids=[f"{c[0]}-p{c[1]}-n{c[2]}-d{c[3]}-s{c[4]}" for c in OFF_FACE_CELLS]
+)
+def test_homotopy_stops_only_on_its_face(ground, p, n, d, s, value):
+    prob = _instance(_gaussian_anchors(n, d, s), FINISH_GROUNDS[ground], p)
+    res = solve_subgradient(prob)
+    assert res.converged
+    assert abs(res.value - value) <= 1e-12 * value, res.value
+    assert _certifies_at_1e_9(prob, res.point)
+
+
+def test_max_ground_p1_in_the_plane_is_the_turned_median():
+    # The certification probe's max-ground p = 1 cells with d <= 2, against
+    # the coordinate-bound program that solves them in higher dimensions.
+    for sample in (_gaussian_anchors, _lattice_anchors):
+        for n in (4, 13, 64, 256):
+            for d in (1, 2):
+                for s in (0, 1, 2):
+                    prob = _instance(sample(n, d, s), GroundNorm.max(), 1.0)
+                    res = solve_subgradient(prob)
+                    u, _, ok = solvers._polyhedral_lp(prob, SolverConfig(), prob.centroid(), math.inf)
+                    lp = objective_eval(prob, u)
+                    assert ok and abs(res.value - lp) <= 1e-12 * lp, (n, d, s, res.value, lp)
+                    assert res.converged and res.iterations == 0
+                    assert _certifies_at_1e_9(prob, res.point), (n, d, s)
+
+
 @pytest.mark.parametrize("n", [3, 4096])
 def test_max_ground_chebyshev_is_the_bounding_box_midpoint(n):
     anchors = np.random.default_rng(1000 * n + 100).normal(size=(n, 10)) * 2

@@ -17,27 +17,30 @@ and a seed s.  The grids, run in this order:
   coordinates, which Gaussian anchors never do.
 
 Each cell runs ``solve_subgradient`` and then ``recover_certificate`` at the
-point it returns, at tolerances 1e-7 and 1e-9, and records, per tolerance,
-the ``check_certificate`` residuals of each recovered certificate, or the
-reason and residual of an ``Infeasible`` outcome.  A cell passes when its
+point it returns, at tolerances 1e-7 and 1e-9, and records the solve's
+``iterations`` and, per tolerance, the ``check_certificate`` residuals of
+each recovered certificate, or the reason and residual of an
+``Infeasible`` outcome.  A cell passes when its
 solve reports ``converged=True`` and it certifies at both tolerances.
 
 Prints one JSON line per cell, tagged with its grid, then one summary line
 with, per grid, the cell count, the uncertified cells per tolerance, the
-unconverged cells and the seconds taken; the count of failing cells outside
-``PINNED``; the pinned cells that now pass (a fix can drop them from the
-list); and the process's peak resident set size.  Exits 1 if any cell
+unconverged cells, the solves' iterations summed and the seconds taken;
+the count of failing cells outside ``PINNED``; the pinned cells that now
+pass (a fix can drop them from the list); and the process's peak resident
+set size.  Exits 1 if any cell
 outside ``PINNED`` fails, or if the peak resident set reaches
 ``MAX_RSS_MB``.  Run from the repository root:
 
     PYTHONPATH=src python tools/certify_grid.py
 
-It takes 21 to 25 s on two cores: 4.5 to 5.6 s for the gaussian grid, 11
-to 13 s for the scale grid (most of it in the max-ground p = 1 linear
-program and the max-ground p = 2 smoothing homotopy at n = 16 384) and 5.3
-to 7.6 s for the lattice grid, with a peak resident set of about 320 MB.  Two runs whose
-cell lines agree once the ``*_s`` timing fields are dropped computed the
-same reports bit for bit, since JSON floats round-trip exactly.
+It takes 16 to 17 s on two cores: 3.3 to 4.0 s for the gaussian grid, 8.0
+to 8.7 s for the scale grid (most of it in the max-ground p = 1 linear
+program and the max-ground p = 2 smoothing homotopy at n = 16 384) and 4.2
+to 4.8 s for the lattice grid, with a peak resident set of about 315 MB.
+Two runs whose cell lines agree once the ``*_s`` timing fields are dropped
+computed the same reports bit for bit, since JSON floats round-trip
+exactly.
 """
 
 from __future__ import annotations
@@ -141,6 +144,7 @@ def run_cell(grid: str, ground: str, p: float, n: int, d: int, s: int) -> dict:
         "d": d,
         "s": s,
         "converged": res.converged,
+        "iterations": res.iterations,
         "value": res.value,
         "solve_s": round(time.perf_counter() - t0, 4),
     }
@@ -156,12 +160,18 @@ def main() -> int:
     unpinned_failures = 0
     pinned_passing = []
     for grid, (_, keys) in GRIDS.items():
-        tally = {"cells": len(keys), "uncertified": {f"{tol:.0e}": 0 for tol in TOLS}, "not_converged": 0}
+        tally = {
+            "cells": len(keys),
+            "uncertified": {f"{tol:.0e}": 0 for tol in TOLS},
+            "not_converged": 0,
+            "iterations": 0,
+        }
         t0 = time.perf_counter()
         for key in keys:
             cell = run_cell(grid, *key)
             print(json.dumps(cell), flush=True)
             tally["not_converged"] += not cell["converged"]
+            tally["iterations"] += cell["iterations"]
             for tol in tally["uncertified"]:
                 tally["uncertified"][tol] += not cell[tol]["certified"]
             passed = cell["converged"] and all(cell[tol]["certified"] for tol in tally["uncertified"])
