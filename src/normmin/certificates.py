@@ -13,9 +13,11 @@ unit-pairing dual vector (Euclidean and power kinds) the blocks are the
 capped ground gradients; under the max generator the caps are the convex
 weights of Wolfe's minimum-norm point of the gradients' hull.  On the
 polyhedral grounds each block is its cap times a point of its alignment
-face, the part of the dual ball that pairs with the displacement: Wolfe's
-method, driven by each face's linear oracle, finds the blocks whose sum has
-least norm.  Recovery solves no linear program.
+face, the part of the dual ball that pairs with the displacement, and
+recovery finds the blocks whose sum has least norm: in closed form for
+fixed caps on the sum ground's boxes and for the max generator on the max
+ground's signed unit vectors, otherwise by Wolfe's method, driven by each
+face's linear oracle.  Recovery solves no linear program.
 """
 
 from __future__ import annotations
@@ -255,70 +257,95 @@ def check_p_fermat(
 
 
 def _face_duals(kind, diffs, r, ztol, caps, paired):
-    """Dual blocks on the alignment faces whose sum has least norm, by Wolfe's method.
+    """Dual blocks on the alignment faces whose sum has least norm.
 
     Block ``i`` is its cap ``c_i`` times a point of its face, the part of
     the unit dual ball that pairs with the displacement ``x_i`` to ``r_i``.
-    On the sum ground the face fixes ``W_ij = sign(x_ij)`` where ``|x_ij| >
-    ztol`` and leaves the other coordinates free in ``[-1, 1]``; on the max
-    ground it is the hull of ``sign(x_ij) e_j`` over the coordinates within
-    ``ztol`` of the row's maximum.  A block whose displacement is within
-    ``ztol`` of zero gets its whole dual ball.  With fixed ``caps`` (the sum
-    and finite power generators) the blocks of positive cap are in play, and
-    the oracle returns each block's best face vertex times its cap, so the
-    candidate sums fill the Minkowski sum of the scaled faces.  With
-    ``caps`` None (the max generator) the ``paired`` blocks are in play, and
-    the oracle returns the single best vertex over their faces, so the
-    candidate sums fill the hull of the faces' union and the convex weights
-    are the caps.  Returns the ``(n, d)`` blocks; their sum is the
-    least-norm point of the candidate sums.
+    On the sum ground the face is a box: it fixes ``W_ij = sign(x_ij)``
+    where ``|x_ij| > ztol`` and leaves the other coordinates free in ``[-1,
+    1]``.  On the max ground it is the hull of ``sign(x_ij) e_j`` over the
+    coordinates within ``ztol`` of the row's maximum.  A block whose
+    displacement is within ``ztol`` of zero gets its whole dual ball.  With
+    fixed ``caps`` (the sum and finite power generators) the blocks of
+    positive cap are in play and the candidate sums fill the Minkowski sum
+    of the scaled faces; with ``caps`` None (the max generator) the
+    ``paired`` blocks are in play, the candidate sums fill the hull of the
+    faces' union, and the convex weights are the caps.
+
+    Fixed caps on the sum ground have a closed form, as a Minkowski sum of
+    boxes is a box: per coordinate ``j`` the fixed values sum to ``F_j`` and
+    the free caps to ``C_j``, the least-norm sum is ``F_j + S_j`` with ``S_j
+    = clip(-F_j, -C_j, C_j)``, and each free coordinate of block ``i`` takes
+    ``c_i S_j / C_j``.  So does the max generator on the max ground, where
+    the candidates are the hull of signed unit vectors: it holds zero when
+    some ``e_j`` carries both signs, ``e_j / 2`` on a block holding ``+e_j``
+    and ``-e_j / 2`` on one holding ``-e_j``, and otherwise its least-norm
+    point is the vectors' mean.  The other two cases run Wolfe's method on
+    the faces' linear oracle.  Returns the ``(n, d)`` blocks; their sum is
+    the least-norm point of the candidate sums.
     """
     n, d = diffs.shape
     chebyshev = caps is None
     idx = np.flatnonzero(paired if chebyshev else caps > 0.0)
     x, rx = diffs[idx], r[idx]
-    cap = 1.0 if chebyshev else caps[idx, None]
+    duals = np.zeros((n, d))
     if kind == "sum":
-        sign = np.sign(x)
         fixed = np.abs(x) > ztol
+        if not chebyshev:
+            cap = caps[idx, None]
+            value = np.where(fixed, cap * np.sign(x), 0.0)
+            free = np.where(fixed, 0.0, cap)
+            room = free.sum(axis=0)
+            # 0.0 - F, not -F, so that a balanced coordinate is +0, not -0.
+            shift = np.clip(0.0 - value.sum(axis=0), -room, room)
+            duals[idx] = np.where(fixed, value, free * shift / np.where(room > 0.0, room, 1.0))
+            return duals
+        sign = np.sign(x)
         lo, hi = np.where(fixed, sign, -1.0), np.where(fixed, sign, 1.0)
 
         def oracle(y):
             v = np.where(y > 0.0, lo, hi)
-            if chebyshev:
-                k = int(np.argmin(v @ y))
-                atom = np.zeros_like(v)
-                atom[k] = v[k]
-                v = atom
-            v = cap * v
-            return v.tobytes(), v
+            k = int(np.argmin(v @ y))
+            atom = np.zeros_like(v)
+            atom[k] = v[k]
+            return atom.tobytes(), atom
 
     else:
         # Atoms are the signed unit vectors, column j for +e_j and d + j for
         # -e_j: those of a block's coordinates of the right sign within ztol
-        # of its maximum, and all of a ball block's.  Under the max generator
-        # the atoms of all blocks form one group.
+        # of its maximum, and all of a ball block's.
         sx = np.concatenate([x, -x], axis=1)
         face = ((sx >= 0.0) & (rx[:, None] - sx <= ztol)) | (rx[:, None] <= ztol)
-        groups = face.reshape(1, -1) if chebyshev else face
+        if chebyshev:
+            held = face.any(axis=0)
+            both = np.flatnonzero(held[:d] & held[d:])
+            if both.size:
+                # Only a ball block holds both signs and no farthest block is
+                # one, so the two halves go on different blocks.
+                j = both[0]
+                duals[idx[np.argmax(face[:, j])], j] += 0.5
+                duals[idx[np.argmax(face[:, d + j])], j] -= 0.5
+            else:
+                atoms = np.flatnonzero(held)
+                w = np.zeros(face.shape)
+                w[np.argmax(face[:, atoms], axis=0), atoms] = 1.0 / atoms.size
+                duals[idx] = w[:, :d] - w[:, d:]
+            return duals
+        cap = caps[idx, None]
 
         def oracle(y):
-            g = np.broadcast_to(np.concatenate([y, -y]), face.shape).reshape(groups.shape)
-            best = np.where(groups, g, np.inf).argmin(axis=1)
-            w = np.zeros(groups.shape)
-            w[np.arange(groups.shape[0]), best] = 1.0
-            w = w.reshape(face.shape)
+            best = np.where(face, np.concatenate([y, -y]), np.inf).argmin(axis=1)
+            w = np.zeros(face.shape)
+            w[np.arange(face.shape[0]), best] = 1.0
             v = cap * (w[:, :d] - w[:, d:])
             return v.tobytes(), v
 
-    # An atom's point has squared norm at most this many squared vertex norms.
-    # The stop is 1e-22 of it: at 1e-12 Wolfe left imbalances up to 2.5e-4,
-    # and 62 cells of the 900-cell probe failed at 1e-7.
-    reach = 1 if chebyshev else idx.size
-    atom_sq = reach * reach * (d if kind == "sum" else 1)
-    _, _, blocks = _min_norm_weights(oracle, oracle(np.zeros(d)), 1e-22 * atom_sq)
-    duals = np.zeros((n, d))
-    duals[idx] = blocks
+    # An atom's point has squared norm at most this: d for one box vertex,
+    # |idx|^2 for a stack of capped signed unit vectors.  The stop is 1e-22
+    # of it: at 1e-12 Wolfe left imbalances up to 2.5e-4, and 62 cells of the
+    # 900-cell probe failed at 1e-7.
+    atom_sq = d if chebyshev else idx.size**2
+    _, _, duals[idx] = _min_norm_weights(oracle, oracle(np.zeros(d)), 1e-22 * atom_sq)
     return duals
 
 
@@ -351,11 +378,15 @@ def recover_certificate(
     to the largest are not paired with it.
 
     On the sum and max grounds each block is its cap times a point of its
-    alignment face, and Wolfe's method reads the blocks off the faces
-    (``_face_duals``), with ``tol`` times the largest block norm as the zero
-    and tie tolerance.  There is one pass, over the exact faces: at a point
-    whose gradient on its face exceeds about ``tol``, the blocks stay
-    unbalanced and the :class:`Infeasible` result says by how much.
+    alignment face, and the blocks are read off the faces (``_face_duals``),
+    with ``tol`` times the largest block norm as the zero and tie
+    tolerance: in closed form for fixed caps on the sum ground (a Minkowski
+    sum of boxes is a box) and for the max generator on the max ground (a
+    hull of signed unit vectors), by Wolfe's method for the max generator
+    on the sum ground and fixed caps on the max ground.  There is one pass,
+    over the exact faces: at a point whose gradient on its face exceeds
+    about ``tol``, the blocks stay unbalanced and the :class:`Infeasible`
+    result says by how much.
 
     The returned certificate always passes the generator's specialized
     checker at ``tol``; an :class:`Infeasible` result names the condition

@@ -12,10 +12,11 @@ the dual optimality conditions:
 - max ground with p = inf: the midpoint of the anchors' bounding box;
 - sum ground with p = inf: the l1 norm is the support function of its dual
   ball, a maximum over the ``2^d`` sign vectors, so the largest block norm
-  is a maximum of ``2^d`` linear pieces in ``u`` and, up to d = 12, the
-  problem is one dense HiGHS program in ``d + 1`` variables; in the plane,
-  where the l1 ball is a turned square, the bounding-box midpoint in turned
-  coordinates;
+  is a maximum of ``2^d`` linear pieces in ``u``, which pair into
+  directions ``a`` and ``-a`` and bound each ``<a, u>`` to an interval; in
+  d <= 3 the answer is the intervals' middle (in d = 3 under the one
+  linear relation among the four directions), and for 4 <= d <= 12 one
+  dense HiGHS program in ``d + 1`` variables;
 - max ground with p = 1 beyond d = 2, and sum ground with p = inf beyond
   d = 12: every block norm is a maximum of linear pieces, so the problem is
   one sparse HiGHS linear program over coordinate bounds;
@@ -267,29 +268,51 @@ def _facet_floor(anchors: np.ndarray) -> np.ndarray:
 
 
 def _l1_chebyshev(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Sum ground with p = inf up to d = 12: a dense HiGHS program over the l1 ball's facets.
+    """Sum ground with p = inf up to d = 12: the Chebyshev center over the l1 ball's facets.
 
     ``|y|_1 = max_s <s, y>`` over the ``2^d`` sign vectors ``s``, so the
     largest block norm is ``max_s (<s, u> - c_s)`` with ``c_s = min_i <s,
-    v_i>`` (:func:`_facet_floor`): minimize ``t`` subject to ``<s, u> - t <=
-    c_s``, with ``u`` in the anchors' bounding box, since clamping ``u`` to
-    it shortens every ``|u_j - v_ij|``.  HiGHS's dual simplex solves it once
-    on anchors shifted to the box's midpoint and scaled by its widest side,
-    as its tolerances are absolute.
+    v_i>`` (:func:`_facet_floor`).  Opposite facets pair into a direction
+    ``a``: with ``L_a = c_a`` and ``H_a = -c_(-a)``, the radius ``t`` holds
+    when every ``<a, u>`` lies in ``[H_a - t, L_a + t]``, whose middle does
+    not depend on ``t``.
 
-    In the plane ``|y|_1 = |(y_0 + y_1, y_0 - y_1)|_inf``, so the center is
-    the bounding-box midpoint in those turned coordinates, as on the max
-    ground (:func:`_box_center`).
+    For d <= 3 that gives a closed form, with no iterations.  For d <= 2 the
+    directions with ``a_0 = 1`` are independent: each ``<a, u>`` takes its
+    interval's middle, and the radius is the largest half-width.  For d = 3
+    they obey ``a1 + a4 = a2 + a3`` (``a1 = (1, 1, 1)``, ``a2 = (1, 1,
+    -1)``, ``a3 = (1, -1, 1)``, ``a4 = (1, -1, -1)``), so the pair sums'
+    intervals must meet as well, and the radius is the largest of the
+    half-widths, ``(H1 + H4 - L2 - L3) / 4`` and ``(H2 + H3 - L1 - L4) /
+    4``; the common pair sum takes the middle of its interval, and each
+    pair splits it at the middle of its first member's interval.  The
+    directions' columns are orthogonal, so ``u = sum_a <a, u> a / 2^(d-1)``.
+
+    For 4 <= d <= 12 HiGHS's dual simplex minimizes ``t`` subject to ``<s,
+    u> - t <= c_s``, with ``u`` in the anchors' bounding box, since
+    clamping ``u`` to it shortens every ``|u_j - v_ij|``.  It runs once on
+    anchors shifted to the box's midpoint and scaled by its widest side, as
+    its tolerances are absolute.
     """
+    d = prob.dim
+    signs = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
+    if d <= 3:
+        # Row k of the facets and row 2^d - 1 - k are opposite; the even rows
+        # have a_0 = 1 and, for d = 3, come in the order a1, a3, a2, a4.
+        floor = _facet_floor(prob.anchors)
+        lo, hi = floor[::2], -floor[::-2]
+        y = 0.5 * (lo + hi)
+        if d == 3:
+            mid = 0.5 * (max(hi[0] + hi[3], hi[1] + hi[2]) + min(lo[0] + lo[3], lo[1] + lo[2]))
+            first, second = np.array([0, 1]), np.array([3, 2])
+            y[first] = 0.5 * (np.maximum(hi[first], mid - lo[second]) + np.minimum(lo[first], mid - hi[second]))
+            y[second] = mid - y[first]
+        return signs[::2].T @ y / (1 << (d - 1)), 0, True
     from scipy.optimize import linprog
 
-    if prob.dim == 2:
-        turned = _turn(prob.anchors)
-        return 0.5 * _turn(0.5 * (turned.min(axis=0) + turned.max(axis=0))), 0, True
     lo, hi = prob.anchors.min(axis=0), prob.anchors.max(axis=0)
     mid, length = 0.5 * (lo + hi), float((hi - lo).max())
-    anchors, d = (prob.anchors - mid) / length, prob.dim
-    signs = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
+    anchors = (prob.anchors - mid) / length
     res = linprog(
         np.eye(d + 1)[d],
         A_ub=np.hstack([signs, -np.ones((1 << d, 1))]),
@@ -723,11 +746,12 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
       coordinatewise median (of the turned anchors on the max ground in the
       plane), converged, with no iterations.
     - Max ground, p = inf: the bounding-box midpoint, converged.
-    - Sum ground, p = inf, with at most ``_FACETS`` facets (d <= 12): one
-      dense program over the facets of the l1 ball (:func:`_l1_chebyshev`),
-      solved by HiGHS's dual simplex; ``converged`` means HiGHS reported an
-      optimal solution (status 0) and ``iterations`` counts its simplex
-      iterations.  In the plane it is a closed form, converged, with no
+    - Sum ground, p = inf, with at most ``_FACETS`` facets (d <= 12): the
+      Chebyshev center over the facets of the l1 ball
+      (:func:`_l1_chebyshev`).  In d <= 3 it is a closed form, converged,
+      with no iterations; beyond, one dense program solved by HiGHS's dual
+      simplex, where ``converged`` means HiGHS reported an optimal
+      solution (status 0) and ``iterations`` counts its simplex
       iterations.
     - Max ground with p = 1 beyond d = 2, sum ground with p = inf beyond
       d = 12: one sparse HiGHS linear program (interior point, then

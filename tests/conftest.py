@@ -40,6 +40,22 @@ def random_anchors(rng, n: int, d: int, spread: float = 2.0) -> np.ndarray:
             return pts
 
 
+def gaussian_anchors(n: int, d: int, s: int = 0) -> np.ndarray:
+    """The gaussian grid of tools/certify_grid.py."""
+    return np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2
+
+
+def lattice_anchors(n: int, d: int, s: int = 0) -> np.ndarray:
+    """n distinct points of {-k, ..., k}^d, k the least integer >= 2 with
+    (2k+1)^d >= 2n: the lattice grid of tools/certify_grid.py."""
+    k = 2
+    while (2 * k + 1) ** d < 2 * n:
+        k += 1
+    side = 2 * k + 1
+    picks = np.random.default_rng(1000 * n + 10 * d + s).choice(side**d, n, replace=False)
+    return np.stack(np.unravel_index(picks, (side,) * d), axis=1) - float(k)
+
+
 def random_instance(rng, ground=None, gen=None, n=None, d=None) -> ProblemInstance:
     if ground is None:
         ground = ALL_GROUNDS[int(rng.integers(len(ALL_GROUNDS)))]

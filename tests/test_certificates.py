@@ -7,7 +7,14 @@ import pytest
 import scipy.optimize
 from scipy.optimize import linprog
 
-from conftest import ALL_GENERATORS, ALL_GROUNDS, make_rng, random_instance
+from conftest import (
+    ALL_GENERATORS,
+    ALL_GROUNDS,
+    gaussian_anchors,
+    lattice_anchors,
+    make_rng,
+    random_instance,
+)
 from normmin import (
     CHEBYSHEV,
     FERMAT_TORRICELLI,
@@ -44,7 +51,9 @@ from normmin import (
     solve_bound,
     solve_subgradient,
 )
-from normmin.certificates import _power_profile
+from normmin import certificates
+from normmin.certificates import _cap_table, _power_profile
+from normmin.geometry import _min_norm_weights
 from normmin.problem import _ground_subgradient
 
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -221,6 +230,14 @@ def test_recover_examples():
     got2 = recover_certificate(smooth, (1.0, 0.0))
     assert isinstance(got2, Certificate)
     assert np.allclose(got2.duals, ((ISQ2, 0.0), (-ISQ2, 0.0)), atol=1e-9)
+
+    # A balanced free coordinate of the sum ground's box faces is +0, so the
+    # serialized blocks carry no "-0".
+    line = two_anchor(GroundNorm.sum(), PsiGenerator.power(1.0))
+    got3 = recover_certificate(line, (1.0, 0.0))
+    assert isinstance(got3, Certificate)
+    assert got3.duals.tolist() == [[1.0, 0.0], [-1.0, 0.0]]
+    assert not np.signbit(got3.duals[:, 1]).any()
 
 
 def planted_optimum(rng, ground, p, d, pairs):
@@ -630,3 +647,80 @@ def test_face_recovery_is_scale_free():
                 for prob, point in ((unit, u), (tiny, u * 1e-9)):
                     got = recover_certificate(prob, point, tol=1e-7)
                     assert isinstance(got, Certificate), (ground.kind, p, seed, got)
+
+
+def test_box_and_signed_vertex_faces_need_no_wolfe(monkeypatch):
+    # Fixed caps on the sum ground's boxes and the max generator on the max
+    # ground's signed unit vectors have closed forms.
+    def no_wolfe(*args, **kwargs):
+        raise AssertionError("recovery ran Wolfe's method")
+
+    monkeypatch.setattr(certificates, "_min_norm_weights", no_wolfe)
+    for ground, p in ((GroundNorm.sum(), 1.0), (GroundNorm.sum(), 2.0), (GroundNorm.max(), math.inf)):
+        for sample in (gaussian_anchors, lattice_anchors):
+            for n in (4, 13, 64, 256):
+                for d in (2, 3, 10):
+                    prob = ProblemInstance(sample(n, d), ProductNorm(ground, PsiGenerator.power(p)))
+                    got = recover_certificate(prob, solve_subgradient(prob).point, tol=1e-9)
+                    assert isinstance(got, Certificate), (ground.kind, p, sample.__name__, n, d, got)
+
+
+def _former_wolfe_face_duals(kind, diffs, r, ztol, caps, paired):
+    """Reference: Wolfe's method on the sum ground's boxes under fixed caps and
+    on the max ground's signed unit vectors under the max generator, as
+    recovery ran it before their closed forms."""
+    n, d = diffs.shape
+    idx = np.flatnonzero(paired if caps is None else caps > 0.0)
+    x, rx = diffs[idx], r[idx]
+    if kind == "sum":
+        cap, fixed = caps[idx, None], np.abs(x) > ztol
+        lo, hi = np.where(fixed, np.sign(x), -1.0), np.where(fixed, np.sign(x), 1.0)
+
+        def oracle(y):
+            v = cap * np.where(y > 0.0, lo, hi)
+            return v.tobytes(), v
+
+        atom_sq = idx.size**2 * d
+    else:
+        sx = np.concatenate([x, -x], axis=1)
+        face = (((sx >= 0.0) & (rx[:, None] - sx <= ztol)) | (rx[:, None] <= ztol)).ravel()
+
+        def oracle(y):
+            w = np.zeros(face.size)
+            w[np.argmin(np.where(face, np.tile(np.concatenate([y, -y]), idx.size), np.inf))] = 1.0
+            w = w.reshape(idx.size, 2 * d)
+            v = w[:, :d] - w[:, d:]
+            return v.tobytes(), v
+
+        atom_sq = 1
+    duals = np.zeros((n, d))
+    _, _, duals[idx] = _min_norm_weights(oracle, oracle(np.zeros(d)), 1e-22 * atom_sq)
+    return duals
+
+
+def test_closed_face_forms_fail_by_the_former_wolfe_residual():
+    # Off the optimum the closed forms leave the same imbalance, so the same
+    # Infeasible residual, as the Wolfe runs they replaced.
+    rng = make_rng(71)
+    infeasible = 0
+    for ground, exponents in ((GroundNorm.sum(), (1.0, 1.5, 2.0, 3.0)), (GroundNorm.max(), (math.inf,))):
+        for p in exponents:
+            for sample in (gaussian_anchors, lattice_anchors):
+                for n in (4, 13, 64):
+                    for d in (2, 3, 10):
+                        prob = ProblemInstance(sample(n, d), ProductNorm(ground, PsiGenerator.power(p)))
+                        kick = rng.normal(size=d)
+                        u = solve_subgradient(prob).point + 1e-6 * kick / np.linalg.norm(kick)
+                        diffs = u - prob.anchors
+                        r = ground_norm_eval_many(ground, diffs)
+                        for tol in (1e-7, 1e-5):
+                            ztol = tol * float(r.max())
+                            caps, paired = _cap_table(matching_theorem(prob), prob.norm.generator, r, ztol)
+                            duals = _former_wolfe_face_duals(ground.kind, diffs, r, ztol, caps, paired)
+                            want = check_certificate(prob, Certificate(u, duals), tol=tol)
+                            got = recover_certificate(prob, u, tol=tol)
+                            assert isinstance(got, Infeasible) == (not want.verdict), (ground.kind, p, n, d, tol)
+                            if isinstance(got, Infeasible):
+                                assert abs(got.residual - want.worst[1]) <= 1e-12, (ground.kind, p, n, d, tol, got)
+                                infeasible += 1
+    assert infeasible >= 50

@@ -5,8 +5,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from conftest import ALL_GENERATORS, ALL_GROUNDS, make_rng, random_anchors, random_instance
+from conftest import (
+    ALL_GENERATORS,
+    ALL_GROUNDS,
+    gaussian_anchors,
+    lattice_anchors,
+    make_rng,
+    random_anchors,
+    random_instance,
+)
 from normmin import (
     BudgetExceededError,
     ContractError,
@@ -475,24 +484,9 @@ def test_minimax_mode_8_on_an_optimum_is_converged(monkeypatch, ground, n, d, s)
 GRID_GENERATORS = (1.0, 2.0, math.inf)
 
 
-def _gaussian_anchors(n, d, s=0):
-    return np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2
-
-
-def _lattice_anchors(n, d, s=0):
-    # n distinct points of {-k, ..., k}^d, k the least integer >= 2 with
-    # (2k+1)^d >= 2n: the lattice grid of tools/certify_grid.py.
-    k = 2
-    while (2 * k + 1) ** d < 2 * n:
-        k += 1
-    side = 2 * k + 1
-    picks = np.random.default_rng(1000 * n + 10 * d + s).choice(side**d, n, replace=False)
-    return np.stack(np.unravel_index(picks, (side,) * d), axis=1) - float(k)
-
-
 GRID_CASES = [
     pytest.param(g, p, sample, id=f"{g.kind}-p{p}{tag}")
-    for sample, tag in ((_gaussian_anchors, ""), (_lattice_anchors, "-lattice"))
+    for sample, tag in ((gaussian_anchors, ""), (lattice_anchors, "-lattice"))
     for g in ALL_GROUNDS
     for p in GRID_GENERATORS
 ]
@@ -788,7 +782,7 @@ OFF_FACE_CELLS = [
     "ground,p,n,d,s,value", OFF_FACE_CELLS, ids=[f"{c[0]}-p{c[1]}-n{c[2]}-d{c[3]}-s{c[4]}" for c in OFF_FACE_CELLS]
 )
 def test_homotopy_stops_only_on_its_face(ground, p, n, d, s, value):
-    prob = _instance(_gaussian_anchors(n, d, s), FINISH_GROUNDS[ground], p)
+    prob = _instance(gaussian_anchors(n, d, s), FINISH_GROUNDS[ground], p)
     res = solve_subgradient(prob)
     assert res.converged
     assert abs(res.value - value) <= 1e-12 * value, res.value
@@ -798,7 +792,7 @@ def test_homotopy_stops_only_on_its_face(ground, p, n, d, s, value):
 def test_max_ground_p1_in_the_plane_is_the_turned_median():
     # The certification probe's max-ground p = 1 cells with d <= 2, against
     # the coordinate-bound program that solves them in higher dimensions.
-    for sample in (_gaussian_anchors, _lattice_anchors):
+    for sample in (gaussian_anchors, lattice_anchors):
         for n in (4, 13, 64, 256):
             for d in (1, 2):
                 for s in (0, 1, 2):
@@ -867,14 +861,21 @@ def _l1_chebyshev_cells():
     # The certification probe's sum-ground p = inf cells, Gaussian and
     # lattice, then d = 12, the most facets the dense program takes, and
     # d = 13, which goes to the coordinate-bound program.
-    for sample in (_gaussian_anchors, _lattice_anchors):
+    for sample in (gaussian_anchors, lattice_anchors):
         for n in (4, 13, 64, 256):
             for d in (1, 2, 3, 10):
                 for s in (0, 1, 2):
                     yield sample(n, d, s)
     for n in (5, 40, 200):
-        yield _gaussian_anchors(n, 12)
-    yield _gaussian_anchors(40, 13)
+        yield gaussian_anchors(n, 12)
+    yield gaussian_anchors(40, 13)
+    yield PAIR_SUM_CELL
+
+
+# A cell in R^3 whose radius is set by the gap between the two pair sums of
+# the facet directions, not by a direction's half-width; about 2 % of
+# Gaussian cells in R^3 are like it.
+PAIR_SUM_CELL = np.random.default_rng(107).normal(size=(6, 3)) * 2
 
 
 def test_l1_chebyshev_matches_the_former_lp():
@@ -886,12 +887,38 @@ def test_l1_chebyshev_matches_the_former_lp():
         assert abs(res.value - lp) <= 1e-12 * lp, (anchors.shape, res.value, lp)
 
 
+def test_l1_chebyshev_calls_no_linprog_up_to_three_dimensions(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the sum ground with p = inf in d <= 3 called linprog")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    dims = set()
+    for anchors in _l1_chebyshev_cells():
+        if anchors.shape[1] <= 3:
+            res = solve_subgradient(_instance(anchors, GroundNorm.sum(), math.inf))
+            assert res.converged and res.iterations == 0, anchors.shape
+            dims.add(anchors.shape[1])
+    assert dims == {1, 2, 3}
+
+
+def test_l1_chebyshev_radius_can_be_a_pair_sum_gap():
+    # The directions a1 = (1, 1, 1), a3 = (1, -1, 1), a2 = (1, 1, -1) and
+    # a4 = (1, -1, -1), the even facet rows, obey a1 + a4 = a2 + a3.
+    floor = solvers._facet_floor(PAIR_SUM_CELL)
+    lo, hi = floor[::2], -floor[::-2]
+    assert ((hi[1] + hi[2]) - (lo[0] + lo[3])) / 4 > (hi - lo).max() / 2
+    prob = _instance(PAIR_SUM_CELL, GroundNorm.sum(), math.inf)
+    res = solve_subgradient(prob)
+    assert res.value == 6.957457407827306 == _former_l1_chebyshev_lp_value(prob)
+    assert not isinstance(recover_certificate(prob, res.point, tol=1e-9), Infeasible)
+
+
 @pytest.mark.parametrize("n,d", [(64, 2), (64, 3), (4096, 10), (200, 12)])
 def test_l1_chebyshev_is_deterministic(monkeypatch, n, d):
     # The facet sums add coordinates in one order, in chunks of anchors, so
     # neither the anchors' order, a second run nor the chunk size moves the
     # answer by a bit.
-    anchors = _gaussian_anchors(n, d)
+    anchors = gaussian_anchors(n, d)
     point = solve_subgradient(_instance(anchors, GroundNorm.sum(), math.inf)).point
     again = solve_subgradient(_instance(anchors, GroundNorm.sum(), math.inf)).point
     shuffled = anchors[np.random.default_rng(n).permutation(n)]
@@ -905,6 +932,6 @@ def test_l1_chebyshev_is_deterministic(monkeypatch, n, d):
 def test_facet_floor_matches_the_product(d):
     # The doubling builds min_i <s, v_i> for every sign vector s, row k
     # negating the coordinates of the set bits of k.
-    anchors = _gaussian_anchors(300, d)
+    anchors = gaussian_anchors(300, d)
     signs = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
     np.testing.assert_allclose(solvers._facet_floor(anchors), (signs @ anchors.T).min(axis=1), rtol=0, atol=1e-12)

@@ -25,7 +25,9 @@ solve reports ``converged=True`` and it certifies at both tolerances.
 
 Prints one JSON line per cell, tagged with its grid, then one summary line
 with, per grid, the cell count, the uncertified cells per tolerance, the
-unconverged cells, the solves' iterations summed and the seconds taken;
+unconverged cells, the solves' iterations summed, the seconds taken and
+the seconds of its cells' recoveries summed (``recover_s``, both
+tolerances);
 the count of failing cells outside ``PINNED``; the pinned cells that now
 pass (a fix can drop them from the list); and the process's peak resident
 set size.  Exits 1 if any cell
@@ -34,10 +36,12 @@ outside ``PINNED`` fails, or if the peak resident set reaches
 
     PYTHONPATH=src python tools/certify_grid.py
 
-It takes 16 to 17 s on two cores: 3.3 to 4.0 s for the gaussian grid, 8.0
-to 8.7 s for the scale grid (most of it in the max-ground p = 1 linear
-program and the max-ground p = 2 smoothing homotopy at n = 16 384) and 4.2
-to 4.8 s for the lattice grid, with a peak resident set of about 315 MB.
+It takes 16 to 17.5 s on two cores: 3.1 to 3.7 s for the gaussian grid, 7.8
+to 8.6 s for the scale grid (most of it in the max-ground p = 1 linear
+program and the max-ground p = 2 smoothing homotopy at n = 16 384) and 4.0
+to 4.4 s for the lattice grid, of which recovery takes 0.73 to 0.77 s,
+0.52 to 0.55 s and about 0.71 s, with a peak resident set of about
+313 MB.
 Two runs whose cell lines agree once the ``*_s`` timing fields are dropped
 computed the same reports bit for bit, since JSON floats round-trip
 exactly.
@@ -165,6 +169,7 @@ def main() -> int:
             "uncertified": {f"{tol:.0e}": 0 for tol in TOLS},
             "not_converged": 0,
             "iterations": 0,
+            "recover_s": 0.0,
         }
         t0 = time.perf_counter()
         for key in keys:
@@ -174,6 +179,7 @@ def main() -> int:
             tally["iterations"] += cell["iterations"]
             for tol in tally["uncertified"]:
                 tally["uncertified"][tol] += not cell[tol]["certified"]
+                tally["recover_s"] += cell[f"recover_{tol}_s"]
             passed = cell["converged"] and all(cell[tol]["certified"] for tol in tally["uncertified"])
             if grid == "lattice" and key in PINNED:
                 if passed:
@@ -181,6 +187,7 @@ def main() -> int:
                     pinned_passing.append([ground, label(p), n, d, s])
             else:
                 unpinned_failures += not passed
+        tally["recover_s"] = round(tally["recover_s"], 3)
         tally["seconds"] = round(time.perf_counter() - t0, 3)
         grids[grid] = tally
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
