@@ -96,8 +96,8 @@ _FACE_STEPS = 16
 # norms' subdifferentials within this much of ``sum r_i^(p-1)``.
 _DUAL_RTOL = 1e-12
 
-# Smoothing levels of the sum- and max-ground finite-p solve, which scales
-# the largest block norm at the centroid to one.
+# Smoothing levels of the sum- and max-ground finite-p solve, relative to the
+# largest block norm at its start.
 _SMOOTHING = tuple(10.0**-k for k in range(1, 12))
 
 # The pattern search reports convergence when its last Nelder-Mead run
@@ -290,9 +290,7 @@ def _l1_chebyshev(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: 
 
     For 4 <= d <= 12 HiGHS's dual simplex minimizes ``t`` subject to ``<s,
     u> - t <= c_s``, with ``u`` in the anchors' bounding box, since
-    clamping ``u`` to it shortens every ``|u_j - v_ij|``.  It runs once on
-    anchors shifted to the box's midpoint and scaled by its widest side, as
-    its tolerances are absolute.
+    clamping ``u`` to it shortens every ``|u_j - v_ij|``.
     """
     d = prob.dim
     signs = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
@@ -310,14 +308,11 @@ def _l1_chebyshev(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: 
         return signs[::2].T @ y / (1 << (d - 1)), 0, True
     from scipy.optimize import linprog
 
-    lo, hi = prob.anchors.min(axis=0), prob.anchors.max(axis=0)
-    mid, length = 0.5 * (lo + hi), float((hi - lo).max())
-    anchors = (prob.anchors - mid) / length
     res = linprog(
         np.eye(d + 1)[d],
         A_ub=np.hstack([signs, -np.ones((1 << d, 1))]),
-        b_ub=_facet_floor(anchors),
-        bounds=[*zip(anchors.min(axis=0), anchors.max(axis=0)), (None, None)],
+        b_ub=_facet_floor(prob.anchors),
+        bounds=[*zip(prob.anchors.min(axis=0), prob.anchors.max(axis=0)), (None, None)],
         method="highs-ds",
         options={
             "maxiter": cfg.max_iters,
@@ -325,8 +320,7 @@ def _l1_chebyshev(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: 
             "dual_feasibility_tolerance": _LP_TOL,
         },
     )
-    u = u0 if res.x is None else mid + length * res.x[:d]
-    return u, int(res.nit), bool(res.success)
+    return (u0 if res.x is None else res.x[:d]), int(res.nit), bool(res.success)
 
 
 def _turn(x: np.ndarray) -> np.ndarray:
@@ -379,14 +373,14 @@ def _smoothed_norms(kind: str, x: np.ndarray, eps: float):
 def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
     """Sum or max ground with finite p > 1: damped Newton on smoothed block norms, level by level.
 
-    On anchors shifted to the centroid and scaled by the largest block norm
-    there, each smoothing level ``eps`` of ``_SMOOTHING`` (1e-1 down to
-    1e-11) runs damped Newton on ``sum r_i^p`` over the smoothed norms of
-    :func:`_smoothed_norms`, from the last level's point; ``max_iters`` caps
-    the steps of all levels together.  The face finish (:func:`_face_finish`)
-    lands a level's point on the face of the block norms that holds it, and
-    its point is kept unless its value is more than ``_SUM_RTOL`` relative
-    above the level point's.
+    Each smoothing level ``eps`` of ``_SMOOTHING`` (1e-1 down to 1e-11),
+    times the largest block norm at ``u0``, runs damped Newton on ``sum
+    r_i^p`` over the smoothed norms of :func:`_smoothed_norms`, from the
+    last level's point; ``max_iters`` caps the steps of all levels
+    together.  The face finish (:func:`_face_finish`) lands a level's point
+    on the face of the block norms that holds it, and its point is kept
+    unless its value is more than ``_SUM_RTOL`` relative above the level
+    point's.
 
     After each settled level but the last, the finish runs on the face
     within ``max(_FACE_TOL, 10 eps)`` of the level's point; the solve ends
@@ -425,13 +419,10 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
       is tried once more from 1; a level whose search fails from 1 ends
       unsettled.
     """
-    ground = prob.norm.ground
+    ground, anchors = prob.norm.ground, prob.anchors
     p = prob.norm.generator.p
-    r = ground_norm_eval_many(ground, u0 - prob.anchors)
-    length = float(r.max())
-    anchors = (prob.anchors - u0) / length
-    u = np.zeros(prob.dim)
-    steps, settled, t = 0, False, 1.0
+    length = float(ground_norm_eval_many(ground, u0 - anchors).max())
+    u, steps, settled, t = u0, 0, False, 1.0
 
     def finish(tol: float, rows: float):
         # The face finish of u, whether it was kept and whether it certified its face.
@@ -441,9 +432,9 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
         return (un if kept else u), kept, certified
 
     for eps in _SMOOTHING:
-        settled = False
+        settled, width = False, eps * length
         while steps < cfg.max_iters:
-            rs, g, h, k = _smoothed_norms(ground.kind, u - anchors, eps)
+            rs, g, h, k = _smoothed_norms(ground.kind, u - anchors, width)
             c1 = p * rs ** (p - 1.0)
             grad, f = c1 @ g, float((rs**p).sum())
             # sum_i c1_i (diag(h_i) - k g_i g_i^T) + (p - 1) c1_i / r_i g_i g_i^T
@@ -455,7 +446,7 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
             t = start = min(1.0, 4.0 * t)
             for _ in range(_BACKTRACKS):
                 trial = u + t * s
-                if float((_smoothed_norms(ground.kind, trial - anchors, eps)[0] ** p).sum()) < f:
+                if float((_smoothed_norms(ground.kind, trial - anchors, width)[0] ** p).sum()) < f:
                     break
                 t *= 0.5
             else:
@@ -468,9 +459,9 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
         if settled and eps > _SMOOTHING[-1]:
             un, kept, certified = finish(max(_FACE_TOL, 10.0 * eps), prob.dim)
             if kept and certified:
-                return u0 + length * un, steps, True
+                return un, steps, True
     un, kept, _ = finish(_FACE_TOL, math.inf)
-    return u0 + length * un, steps, settled and kept
+    return un, steps, settled and kept
 
 
 def _kkt_newton(system, z: np.ndarray, floor: float):
@@ -779,10 +770,25 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
 
     Each method returns ``(point, iterations, converged)``.
     ``config.max_iters`` caps the simplex, SQP or Newton iterations of the
-    method that runs (of all smoothing levels together), and ``iterations`` reports how many it took.  The
-    point is evaluated once here, and a point above the centroid's value
-    gives way to the centroid, not converged.  A centroid with a zero
-    subgradient is optimal and is returned at once, converged.
+    method that runs (of all smoothing levels together), and
+    ``iterations`` reports how many it took.
+
+    The problem is invariant under ``u -> a u + b`` (``a > 0``), but the
+    tolerances of HiGHS and SLSQP are absolute and the Newton floors ignore
+    the rounding of ``u - v_i`` far from the origin, so beyond two anchors
+    every method runs on a private copy of the instance.  Its anchors are
+    shifted by the centroid rounded to a multiple of the power of two
+    nearest (in ratio) the largest block norm at the centroid, and divided
+    by that power.  The division is exact, and so is the shift
+    wherever it is zero or within a factor of two of the coordinate
+    (Sterbenz's lemma), as for anchors far from the origin; elsewhere it
+    rounds by half an ulp of the copy's coordinate.  Anchors of order one
+    about the origin are the copy's anchors bit for bit.  On the copy, a
+    centroid with a zero subgradient is optimal and is kept at once,
+    converged, and a point above the centroid's value gives way to the
+    centroid, not converged.  The point is mapped back once, and ``value``
+    is the objective there on the original anchors.  Anchors scaled by a
+    power of two give the point scaled by it, bit for bit.
     """
     cfg = config or SolverConfig()
     _validate_config(cfg)
@@ -793,10 +799,17 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
         )
     if prob.n == 2 and prob.norm.generator.symmetric:
         return midpoint_shortcut(prob)
-    u0 = prob.centroid()
-    f0 = objective_eval(prob, u0)
-    if not np.any(objective_subgradient(prob, u0)):
-        return SolveResult(point=u0, value=f0, iterations=0, converged=True)
+    centroid = prob.centroid()
+    mant, exp = math.frexp(float(ground_norm_eval_many(prob.norm.ground, centroid - prob.anchors).max()))
+    scale = math.ldexp(1.0, exp - (mant < math.sqrt(0.5)))
+    shift = scale * np.round(centroid / scale)
+    # The copy skips __post_init__: its absolute distinctness gap would
+    # reject valid anchors once they are divided by a scale above one.
+    copy = object.__new__(ProblemInstance)
+    object.__setattr__(copy, "anchors", (prob.anchors - shift) / scale)
+    object.__setattr__(copy, "norm", prob.norm)
+    u0 = copy.centroid()
+    f0 = objective_eval(copy, u0)
     p = prob.norm.generator.p
     if p == 1.0 and (prob.norm.ground.kind == "sum" or (prob.norm.ground.kind == "max" and prob.dim <= 2)):
         method = _coordinate_median
@@ -808,11 +821,14 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
         method = _polyhedral_lp if p in (1.0, math.inf) else _smoothing_homotopy
     else:
         method = _minimax if p == math.inf else _newton
-    u, steps, converged = method(prob, cfg, u0, f0)
-    f = objective_eval(prob, u)
-    if f > f0:
-        u, f, converged = u0, f0, False
-    return SolveResult(point=u, value=f, iterations=steps, converged=converged)
+    if not np.any(objective_subgradient(copy, u0)):
+        u, steps, converged = u0, 0, True
+    else:
+        u, steps, converged = method(copy, cfg, u0, f0)
+        if objective_eval(copy, u) > f0:
+            u, converged = u0, False
+    point = shift + scale * u
+    return SolveResult(point=point, value=objective_eval(prob, point), iterations=steps, converged=converged)
 
 
 def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:

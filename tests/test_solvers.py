@@ -935,3 +935,71 @@ def test_facet_floor_matches_the_product(d):
     anchors = gaussian_anchors(300, d)
     signs = 1.0 - 2.0 * ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1)
     np.testing.assert_allclose(solvers._facet_floor(anchors), (signs @ anchors.T).min(axis=1), rtol=0, atol=1e-12)
+
+
+EXPONENTS = (1.0, 1.5, 2.0, 3.0, math.inf)
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+@pytest.mark.parametrize("ground", list(FINISH_GROUNDS))
+def test_power_of_two_scaling_scales_the_point_bit_for_bit(ground, p):
+    # The solve runs on a copy divided by a power of two, and anchors scaled
+    # by 2^k change only that power, so every method sees the same copy.
+    for n in (5, 13):
+        for d in (2, 3, 10):
+            anchors = gaussian_anchors(n, d)
+            base = solve_subgradient(_instance(anchors, FINISH_GROUNDS[ground], p))
+            for k in (-30, -3, 3, 30):
+                res = solve_subgradient(_instance(anchors * 2.0**k, FINISH_GROUNDS[ground], p))
+                assert res.point.tobytes() == (base.point * 2.0**k).tobytes(), (n, d, k)
+                assert res.converged == base.converged, (n, d, k)
+
+
+# One Gaussian cell (ground, p, n, d, s) per method: the medians, the box
+# midpoint, the l1 Chebyshev center (closed form and HiGHS), the sparse
+# program, the smoothing homotopy, Newton with p = 1 and p > 1, and SLSQP.
+MOVED_CELLS = [
+    ("sum", 1.0, 13, 3, 0),
+    ("max", 1.0, 13, 2, 1),
+    ("max", math.inf, 13, 3, 0),
+    ("sum", math.inf, 13, 3, 0),
+    ("sum", math.inf, 13, 10, 1),
+    ("max", 1.0, 13, 3, 0),
+    ("sum", 2.0, 13, 3, 1),
+    ("max", 1.5, 13, 10, 0),
+    ("euclidean", 1.0, 13, 3, 0),
+    ("p3", 2.0, 13, 10, 1),
+    ("euclidean", math.inf, 13, 3, 0),
+    ("p1.5", math.inf, 13, 10, 0),
+]
+
+
+@pytest.mark.parametrize("ground,p,n,d,s", MOVED_CELLS, ids=[f"{c[0]}-p{c[1]}-n{c[2]}-d{c[3]}-s{c[4]}" for c in MOVED_CELLS])
+def test_scaled_and_shifted_copies_certify(ground, p, n, d, s):
+    # The problem is invariant under u -> a u + b, so an absolute tolerance
+    # anywhere in a method (HiGHS's, SLSQP's, a Newton floor that ignores
+    # the rounding of u - v_i) shows here as a lost converged flag, a value
+    # off the scaled one, or no certificate.
+    anchors = gaussian_anchors(n, d, s)
+    base = solve_subgradient(_instance(anchors, FINISH_GROUNDS[ground], p))
+    assert base.converged
+    for moved, value, atol in (
+        (anchors * 1e-8, base.value * 1e-8, 1e-12 * base.value * 1e-8),
+        (anchors + 1e6, base.value, 1e-9),
+    ):
+        prob = _instance(moved, FINISH_GROUNDS[ground], p)
+        res = solve_subgradient(prob)
+        assert res.converged
+        assert abs(res.value - value) <= atol, (res.value, value)
+        cert = recover_certificate(prob, res.point, tol=1e-7)
+        assert not isinstance(cert, Infeasible), cert
+        assert check_certificate(prob, cert, tol=1e-7).verdict
+
+
+def test_max_ground_p1_on_tiny_anchors_certifies_at_1e_9():
+    # HiGHS's tolerances are absolute: on these anchors times 1e-8 a
+    # program on the raw anchors reports success 3.7e-4 above the optimum.
+    prob = _instance(gaussian_anchors(13, 3) * 1e-8, GroundNorm.max(), 1.0)
+    res = solve_subgradient(prob)
+    assert res.converged
+    assert _certifies_at_1e_9(prob, res.point)

@@ -1,4 +1,4 @@
-"""Certification probe: solve and recover a certificate on three grids of cells.
+"""Certification probe: solve and recover a certificate on four grids of cells.
 
 A cell is a ground, a power generator exponent p, n anchors in dimension d
 and a seed s.  The grids, run in this order:
@@ -14,34 +14,40 @@ and a seed s.  The grids, run in this order:
   {-k, ..., k}^d, where k is the least integer >= 2 with (2k+1)^d >= 2n:
   ``default_rng(1000 n + 10 d + s).choice((2k+1)**d, n, replace=False)``
   unravelled over ``(2k+1,) * d``, minus k.  Integer anchors tie
-  coordinates, which Gaussian anchors never do.
+  coordinates, which Gaussian anchors never do;
+- scaled: grounds {Euclidean, p=3, p=1.5, sum, max} x p in
+  {1, 1.5, 2, 3, inf} x n in {4, 13, 64} x d in {2, 3, 10} x s in {0, 1},
+  each with the gaussian anchors times 1e-8 and plus 1e6, 900 cells.  The
+  problem is invariant under ``u -> a u + b``, so these cells check that no
+  tolerance of the solve is absolute.
 
 Each cell runs ``solve_subgradient`` and then ``recover_certificate`` at the
 point it returns, at tolerances 1e-7 and 1e-9, and records the solve's
 ``iterations`` and, per tolerance, the ``check_certificate`` residuals of
 each recovered certificate, or the reason and residual of an
 ``Infeasible`` outcome.  A cell passes when its
-solve reports ``converged=True`` and it certifies at both tolerances.
+solve reports ``converged=True`` and it certifies at both tolerances.  A
+cell in ``PINNED`` does not fail the probe; one in ``PINNED_1E9`` must still
+converge and certify at 1e-7.
 
 Prints one JSON line per cell, tagged with its grid, then one summary line
 with, per grid, the cell count, the uncertified cells per tolerance, the
 unconverged cells, the solves' iterations summed, the seconds taken and
 the seconds of its cells' recoveries summed (``recover_s``, both
 tolerances);
-the count of failing cells outside ``PINNED``; the pinned cells that now
-pass (a fix can drop them from the list); and the process's peak resident
-set size.  Exits 1 if any cell
-outside ``PINNED`` fails, or if the peak resident set reaches
-``MAX_RSS_MB``.  Run from the repository root:
+the count of failing cells outside the pins; the pinned cells that now
+pass (a fix can drop them from the lists); and the process's peak resident
+set size.  Exits 1 if any cell fails beyond its pin, or if the peak
+resident set reaches ``MAX_RSS_MB``.  Run from the repository root:
 
     PYTHONPATH=src python tools/certify_grid.py
 
-It takes 16 to 17.5 s on two cores: 3.1 to 3.7 s for the gaussian grid, 7.8
-to 8.6 s for the scale grid (most of it in the max-ground p = 1 linear
-program and the max-ground p = 2 smoothing homotopy at n = 16 384) and 4.0
-to 4.4 s for the lattice grid, of which recovery takes 0.73 to 0.77 s,
-0.52 to 0.55 s and about 0.71 s, with a peak resident set of about
-313 MB.
+It takes 18 to 22 s on two cores: 2.9 to 3.7 s for the gaussian grid, 8.7
+to 10.7 s for the scale grid (most of it in the max-ground p = 1 linear
+program and the max-ground p = 2 smoothing homotopy at n = 16 384), 4.1 to
+4.9 s for the lattice grid and 1.9 to 2.8 s for the scaled grid, of which
+recovery takes 0.71 to 0.95 s, 0.56 to 0.66 s, 0.74 to 0.92 s and 0.49 to
+0.73 s, with a peak resident set of about 315 MB.
 Two runs whose cell lines agree once the ``*_s`` timing fields are dropped
 computed the same reports bit for bit, since JSON floats round-trip
 exactly.
@@ -95,6 +101,23 @@ PINNED = {
     ("p1.5", math.inf, 4, 10, 2),
 }
 
+# Scaled cells (ground, p, n, d, s, move) that converge and certify at 1e-7
+# but not at 1e-9: smooth grounds with p = 1 plus 1e6.  The solve returns
+# the optimum rounded to the data's resolution (an ulp of 1e6 is 1.2e-10),
+# and that rounded point's gradient, the dual_sum residual, is 1.0e-9 to
+# 1.6e-9.
+PINNED_1E9 = {
+    ("euclidean", 1.0, 4, 3, 0, "+1e6"),
+    ("euclidean", 1.0, 64, 2, 0, "+1e6"),
+    ("euclidean", 1.0, 64, 10, 1, "+1e6"),
+    ("p3", 1.0, 4, 3, 0, "+1e6"),
+    ("p3", 1.0, 64, 3, 1, "+1e6"),
+    ("p3", 1.0, 64, 10, 0, "+1e6"),
+    ("p1.5", 1.0, 64, 2, 0, "+1e6"),
+    ("p1.5", 1.0, 64, 10, 1, "+1e6"),
+}
+MOVES = {"x1e-8": lambda a: a * 1e-8, "+1e6": lambda a: a + 1e6}
+
 
 def gaussian_anchors(n: int, d: int, s: int) -> np.ndarray:
     return np.random.default_rng(1000 * n + 10 * d + s).normal(size=(n, d)) * 2
@@ -110,6 +133,10 @@ def lattice_anchors(n: int, d: int, s: int) -> np.ndarray:
     return np.stack(np.unravel_index(picks, (side,) * d), axis=1) - float(k)
 
 
+def scaled_anchors(n: int, d: int, s: int, move: str) -> np.ndarray:
+    return MOVES[move](gaussian_anchors(n, d, s))
+
+
 CELLS = list(itertools.product(GROUNDS, EXPONENTS, SIZES, DIMS, SEEDS))
 SCALE_CELLS = [
     (g, p, n, 10, 0)
@@ -117,10 +144,12 @@ SCALE_CELLS = [
     for p in (1.0, 2.0, math.inf)
     for n in (1024, 4096, 16384)
 ]
+SCALED_CELLS = list(itertools.product(GROUNDS, EXPONENTS, (4, 13, 64), (2, 3, 10), (0, 1), MOVES))
 GRIDS = {
     "gaussian": (gaussian_anchors, CELLS),
     "scale": (gaussian_anchors, SCALE_CELLS),
     "lattice": (lattice_anchors, CELLS),
+    "scaled": (scaled_anchors, SCALED_CELLS),
 }
 
 
@@ -135,8 +164,8 @@ def outcome(prob: ProblemInstance, point: np.ndarray, tol: float) -> dict:
     return {"certified": False, "reason": got.reason, "residual": got.residual}
 
 
-def run_cell(grid: str, ground: str, p: float, n: int, d: int, s: int) -> dict:
-    anchors = GRIDS[grid][0](n, d, s)
+def run_cell(grid: str, ground: str, p: float, n: int, d: int, s: int, *move: str) -> dict:
+    anchors = GRIDS[grid][0](n, d, s, *move)
     prob = ProblemInstance(anchors, ProductNorm(GROUNDS[ground], PsiGenerator.power(p)))
     t0 = time.perf_counter()
     res = solve_subgradient(prob)
@@ -147,6 +176,7 @@ def run_cell(grid: str, ground: str, p: float, n: int, d: int, s: int) -> dict:
         "n": n,
         "d": d,
         "s": s,
+        **({"move": move[0]} if move else {}),
         "converged": res.converged,
         "iterations": res.iterations,
         "value": res.value,
@@ -180,11 +210,12 @@ def main() -> int:
             for tol in tally["uncertified"]:
                 tally["uncertified"][tol] += not cell[tol]["certified"]
                 tally["recover_s"] += cell[f"recover_{tol}_s"]
-            passed = cell["converged"] and all(cell[tol]["certified"] for tol in tally["uncertified"])
-            if grid == "lattice" and key in PINNED:
+            loose = cell["converged"] and cell["1e-07"]["certified"]
+            passed = loose and cell["1e-09"]["certified"]
+            if grid == "lattice" and key in PINNED or grid == "scaled" and key in PINNED_1E9:
                 if passed:
-                    ground, p, n, d, s = key
-                    pinned_passing.append([ground, label(p), n, d, s])
+                    pinned_passing.append([key[0], label(key[1]), *key[2:]])
+                unpinned_failures += grid == "scaled" and not loose
             else:
                 unpinned_failures += not passed
         tally["recover_s"] = round(tally["recover_s"], 3)
