@@ -82,7 +82,8 @@ _LP_TOL = 1e-10
 _FACETS = 4096
 _FACET_CHUNK = 1 << 18
 
-# Relative rounding allowed between a Newton finish's value and its start's.
+# Relative rounding allowed between a Newton finish's value and its start's,
+# and between a method's value and the centroid's.
 _SUM_RTOL = 1e-12
 
 # Coordinates within this much of an anchor's (sum ground) or of their
@@ -192,6 +193,31 @@ def _search_basis(prob: ProblemInstance) -> np.ndarray:
     return np.eye(prob.dim)
 
 
+def _highs(cfg: SolverConfig, u0: np.ndarray, method: str, cost, a_ub, b_ub, bounds):
+    """Minimize ``cost @ x`` subject to ``a_ub @ x <= b_ub`` with HiGHS; ``u`` is ``x``'s first coordinates.
+
+    Returns ``(u, iterations, converged)``: ``u0`` when HiGHS returns no
+    point, and ``converged`` when it reported an optimal solution (status
+    0).  ``max_iters`` caps its iterations; its primal and dual feasibility
+    tolerances are ``_LP_TOL``.
+    """
+    from scipy.optimize import linprog
+
+    res = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=bounds,
+        method=method,
+        options={
+            "maxiter": cfg.max_iters,
+            "primal_feasibility_tolerance": _LP_TOL,
+            "dual_feasibility_tolerance": _LP_TOL,
+        },
+    )
+    return (u0 if res.x is None else res.x[: u0.size]), int(res.nit), bool(res.success)
+
+
 def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
     """Max ground with p = 1 beyond d = 2, sum ground with p = inf beyond d = 12: one sparse HiGHS program.
 
@@ -207,7 +233,6 @@ def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0:
     sits in row ``i d + j``.
     """
     from scipy import sparse
-    from scipy.optimize import linprog
 
     n, d = prob.anchors.shape
     nd, v, rows = n * d, prob.anchors.ravel(), np.arange(n * d)
@@ -228,19 +253,7 @@ def _polyhedral_lp(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0:
     a_ub = sparse.csc_matrix((data, (np.concatenate(ri), np.concatenate(ci))), shape=(b_ub.size, width))
     cost = np.zeros(width)
     cost[-nt:] = 1.0
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=(None, None),
-        method="highs-ipm",
-        options={
-            "maxiter": cfg.max_iters,
-            "primal_feasibility_tolerance": _LP_TOL,
-            "dual_feasibility_tolerance": _LP_TOL,
-        },
-    )
-    return (u0 if res.x is None else res.x[:d]), int(res.nit), bool(res.success)
+    return _highs(cfg, u0, "highs-ipm", cost, a_ub, b_ub, (None, None))
 
 
 def _facet_floor(anchors: np.ndarray) -> np.ndarray:
@@ -306,21 +319,9 @@ def _l1_chebyshev(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: 
             y[first] = 0.5 * (np.maximum(hi[first], mid - lo[second]) + np.minimum(lo[first], mid - hi[second]))
             y[second] = mid - y[first]
         return signs[::2].T @ y / (1 << (d - 1)), 0, True
-    from scipy.optimize import linprog
-
-    res = linprog(
-        np.eye(d + 1)[d],
-        A_ub=np.hstack([signs, -np.ones((1 << d, 1))]),
-        b_ub=_facet_floor(prob.anchors),
-        bounds=[*zip(prob.anchors.min(axis=0), prob.anchors.max(axis=0)), (None, None)],
-        method="highs-ds",
-        options={
-            "maxiter": cfg.max_iters,
-            "primal_feasibility_tolerance": _LP_TOL,
-            "dual_feasibility_tolerance": _LP_TOL,
-        },
-    )
-    return (u0 if res.x is None else res.x[:d]), int(res.nit), bool(res.success)
+    a_ub = np.hstack([signs, -np.ones((1 << d, 1))])
+    bounds = [*zip(prob.anchors.min(axis=0), prob.anchors.max(axis=0)), (None, None)]
+    return _highs(cfg, u0, "highs-ds", np.eye(d + 1)[d], a_ub, _facet_floor(prob.anchors), bounds)
 
 
 def _turn(x: np.ndarray) -> np.ndarray:
@@ -469,7 +470,8 @@ def _kkt_newton(system, z: np.ndarray, floor: float):
 
     Stops once ``|F|`` reaches the rounding ``floor`` or stops falling (or
     is NaN), after at most ``_FACE_STEPS`` steps; returns the iterate of
-    least ``|F|`` and that norm.
+    least ``|F|`` and that norm.  A coordinate whose Jacobian column is zero
+    keeps its value: ``lstsq`` can leave an ulp in it.
     """
     best, least = z, math.inf
     for _ in range(_FACE_STEPS):
@@ -480,7 +482,7 @@ def _kkt_newton(system, z: np.ndarray, floor: float):
         best, least = z, norm
         if norm <= floor:
             break
-        z = z + np.linalg.lstsq(jac, -f, rcond=None)[0]
+        z = z + np.where(jac.any(axis=0), np.linalg.lstsq(jac, -f, rcond=None)[0], 0.0)
     return best, least
 
 
@@ -559,28 +561,39 @@ def _face_finish(kind: str, u: np.ndarray, anchors: np.ndarray, r: np.ndarray, p
     return un, least <= floor and on_face and feasible
 
 
-def _hessian(prob: ProblemInstance, u, f: float, g, basis: np.ndarray) -> np.ndarray:
-    """Objective Hessian at ``u`` (value ``f``, gradient ``g``) in the coordinates of ``basis``.
+def _smooth_blocks(ground, x: np.ndarray):
+    """Euclidean or power ground: the rows of ``x`` as blocks, with their first and second derivatives.
 
-    With ground exponent ``e`` (2 on the Euclidean ground), ``a_i = |u - v_i|
-    / r_i`` elementwise, ``g_i`` block ``i``'s unit gradient and ``c_i = (r_i
-    / f)^(p - 1) / r_i``, the Hessian is ``(e - 1) diag(sum_i c_i a_i^(e -
-    2)) + (p - e) sum_i c_i g_i g_i^T - (p - 1) g g^T / f``.  Below exponent
-    2 a coordinate that meets its anchor's has unbounded curvature; it
-    counts as flat, and the step's backtracking takes the rest.
+    Returns ``(e, r, g, curv)``: the ground exponent ``e`` (2 on the
+    Euclidean ground), the block norms ``r``, the unit gradients ``g_i =
+    sign(x_i) a_i^(e - 1)`` with ``a_i = |x_i| / r_i`` elementwise, and the
+    curvatures ``curv_i = (e - 1) a_i^(e - 2)``, so block ``i``'s Hessian is
+    ``(diag(curv_i) - (e - 1) g_i g_i^T) / r_i``.  Below exponent 2 a
+    coordinate where ``x`` is zero has unbounded curvature; it counts as
+    flat.
     """
-    ground = prob.norm.ground
-    p = prob.norm.generator.p
     e = 2.0 if ground.kind == "euclidean" else ground.p
-    diffs = u - prob.anchors
-    r = np.maximum(ground_norm_eval_many(ground, diffs), np.finfo(float).tiny)
+    r = np.maximum(ground_norm_eval_many(ground, x), np.finfo(float).tiny)
+    a = np.abs(x) / r[:, None]
+    g = np.sign(x) * a ** (e - 1.0)
+    a[(a == 0.0) & (e < 2.0)] = np.inf
+    return e, r, g, (e - 1.0) * a ** (e - 2.0)
+
+
+def _hessian(prob: ProblemInstance, u, f: float, grad, basis: np.ndarray) -> np.ndarray:
+    """Objective Hessian at ``u`` (value ``f``, gradient ``grad``) in the coordinates of ``basis``.
+
+    With the blocks of :func:`_smooth_blocks` and ``c_i = (r_i / f)^(p - 1)
+    / r_i``, the Hessian is ``diag(sum_i c_i curv_i) + (p - e) sum_i c_i g_i
+    g_i^T - (p - 1) grad grad^T / f``; a flat coordinate's curvature is left
+    to the step's backtracking.
+    """
+    p = prob.norm.generator.p
+    e, r, g, curv = _smooth_blocks(prob.norm.ground, u - prob.anchors)
     c = (r / f) ** (p - 1.0) / r
-    a = np.abs(diffs) / r[:, None]
-    unit = (np.sign(diffs) * a ** (e - 1.0)) @ basis
-    if e < 2.0:
-        a[a == 0.0] = np.inf
-    gb = basis.T @ g
-    hess = (e - 1.0) * (basis.T * (c @ a ** (e - 2.0))) @ basis + (p - e) * (unit.T * c) @ unit
+    unit = g @ basis
+    gb = basis.T @ grad
+    hess = (basis.T * (c @ curv)) @ basis + (p - e) * (unit.T * c) @ unit
     return hess - (p - 1.0) / f * np.outer(gb, gb)
 
 
@@ -670,17 +683,20 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
     1e-7 relative of SLSQP's value that carry Wolfe's minimum-norm weights
     of their gradients (:func:`~normmin.geometry._min_norm_rows`), which
     start ``lam``, on anchors shifted to SLSQP's point and scaled by its
-    value.  Block ``i``'s Hessian is ``(e - 1) / r_i (diag(a_i^(e-2)) - g_i
-    g_i^T)``, with ``a_i``, ``g_i`` and the flat coordinates of
-    :func:`_hessian`.  The point is kept when no weight is below the
-    ``_GRAD_ULPS`` ulps floor and its value is at most ``_SUM_RTOL`` above
-    SLSQP's; ``converged`` means it was kept with its residual at the floor.
+    value, with the blocks' gradients and curvatures of
+    :func:`_smooth_blocks`.  Below ground exponent 2 a coordinate where some
+    selected block's displacement lies within the same 1e-7 band is put on
+    that block's anchor coordinate and held there (its Jacobian column is
+    zero): the gradient behaves like ``sign(y) |y|^(e - 1)`` about it, so
+    Newton would step it across the anchor and stall above the floor.  The
+    point is kept when no weight is below the ``_GRAD_ULPS`` ulps floor and
+    its value is at most ``_SUM_RTOL`` above SLSQP's; ``converged`` means it
+    was kept with its residual at the floor.
     """
     from scipy.optimize import minimize
 
     ground = prob.norm.ground
     n, d = prob.anchors.shape
-    e = 2.0 if ground.kind == "euclidean" else ground.p
 
     def cons(z):
         return z[d] - ground_norm_eval_many(ground, z[:d] - prob.anchors)
@@ -702,26 +718,28 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
     r = ground_norm_eval_many(ground, us - prob.anchors)
     t, floor = float(r.max()), _GRAD_ULPS * float(np.finfo(float).eps)
     near = np.flatnonzero(r >= t * (1.0 - 1e-7))
-    sel, lam, _ = _min_norm_rows(_ground_subgradient(ground, us - prob.anchors[near]))
+    e, _, g, _ = _smooth_blocks(ground, us - prob.anchors[near])
+    sel, lam, _ = _min_norm_rows(g)
     anchors, k = (prob.anchors[near[sel]] - us) / t, sel.size
+    gap = np.abs(anchors)
+    held = (gap.min(axis=0) <= 1e-7) & (e < 2.0)
+    z0 = np.where(held, anchors[gap.argmin(axis=0), np.arange(d)], 0.0)
     jac = np.zeros((d + k + 1, d + k + 1))
     jac[d:-1, d], jac[-1, d + 1:] = -1.0, 1.0
 
     def chebyshev(z):
-        x, lam = z[:d] - anchors, z[d + 1:]
-        r = ground_norm_eval_many(ground, x)
-        a = np.abs(x) / r[:, None]
-        g = np.sign(x) * a ** (e - 1.0)
-        a[(a == 0.0) & (e < 2.0)] = np.inf
-        jac[:d, :d] = (e - 1.0) * (np.diag((lam / r) @ a ** (e - 2.0)) - (g.T * (lam / r)) @ g)
+        lam = z[d + 1:]
+        _, r, g, curv = _smooth_blocks(ground, z[:d] - anchors)
+        w = lam / r
+        jac[:d, :d] = np.diag(w @ curv) - (e - 1.0) * (g.T * w) @ g
         jac[:d, d + 1:], jac[d:-1, :d] = g.T, g
+        jac[:, :d][:, held] = 0.0
         return np.concatenate([lam @ g, r - z[d], [lam.sum() - 1.0]]), jac
 
-    z, least = _kkt_newton(chebyshev, np.concatenate([np.zeros(d), [1.0], lam]), floor)
+    z, least = _kkt_newton(chebyshev, np.concatenate([z0, [1.0], lam]), floor)
     u = us + t * z[:d]
-    if z[d + 1:].min() >= -floor and ground_norm_eval_many(ground, u - prob.anchors).max() <= t * (1.0 + _SUM_RTOL):
-        return u, int(res.nit), least <= floor
-    return us, int(res.nit), False
+    kept = z[d + 1:].min() >= -floor and ground_norm_eval_many(ground, u - prob.anchors).max() <= t * (1.0 + _SUM_RTOL)
+    return (u if kept else us), int(res.nit), bool(kept and least <= floor)
 
 
 def _validate_config(cfg: SolverConfig) -> None:
@@ -783,10 +801,11 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
     wherever it is zero or within a factor of two of the coordinate
     (Sterbenz's lemma), as for anchors far from the origin; elsewhere it
     rounds by half an ulp of the copy's coordinate.  Anchors of order one
-    about the origin are the copy's anchors bit for bit.  On the copy, a
-    centroid with a zero subgradient is optimal and is kept at once,
-    converged, and a point above the centroid's value gives way to the
-    centroid, not converged.  The point is mapped back once, and ``value``
+    about the origin are the copy's anchors bit for bit.  On the copy, the
+    method's point is kept unless its value is more than ``_SUM_RTOL``
+    (1e-12) relative above the centroid's, which then replaces it, not
+    converged; an optimal centroid ties the method's point up to rounding.
+    The point is mapped back once, and ``value``
     is the objective there on the original anchors.  Anchors scaled by a
     power of two give the point scaled by it, bit for bit.
     """
@@ -821,12 +840,9 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
         method = _polyhedral_lp if p in (1.0, math.inf) else _smoothing_homotopy
     else:
         method = _minimax if p == math.inf else _newton
-    if not np.any(objective_subgradient(copy, u0)):
-        u, steps, converged = u0, 0, True
-    else:
-        u, steps, converged = method(copy, cfg, u0, f0)
-        if objective_eval(copy, u) > f0:
-            u, converged = u0, False
+    u, steps, converged = method(copy, cfg, u0, f0)
+    if objective_eval(copy, u) > f0 * (1.0 + _SUM_RTOL):
+        u, converged = u0, False
     point = shift + scale * u
     return SolveResult(point=point, value=objective_eval(prob, point), iterations=steps, converged=converged)
 

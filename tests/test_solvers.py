@@ -607,12 +607,29 @@ def test_minimax_answer_does_not_depend_on_the_start_rounding(ground, n, s):
 def test_minimax_with_a_zero_weight_block_is_converged():
     # The third anchor is as far from the optimum (the origin) as the other
     # two, yet its gradient takes no weight; Newton ends a rounding error
-    # below zero on it.
-    prob = _instance([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], GroundNorm.euclidean(), math.inf)
+    # below zero on it.  On the p = 1.5 ground every farthest block also has
+    # a coordinate that is zero at the optimum, where the curvature is
+    # unbounded, so the finish holds both coordinates on the anchors'.
+    for ground in (GroundNorm.euclidean(), GroundNorm.power(1.5)):
+        prob = _instance([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ground, math.inf)
+        res = solve_subgradient(prob)
+        assert res.converged, ground
+        assert abs(res.value - 1.0) <= 1e-15, ground
+        assert not isinstance(recover_certificate(prob, res.point, tol=1e-9), Infeasible), ground
+
+
+@pytest.mark.parametrize("n,d,s", [(4, 2, 1), (4, 10, 2)], ids=["n4-d2-s1", "n4-d10-s2"])
+def test_minimax_holds_a_coordinate_the_farthest_blocks_share(n, d, s):
+    # Lattice cells of the certification probe where farthest blocks meet the
+    # optimum in a coordinate on the p = 1.5 ground; the finish holds that
+    # coordinate on the anchor's, since a drift of an ulp stalls Newton above
+    # its floor.
+    prob = _instance(lattice_anchors(n, d, s), GroundNorm.power(1.5), math.inf)
     res = solve_subgradient(prob)
     assert res.converged
-    assert abs(res.value - 1.0) <= 1e-15
-    assert not isinstance(recover_certificate(prob, res.point, tol=1e-9), Infeasible)
+    cert = recover_certificate(prob, res.point, tol=1e-9)
+    assert not isinstance(cert, Infeasible), cert
+    assert check_certificate(prob, cert, tol=1e-9).verdict
 
 
 def test_minimax_coordinate_on_an_anchor_counts_as_flat():
@@ -639,6 +656,20 @@ def test_zero_subgradient_returns_the_centroid(ground):
     res = solve_subgradient(prob)
     assert res.point.tobytes() == prob.centroid().tobytes()
     assert res.converged and res.iterations == 0
+
+
+TIE_CELLS = [("sum", 4, 2, 1), ("sum", 64, 2, 2), ("max", 4, 10, 1)]
+
+
+@pytest.mark.parametrize("ground,n,d,s", TIE_CELLS, ids=[f"{g}-n{n}-d{d}-s{s}" for g, n, d, s in TIE_CELLS])
+def test_a_point_tying_the_centroid_by_rounding_is_converged(ground, n, d, s):
+    # The centroid is optimal on these p = 1 cells, and the median or the
+    # linear program returns another optimum whose value may round above the
+    # centroid's; it is kept, converged.
+    prob = _instance(gaussian_anchors(n, d, s), FINISH_GROUNDS[ground], 1.0)
+    res = solve_subgradient(prob)
+    assert res.converged
+    assert res.value <= objective_eval(prob, prob.centroid()) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("d", [16, 32])

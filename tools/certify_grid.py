@@ -27,8 +27,7 @@ point it returns, at tolerances 1e-7 and 1e-9, and records the solve's
 each recovered certificate, or the reason and residual of an
 ``Infeasible`` outcome.  A cell passes when its
 solve reports ``converged=True`` and it certifies at both tolerances.  A
-cell in ``PINNED`` does not fail the probe; one in ``PINNED_1E9`` must still
-converge and certify at 1e-7.
+cell in ``PINNED_1E9`` must still converge and certify at 1e-7.
 
 Prints one JSON line per cell, tagged with its grid, then one summary line
 with, per grid, the cell count, the uncertified cells per tolerance, the
@@ -36,18 +35,18 @@ unconverged cells, the solves' iterations summed, the seconds taken and
 the seconds of its cells' recoveries summed (``recover_s``, both
 tolerances);
 the count of failing cells outside the pins; the pinned cells that now
-pass (a fix can drop them from the lists); and the process's peak resident
+pass (a fix can drop them from the list); and the process's peak resident
 set size.  Exits 1 if any cell fails beyond its pin, or if the peak
 resident set reaches ``MAX_RSS_MB``.  Run from the repository root:
 
     PYTHONPATH=src python tools/certify_grid.py
 
-It takes 18 to 22 s on two cores: 2.9 to 3.7 s for the gaussian grid, 8.7
-to 10.7 s for the scale grid (most of it in the max-ground p = 1 linear
-program and the max-ground p = 2 smoothing homotopy at n = 16 384), 4.1 to
-4.9 s for the lattice grid and 1.9 to 2.8 s for the scaled grid, of which
-recovery takes 0.71 to 0.95 s, 0.56 to 0.66 s, 0.74 to 0.92 s and 0.49 to
-0.73 s, with a peak resident set of about 315 MB.
+It takes 16 to 19 s on two cores (three runs): 2.5 to 3.4 s for the
+gaussian grid, 8.0 to 9.6 s for the scale grid (most of it in the
+max-ground p = 1 linear program and the max-ground p = 2 smoothing homotopy
+at n = 16 384), 4.1 to 4.2 s for the lattice grid and 1.8 to 2.0 s for the
+scaled grid, of which recovery takes 0.65 to 0.86 s, 0.54 to 0.57 s, 0.72
+to 0.74 s and 0.48 to 0.51 s, with a peak resident set of about 315 MB.
 Two runs whose cell lines agree once the ``*_s`` timing fields are dropped
 computed the same reports bit for bit, since JSON floats round-trip
 exactly.
@@ -91,15 +90,6 @@ DIMS = (1, 2, 3, 10)
 SEEDS = (0, 1, 2)
 TOLS = (1e-7, 1e-9)
 MAX_RSS_MB = 500.0
-
-# Lattice cells (ground, p, n, d, s) known to fail, which do not fail the
-# probe: the p=1.5 ground with p = inf, where the farthest blocks share a
-# coordinate with the optimum and the Chebyshev finish keeps SLSQP's point,
-# which certifies at neither tolerance (converged=False).
-PINNED = {
-    ("p1.5", math.inf, 4, 2, 1),
-    ("p1.5", math.inf, 4, 10, 2),
-}
 
 # Scaled cells (ground, p, n, d, s, move) that converge and certify at 1e-7
 # but not at 1e-9: smooth grounds with p = 1 plus 1e6.  The solve returns
@@ -212,10 +202,10 @@ def main() -> int:
                 tally["recover_s"] += cell[f"recover_{tol}_s"]
             loose = cell["converged"] and cell["1e-07"]["certified"]
             passed = loose and cell["1e-09"]["certified"]
-            if grid == "lattice" and key in PINNED or grid == "scaled" and key in PINNED_1E9:
+            if grid == "scaled" and key in PINNED_1E9:
                 if passed:
                     pinned_passing.append([key[0], label(key[1]), *key[2:]])
-                unpinned_failures += grid == "scaled" and not loose
+                unpinned_failures += not loose
             else:
                 unpinned_failures += not passed
         tally["recover_s"] = round(tally["recover_s"], 3)
