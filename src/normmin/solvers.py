@@ -27,7 +27,8 @@ the dual optimality conditions:
   solve once the face's multipliers lie in the ground norms'
   subdifferentials (the dual conditions certify the face);
 - Euclidean or power ground with finite p: the objective is smooth away from
-  the anchors, so damped Newton from the centroid with the analytic Hessian;
+  the anchors, so damped Newton on ``sum r_i^p`` from the centroid, with
+  its value, gradient and Hessian from one pass over the blocks per point;
   when p = 1 each iteration also tests the anchor nearest the iterate for
   optimality and steps off it when it fails;
 - Euclidean or power ground with p = inf: SLSQP on the epigraph of the
@@ -58,7 +59,6 @@ from .problem import (
     ProblemInstance,
     objective_eval,
     objective_eval_many,
-    objective_subgradient,
     solve_bound,
 )
 from .psi_generators import _EVAL_BAND
@@ -351,24 +351,49 @@ def _box_center(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: fl
     return 0.5 * (prob.anchors.min(axis=0) + prob.anchors.max(axis=0)), 0, True
 
 
-def _smoothed_norms(kind: str, x: np.ndarray, eps: float):
-    """Smoothed sum- or max-ground norms of the rows of ``x``, with their first and second derivatives.
+def _block_terms(ground, x: np.ndarray, width: float = 0.0):
+    """The rows of ``x`` as blocks: their ground norms with first and second derivatives.
 
-    The sum ground smooths each ``|x_ij|`` as ``sqrt(x_ij^2 + eps^2)``; the
-    max ground smooths ``max_j |x_ij|`` as ``eps log sum_j (e^(x_ij / eps) +
-    e^(-x_ij / eps))``, with the row maximum subtracted first (Nesterov 2005,
-    "Smooth minimization of non-smooth functions").  Returns ``(r, g, h,
-    k)``: row ``i``'s smoothed norm ``r_i``, its gradient ``g_i`` and its
-    Hessian ``diag(h_i) - k g_i g_i^T``, with ``k = 0`` on the sum ground and
-    ``1 / eps`` on the max ground.
+    Returns ``(r, g, h, k)``: row ``i``'s norm ``r_i``, its gradient ``g_i``
+    and its Hessian ``diag(h_i) - k_i g_i g_i^T``.  The sum and max grounds
+    are smoothed at ``width``: the sum ground smooths each ``|x_ij|`` as
+    ``sqrt(x_ij^2 + width^2)`` (``k = 0``); the max ground smooths ``max_j
+    |x_ij|`` as ``width log sum_j (e^(x_ij / width) + e^(-x_ij / width))``,
+    with the row maximum subtracted first (``k = 1 / width``; Nesterov 2005,
+    "Smooth minimization of non-smooth functions").  On the Euclidean and
+    power grounds, with exponent ``e`` (2 on the Euclidean ground) and ``a_i
+    = |x_i| / r_i`` elementwise, ``g_i = sign(x_i) a_i^(e - 1)``, ``h_i = (e
+    - 1) a_i^(e - 2) / r_i`` and ``k_i = (e - 1) / r_i``.  Below exponent 2 a
+    coordinate where ``x`` is zero has unbounded curvature; it counts as
+    flat (``h = 0``).
     """
-    if kind == "sum":
-        s = np.sqrt(x * x + eps * eps)
-        return s.sum(axis=1), x / s, eps * eps / s**3, 0.0
-    top = np.abs(x).max(axis=1, keepdims=True)
-    up, down = np.exp((x - top) / eps), np.exp((-x - top) / eps)
-    z = (up + down).sum(axis=1, keepdims=True)
-    return top[:, 0] + eps * np.log(z[:, 0]), (up - down) / z, (up + down) / (eps * z), 1.0 / eps
+    if ground.kind == "sum":
+        s = np.sqrt(x * x + width * width)
+        return s.sum(axis=1), x / s, width * width / s**3, 0.0
+    if ground.kind == "max":
+        top = np.abs(x).max(axis=1, keepdims=True)
+        up, down = np.exp((x - top) / width), np.exp((-x - top) / width)
+        z = (up + down).sum(axis=1, keepdims=True)
+        return top[:, 0] + width * np.log(z[:, 0]), (up - down) / z, (up + down) / (width * z), 1.0 / width
+    e = 2.0 if ground.kind == "euclidean" else ground.p
+    r = np.maximum(ground_norm_eval_many(ground, x), np.finfo(float).tiny)
+    a = np.abs(x) / r[:, None]
+    g = np.sign(x) * a ** (e - 1.0)
+    a[(a == 0.0) & (e < 2.0)] = np.inf
+    return r, g, (e - 1.0) * a ** (e - 2.0) / r[:, None], (e - 1.0) / r
+
+
+def _power_sum(ground, x: np.ndarray, p: float, width: float = 0.0):
+    """``sum r_i^p`` over the blocks of :func:`_block_terms`, with its gradient and Hessian.
+
+    Returns ``(value, gradient, Hessian, r)``.  With ``c_i = p r_i^(p - 1)``
+    the gradient is ``sum_i c_i g_i`` and the Hessian ``sum_i c_i (diag(h_i)
+    - k_i g_i g_i^T) + (p - 1) c_i / r_i g_i g_i^T``.
+    """
+    r, g, h, k = _block_terms(ground, x, width)
+    c = p * r ** (p - 1.0)
+    hess = (g.T * ((p - 1.0) * c / r - k * c)) @ g + np.diag(c @ h)
+    return float((r**p).sum()), c @ g, hess, r
 
 
 def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
@@ -376,16 +401,17 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
 
     Each smoothing level ``eps`` of ``_SMOOTHING`` (1e-1 down to 1e-11),
     times the largest block norm at ``u0``, runs damped Newton on ``sum
-    r_i^p`` over the smoothed norms of :func:`_smoothed_norms`, from the
-    last level's point; ``max_iters`` caps the steps of all levels
-    together.  The face finish (:func:`_face_finish`) lands a level's point
-    on the face of the block norms that holds it, and its point is kept
-    unless its value is more than ``_SUM_RTOL`` relative above the level
-    point's.
+    r_i^p`` over the smoothed norms of :func:`_block_terms` (gradient and
+    Hessian from :func:`_power_sum`), from the last level's point;
+    ``max_iters`` caps the steps of all levels together.  The face finish
+    (:func:`_face_finish`) lands a level's point on the face of the block
+    norms that holds it, and its point is kept unless its value is more
+    than ``_SUM_RTOL`` relative above the level point's.
 
-    After each settled level but the last, the finish runs on the face
-    within ``max(_FACE_TOL, 10 eps)`` of the level's point; the solve ends
-    there, converged, when the finished point is kept and the finish
+    After each settled level, and after the last level whether or not it
+    settled, the finish runs once on the face within ``max(_FACE_TOL, 10
+    eps)`` of the level's point (``_FACE_TOL`` at the last level); the solve
+    ends there, converged, when the finished point is kept and the finish
     certifies its face (the paper's optimality conditions are necessary and
     sufficient, so that point is optimal; Wright 1993, "Identifiable
     surfaces in constrained optimization").  A face with more equality rows
@@ -423,23 +449,11 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
     ground, anchors = prob.norm.ground, prob.anchors
     p = prob.norm.generator.p
     length = float(ground_norm_eval_many(ground, u0 - anchors).max())
-    u, steps, settled, t = u0, 0, False, 1.0
-
-    def finish(tol: float, rows: float):
-        # The face finish of u, whether it was kept and whether it certified its face.
-        r = ground_norm_eval_many(ground, u - anchors)
-        un, certified = _face_finish(ground.kind, u, anchors, r, p, tol, rows)
-        kept = float((ground_norm_eval_many(ground, un - anchors) ** p).sum()) <= float((r**p).sum()) * (1.0 + _SUM_RTOL)
-        return (un if kept else u), kept, certified
-
+    u, steps, t = u0, 0, 1.0
     for eps in _SMOOTHING:
         settled, width = False, eps * length
         while steps < cfg.max_iters:
-            rs, g, h, k = _smoothed_norms(ground.kind, u - anchors, width)
-            c1 = p * rs ** (p - 1.0)
-            grad, f = c1 @ g, float((rs**p).sum())
-            # sum_i c1_i (diag(h_i) - k g_i g_i^T) + (p - 1) c1_i / r_i g_i g_i^T
-            hess = (g.T * ((p - 1.0) * c1 / rs - k * c1)) @ g + np.diag(c1 @ h)
+            f, grad, hess, _ = _power_sum(ground, u - anchors, p, width)
             s = np.linalg.lstsq(hess, -grad, rcond=None)[0]
             if -float(grad @ s) <= eps * f:
                 settled = True
@@ -447,7 +461,7 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
             t = start = min(1.0, 4.0 * t)
             for _ in range(_BACKTRACKS):
                 trial = u + t * s
-                if float((_smoothed_norms(ground.kind, trial - anchors, width)[0] ** p).sum()) < f:
+                if float((_block_terms(ground, trial - anchors, width)[0] ** p).sum()) < f:
                     break
                 t *= 0.5
             else:
@@ -457,12 +471,13 @@ def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray
                 continue
             u = trial
             steps += 1
-        if settled and eps > _SMOOTHING[-1]:
-            un, kept, certified = finish(max(_FACE_TOL, 10.0 * eps), prob.dim)
-            if kept and certified:
-                return un, steps, True
-    un, kept, _ = finish(_FACE_TOL, math.inf)
-    return un, steps, settled and kept
+        last = eps == _SMOOTHING[-1]
+        if settled or last:
+            r = ground_norm_eval_many(ground, u - anchors)
+            un, certified = _face_finish(ground.kind, u, anchors, r, p, max(_FACE_TOL, 10.0 * eps), math.inf if last else prob.dim)
+            kept = float((ground_norm_eval_many(ground, un - anchors) ** p).sum()) <= float((r**p).sum()) * (1.0 + _SUM_RTOL)
+            if last or (kept and certified):
+                return (un if kept else u), steps, settled and kept
 
 
 def _kkt_newton(system, z: np.ndarray, floor: float):
@@ -561,50 +576,23 @@ def _face_finish(kind: str, u: np.ndarray, anchors: np.ndarray, r: np.ndarray, p
     return un, least <= floor and on_face and feasible
 
 
-def _smooth_blocks(ground, x: np.ndarray):
-    """Euclidean or power ground: the rows of ``x`` as blocks, with their first and second derivatives.
-
-    Returns ``(e, r, g, curv)``: the ground exponent ``e`` (2 on the
-    Euclidean ground), the block norms ``r``, the unit gradients ``g_i =
-    sign(x_i) a_i^(e - 1)`` with ``a_i = |x_i| / r_i`` elementwise, and the
-    curvatures ``curv_i = (e - 1) a_i^(e - 2)``, so block ``i``'s Hessian is
-    ``(diag(curv_i) - (e - 1) g_i g_i^T) / r_i``.  Below exponent 2 a
-    coordinate where ``x`` is zero has unbounded curvature; it counts as
-    flat.
-    """
-    e = 2.0 if ground.kind == "euclidean" else ground.p
-    r = np.maximum(ground_norm_eval_many(ground, x), np.finfo(float).tiny)
-    a = np.abs(x) / r[:, None]
-    g = np.sign(x) * a ** (e - 1.0)
-    a[(a == 0.0) & (e < 2.0)] = np.inf
-    return e, r, g, (e - 1.0) * a ** (e - 2.0)
-
-
-def _hessian(prob: ProblemInstance, u, f: float, grad, basis: np.ndarray) -> np.ndarray:
-    """Objective Hessian at ``u`` (value ``f``, gradient ``grad``) in the coordinates of ``basis``.
-
-    With the blocks of :func:`_smooth_blocks` and ``c_i = (r_i / f)^(p - 1)
-    / r_i``, the Hessian is ``diag(sum_i c_i curv_i) + (p - e) sum_i c_i g_i
-    g_i^T - (p - 1) grad grad^T / f``; a flat coordinate's curvature is left
-    to the step's backtracking.
-    """
-    p = prob.norm.generator.p
-    e, r, g, curv = _smooth_blocks(prob.norm.ground, u - prob.anchors)
-    c = (r / f) ** (p - 1.0) / r
-    unit = g @ basis
-    gb = basis.T @ grad
-    hess = (basis.T * (c @ curv)) @ basis + (p - e) * (unit.T * c) @ unit
-    return hess - (p - 1.0) / f * np.outer(gb, gb)
-
-
 def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Euclidean or power ground with finite p: damped Newton from ``u0``.
+    """Euclidean or power ground with finite p: damped Newton on ``sum r_i^p`` from ``u0``.
 
-    On the Euclidean ground the iterates stay in the anchors' affine hull,
-    which holds every minimizer.  A step is halved until it lowers the value
-    or the gradient norm; the gradient norm keeps shrinking long after the
-    value stops resolving a descent.  Stops converged once the gradient norm
-    is within ``_GRAD_ULPS`` ulps of the sum of its blocks' dual norms.
+    ``sum r_i^p`` has the minimizers of the objective ``(sum r_i^p)^(1/p)``;
+    one :func:`_power_sum` pass per point gives its value, gradient and
+    Hessian.  On the Euclidean ground the gradient at a point of the
+    anchors' affine hull lies in the hull's directions, which the Hessian
+    maps to themselves, so the iterates stay in the hull, which holds every
+    minimizer.  A step is halved until it lowers the value, or leaves it
+    within ``_GRAD_ULPS`` ulps and at least halves the gradient norm: the
+    gradient norm keeps shrinking long after the value stops resolving a
+    descent, but below ground exponent 2 a coordinate on an anchor's makes
+    Newton reflect it across that anchor at every step while rounding
+    elsewhere shaves the gradient norm by about 1e-7 relative; the half step
+    lands it on the anchor.  Stops converged once the gradient norm is
+    within ``_GRAD_ULPS`` ulps of the sum of its blocks' dual norms ``p
+    r_i^(p - 1)``.
 
     When p = 1 each iteration first tests the anchor nearest the iterate, in
     O(n d) (Vardi and Zhang 2000, "The multivariate L1-median and associated
@@ -616,60 +604,50 @@ def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float)
     ``(|pull| - 1) / sum_i 1 / r_i`` over the other blocks; Newton alone
     creeps towards such an anchor.
     """
-    ground = prob.norm.ground
+    ground, anchors = prob.norm.ground, prob.anchors
     dual = dual_ground_norm(ground)
-    basis = _search_basis(prob)
     radius = solve_bound(prob).radius
     p = prob.norm.generator.p
     eps = np.finfo(float).eps
-    u, f = u0, f0
-    g = objective_subgradient(prob, u)
+    u = u0
+    f, grad, hess, r = _power_sum(ground, u - anchors, p)
     steps, converged = 0, False
     while steps < cfg.max_iters:
-        r = ground_norm_eval_many(ground, u - prob.anchors)
         s = None
         if p == 1.0:
             k = int(np.argmin(r))
-            anchor = prob.anchors[k].copy()
-            pull = -_ground_subgradient(ground, anchor - prob.anchors).sum(axis=0)
-            excess = float(ground_norm_eval_many(dual, pull)) - 1.0
+            anchor = anchors[k].copy()
+            fk, gk, _, rk = _power_sum(ground, anchor - anchors, p)
+            excess = float(ground_norm_eval_many(dual, -gk)) - 1.0
             if excess <= 0.0:
                 return anchor, steps, True
-            fk = objective_eval(prob, anchor)
             if fk <= f:
-                others = np.delete(ground_norm_eval_many(ground, anchor - prob.anchors), k)
-                out = excess / float((1.0 / others).sum()) * _ground_subgradient(dual, pull)
-                u, f, g, s = anchor, fk, -pull, basis.T @ out
-        gb = basis.T @ g
-        gn = float(np.linalg.norm(gb))
+                s = excess / float((1.0 / np.delete(rk, k)).sum()) * _ground_subgradient(dual, -gk)
+                u, f, grad = anchor, fk, gk
+        gn = float(np.linalg.norm(grad))
         if s is None:
-            # The dual norms of the gradient's blocks are (r_i / f)^(p - 1).
-            if gn <= _GRAD_ULPS * eps * float(((r / f) ** (p - 1.0)).sum()):
+            if gn <= _GRAD_ULPS * eps * p * float((r ** (p - 1.0)).sum()):
                 converged = True
                 break
-            hess = _hessian(prob, u, f, g, basis)
             try:
-                s = np.linalg.solve(hess, -gb)
+                s = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
-                s = -gb
-            if not np.all(np.isfinite(s)) or float(s @ gb) >= 0.0:
-                s = -gb
+                s = -grad
+            if not np.all(np.isfinite(s)) or float(s @ grad) >= 0.0:
+                s = -grad
             length = float(np.linalg.norm(s))
             if length > radius:
                 s *= radius / length
         for _ in range(_BACKTRACKS):
-            trial = u + basis @ s
-            ft = objective_eval(prob, trial)
-            gt = objective_subgradient(prob, trial)
-            if ft < f or (
-                ft - f <= _GRAD_ULPS * eps * f and float(np.linalg.norm(basis.T @ gt)) < gn
-            ):
+            trial = u + s
+            terms = _power_sum(ground, trial - anchors, p)
+            if terms[0] < f or (terms[0] - f <= _GRAD_ULPS * eps * f and float(np.linalg.norm(terms[1])) <= 0.5 * gn):
                 break
             s = 0.5 * s
         else:
             break
         steps += 1
-        u, f, g = trial, ft, gt
+        u, (f, grad, hess, r) = trial, terms
     return u, steps, converged
 
 
@@ -683,15 +661,16 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
     1e-7 relative of SLSQP's value that carry Wolfe's minimum-norm weights
     of their gradients (:func:`~normmin.geometry._min_norm_rows`), which
     start ``lam``, on anchors shifted to SLSQP's point and scaled by its
-    value, with the blocks' gradients and curvatures of
-    :func:`_smooth_blocks`.  Below ground exponent 2 a coordinate where some
-    selected block's displacement lies within the same 1e-7 band is put on
-    that block's anchor coordinate and held there (its Jacobian column is
-    zero): the gradient behaves like ``sign(y) |y|^(e - 1)`` about it, so
-    Newton would step it across the anchor and stall above the floor.  The
-    point is kept when no weight is below the ``_GRAD_ULPS`` ulps floor and
-    its value is at most ``_SUM_RTOL`` above SLSQP's; ``converged`` means it
-    was kept with its residual at the floor.
+    value, with the blocks' gradients ``g`` and Hessians ``diag(h_i) - k_i
+    g_i g_i^T`` of :func:`_block_terms`, so the Jacobian's ``u`` block is
+    ``diag(lam @ h) - (g^T lam k) g``.  Below ground exponent 2 a coordinate
+    where some selected block's displacement lies within the same 1e-7 band
+    is put on that block's anchor coordinate and held there (its Jacobian
+    column is zero): the gradient behaves like ``sign(y) |y|^(e - 1)``
+    about it, so Newton would step it across the anchor and stall above the
+    floor.  The point is kept when no weight is below the ``_GRAD_ULPS``
+    ulps floor and its value is at most ``_SUM_RTOL`` above SLSQP's;
+    ``converged`` means it was kept with its residual at the floor.
     """
     from scipy.optimize import minimize
 
@@ -718,20 +697,19 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
     r = ground_norm_eval_many(ground, us - prob.anchors)
     t, floor = float(r.max()), _GRAD_ULPS * float(np.finfo(float).eps)
     near = np.flatnonzero(r >= t * (1.0 - 1e-7))
-    e, _, g, _ = _smooth_blocks(ground, us - prob.anchors[near])
+    g = _block_terms(ground, us - prob.anchors[near])[1]
     sel, lam, _ = _min_norm_rows(g)
-    anchors, k = (prob.anchors[near[sel]] - us) / t, sel.size
+    anchors, m = (prob.anchors[near[sel]] - us) / t, sel.size
     gap = np.abs(anchors)
-    held = (gap.min(axis=0) <= 1e-7) & (e < 2.0)
+    held = (gap.min(axis=0) <= 1e-7) & (ground.kind == "p" and ground.p < 2.0)
     z0 = np.where(held, anchors[gap.argmin(axis=0), np.arange(d)], 0.0)
-    jac = np.zeros((d + k + 1, d + k + 1))
+    jac = np.zeros((d + m + 1, d + m + 1))
     jac[d:-1, d], jac[-1, d + 1:] = -1.0, 1.0
 
     def chebyshev(z):
         lam = z[d + 1:]
-        _, r, g, curv = _smooth_blocks(ground, z[:d] - anchors)
-        w = lam / r
-        jac[:d, :d] = np.diag(w @ curv) - (e - 1.0) * (g.T * w) @ g
+        r, g, h, k = _block_terms(ground, z[:d] - anchors)
+        jac[:d, :d] = np.diag(lam @ h) - (g.T * (lam * k)) @ g
         jac[:d, d + 1:], jac[d:-1, :d] = g.T, g
         jac[:, :d][:, held] = 0.0
         return np.concatenate([lam @ g, r - z[d], [lam.sum() - 1.0]]), jac
@@ -777,10 +755,11 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
       dual conditions certify; otherwise ``converged`` means the last level
       settled (its Newton decrement fell to 1e-11 of the smoothed
       objective) and the finish's point was kept.
-    - Euclidean or power ground, finite p: damped Newton from the centroid
-      (:func:`_newton`), where ``converged`` means the gradient norm fell to
-      the rounding floor of its blocks, or, for p = 1, that the anchor
-      nearest an iterate passed the dual-norm test and is returned as is.
+    - Euclidean or power ground, finite p: damped Newton on ``sum r_i^p``
+      from the centroid (:func:`_newton`), where ``converged`` means the
+      gradient norm fell to the rounding floor of its blocks, or, for p =
+      1, that the anchor nearest an iterate passed the dual-norm test and
+      is returned as is.
     - Euclidean or power ground, p = inf: the epigraph SLSQP from the
       centroid, then Newton on the Chebyshev conditions (:func:`_minimax`);
       ``converged`` means the finished point was kept with the conditions'

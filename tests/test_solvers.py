@@ -44,7 +44,7 @@ from normmin import (
     solve_subgradient,
 )
 from normmin import certificates, ground_norms, problem, solvers
-from normmin.solvers import _hessian
+from normmin.solvers import _block_terms, _power_sum
 
 
 def two_anchor(ground, gen, b=(2.0, 0.0)):
@@ -722,16 +722,38 @@ def test_newton_leaves_a_failing_anchor(anchors, ground, value):
 )
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_hessian_matches_central_differences(ground, p):
+    # The gradient of sum r_i^p = f^p is p f^(p - 1) times the objective's.
     rng = make_rng(int(10 * p) + 7)
     for _ in range(4):
         prob = _instance(random_anchors(rng, 6, 3), ground, p)
         u = prob.centroid() + rng.normal(size=3)
-        f, g = objective_eval(prob, u), objective_subgradient(prob, u)
-        hess = _hessian(prob, u, f, g, np.eye(3))
+
+        def grad(v):
+            return p * objective_eval(prob, v) ** (p - 1.0) * objective_subgradient(prob, v)
+
+        value, g, hess, _ = _power_sum(ground, u - prob.anchors, p)
+        assert abs(value - objective_eval(prob, u) ** p) <= 1e-12 * value
+        assert np.abs(g - grad(u)).max() <= 1e-12 * np.abs(g).max()
         h = 1e-5
-        cols = [objective_subgradient(prob, u + h * e) - objective_subgradient(prob, u - h * e) for e in np.eye(3)]
+        cols = [grad(u + h * e) - grad(u - h * e) for e in np.eye(3)]
         diff = np.column_stack(cols) / (2.0 * h)
         assert np.abs(hess - diff).max() <= 1e-6 * np.abs(hess).max()
+
+
+@pytest.mark.parametrize("n,d,s,t", [(4, 10, 1, 1), (13, 10, 2, 0), (13, 10, 2, 3)], ids=["n4-d10-s1-t1", "n13-d10-s2-t0", "n13-d10-s2-t3"])
+def test_newton_lands_a_coordinate_on_an_anchor(n, d, s, t):
+    # A signed permutation of the coordinates gives the same problem.  On the
+    # p = 1.5 ground a coordinate of the optimum on an anchor's made Newton
+    # reflect it across that anchor at every step, to max_iters, while
+    # rounding elsewhere shaved the gradient norm.
+    a = lattice_anchors(n, d, s)
+    rng = np.random.default_rng([n, d, s, t])
+    prob = _instance(a[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d), GroundNorm.power(1.5), 1.5)
+    res = solve_subgradient(prob)
+    assert res.converged, res.iterations
+    assert _certifies_at_1e_9(prob, res.point)
+    value = solve_subgradient(_instance(a, GroundNorm.power(1.5), 1.5)).value
+    assert abs(res.value - value) <= 1e-12 * value
 
 
 @pytest.mark.parametrize("ground", [GroundNorm.euclidean(), GroundNorm.power(3.0)], ids=["euclidean", "p3"])
@@ -767,14 +789,15 @@ def test_smoothed_norms_match_central_differences(kind, eps):
     rng = make_rng(37)
     ties = [[0.3, 0.3, -0.1], [0.5, -0.5, 0.2], [0.0, 0.0, 0.4], [0.2, 0.2 + 0.5 * eps, -0.2]]
     x = np.vstack([rng.normal(size=(4, 3)), ties])
-    r, g, h, k = solvers._smoothed_norms(kind, x, eps)
+    ground = GroundNorm.sum() if kind == "sum" else GroundNorm.max()
+    r, g, h, k = _block_terms(ground, x, eps)
     # The smoothing adds at most eps per coordinate (sum) or eps log 2d (max).
-    exact = ground_norm_eval_many(GroundNorm.sum() if kind == "sum" else GroundNorm.max(), x)
+    exact = ground_norm_eval_many(ground, x)
     assert np.all(exact <= r) and np.all(r <= exact + eps * (3.0 if kind == "sum" else math.log(6.0)))
     step = 1e-3 * eps
     for i, row in enumerate(x):
-        up = solvers._smoothed_norms(kind, row + step * np.eye(3), eps)
-        down = solvers._smoothed_norms(kind, row - step * np.eye(3), eps)
+        up = _block_terms(ground, row + step * np.eye(3), eps)
+        down = _block_terms(ground, row - step * np.eye(3), eps)
         assert np.abs((up[0] - down[0]) / (2.0 * step) - g[i]).max() <= 1e-6
         hess = np.diag(h[i]) - k * np.outer(g[i], g[i])
         diff = (up[1] - down[1]) / (2.0 * step)

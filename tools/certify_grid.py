@@ -1,4 +1,4 @@
-"""Certification probe: solve and recover a certificate on four grids of cells.
+"""Certification probe: solve and recover a certificate on five grids of cells.
 
 A cell is a ground, a power generator exponent p, n anchors in dimension d
 and a seed s.  The grids, run in this order:
@@ -19,7 +19,13 @@ and a seed s.  The grids, run in this order:
   {1, 1.5, 2, 3, inf} x n in {4, 13, 64} x d in {2, 3, 10} x s in {0, 1},
   each with the gaussian anchors times 1e-8 and plus 1e6, 900 cells.  The
   problem is invariant under ``u -> a u + b``, so these cells check that no
-  tolerance of the solve is absolute.
+  tolerance of the solve is absolute;
+- permuted: the lattice grid's 1 200 cells, each under one signed
+  permutation of the coordinates drawn from ``default_rng([n, d, s])``:
+  ``anchors[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)``.
+  Permuting and flipping coordinates maps the problem onto an equivalent
+  one, so these cells check that no step of the solve depends on the
+  order or the signs of the coordinates.
 
 Each cell runs ``solve_subgradient`` and then ``recover_certificate`` at the
 point it returns, at tolerances 1e-7 and 1e-9, and records the solve's
@@ -41,12 +47,13 @@ resident set reaches ``MAX_RSS_MB``.  Run from the repository root:
 
     PYTHONPATH=src python tools/certify_grid.py
 
-It takes 16 to 19 s on two cores (three runs): 2.5 to 3.4 s for the
-gaussian grid, 8.0 to 9.6 s for the scale grid (most of it in the
+It takes 21 to 25 s on two cores (three runs): 2.6 to 3.6 s for the
+gaussian grid, 8.4 to 9.0 s for the scale grid (most of it in the
 max-ground p = 1 linear program and the max-ground p = 2 smoothing homotopy
-at n = 16 384), 4.1 to 4.2 s for the lattice grid and 1.8 to 2.0 s for the
-scaled grid, of which recovery takes 0.65 to 0.86 s, 0.54 to 0.57 s, 0.72
-to 0.74 s and 0.48 to 0.51 s, with a peak resident set of about 315 MB.
+at n = 16 384), 3.8 to 5.0 s for the lattice grid, 1.6 to 2.9 s for the
+scaled grid and 3.9 to 5.5 s for the permuted grid, of which recovery
+takes 0.75 to 0.92 s, 0.56 to 0.57 s, 0.72 to 0.92 s, 0.48 to 0.87 s and
+0.72 to 1.19 s, with a peak resident set of about 315 MB.
 Two runs whose cell lines agree once the ``*_s`` timing fields are dropped
 computed the same reports bit for bit, since JSON floats round-trip
 exactly.
@@ -127,6 +134,11 @@ def scaled_anchors(n: int, d: int, s: int, move: str) -> np.ndarray:
     return MOVES[move](gaussian_anchors(n, d, s))
 
 
+def permuted_anchors(n: int, d: int, s: int) -> np.ndarray:
+    rng = np.random.default_rng([n, d, s])
+    return lattice_anchors(n, d, s)[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)
+
+
 CELLS = list(itertools.product(GROUNDS, EXPONENTS, SIZES, DIMS, SEEDS))
 SCALE_CELLS = [
     (g, p, n, 10, 0)
@@ -140,6 +152,7 @@ GRIDS = {
     "scale": (gaussian_anchors, SCALE_CELLS),
     "lattice": (lattice_anchors, CELLS),
     "scaled": (scaled_anchors, SCALED_CELLS),
+    "permuted": (permuted_anchors, CELLS),
 }
 
 
