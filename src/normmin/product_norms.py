@@ -56,7 +56,12 @@ def as_product_vector(blocks, name: str = "blocks") -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class ProductNorm:
-    """Ground norm plus generator; tabulated generators are validated on build."""
+    """Ground norm plus generator; tabulated generators are validated on build.
+
+    The check is ``validate_psi`` on 256 samples, about 1 350 rows at arity 3
+    in one batch: an opaque callable is called once per row, a generator
+    loaded from a formula runs the formula's kernel once over them all.
+    """
 
     ground: GroundNorm
     generator: PsiGenerator

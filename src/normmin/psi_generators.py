@@ -171,11 +171,36 @@ def _power_aggregate(x: np.ndarray, p: float) -> np.ndarray:
     return m * _block_sum((x / safe) ** p) ** (1.0 / p)
 
 
+@dataclasses.dataclass(frozen=True)
+class _Formula:
+    """A built-in generator behind a tabulated generator's callable.
+
+    Tabulated generators loaded from JSON hold one.  Called, it gives the
+    value at one row; ``_psi_values_raw`` runs ``base``'s kernel over a whole
+    batch instead, and serialization writes ``base`` back as the source
+    formula.
+    """
+
+    base: PsiGenerator
+
+    def __call__(self, t) -> float:
+        return float(_psi_values_raw(self.base, np.asarray(t, dtype=float)))
+
+
 def _psi_values_raw(gen: PsiGenerator, ts: np.ndarray) -> np.ndarray:
-    """Evaluation over rows without the range guard; axiom validation wants raw values."""
+    """Evaluation over rows without the range guard; axiom validation wants raw values.
+
+    This is the one place that calls a tabulated generator's callable: once
+    per row, except that a formula-backed one (``_Formula``) runs its
+    built-in generator's kernel over all rows in one pass.  The values are
+    the same bit for bit, since ``_block_sum`` adds left to right whatever
+    the layout.
+    """
     if gen.kind == "p":
         # The constant generator is exactly 1, not a rounded sum of weights.
         return np.ones(ts.shape[:-1]) if gen.p == 1.0 else _power_aggregate(ts, gen.p)
+    if isinstance(gen.func, _Formula):
+        return _psi_values_raw(gen.func.base, ts)
     rows = ts.reshape(-1, ts.shape[-1])
     return np.array([float(gen.func(row)) for row in rows], dtype=float).reshape(ts.shape[:-1])
 

@@ -4,8 +4,9 @@ The on-disk schema mirrors the constructors: a ground norm is a kind plus an
 optional exponent, a generator is a kind plus an exponent (the string
 ``"inf"`` stands for the max generator, since JSON has no infinity literal),
 and an instance bundles anchors with both.  Tabulated generators are stored
-as a reference formula that is re-tabulated on load and then treated as an
-opaque callable.
+as a built-in source formula; on load the formula becomes the generator's
+callable, which is evaluated a batch of rows at a time and written back as
+the same formula.
 
 Dumping is deterministic: keys keep insertion order and floats are written
 with 17 significant digits, enough to round-trip bit-for-bit.
@@ -24,7 +25,7 @@ from .errors import InputFormatError, NormMinError
 from .ground_norms import GroundNorm
 from .problem import ProblemInstance
 from .product_norms import ProductNorm
-from .psi_generators import PsiGenerator, psi_eval_many
+from .psi_generators import PsiGenerator, _Formula
 
 _GROUND_KINDS = ("sum", "max", "euclidean", "p")
 
@@ -166,14 +167,11 @@ def ground_norm_from_json(obj, field: str = "ground") -> GroundNorm:
 def generator_to_json(gen: PsiGenerator) -> dict:
     if gen.kind == "p":
         return {"kind": "p", "p": _exponent_json(gen.p)}
-    out = {"kind": "tabulated", "arity": gen.arity}
-    source = getattr(gen.func, "source_spec", None)
-    if source is None:
+    if not isinstance(gen.func, _Formula):
         raise InputFormatError(
             "generator", "only tabulated generators built from a formula serialize"
         )
-    out["source"] = dict(source)
-    return out
+    return {"kind": "tabulated", "arity": gen.arity, "source": generator_to_json(gen.func.base)}
 
 
 def generator_from_json(obj, field: str = "generator") -> PsiGenerator:
@@ -191,12 +189,7 @@ def generator_from_json(obj, field: str = "generator") -> PsiGenerator:
                 raise InputFormatError(
                     f"{field}.source", "tabulated source must be a built-in generator"
                 )
-
-            def func(t, _base=base):
-                return float(psi_eval_many(_base, t))
-
-            func.source_spec = {"kind": "p", "p": _exponent_json(base.p)}
-            return PsiGenerator.tabulated(func, arity=arity, symmetric=True)
+            return PsiGenerator.tabulated(_Formula(base), arity=arity, symmetric=True)
     except NormMinError as exc:
         if isinstance(exc, InputFormatError):
             raise

@@ -101,8 +101,8 @@ _DUAL_RTOL = 1e-12
 # largest block norm at its start.
 _SMOOTHING = tuple(10.0**-k for k in range(1, 12))
 
-# The pattern search reports convergence when its last Nelder-Mead run
-# gains at most this much, relative to max(1, value).
+# The pattern search stops, and reports convergence, at the first Nelder-Mead
+# restart that gains at most this much, relative to max(1, value).
 _STALL_TOL = 1e-9
 
 # The largest search dimension in which the pattern search was checked
@@ -829,19 +829,21 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
 def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
     """Derivative-free Nelder-Mead restarts; works for any validated generator.
 
-    The generator is only ever evaluated, never differentiated.  Three
-    Nelder-Mead runs (Nelder and Mead 1965) search ``u = centroid + basis @
-    y`` over the directions of :func:`_search_basis`, the first from the
-    centroid and each from the best point so far, at simplex sizes 1, 1e-2
-    and 1e-4 times 5% of the anchor spread.  ``config.max_iters`` caps the
-    iterations of all runs together, and ``iterations`` reports the total.
-    ``converged`` means the search has at most ``_VERIFIED_DIM`` directions,
-    every run ran and the last one gained at most ``_STALL_TOL`` times
-    max(1, value).  The value is never above the centroid's.  Verified
-    against the exact methods in dimension at most 3; from dimension 5 on it
-    can stop up to about 1e-2 relative above the optimum with a last run
-    that gains nothing, so with more directions it never reports
-    ``converged``.
+    The generator is only ever evaluated, never differentiated.  Nelder-Mead
+    runs (Nelder and Mead 1965) search ``u = centroid + basis @ y`` over the
+    directions of :func:`_search_basis`, the first from the centroid at
+    simplex size 5% of the anchor spread (``h0``), and each restart from the
+    best point so far, at sizes alternating 1e-2 and 1e-4 times ``h0``.
+    Nelder-Mead can stall short of a minimizer (McKinnon 1998), so restarts
+    go on while they gain: the first restart that gains at most
+    ``_STALL_TOL`` times max(1, value) ends the search.  ``config.max_iters``
+    caps the iterations of all runs together, and ``iterations`` reports the
+    total.  ``converged`` means that such a restart, not the cap, ended the
+    search and the search has at most ``_VERIFIED_DIM`` directions.  The
+    value is never above the centroid's.  Verified against the exact methods
+    in dimension at most 3; from dimension 5 on it can stop up to about 2e-2
+    relative above the optimum with a restart that gains nothing, so with
+    more directions it never reports ``converged``.
     """
     from scipy.optimize import minimize
 
@@ -857,9 +859,8 @@ def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = No
     f = fun(y)
     h0 = 0.05 * max(float(np.ptp(prob.anchors, axis=0).max()), 1e-3)
     iterations, converged = 0, False
-    for shrink in (1.0, 1e-2, 1e-4):
-        if iterations >= cfg.max_iters:
-            break
+    shrink = 1.0
+    while iterations < cfg.max_iters:
         h = h0 * shrink
         res = minimize(
             fun,
@@ -878,8 +879,10 @@ def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = No
         gain = f - float(res.fun)
         if gain > 0.0:
             y, f = res.x, float(res.fun)
-    else:
-        converged = y.size <= _VERIFIED_DIM and gain <= _STALL_TOL * max(1.0, f)
+        if shrink < 1.0 and gain <= _STALL_TOL * max(1.0, f):
+            converged = y.size <= _VERIFIED_DIM
+            break
+        shrink = 1e-4 if shrink == 1e-2 else 1e-2
     return SolveResult(point=u0 + basis @ y, value=f, iterations=iterations, converged=converged)
 
 

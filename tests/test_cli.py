@@ -235,6 +235,18 @@ def test_validate_psi_passes_builtin(tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+def test_validate_psi_on_a_tabulated_formula_prints_the_formula_report(tmp_path):
+    # Both run at arity 3 on the same samples, so the reports agree byte for byte.
+    _, builtin, _ = run_cli(["validate-psi", "@gen"], tmp_path, gen={"kind": "p", "p": 2.0})
+    code, out, _ = run_cli(
+        ["validate-psi", "@gen"],
+        tmp_path,
+        gen={"kind": "tabulated", "arity": 3, "source": {"kind": "p", "p": 2.0}},
+    )
+    assert code == 0
+    assert out == builtin
+
+
 def test_tol_must_be_positive(tmp_path):
     code, _, err = run_cli(
         ["certify", "@prob", "@cert", "--tol", "0"],

@@ -26,9 +26,12 @@ from normmin import (
     load_path,
     parse_box,
     psi_eval,
+    psi_eval_many,
     region_csv,
     region_svg,
+    validate_psi,
 )
+from normmin import psi_generators
 
 
 def test_floats_carry_seventeen_significant_digits():
@@ -79,6 +82,38 @@ def test_tabulated_generator_round_trip_via_source_formula():
     assert psi_eval(loaded, t) == pytest.approx(psi_eval(PsiGenerator.power(2.0), t))
     again = generator_from_json(generator_to_json(loaded))
     assert psi_eval(again, t) == pytest.approx(psi_eval(loaded, t))
+    for source in ({"kind": "p", "p": 1.5}, {"kind": "p", "p": "inf"}):
+        spec = {"kind": "tabulated", "arity": 3, "source": source}
+        assert generator_to_json(generator_from_json(spec)) == spec
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4, 7])
+def test_loaded_tabulated_generator_matches_its_formula_bit_for_bit(arity):
+    rows = np.random.default_rng(arity).dirichlet(np.ones(arity), size=5000)
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        source = {"kind": "p", "p": "inf" if p == math.inf else p}
+        loaded = generator_from_json({"kind": "tabulated", "arity": arity, "source": source})
+        vals = psi_eval_many(loaded, rows)
+        assert vals.tobytes() == psi_eval_many(PsiGenerator.power(p), rows).tobytes(), p
+        # One row at a time, as an opaque callable is evaluated, gives the same bits.
+        assert vals.tobytes() == np.array([loaded.func(row) for row in rows]).tobytes(), p
+
+
+def test_loaded_tabulated_generator_is_validated_a_batch_at_a_time(monkeypatch):
+    loaded = generator_from_json(
+        {"kind": "tabulated", "arity": 3, "source": {"kind": "p", "p": 2.0}}
+    )
+    calls = []
+    kernel = psi_generators._power_aggregate
+
+    def counting(x, p):
+        calls.append(x.shape)
+        return kernel(x, p)
+
+    monkeypatch.setattr(psi_generators, "_power_aggregate", counting)
+    assert validate_psi(loaded).passed
+    # Evaluated row by row, the 9 203 probe rows would make 9 203 calls.
+    assert len(calls) <= 5
 
 
 def test_tabulated_without_source_refuses_to_serialize():

@@ -265,6 +265,31 @@ def test_pattern_search_matches_exact_methods(ground, p):
         assert abs(res.value - exact.value) <= 1e-9 * max(1.0, exact.value), (d, tabulated)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_pattern_search_stops_at_the_first_restart_without_gain(p):
+    # The pair's minimizer is the third anchor u.  Neither restart gains
+    # here, so the search ends after the first one.
+    u = np.array([0.25, -0.5])
+    v = np.array([1.3, 0.4])
+    prob = _instance([u + v, u - v, u], GroundNorm.euclidean(), p)
+    tab, calls = _tabulated_copy(prob)
+    calls.clear()
+    res = solve_pattern_search(tab)
+    assert len(calls) <= 200
+    f = objective_eval(prob, u)
+    assert abs(res.value - f) <= 1e-9 * max(1.0, f)
+
+
+def test_pattern_search_restarts_while_they_gain():
+    # Both restarts at 1e-2 and 1e-4 times the start size still gain here,
+    # and a third, at 1e-2 again, gains 4.9e-6 more: three fixed runs end
+    # 6.0e-7 relative above the optimum.
+    prob = _instance(np.random.default_rng(8050).normal(size=(8, 5)) * 2, GroundNorm.max(), 2.0)
+    exact = solve_subgradient(prob)
+    res = solve_pattern_search(_tabulated_copy(prob)[0])
+    assert abs(res.value - exact.value) <= 1e-12 * exact.value
+
+
 @pytest.mark.parametrize(
     "ground,p,d,s",
     [(GroundNorm.euclidean(), math.inf, 5, 2), (GroundNorm.max(), 2.0, 10, 0)],
