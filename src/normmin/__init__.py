@@ -53,6 +53,7 @@ from .ground_norms import (
     WholeSpace,
     alignment_ray_basis,
     alignment_set_contains,
+    conjugate_exponent,
     dual_ground_norm,
     ground_norm_eval,
     ground_norm_eval_many,
@@ -62,6 +63,7 @@ from .problem import (
     ProblemInstance,
     SolveBound,
     dual_selection,
+    lipschitz_bound,
     objective_eval,
     objective_eval_many,
     objective_subgradient,
@@ -83,7 +85,6 @@ from .product_norms import (
 from .psi_generators import (
     PsiGenerator,
     ValidationReport,
-    conjugate_exponent,
     dual_norm_from_block_norms,
     psi_conjugate_eval,
     psi_conjugate_generator,
@@ -126,7 +127,6 @@ from .solvers import (
     SolveResult,
     SolverConfig,
     grid_oracle,
-    lipschitz_bound,
     midpoint_shortcut,
     solve,
     solve_pattern_search,

@@ -31,7 +31,9 @@ from .errors import InvalidInputError, UnsupportedGeneratorError
 from .ground_norms import (
     DEFAULT_TOL,
     _ground_subgradient,
+    _power_profile,
     as_vector,
+    conjugate_exponent,
     dual_ground_norm,
     ground_norm_eval,
     ground_norm_eval_many,
@@ -43,7 +45,7 @@ from .problem import (
     objective_eval,
 )
 from .product_norms import as_product_vector
-from .psi_generators import _block_sum, conjugate_exponent, dual_norm_from_block_norms
+from .psi_generators import dual_norm_from_block_norms
 
 RECOVERY_TOL = 1e-7
 
@@ -101,18 +103,6 @@ class Infeasible:
     theorem: str
     reason: str
     residual: float
-
-
-def _power_profile(r: np.ndarray, p: float) -> np.ndarray:
-    """Block norms to the power ``p``, normalized to sum to one along the last axis.
-
-    The norms are scaled by their maximum first, so the powers cannot all
-    underflow to zero.
-    """
-    peak = r.max(axis=-1, keepdims=True)
-    safe = np.where(peak > 0.0, peak, 1.0)
-    w = (r / safe) ** p
-    return w / _block_sum(w)[..., None]
 
 
 def matching_theorem(prob: ProblemInstance) -> str:

@@ -112,7 +112,7 @@ def cmd_recover(args) -> int:
     raw = obj.get("point", obj.get("solution")) if isinstance(obj, dict) else None
     if raw is None:
         raise InputFormatError(str(args.point_file), "expected a 'point' entry")
-    point = np.asarray(raw, dtype=float)
+    point = ser._as_vector_field(raw, f"{args.point_file}.point")
     result = recover_certificate(prob, point, tol=_tol(args, 1e-7))
     if isinstance(result, Infeasible):
         _write(

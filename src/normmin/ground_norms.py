@@ -5,6 +5,10 @@ norms with exponent strictly between 1 and infinity, and the Euclidean norm.
 The Euclidean norm is kept as its own kind even though it coincides with the
 power norm at exponent 2: it gets specialised closed forms and serves as an
 independent cross-check of the exponent-2 code path.
+
+Every kind is an l_e norm (``GroundNorm.exponent``).  This module is the one
+home of the l_e arithmetic the layers above share (aggregate, left-to-right
+sum, power profile, conjugate exponent), so a norm is its row of any batch.
 """
 
 from __future__ import annotations
@@ -22,6 +26,11 @@ DEFAULT_TOL = 1e-9
 MAX_EXPONENT = 50.0
 
 _KINDS = ("sum", "max", "p", "euclidean")
+
+_EXPONENTS = {"sum": 1.0, "max": math.inf, "euclidean": 2.0}
+
+# Up to this many rows, one accumulate call sums faster than a call per column.
+_ACCUMULATED_ROWS = 32
 
 # Relative tie width when spreading weight over tied maxima (of a row's
 # coordinates, or of the block norms under the max generator).
@@ -87,11 +96,16 @@ class GroundNorm:
         return cls("euclidean")
 
     @property
+    def exponent(self) -> float:
+        """The l_e exponent: 1 (sum), infinity (max), 2 (Euclidean) or ``p`` (power)."""
+        return self.p if self.kind == "p" else _EXPONENTS[self.kind]
+
+    @property
     def q(self) -> float:
         """Conjugate exponent of a power norm."""
         if self.kind != "p":
             raise InvalidInputError("conjugate exponent only defined for power norms")
-        return self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p)
 
     def __call__(self, x) -> float:
         return ground_norm_eval(self, x)
@@ -100,36 +114,78 @@ class GroundNorm:
         return dual_ground_norm(self)
 
 
-def _power_norm(abs_x: np.ndarray, p: float) -> np.ndarray:
-    """Power norm over the last axis of nonnegative data.
+def conjugate_exponent(p: float) -> float:
+    """The exponent ``q`` with ``1/p + 1/q = 1``; 1 and infinity swap."""
+    if p == 1.0:
+        return math.inf
+    if p == math.inf:
+        return 1.0
+    return p / (p - 1.0)
 
-    Factoring out the max keeps large exponents away from underflow.
+
+def _block_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, added left to right whatever the layout.
+
+    ``numpy.sum`` adds a contiguous run of eight or more entries pairwise but
+    strided columns in order, so a row's total would depend on its batch and
+    layout.  Up to ``_ACCUMULATED_ROWS`` rows are accumulated in one call
+    (the break-even lies near 30 rows of 2 and 60 of 10); more add their
+    columns one at a time, from a first column copied in its own memory
+    order, so no stack gets transposed.
     """
-    m = abs_x.max(axis=-1)
+    if x.size <= _ACCUMULATED_ROWS * x.shape[-1]:
+        return np.add.accumulate(x, axis=-1)[..., -1]
+    total = x[..., 0].copy(order="K")
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
+def _power_aggregate(x: np.ndarray, p: float) -> np.ndarray:
+    """The l_p aggregate of nonnegative data over the last axis.
+
+    The sum at ``p = 1``, the max at ``p = inf`` and the ``p``-norm in
+    between, with the max factored out so large exponents cannot underflow.
+    Every ground norm but the Euclidean fast path, and every product norm,
+    dual norm and power generator of the family, is this aggregate of
+    absolute coordinates, block norms or weights.
+    """
+    if p == 1.0:
+        return _block_sum(x)
+    m = x.max(axis=-1)
+    if p == math.inf:
+        return m
     safe = np.where(m[..., None] > 0.0, m[..., None], 1.0)
-    total = ((abs_x / safe) ** p).sum(axis=-1)
-    return m * total ** (1.0 / p)
+    return m * _block_sum((x / safe) ** p) ** (1.0 / p)
+
+
+def _power_profile(r: np.ndarray, p: float) -> np.ndarray:
+    """``r`` to the power ``p``, normalized to sum to one along the last axis.
+
+    The entries are scaled by their maximum first, so the powers cannot all
+    underflow to zero.
+    """
+    peak = r.max(axis=-1, keepdims=True)
+    safe = np.where(peak > 0.0, peak, 1.0)
+    w = (r / safe) ** p
+    return w / _block_sum(w)[..., None]
 
 
 def ground_norm_eval_many(nrm: GroundNorm, xs) -> np.ndarray:
-    """Vectorized evaluation over the last axis of ``xs``."""
+    """Vectorized evaluation over the last axis of ``xs``, summed left to right in any layout."""
     a = np.asarray(xs, dtype=float)
-    if nrm.kind == "sum":
-        return np.abs(a).sum(axis=-1)
-    if nrm.kind == "max":
-        return np.abs(a).max(axis=-1)
     if nrm.kind == "euclidean":
         with np.errstate(over="ignore"):
-            sq = (a * a).sum(axis=-1)
+            sq = _block_sum(a * a)
         out = np.sqrt(sq)
         # Rows whose squared sum overflowed or left the normal range are
         # redone with the row maximum factored out, as the power kind does.
         off = ~((sq >= np.finfo(float).tiny) & (sq < np.inf))
         if np.any(off):
             out = np.asarray(out)
-            out[off] = _power_norm(np.abs(a[off]), 2.0)
+            out[off] = _power_aggregate(np.abs(a[off]), 2.0)
         return out
-    return _power_norm(np.abs(a), nrm.p)
+    return _power_aggregate(np.abs(a), nrm.exponent)
 
 
 def ground_norm_eval(nrm: GroundNorm, x) -> float:
@@ -156,9 +212,7 @@ def _ground_subgradient(nrm: GroundNorm, x: np.ndarray) -> np.ndarray:
         return np.where(active, np.sign(x), 0.0) / ties
     nx = ground_norm_eval_many(nrm, x)[..., None]
     safe = np.where(nx > 0.0, nx, 1.0)
-    if nrm.kind == "euclidean":
-        return x / safe
-    return np.sign(x) * (a / safe) ** (nrm.p - 1.0)
+    return np.sign(x) * (a / safe) ** (nrm.exponent - 1.0)
 
 
 def dual_ground_norm(nrm: GroundNorm) -> GroundNorm:

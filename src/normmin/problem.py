@@ -3,8 +3,8 @@
 An instance is a list of distinct anchor points plus a product norm.  The
 objective at a point is the product norm of the stacked differences between
 the point and each anchor.  This module evaluates the objective, bounds where
-minimizers can live, classifies uniqueness, and produces subgradients with a
-dual-block decomposition.
+minimizers can live and how fast the objective can change, classifies
+uniqueness, and produces subgradients with a dual-block decomposition.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from .ground_norms import (
     DEFAULT_TOL,
     _TIE_RTOL,
     _ground_subgradient,
+    _power_profile,
     as_vector,
+    conjugate_exponent,
     ground_norm_eval_many,
 )
-from .product_norms import (
-    ProductNorm,
-    _from_block_norms_many,
-    product_norm_from_block_norms,
-)
+from .product_norms import ProductNorm, _from_block_norms_many
+from .psi_generators import _EVAL_BAND
 
 # Anchors closer than this are considered duplicated.
 _MIN_ANCHOR_GAP = 1e-12
@@ -154,6 +153,31 @@ def solve_bound(prob: ProblemInstance) -> SolveBound:
     return SolveBound(radius=(1.0 + 1.0 / prob.n) * total)
 
 
+def lipschitz_bound(prob: ProblemInstance) -> float:
+    """Euclidean Lipschitz constant bound for the objective."""
+    return prob.n * prob.dim ** max(0.0, 1.0 / prob.norm.ground.exponent - 0.5)
+
+
+def _value_slope(prob: ProblemInstance) -> float:
+    """A Euclidean Lipschitz constant of the objective as it is evaluated.
+
+    The objective's change is at most the total change of the block norms
+    times the generator's largest vertex value; a tabulated generator's
+    values may exceed 1 by ``_EVAL_BAND``.
+    """
+    lip = lipschitz_bound(prob)
+    return lip * (1.0 + _EVAL_BAND) if prob.norm.generator.kind == "tabulated" else lip
+
+
+def _rounding_slack(prob: ProblemInstance) -> float:
+    """Relative bound on the rounding between two evaluated block bounds.
+
+    Objective values, block norms and pairings each round by at most about
+    ``(n + d + 8)`` ulps of their scale; a block bound compares two of them.
+    """
+    return 8.0 * (prob.n + prob.dim + 8) * float(np.finfo(float).eps)
+
+
 def dual_selection(prob: ProblemInstance, u) -> np.ndarray:
     """Dual block stack certifying a subgradient of the objective at ``u``.
 
@@ -176,7 +200,7 @@ def dual_selection(prob: ProblemInstance, u) -> np.ndarray:
         active = r >= m * (1.0 - _TIE_RTOL)
         weights = np.where(active, 1.0 / int(active.sum()), 0.0)
     else:
-        weights = (r / product_norm_from_block_norms(gen, r)) ** (p - 1.0)
+        weights = _power_profile(r, p) ** (1.0 / conjugate_exponent(p))
     return weights[:, None] * selections
 
 

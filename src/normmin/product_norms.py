@@ -4,7 +4,8 @@ The norm of a block tuple is the total of the block norms times the generator
 at the normalized block-norm profile.  The dual norm is the same construction
 over the dual ground norm with the conjugate generator.  The power family
 evaluates through its closed-form aggregate (sum, max or power norm of the
-block norms), which equals the profile formula.
+block norms), which equals the profile formula; it is the kernel of
+``ground_norms``, so block sums run left to right as coordinate sums do.
 """
 
 from __future__ import annotations
@@ -23,20 +24,21 @@ from .errors import (
 from .ground_norms import (
     DEFAULT_TOL,
     GroundNorm,
+    _block_sum,
+    _power_aggregate,
+    _power_profile,
+    conjugate_exponent,
     dual_ground_norm,
     ground_norm_eval_many,
 )
 from .psi_generators import (
     PsiGenerator,
-    _block_sum,
-    _power_aggregate,
-    conjugate_exponent,
     dual_norm_from_block_norms,
     psi_eval_many,
     validate_psi,
 )
 
-# Totals below this count as the zero block tuple.
+# Totals below this count as the zero block tuple under a tabulated generator.
 _ZERO_TOTAL = 1e-300
 
 
@@ -104,13 +106,13 @@ def product_norm_from_block_norms(gen: PsiGenerator, r: np.ndarray) -> float:
 def _from_block_norms_many(gen: PsiGenerator, rs: np.ndarray) -> np.ndarray:
     """Vectorized product norm from rows of block norms.
 
-    The power family uses the closed-form aggregate; other generators scale
-    the total by the generator at the normalized block-norm profile.
+    The power family uses the closed-form aggregate (zero on the zero stack);
+    other generators scale the total by the generator at the profile.
     """
     rs = np.asarray(rs, dtype=float)
-    totals = _block_sum(rs)
     if gen.kind == "p":
-        return np.where(totals > _ZERO_TOTAL, _power_aggregate(rs, gen.p), 0.0)
+        return _power_aggregate(rs, gen.p)
+    totals = _block_sum(rs)
     safe = np.where(totals > _ZERO_TOTAL, totals, 1.0)
     vals = psi_eval_many(gen, rs / safe[..., None])
     return np.where(totals > _ZERO_TOTAL, totals * vals, 0.0)
@@ -249,12 +251,9 @@ def equality_case_check(
         label = "primal_mass_on_max_norm"
         structural = bool(np.all(structure <= tol))
     else:
-        q = conjugate_exponent(p)
-        wp = (r / r.max()) ** p
-        wq = (rstar / rstar.max()) ** q
         # The equality gap is second-order in the profile mismatch, so the
         # residual is squared to live on the same scale as the gap.
-        structure = (wq / wq.sum() - wp / wp.sum()) ** 2
+        structure = (_power_profile(rstar, conjugate_exponent(p)) - _power_profile(r, p)) ** 2
         label = "matched_power_profiles"
         structural = bool(np.all(structure <= tol))
 

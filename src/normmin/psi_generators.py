@@ -5,7 +5,8 @@ equals 1 at every vertex and never drops when one weight is zeroed out and the
 rest are renormalized.  Built-in generators are the power family (exponent 1
 gives the constant-one function, infinity gives the max of the weights);
 arbitrary callables can be wrapped as tabulated generators and are validated
-by sampling.
+by sampling.  A power generator is the l_p aggregate of its weights, the
+kernel that ``ground_norms`` evaluates every ground norm with.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     InvalidInputError,
     MembershipViolationError,
 )
-from .ground_norms import DEFAULT_TOL
+from .ground_norms import DEFAULT_TOL, _power_aggregate, conjugate_exponent
 
 # Sum-to-one slack accepted on simplex points.
 SIMPLEX_TOL = 1e-12
@@ -73,14 +74,6 @@ def as_simplex_point(t, name: str = "weights") -> np.ndarray:
     if abs(float(arr.sum()) - 1.0) > 100 * SIMPLEX_TOL:
         raise MembershipViolationError(f"{name} must sum to 1, got {float(arr.sum())!r}")
     return arr
-
-
-def conjugate_exponent(p: float) -> float:
-    if p == 1.0:
-        return math.inf
-    if p == math.inf:
-        return 1.0
-    return p / (p - 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,40 +130,6 @@ class PsiGenerator:
         return psi_eval(self, t)
 
 
-def _block_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last (block) axis, added left to right whatever the layout.
-
-    ``numpy.sum`` adds a contiguous run of eight or more entries pairwise but
-    strided columns in order, so a row's total would depend on how many rows
-    are summed with it.  A lone row is accumulated; a batch adds its block
-    columns one at a time, which costs a few array passes where accumulating
-    every row costs about ten times more.
-    """
-    if x.size == x.shape[-1]:
-        return np.add.accumulate(x, axis=-1)[..., -1]
-    total = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        total += x[..., j]
-    return total
-
-
-def _power_aggregate(x: np.ndarray, p: float) -> np.ndarray:
-    """The power-family aggregate of nonnegative data over the last axis.
-
-    The sum at ``p = 1``, the max at ``p = inf`` and the ``p``-norm in
-    between, with the max factored out so large exponents cannot underflow.
-    Every product norm, dual norm and power generator of the family is this
-    aggregate of block norms or weights.
-    """
-    if p == 1.0:
-        return _block_sum(x)
-    m = x.max(axis=-1)
-    if p == math.inf:
-        return m
-    safe = np.where(m[..., None] > 0.0, m[..., None], 1.0)
-    return m * _block_sum((x / safe) ** p) ** (1.0 / p)
-
-
 @dataclasses.dataclass(frozen=True)
 class _Formula:
     """A built-in generator behind a tabulated generator's callable.
@@ -193,7 +152,7 @@ def _psi_values_raw(gen: PsiGenerator, ts: np.ndarray) -> np.ndarray:
     This is the one place that calls a tabulated generator's callable: once
     per row, except that a formula-backed one (``_Formula``) runs its
     built-in generator's kernel over all rows in one pass.  The values are
-    the same bit for bit, since ``_block_sum`` adds left to right whatever
+    the same bit for bit, since the aggregate sums left to right whatever
     the layout.
     """
     if gen.kind == "p":

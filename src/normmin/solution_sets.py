@@ -26,7 +26,6 @@ from .certificates import (
     GENERAL,
     P_FERMAT,
     Certificate,
-    _power_profile,
     check_certificate,
 )
 from .errors import (
@@ -39,15 +38,17 @@ from .errors import (
 from .geometry import _LEAF_POINTS, _TILE_POINTS, _lattice_walk
 from .ground_norms import (
     GroundNorm,
+    _block_sum,
+    _power_profile,
     alignment_set_contains,
     as_vector,
+    conjugate_exponent,
     dual_ground_norm,
     ground_norm_eval_many,
 )
-from .problem import ProblemInstance, _displacements_many
+from .problem import ProblemInstance, _displacements_many, _rounding_slack, _value_slope, lipschitz_bound
 from .product_norms import _from_block_norms_many
-from .psi_generators import _EVAL_BAND, _block_sum, conjugate_exponent
-from .solvers import _rounding_slack, _value_slope, lipschitz_bound
+from .psi_generators import _EVAL_BAND
 
 GENERAL_PREDICATE = "general_predicate"
 FT_INTERSECTION = "ft_intersection"

@@ -57,11 +57,13 @@ from .geometry import _lattice_walk, _min_norm_rows, affine_hull_basis
 from .ground_norms import _ground_subgradient, dual_ground_norm, ground_norm_eval_many
 from .problem import (
     ProblemInstance,
+    _rounding_slack,
+    _value_slope,
+    lipschitz_bound,
     objective_eval,
     objective_eval_many,
     solve_bound,
 )
-from .psi_generators import _EVAL_BAND
 
 _GRID_POINT_CAP = 100_000_000
 _NEAR_MIN_SLACK = 1e-9
@@ -130,39 +132,6 @@ class SolveResult:
             "value": self.value,
             "iterations": self.iterations,
         }
-
-
-def lipschitz_bound(prob: ProblemInstance) -> float:
-    """Euclidean Lipschitz constant bound for the objective."""
-    ground = prob.norm.ground
-    d = prob.dim
-    if ground.kind == "sum":
-        kappa = math.sqrt(d)
-    elif ground.kind == "p":
-        kappa = d ** max(0.0, 1.0 / ground.p - 0.5)
-    else:
-        kappa = 1.0
-    return prob.n * kappa
-
-
-def _value_slope(prob: ProblemInstance) -> float:
-    """A Euclidean Lipschitz constant of the objective as it is evaluated.
-
-    The objective's change is at most the total change of the block norms
-    times the generator's largest vertex value; a tabulated generator's
-    values may exceed 1 by ``_EVAL_BAND``.
-    """
-    lip = lipschitz_bound(prob)
-    return lip * (1.0 + _EVAL_BAND) if prob.norm.generator.kind == "tabulated" else lip
-
-
-def _rounding_slack(prob: ProblemInstance) -> float:
-    """Relative bound on the rounding between two evaluated block bounds.
-
-    Objective values, block norms and pairings each round by at most about
-    ``(n + d + 8)`` ulps of their scale; a block bound compares two of them.
-    """
-    return 8.0 * (prob.n + prob.dim + 8) * float(np.finfo(float).eps)
 
 
 def midpoint_shortcut(prob: ProblemInstance) -> SolveResult:
@@ -375,7 +344,7 @@ def _block_terms(ground, x: np.ndarray, width: float = 0.0):
         up, down = np.exp((x - top) / width), np.exp((-x - top) / width)
         z = (up + down).sum(axis=1, keepdims=True)
         return top[:, 0] + width * np.log(z[:, 0]), (up - down) / z, (up + down) / (width * z), 1.0 / width
-    e = 2.0 if ground.kind == "euclidean" else ground.p
+    e = ground.exponent
     r = np.maximum(ground_norm_eval_many(ground, x), np.finfo(float).tiny)
     a = np.abs(x) / r[:, None]
     g = np.sign(x) * a ** (e - 1.0)
@@ -701,7 +670,7 @@ def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float
     sel, lam, _ = _min_norm_rows(g)
     anchors, m = (prob.anchors[near[sel]] - us) / t, sel.size
     gap = np.abs(anchors)
-    held = (gap.min(axis=0) <= 1e-7) & (ground.kind == "p" and ground.p < 2.0)
+    held = (gap.min(axis=0) <= 1e-7) & (ground.exponent < 2.0)
     z0 = np.where(held, anchors[gap.argmin(axis=0), np.arange(d)], 0.0)
     jac = np.zeros((d + m + 1, d + m + 1))
     jac[d:-1, d], jac[-1, d + 1:] = -1.0, 1.0
@@ -836,10 +805,12 @@ def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = No
     best point so far, at sizes alternating 1e-2 and 1e-4 times ``h0``.
     Nelder-Mead can stall short of a minimizer (McKinnon 1998), so restarts
     go on while they gain: the first restart that gains at most
-    ``_STALL_TOL`` times max(1, value) ends the search.  ``config.max_iters``
-    caps the iterations of all runs together, and ``iterations`` reports the
-    total.  ``converged`` means that such a restart, not the cap, ended the
-    search and the search has at most ``_VERIFIED_DIM`` directions.  The
+    ``_STALL_TOL`` times max(1, value) ends the search, unless Nelder-Mead
+    cut it off at its evaluation cap with some gain, where a further restart
+    can still gain.  ``config.max_iters`` caps the iterations of all runs
+    together, and ``iterations`` reports the total.  ``converged`` means
+    that such a restart, not the cap, ended the search and the search has
+    at most ``_VERIFIED_DIM`` directions.  The
     value is never above the centroid's.  Verified against the exact methods
     in dimension at most 3; from dimension 5 on it can stop up to about 2e-2
     relative above the optimum with a restart that gains nothing, so with
@@ -879,7 +850,8 @@ def solve_pattern_search(prob: ProblemInstance, config: SolverConfig | None = No
         gain = f - float(res.fun)
         if gain > 0.0:
             y, f = res.x, float(res.fun)
-        if shrink < 1.0 and gain <= _STALL_TOL * max(1.0, f):
+        # A run cut off at ``maxfev`` (status 1) with some gain is no stall.
+        if shrink < 1.0 and gain <= _STALL_TOL * max(1.0, f) and (res.status != 1 or gain <= 0.0):
             converged = y.size <= _VERIFIED_DIM
             break
         shrink = 1e-4 if shrink == 1e-2 else 1e-2

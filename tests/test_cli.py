@@ -107,6 +107,13 @@ def test_certify_theorem_mismatch_is_an_input_error(tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("point", [["a", 1], {"x": 1}], ids=["string-entry", "mapping"])
+def test_recover_rejects_a_malformed_point(tmp_path, point):
+    code, _, err = run_cli(["recover", "@prob", "@pt"], tmp_path, prob=CHEB_L2_PROBLEM, pt={"point": point})
+    assert code == 1
+    assert err.startswith("error: field ") and err.count("\n") == 1, err
+
+
 def test_recover_valid_and_infeasible(tmp_path):
     code, out, _ = run_cli(
         ["recover", "@prob", "@pt"],

@@ -290,6 +290,16 @@ def test_pattern_search_restarts_while_they_gain():
     assert abs(res.value - exact.value) <= 1e-12 * exact.value
 
 
+def test_pattern_search_restarts_after_a_run_cut_off_at_maxfev():
+    # Both first runs end at Nelder-Mead's 700 evaluations; the second gains
+    # 1.7e-9, below the stall bound, yet a third run still gains 2.1e-10.
+    # Counted as a stall, the cut-off run ended the search 1.6e-10 above.
+    prob = _instance(np.random.default_rng(4050).normal(size=(4, 5)) * 2, GroundNorm.power(3.0), math.inf)
+    exact = solve_subgradient(prob)
+    res = solve_pattern_search(_tabulated_copy(prob)[0])
+    assert res.value - exact.value <= 1.2e-10 * exact.value
+
+
 @pytest.mark.parametrize(
     "ground,p,d,s",
     [(GroundNorm.euclidean(), math.inf, 5, 2), (GroundNorm.max(), 2.0, 10, 0)],
