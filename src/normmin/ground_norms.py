@@ -129,9 +129,9 @@ def _block_sum(x: np.ndarray) -> np.ndarray:
     ``numpy.sum`` adds a contiguous run of eight or more entries pairwise but
     strided columns in order, so a row's total would depend on its batch and
     layout.  Up to ``_ACCUMULATED_ROWS`` rows are accumulated in one call
-    (the break-even lies near 30 rows of 2 and 60 of 10); more add their
-    columns one at a time, from a first column copied in its own memory
-    order, so no stack gets transposed.
+    (the break-even lies near 25 rows of 2 coordinates and 110 of 10); more
+    add their columns one at a time, from a first column copied in its own
+    memory order, so no stack gets transposed.
     """
     if x.size <= _ACCUMULATED_ROWS * x.shape[-1]:
         return np.add.accumulate(x, axis=-1)[..., -1]

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ArityMismatchError, InvalidInputError
 from .ground_norms import (
-    DEFAULT_TOL,
     _TIE_RTOL,
     _ground_subgradient,
     _power_profile,
