@@ -19,35 +19,14 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
+# Each subcommand imports what it calls when it runs, so a process loads only
+# the modules its subcommand needs.
 from . import serialization as ser
-from .certificates import (
-    CHEBYSHEV,
-    FERMAT_TORRICELLI,
-    GENERAL,
-    P_FERMAT,
-    Infeasible,
-    check_certificate,
-    recover_certificate,
-)
 from .errors import (
     InputFormatError,
     MembershipViolationError,
     NormMinError,
 )
-from .examples import find_cases, run_case
-from .psi_generators import validate_psi
-from .solution_sets import describe_solution_set, sample_solution_region
-from .solvers import solve
-
-_THEOREM_FLAGS = {
-    "auto": "auto",
-    "general": GENERAL,
-    "ft": FERMAT_TORRICELLI,
-    "chebyshev": CHEBYSHEV,
-    "pft": P_FERMAT,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,22 +70,39 @@ def _tol(args, fallback: float) -> float:
 
 
 def cmd_solve(args) -> int:
+    from .solvers import solve
+
     res = solve(_load_instance(args.problem))
     _write(ser.dumps(res.to_dict()), args.out)
     return 0 if res.converged else 2
 
 
 def cmd_certify(args) -> int:
+    from .certificates import (
+        CHEBYSHEV,
+        FERMAT_TORRICELLI,
+        GENERAL,
+        P_FERMAT,
+        check_certificate,
+    )
+
+    theorem = {
+        "auto": "auto",
+        "general": GENERAL,
+        "ft": FERMAT_TORRICELLI,
+        "chebyshev": CHEBYSHEV,
+        "pft": P_FERMAT,
+    }[args.theorem]
     prob = _load_instance(args.problem)
     cert = _load_certificate(args.certificate)
-    report = check_certificate(
-        prob, cert, tol=_tol(args, 1e-9), theorem=_THEOREM_FLAGS[args.theorem]
-    )
+    report = check_certificate(prob, cert, tol=_tol(args, 1e-9), theorem=theorem)
     _write(ser.dumps(report.to_dict()), args.out)
     return 0 if report.verdict else 3
 
 
 def cmd_recover(args) -> int:
+    from .certificates import Infeasible, recover_certificate
+
     prob = _load_instance(args.problem)
     obj = ser.load_path(args.point_file)
     raw = obj.get("point", obj.get("solution")) if isinstance(obj, dict) else None
@@ -132,6 +128,8 @@ def cmd_recover(args) -> int:
 
 
 def _describe(prob, cert, tol):
+    from .solution_sets import describe_solution_set
+
     try:
         return describe_solution_set(prob, cert, tol=tol), 0
     except MembershipViolationError as exc:
@@ -160,6 +158,8 @@ def cmd_describe(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .solution_sets import sample_solution_region
+
     prob = _load_instance(args.problem)
     cert = _load_certificate(args.certificate)
     if args.svg and prob.dim != 2:
@@ -179,6 +179,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_validate_psi(args) -> int:
+    from .psi_generators import validate_psi
+
     gen = ser.generator_from_json(ser.load_path(args.generator), field=str(args.generator))
     report = validate_psi(gen, tol=_tol(args, 1e-7), seed=args.seed)
     _write(ser.dumps(report.to_dict()), args.out)
@@ -186,6 +188,11 @@ def cmd_validate_psi(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    import numpy as np
+
+    from .certificates import Infeasible
+    from .examples import find_cases, run_case
+
     cases = find_cases(args.only)
     outdir = Path(args.out) if args.out else Path("examples-out")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -267,7 +274,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("certify", help="check an optimality certificate")
     p.add_argument("problem")
     p.add_argument("certificate")
-    p.add_argument("--theorem", choices=sorted(_THEOREM_FLAGS), default="auto")
+    p.add_argument("--theorem", choices=("auto", "chebyshev", "ft", "general", "pft"), default="auto")
     common(p)
     p.set_defaults(func=cmd_certify)
 

@@ -273,6 +273,8 @@ def validate_psi(
             raise InvalidInputError("arity argument disagrees with tabulated arity")
     if samples < n + 1:
         raise InvalidInputError(f"need at least arity+1 samples, got {samples}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     pts = rng.dirichlet(np.ones(n), size=samples)

@@ -17,15 +17,17 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .certificates import Certificate
 from .errors import InputFormatError, NormMinError
 from .ground_norms import GroundNorm
-from .problem import ProblemInstance
-from .product_norms import ProductNorm
 from .psi_generators import PsiGenerator, _Formula
+
+if TYPE_CHECKING:
+    from .certificates import Certificate
+    from .problem import ProblemInstance
 
 _GROUND_KINDS = ("sum", "max", "euclidean", "p")
 
@@ -206,6 +208,11 @@ def instance_to_json(prob: ProblemInstance) -> dict:
 
 
 def instance_from_json(obj, field: str = "instance") -> ProblemInstance:
+    # Imported here so that a command reading only generators (validate-psi)
+    # loads no instance layers.
+    from .problem import ProblemInstance
+    from .product_norms import ProductNorm
+
     anchors = _as_matrix(_require(obj, "anchors", field), f"{field}.anchors")
     ground = ground_norm_from_json(_require(obj, "ground", field), f"{field}.ground")
     gen = generator_from_json(_require(obj, "generator", field), f"{field}.generator")
@@ -225,6 +232,8 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj, field: str = "certificate") -> Certificate:
+    from .certificates import Certificate
+
     solution = _as_vector_field(_require(obj, "solution", field), f"{field}.solution")
     duals = _as_matrix(_require(obj, "duals", field), f"{field}.duals")
     try:

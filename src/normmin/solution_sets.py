@@ -37,11 +37,8 @@ from .errors import (
 )
 from .geometry import _LEAF_POINTS, _TILE_POINTS, _lattice_walk
 from .ground_norms import (
-    GroundNorm,
     _block_sum,
     _power_profile,
-    alignment_set_contains,
-    as_vector,
     conjugate_exponent,
     dual_ground_norm,
     ground_norm_eval_many,
@@ -373,27 +370,6 @@ def sol_contains_chebyshev(
     return _contains(desc, u, tol, CHEBYSHEV_INTERSECTION)
 
 
-def sol_contains_chebyshev_via_cells(
-    desc: SolutionSetDescription, u, tol: float = DESCRIPTION_TOL
-) -> bool:
-    """Equivalent route: alignment cone plus farthest-cell per massive block."""
-    _require_kind(desc, CHEBYSHEV_INTERSECTION)
-    us = _query_rows(desc, u)
-    prob = desc.instance
-    rstar = desc.dual_norms
-    diffs = us[0][None, :] - prob.anchors
-    for i in range(prob.n):
-        if rstar[i] <= tol:
-            continue
-        if not alignment_set_contains(
-            prob.norm.ground, desc.certificate.duals[i], diffs[i], tol
-        ):
-            return False
-        if not farthest_voronoi_contains(prob.norm.ground, prob.anchors, i + 1, us[0], tol):
-            return False
-    return True
-
-
 def sol_contains_pft(
     desc: SolutionSetDescription, u, tol: float = DESCRIPTION_TOL
 ) -> bool:
@@ -406,31 +382,6 @@ def solution_set_contains(
 ) -> bool:
     """Dispatch to the predicate selected at description time."""
     return _contains(desc, u, tol, desc.kind)
-
-
-# ---------------------------------------------------------------------------
-# Farthest Voronoi cells
-# ---------------------------------------------------------------------------
-
-
-def farthest_voronoi_contains(
-    ground: GroundNorm, anchors, i: int, u, tol: float = DESCRIPTION_TOL
-) -> bool:
-    """Whether anchor ``i`` (numbered from 1) is farthest from ``u``.
-
-    The metric test: the distance to anchor ``i`` is within ``tol`` of the
-    largest anchor distance.
-    """
-    a = np.asarray(anchors, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise InvalidInputError("anchors must form a 2-d array")
-    if not 1 <= i <= a.shape[0]:
-        raise InvalidInputError(f"anchor index {i} out of range 1..{a.shape[0]}")
-    point = as_vector(u, "u")
-    if point.size != a.shape[1]:
-        raise DimensionMismatchError("query point does not match anchor dimension")
-    dists = ground_norm_eval_many(ground, point[None, :] - a)
-    return float(dists[i - 1] - dists.max()) >= -tol
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,15 @@ def test_validate_psi_on_a_tabulated_formula_prints_the_formula_report(tmp_path)
     assert out == builtin
 
 
+def test_validate_psi_rejects_a_negative_seed(tmp_path):
+    code, out, err = run_cli(
+        ["validate-psi", "@gen", "--seed", "-1"], tmp_path, gen={"kind": "p", "p": 2.0}
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InvalidInputError: seed must be non-negative")
+
+
 def test_tol_must_be_positive(tmp_path):
     code, _, err = run_cli(
         ["certify", "@prob", "@cert", "--tol", "0"],

@@ -10,6 +10,7 @@ from normmin import (
     BudgetExceededError,
     Certificate,
     ContractError,
+    DimensionMismatchError,
     GroundNorm,
     Infeasible,
     InvalidInputError,
@@ -20,15 +21,14 @@ from normmin import (
     SolverConfig,
     alignment_set_contains,
     describe_solution_set,
-    farthest_voronoi_contains,
     find_cases,
     grid_oracle,
+    ground_norm_eval_many,
     hull_distance,
     objective_eval_many,
     recover_certificate,
     sample_solution_region,
     sol_contains_chebyshev,
-    sol_contains_chebyshev_via_cells,
     sol_contains_ft,
     sol_contains_general,
     sol_contains_pft,
@@ -37,9 +37,54 @@ from normmin import (
     solve_subgradient,
 )
 from normmin import geometry, solution_sets, solvers
+from normmin.ground_norms import as_vector
 from normmin.psi_generators import _EVAL_BAND
-from normmin.solution_sets import _KERNELS, DESCRIPTION_TOL
+from normmin.solution_sets import (
+    _KERNELS,
+    CHEBYSHEV_INTERSECTION,
+    DESCRIPTION_TOL,
+    _query_rows,
+    _require_kind,
+)
 from normmin.solvers import _NEAR_MIN_SLACK
+
+
+# The Chebyshev predicate computed a second way, as a cross-check of the
+# vectorized kernel: alignment cone plus farthest cell per massive block.
+
+
+def farthest_voronoi_contains(ground, anchors, i: int, u, tol: float = DESCRIPTION_TOL) -> bool:
+    """Whether anchor ``i`` (numbered from 1) is farthest from ``u``.
+
+    The metric test: the distance to anchor ``i`` is within ``tol`` of the
+    largest anchor distance.
+    """
+    a = np.asarray(anchors, dtype=float)
+    if a.ndim != 2 or a.shape[0] < 1:
+        raise InvalidInputError("anchors must form a 2-d array")
+    if not 1 <= i <= a.shape[0]:
+        raise InvalidInputError(f"anchor index {i} out of range 1..{a.shape[0]}")
+    point = as_vector(u, "u")
+    if point.size != a.shape[1]:
+        raise DimensionMismatchError("query point does not match anchor dimension")
+    dists = ground_norm_eval_many(ground, point[None, :] - a)
+    return float(dists[i - 1] - dists.max()) >= -tol
+
+
+def sol_contains_chebyshev_via_cells(desc, u, tol: float = DESCRIPTION_TOL) -> bool:
+    _require_kind(desc, CHEBYSHEV_INTERSECTION)
+    us = _query_rows(desc, u)
+    prob = desc.instance
+    rstar = desc.dual_norms
+    diffs = us[0][None, :] - prob.anchors
+    for i in range(prob.n):
+        if rstar[i] <= tol:
+            continue
+        if not alignment_set_contains(prob.norm.ground, desc.certificate.duals[i], diffs[i], tol):
+            return False
+        if not farthest_voronoi_contains(prob.norm.ground, prob.anchors, i + 1, us[0], tol):
+            return False
+    return True
 
 
 def case_desc(case_id):
