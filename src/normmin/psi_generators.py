@@ -35,10 +35,12 @@ _EVAL_BAND = 1e-7
 
 MAX_TABULATED_ARITY = 8
 
-# Point cap of the conjugate search's start lattice and local stencil, and the
-# stencil's step count below that cap.
+# Point cap of the conjugate search's start lattice and local stencil, the
+# stencil's step count below that cap, and the step count of the small stencil
+# polled before it.
 _LATTICE_POINTS = 64
 _STENCIL_STEPS = 4
+_SMALL_STEPS = 2
 
 # The conjugate search multiplies its scale by the contraction after a poll
 # with no gain, or by the model contraction when the quadratic model's step
@@ -426,46 +428,68 @@ def _model_step(stencil: np.ndarray) -> Callable:
     return peak
 
 
+def _stencil(n: int, k: int) -> np.ndarray:
+    """The local lattice at ``k`` steps minus its barycenter, in both
+    orientations, scaled so its points reach the vertex directions."""
+    local = n * _compositions(n, k) - k
+    stencil = np.unique(np.vstack([local, -local]), axis=0)
+    return stencil[np.any(stencil, axis=1)] / (n * k)
+
+
 @functools.cache
-def _search_frame(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable]:
+def _search_frame(
+    n: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable, np.ndarray, Callable | None]:
     """The conjugate search's start lattice, stencil, stencil directions and
-    model step at arity ``n`` and ``m`` subdivisions.
+    model step at arity ``n`` and ``m`` subdivisions, then the small stencil
+    (the local lattice at ``_SMALL_STEPS``) and its model step.
 
     They depend on nothing else, so each is built once and kept read-only;
     tabulated arities stop at ``MAX_TABULATED_ARITY`` and the lattice point
     cap bounds ``m``, so few frames exist.  The start lattice holds the
-    barycenter even where ``m`` misses it.
+    barycenter even where ``m`` misses it.  Where the stencil itself has no
+    more steps than the small one, the small stencil is empty.
     """
     starts = _compositions(n, m) / m
     if m % n:
         starts = np.vstack([starts, np.full(n, 1.0 / n)])
     k = _subdivisions(n, _STENCIL_STEPS)
-    local = n * _compositions(n, k) - k
-    stencil = np.unique(np.vstack([local, -local]), axis=0)
-    stencil = stencil[np.any(stencil, axis=1)] / (n * k)
+    stencil = _stencil(n, k)
     units = stencil / np.linalg.norm(stencil, axis=1)[:, None]
-    for arr in (starts, stencil, units):
+    small = _stencil(n, _SMALL_STEPS) if k > _SMALL_STEPS else stencil[:0]
+    for arr in (starts, stencil, units, small):
         arr.flags.writeable = False
-    return starts, stencil, units, _model_step(stencil)
+    small_peak = _model_step(small) if len(small) else None
+    return starts, stencil, units, _model_step(stencil), small, small_peak
 
 
 def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.inf) -> float:
     """Sup of <t, weights> / psi(t) over the simplex.
 
     The ratio is a nonnegative linear function over a positive convex one, so
-    every local maximum is global.  The best point of a coarse lattice (at
-    most ``grid`` subdivisions and ``_LATTICE_POINTS`` points), together with
-    the barycenter where the lattice misses it (the minimizer of every
-    symmetric generator and the max generator's kink), starts a pattern
-    search, split into a poll and a model-driven search step in the manner of
-    mesh adaptive direct search (Audet and Dennis 2006).
+    every local maximum is global.  Zeroing a slot whose weight is not
+    positive never lowers the ratio, since the generator's restriction axiom
+    gives psi(t) >= (1 - t_i) psi(t with slot i zeroed and renormalized); so
+    the sup is reached on the face of the positive weights, and the search
+    runs there, at that face's arity (one positive weight gives its vertex).
+    The best point of a coarse lattice on the face (at most ``grid``
+    subdivisions and ``_LATTICE_POINTS`` points), together with the
+    barycenter where the lattice misses it (the minimizer of every symmetric
+    generator and the max generator's kink), starts a pattern search, split
+    into a poll and a model-driven search step in the manner of mesh
+    adaptive direct search (Audet and Dennis 2006).
 
     - The poll tries ``t + rho * stencil``, where the stencil is a small local
       lattice minus its barycenter, in both orientations.  After a winning
       move it first tries only the stencil points within cosine
-      ``_NEAR_COSINE`` (0.8) of that move, and falls back to the whole
-      stencil when none of them gains.  A move to the best point that gains
-      is repeated with doubled length while it keeps gaining.
+      ``_NEAR_COSINE`` (0.8) of that move.  Then, if the stencil lies inside
+      the simplex, it tries the small stencil (the local lattice at
+      ``_SMALL_STEPS`` steps, with fewer points than the full one), and the
+      maximizer of a quadratic fitted to the small poll's values, as in the
+      model step below; a gain there moves and contracts as that step does.
+      It falls back to the whole stencil when none of these gains.  A move to
+      the best point of a poll that gains is repeated with doubled length
+      while it keeps gaining.
     - The search ends once the best ratio comes within ``_GAIN_RTOL`` of the
       sum of the positive weights: ``psi(t) >= max(t)`` caps every ratio
       there, so the sup is reached wherever the conjugate is that sum.
@@ -495,15 +519,22 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
     once per distinct point: a failed poll leaves ``t`` in place, so the
     next scale's row ``4 s`` repeats this scale's row ``s`` wherever the
     stencil holds both, the full poll repeats the points of the directed
-    one, and clipping onto the simplex merges rows near a face.  The value
-    is a ratio at a point the search evaluated, so it never exceeds the
-    supremum.
+    and the small ones, and clipping onto the simplex merges rows near a
+    face.  ``psi`` sees every point at full length, zero off the face.  The
+    value is a ratio at a point the search evaluated, so it never exceeds
+    the supremum.
     """
     seen: dict[bytes, float] = {}
+    face = weights > 0.0
+    w = weights[face]
 
     def ratios(ts: np.ndarray) -> np.ndarray:
-        keys = [row.tobytes() for row in ts]
-        fresh = {key: row for key, row in zip(keys, ts) if key not in seen}
+        full = ts
+        if w.size < weights.size:
+            full = np.zeros((len(ts), weights.size))
+            full[:, face] = ts
+        keys = [row.tobytes() for row in full]
+        fresh = {key: row for key, row in zip(keys, full) if key not in seen}
         if fresh:
             pts = np.array(list(fresh.values()))
             vals = psi_eval_many(gen, pts)
@@ -513,34 +544,46 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
                     f"generator must stay positive, got {vals[bad[0]]!r} at {pts[bad[0]].tolist()}"
                 )
             seen.update(zip(fresh, vals))
-        return ts @ weights / np.array([seen[key] for key in keys])
+        return ts @ w / np.array([seen[key] for key in keys])
 
-    n = weights.size
+    def modelled(model: Callable, vals: np.ndarray) -> tuple[np.ndarray | None, float, bool]:
+        top, flat = model(t, rho, best, vals)
+        return top, ratios(top[None])[0] if top is not None else -math.inf, flat
+
+    n = w.size
+    if n == 1:
+        return float(ratios(np.ones((1, 1)))[0])
     m = _subdivisions(n, grid)
-    starts, stencil, units, peak = _search_frame(n, m)
+    starts, stencil, units, peak, small, small_peak = _search_frame(n, m)
     vals = ratios(starts)
     i = int(np.argmax(vals))
     t, best = starts[i], vals[i]
     # psi(t) >= max(t) caps the ratio at the sum of the positive weights.
-    cap = np.maximum(weights, 0.0).sum() * (1.0 - _GAIN_RTOL)
+    cap = w.sum() * (1.0 - _GAIN_RTOL)
     near = stencil[:0]
     drops = None
     rho = 1.0 / m
     while rho > _RHO_STOP and best < cap:
-        for poll in (near, stencil):
-            if not len(poll):
+        # The small stencil reaches the same vertex directions as the full
+        # one, so it leaves the simplex exactly when the full one does.
+        inside = (t + rho * stencil).min() >= 0.0
+        for poll in (near, small, stencil):
+            if not len(poll) or (poll is small and not inside):
                 continue
-            raw = t + rho * poll
-            cands = _onto_simplex(raw)
+            cands = _onto_simplex(t + rho * poll)
             vals = ratios(cands)
             i = int(np.argmax(vals))
             if vals[i] > best * (1.0 + _GAIN_RTOL):
                 break
+            if poll is small:
+                top, ratio, _ = modelled(small_peak, vals)
+                if ratio > best * (1.0 + _GAIN_RTOL):
+                    break
         else:
             # The full poll failed: stop where it is flat, else try the model.
             if vals.min() >= best * (1.0 - _GAIN_RTOL):
                 break
-            if raw.min() < 0.0:
+            if not inside:
                 # No model fits a clipped stencil.  Drops a quarter of those
                 # at 4 rho, at the same points, are first order in rho.
                 last, drops = drops, best - vals
@@ -553,14 +596,17 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
                     break
                 rho *= _CONTRACTION
                 continue
-            top, flat = peak(t, rho, best, vals)
-            ratio = ratios(top[None])[0] if top is not None else -math.inf
+            top, ratio, flat = modelled(peak, vals)
             if ratio > best * (1.0 + _GAIN_RTOL):
                 t, best, rho, drops = top, ratio, rho * _MODEL_CONTRACTION, None
             elif flat:
                 break
             else:
                 rho *= _CONTRACTION
+            continue
+        if vals[i] <= best * (1.0 + _GAIN_RTOL):
+            # The small poll failed and its model gained.
+            t, best, rho, drops = top, ratio, rho * _MODEL_CONTRACTION, None
             continue
         step, t, best = cands[i] - t, cands[i], vals[i]
         near = stencil[units @ step >= _NEAR_COSINE * np.linalg.norm(step)]
@@ -585,11 +631,12 @@ def psi_conjugate_eval(gen: PsiGenerator, s, grid: int = 200) -> float:
     caps, starts a shrinking local pattern search with a quadratic-model
     step.  The value is attained at a point the search evaluated, so it never
     exceeds the supremum.  On power generators behind a callable it stays
-    within 1e-12 relative of the closed form on the 560 cells of
-    ``tools/conjugate_probe.py`` (arities 2 to 8, worst 6.2e-13 short).  At a
-    vertex maximum (exponent 1) and at the max generator's kink it ends on the
-    exact value within two polls of the start lattice; at a kink inside the
-    simplex that lies off the lattice it can stop short.
+    within 1e-12 relative of the closed form on the 840 cells of
+    ``tools/conjugate_probe.py`` (arities 2 to 8, 280 of them with a zero
+    weight; worst 6.2e-13 short).  At a vertex maximum (exponent 1) and at
+    the max generator's kink it ends on the exact value within two polls of
+    the start lattice; at a kink inside the simplex that lies off the
+    lattice it can stop short.
     """
     s = as_simplex_point(s, "s")
     if gen.kind == "p":
@@ -607,9 +654,11 @@ def dual_norm_from_block_norms(gen: PsiGenerator, rstar: np.ndarray) -> float:
     For power generators this is the conjugate-exponent aggregate; for
     tabulated generators it maximizes the weighted sum over the generator on
     the simplex with the search of ``psi_conjugate_eval``.  Either way the
-    dual ground norms enter in absolute value.
+    dual ground norms enter in absolute value, and must be finite.
     """
     rstar = np.asarray(rstar, dtype=float)
+    if not np.all(np.isfinite(rstar)):
+        raise InvalidInputError("dual block norms must be finite")
     if gen.kind == "p":
         return float(_power_aggregate(np.abs(rstar), conjugate_exponent(gen.p)))
     if rstar.size != gen.arity:
@@ -624,8 +673,9 @@ def psi_conjugate_generator(gen: PsiGenerator) -> PsiGenerator:
 
     Power generators conjugate in closed form.  For tabulated generators the
     result is itself tabulated, each evaluation running the search of
-    ``psi_conjugate_eval`` (on power generators, up to about 700 generator
-    calls at arity 3 and 1 500 at arity 4 on the probe's cells; the max
+    ``psi_conjugate_eval`` (on power generators, a median of about 180
+    generator calls at arity 3 and 290 at arity 4 on the probe's cells, up
+    to about 700 and 1 500 where the maximizer lies near a face; the max
     generator ends at the barycenter after the start lattice, 57 calls at
     arity 4).
     """

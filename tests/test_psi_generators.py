@@ -281,7 +281,7 @@ def _walk(psi, weights, grid):
 
 
 SEARCH_GRIDS = {2: 200, 3: 200, 4: 40, 5: 20, 6: 12, 7: 12, 8: 12}
-CALL_CEILINGS = {3: 440, 4: 700}
+CALL_CEILINGS = {3: 370, 4: 540}
 
 
 def test_conjugate_search_accuracy_and_cost():
@@ -305,6 +305,51 @@ def test_conjugate_search_accuracy_and_cost():
                 assert psi.calls <= walk_calls, (n, p, s, psi.calls, walk_calls)
 
 
+def test_conjugate_search_runs_on_the_face_of_positive_weights():
+    # Zeroing a slot never lowers the ratio (the restriction axiom), so the
+    # search drops the zero weights: it must match the closed form, call psi
+    # only on points of that face, and cost no more than the same search on
+    # the generator of the face's arity.  The generator sums only the
+    # positive entries, so both searches see the same values bit for bit
+    # (numpy sums eight entries in another order than seven).
+    def on_positive(p):
+        power = _power(p)
+        return lambda t: power(t[t > 0.0])
+
+    rng = make_rng(22)
+    for n in range(3, 9):
+        grid = SEARCH_GRIDS[n]
+        for zeros in range(1, n - 1):
+            for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+                closed = PsiGenerator.power(conjugate_exponent(p))
+                for reduced in random_simplex(rng, 4, n - zeros):
+                    face = np.sort(rng.choice(n, n - zeros, replace=False))
+                    s = np.zeros(n)
+                    s[face] = reduced
+                    psi = Counted(on_positive(p))
+                    value = psi_conjugate_eval(PsiGenerator.tabulated(psi, n), s, grid=grid)
+                    want = psi_eval(closed, s)
+                    assert abs(value - want) <= 1e-12 * want, (n, p, s, value, want)
+                    pts = np.array([np.frombuffer(b) for b in psi.points])
+                    assert not np.any(np.delete(pts, face, axis=1)), (n, p, s)
+                    on_face = Counted(on_positive(p))
+                    psi_conjugate_eval(PsiGenerator.tabulated(on_face, n - zeros), reduced, grid=grid)
+                    assert psi.calls <= on_face.calls, (n, p, s, psi.calls, on_face.calls)
+    # On a vertex the search calls psi there once.
+    for n in (2, 5):
+        psi = Counted(_power(2.0))
+        assert psi_conjugate_eval(PsiGenerator.tabulated(psi, n), np.eye(n)[1]) == 1.0
+        assert psi.calls == 1
+
+
+def test_dual_norm_rejects_non_finite_block_norms():
+    l2 = PsiGenerator.tabulated(lambda t: float(np.sqrt(np.sum(t**2))), 3)
+    for gen in (l2, PsiGenerator.power(2.0)):
+        for rstar in ((math.inf, 0.0, 2.0), (1.0, math.nan, 2.0), (-math.inf, 1.0, 1.0)):
+            with pytest.raises(InvalidInputError):
+                dual_norm_from_block_norms(gen, np.array(rstar))
+
+
 def test_conjugate_search_stops_at_a_vertex_and_at_the_kink():
     # p = 1 peaks at a vertex, where every poll drops linearly in rho, and
     # p = inf at the barycenter, where the ratio meets the sandwich bound.
@@ -312,7 +357,7 @@ def test_conjugate_search_stops_at_a_vertex_and_at_the_kink():
     rng = make_rng(20)
     for n in (3, 4):
         grid = SEARCH_GRIDS[n]
-        starts, stencil, _, _ = _search_frame(n, _subdivisions(n, grid))
+        starts, stencil, *_ = _search_frame(n, _subdivisions(n, grid))
         for p in (1.0, math.inf):
             closed = PsiGenerator.power(conjugate_exponent(p))
             for s in random_simplex(rng, 4, n):
