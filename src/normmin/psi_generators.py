@@ -49,6 +49,11 @@ _CONTRACTION = 0.25
 _MODEL_CONTRACTION = 1.0 / 16.0
 _RHO_STOP = 2.5e-13
 
+# Along a coordinate smaller than the scale, the stencil shrinks to that
+# coordinate's size, but by no more than this factor, so a poll can still
+# leave a face.
+_FACE_SCALE = 0.25
+
 # After a winning move the conjugate search first polls only the stencil
 # points within this cosine of that move.
 _NEAR_COSINE = 0.8
@@ -386,44 +391,69 @@ def _onto_simplex(ts: np.ndarray) -> np.ndarray:
 
 
 def _model_step(stencil: np.ndarray) -> Callable:
-    """The search step of a quadratic model fitted to a failed poll's values.
+    """The search step of a quadratic model fitted to a poll of ``stencil``.
 
-    The model is a least-squares quadratic on the centre and the stencil, in
-    an orthonormal basis of the sum-zero plane; its pseudo-inverse depends
-    only on the stencil, so each fit is one matrix-vector product.  The
-    returned ``peak(t, rho, best, vals)`` takes the centre ``t``, its value
-    ``best`` and the values ``vals`` at ``t + rho * stencil``.  It gives the
-    model's maximizer, or None unless the fitted Hessian is negative definite
-    and the maximizer lies within the stencil's radius and inside the
-    simplex; and whether the model is flat: it reproduces every value, and
-    its maximum lies above ``best``, by at most ``_GAIN_RTOL`` relative.
+    The model is a least-squares quadratic on the centre ``t`` (value
+    ``best``) and the poll's points ``cands`` (values ``vals``) where the
+    poll put them, in an orthonormal basis of the sum-zero plane and units
+    of ``rho``.  Where the poll's per-coordinate ``scale`` is ``rho``
+    throughout, the points are ``t + rho * stencil``, and the fit is one
+    product with a pseudo-inverse built here.  The step is the model's
+    maximizer if the Hessian is negative definite and the maximizer lies
+    within the poll's reach; else it is far: that Newton step cut back to
+    the reach, or a Levenberg-Marquardt step no longer than the reach.
+    ``peak`` gives the step's point (None if the fit is rank deficient),
+    whether the model is flat (it reproduces every value, and its value at
+    the step lies above ``best``, by at most ``_GAIN_RTOL`` relative) and
+    whether the step is far.
     """
-    n = stencil.shape[1]
-    basis = np.linalg.qr(np.eye(n)[:, :-1] - 1.0 / n)[0]
-    zs = np.vstack([np.zeros(n - 1), stencil @ basis])
-    upper = np.triu_indices(n - 1)
-    design = np.hstack([np.ones((len(zs), 1)), zs, zs[:, upper[0]] * zs[:, upper[1]]])
-    pinv = np.linalg.pinv(design)
-    radius = float(np.linalg.norm(stencil, axis=1).max())
+    k = stencil.shape[1] - 1
+    basis = np.linalg.qr(np.eye(k + 1)[:, :-1] - 1.0 / (k + 1))[0]
+    upper = np.triu_indices(k)
+
+    def quadratic(zs: np.ndarray) -> np.ndarray:
+        zs = np.vstack([np.zeros(k), zs])
+        return np.hstack([np.ones((len(zs), 1)), zs, zs[:, upper[0]] * zs[:, upper[1]]])
+
+    nominal = quadratic(stencil @ basis)
+    pinv = np.linalg.pinv(nominal)
 
     def peak(
-        t: np.ndarray, rho: float, best: float, vals: np.ndarray
-    ) -> tuple[np.ndarray | None, bool]:
+        t: np.ndarray,
+        rho: float,
+        scale: np.ndarray,
+        best: float,
+        vals: np.ndarray,
+        cands: np.ndarray,
+    ) -> tuple[np.ndarray | None, bool, bool]:
         rise = np.append(0.0, vals - best)
-        coef = pinv @ rise
-        hess = np.zeros((n - 1, n - 1))
-        hess[upper] = coef[n:]
+        zs = (cands - t) @ basis / rho
+        if scale.min() == rho:
+            design, coef = nominal, pinv @ rise
+        else:
+            design = quadratic(zs)
+            coef, _, rank, _ = np.linalg.lstsq(design, rise, rcond=None)
+            if rank < design.shape[1]:
+                return None, False, False
+        grad = coef[1 : k + 1]
+        hess = np.zeros((k, k))
+        hess[upper] = coef[k + 1 :]
         hess += hess.T
-        if np.linalg.eigvalsh(hess)[-1] >= 0.0:
-            return None, False
-        z = np.linalg.solve(hess, -coef[1:n])
-        top = t + rho * (basis @ z)
-        if z @ z > radius * radius or top.min() < 0.0:
-            return None, False
-        # c + g.z + z'Hz/2 peaks at z = -H^-1 g, with value c + g.z/2.
-        top_rise = coef[0] + 0.5 * coef[1:n] @ z
+        reach = math.sqrt(float(np.max(np.sum(zs * zs, axis=1))))
+        top_eig = np.linalg.eigvalsh(hess)[-1]
+        z = np.linalg.solve(hess, -grad) if top_eig < 0.0 else None
+        far = z is None or z @ z > reach * reach
+        if z is None:
+            # The shift keeps the step within the reach:
+            # |z| <= |grad| / (shift - max(top_eig, 0)) = reach.
+            slope = np.linalg.norm(grad)
+            shift = max(top_eig, 0.0) + slope / reach
+            z = np.linalg.solve(hess - shift * np.eye(k), -grad) if slope else np.zeros(k)
+        elif far:
+            z *= reach / math.sqrt(z @ z)
+        top_rise = coef[0] + grad @ z + 0.5 * z @ hess @ z
         flat = max(np.abs(design @ coef - rise).max(), top_rise) <= _GAIN_RTOL * best
-        return _onto_simplex(top), flat
+        return _onto_simplex(t + rho * (basis @ z)), flat, far
 
     return peak
 
@@ -444,15 +474,14 @@ def _search_frame(
     model step at arity ``n`` and ``m`` subdivisions, then the small stencil
     (the local lattice at ``_SMALL_STEPS``) and its model step.
 
-    They depend on nothing else, so each is built once and kept read-only;
-    tabulated arities stop at ``MAX_TABULATED_ARITY`` and the lattice point
-    cap bounds ``m``, so few frames exist.  The start lattice holds the
-    barycenter even where ``m`` misses it.  Where the stencil itself has no
-    more steps than the small one, the small stencil is empty.
+    The start lattice holds the barycenter first, also where ``m`` misses
+    it.  They depend on nothing else, so each is built once and kept
+    read-only; tabulated arities stop at ``MAX_TABULATED_ARITY`` and the
+    lattice point cap bounds ``m``, so few frames exist.  Where the stencil
+    itself has no more steps than the small one, the small stencil is empty.
     """
-    starts = _compositions(n, m) / m
-    if m % n:
-        starts = np.vstack([starts, np.full(n, 1.0 / n)])
+    lattice = _compositions(n, m)
+    starts = np.vstack([np.full(n, 1.0 / n), lattice[np.any(n * lattice != m, axis=1)] / m])
     k = _subdivisions(n, _STENCIL_STEPS)
     stencil = _stencil(n, k)
     units = stencil / np.linalg.norm(stencil, axis=1)[:, None]
@@ -472,57 +501,54 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
     gives psi(t) >= (1 - t_i) psi(t with slot i zeroed and renormalized); so
     the sup is reached on the face of the positive weights, and the search
     runs there, at that face's arity (one positive weight gives its vertex).
-    The best point of a coarse lattice on the face (at most ``grid``
-    subdivisions and ``_LATTICE_POINTS`` points), together with the
-    barycenter where the lattice misses it (the minimizer of every symmetric
-    generator and the max generator's kink), starts a pattern search, split
-    into a poll and a model-driven search step in the manner of mesh
-    adaptive direct search (Audet and Dennis 2006).
+    ``psi(t) >= max(t)`` caps every ratio at the sum of the positive
+    weights, so the search ends as soon as its best ratio comes within
+    ``_GAIN_RTOL`` of that sum.  It first tries the barycenter (the minimizer
+    of every symmetric generator and the max generator's kink, where the cap
+    is reached), then the best point of a coarse lattice on the face (at
+    most ``grid`` subdivisions and ``_LATTICE_POINTS`` points) starts a
+    pattern search, split into a poll and a model-driven search step in the
+    manner of mesh adaptive direct search (Audet and Dennis 2006).
 
     - The poll tries ``t + rho * stencil``, where the stencil is a small local
-      lattice minus its barycenter, in both orientations.  After a winning
-      move it first tries only the stencil points within cosine
-      ``_NEAR_COSINE`` (0.8) of that move.  Then, if the stencil lies inside
-      the simplex, it tries the small stencil (the local lattice at
-      ``_SMALL_STEPS`` steps, with fewer points than the full one), and the
-      maximizer of a quadratic fitted to the small poll's values, as in the
-      model step below; a gain there moves and contracts as that step does.
-      It falls back to the whole stencil when none of these gains.  A move to
-      the best point of a poll that gains is repeated with doubled length
-      while it keeps gaining.
-    - The search ends once the best ratio comes within ``_GAIN_RTOL`` of the
-      sum of the positive weights: ``psi(t) >= max(t)`` caps every ratio
-      there, so the sup is reached wherever the conjugate is that sum.
-    - A full poll with no gain ends the search when its lowest ratio lies
-      within ``_GAIN_RTOL`` of the best: no finer poll could register a gain.
-    - If the stencil leaves the simplex, no model fits the clipped poll.  A
-      failed full poll at ``rho`` that follows one at ``4 rho`` from the same
-      point ends the search when the same points drop both times and each
-      drop is a quarter of the earlier one within ``_LINEAR_RTOL`` (25%):
-      drops linear in ``rho`` are first order, so finer scales only repeat
-      them.  This ends the search at a vertex maximum; else ``rho`` is
-      multiplied by ``_CONTRACTION`` (1/4).
-    - Otherwise, if the stencil lies wholly inside the simplex, a quadratic is
-      fitted to the values the poll paid for (``_model_step``; Conn,
-      Scheinberg and Vicente 2009) and its maximizer is tried.  If that
-      gains, the search moves there and multiplies ``rho`` by
-      ``_MODEL_CONTRACTION`` (1/16).  If it does not, and the model is flat
-      (it reproduces the poll and peaks within ``_GAIN_RTOL``), the search
-      ends for the same reason as at a flat poll.  Else ``rho`` is
-      multiplied by ``_CONTRACTION`` (1/4).
+      lattice minus its barycenter, in both orientations.  Along each
+      coordinate below ``rho`` it shrinks to that coordinate, but by no more
+      than ``_FACE_SCALE`` (1/4), so only coordinates below ``rho / 4`` get
+      points clipped onto the simplex.  After a winning move the poll first
+      tries the stencil points within cosine ``_NEAR_COSINE`` (0.8) of that
+      move, then the small stencil (the local lattice at ``_SMALL_STEPS``
+      steps), then the whole stencil.
+    - Each poll of the small or the whole stencil also fits a quadratic to
+      its values, where the poll put its points (``_model_step``; Conn,
+      Scheinberg and Vicente 2009), and tries the model's step.  The better
+      of the poll's best point and the step wins if it gains.  A model step
+      within the poll's reach then multiplies ``rho`` by
+      ``_MODEL_CONTRACTION`` (1/16); a far one (the maximizer lies beyond
+      the reach, or the model is not concave) keeps ``rho``.  A winning poll
+      point or far step is repeated with doubled length while it keeps
+      gaining.
+    - When the whole stencil and its model fail, the search ends if the
+      poll's lowest ratio, or the model, is flat to ``_GAIN_RTOL``: no finer
+      poll could register a gain.  If points were clipped, it also ends when
+      this failed poll at ``rho`` follows one at ``4 rho`` from the same
+      point, the same points drop both times and each drop is a quarter of
+      the earlier one within ``_LINEAR_RTOL`` (25%): drops linear in ``rho``
+      are first order, so finer scales only repeat them (a vertex maximum).
+      Else ``rho`` is multiplied by ``_CONTRACTION`` (1/4).
     - The search stops once ``rho`` is at or below ``_RHO_STOP`` (2.5e-13).
       That floor governs at kinks inside the simplex, where the poll's drops
       are linear in ``rho`` and the model does not fit.
 
-    Smooth maxima thus converge superlinearly, and ridges are climbed by
-    polls of a few points.  A memo keyed by the point's bytes calls ``psi``
-    once per distinct point: a failed poll leaves ``t`` in place, so the
+    Smooth maxima thus converge superlinearly, also within ``rho`` of a
+    face, and ridges are climbed by polls of a few points.  A memo keyed by
+    the point's bytes calls ``psi`` once per distinct point: a failed poll
+    leaves ``t`` in place, so where no coordinate lies below ``rho`` the
     next scale's row ``4 s`` repeats this scale's row ``s`` wherever the
-    stencil holds both, the full poll repeats the points of the directed
-    and the small ones, and clipping onto the simplex merges rows near a
-    face.  ``psi`` sees every point at full length, zero off the face.  The
-    value is a ratio at a point the search evaluated, so it never exceeds
-    the supremum.
+    stencil holds both, the full poll repeats
+    the points of the directed and the small ones, and clipping onto the
+    simplex merges rows near a face.  ``psi`` sees every point at full
+    length, zero off the face.  The value is a ratio at a point the search
+    evaluated, so it never exceeds the supremum.
     """
     seen: dict[bytes, float] = {}
     face = weights > 0.0
@@ -546,46 +572,46 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
             seen.update(zip(fresh, vals))
         return ts @ w / np.array([seen[key] for key in keys])
 
-    def modelled(model: Callable, vals: np.ndarray) -> tuple[np.ndarray | None, float, bool]:
-        top, flat = model(t, rho, best, vals)
-        return top, ratios(top[None])[0] if top is not None else -math.inf, flat
-
     n = w.size
     if n == 1:
         return float(ratios(np.ones((1, 1)))[0])
     m = _subdivisions(n, grid)
     starts, stencil, units, peak, small, small_peak = _search_frame(n, m)
+    # psi(t) >= max(t) caps the ratio at the sum of the positive weights.
+    cap = w.sum() * (1.0 - _GAIN_RTOL)
+    best = ratios(starts[:1])[0]
+    if best >= cap:
+        return float(best)
     vals = ratios(starts)
     i = int(np.argmax(vals))
     t, best = starts[i], vals[i]
-    # psi(t) >= max(t) caps the ratio at the sum of the positive weights.
-    cap = w.sum() * (1.0 - _GAIN_RTOL)
     near = stencil[:0]
     drops = None
     rho = 1.0 / m
     while rho > _RHO_STOP and best < cap:
-        # The small stencil reaches the same vertex directions as the full
-        # one, so it leaves the simplex exactly when the full one does.
-        inside = (t + rho * stencil).min() >= 0.0
-        for poll in (near, small, stencil):
-            if not len(poll) or (poll is small and not inside):
+        scale = rho * np.clip(t / rho, _FACE_SCALE, 1.0)
+        inside = (t + scale * stencil).min() >= 0.0
+        for poll, model in ((near, None), (small, small_peak), (stencil, peak)):
+            if not len(poll):
                 continue
-            cands = _onto_simplex(t + rho * poll)
+            cands = _onto_simplex(t + scale * poll)
             vals = ratios(cands)
             i = int(np.argmax(vals))
-            if vals[i] > best * (1.0 + _GAIN_RTOL):
+            top, ratio, flat, far = None, -math.inf, False, False
+            if model is not None:
+                top, flat, far = model(t, rho, scale, best, vals, cands)
+                if top is not None:
+                    ratio = ratios(top[None])[0]
+            if max(vals[i], ratio) > best * (1.0 + _GAIN_RTOL):
                 break
-            if poll is small:
-                top, ratio, _ = modelled(small_peak, vals)
-                if ratio > best * (1.0 + _GAIN_RTOL):
-                    break
         else:
-            # The full poll failed: stop where it is flat, else try the model.
-            if vals.min() >= best * (1.0 - _GAIN_RTOL):
+            # The whole stencil and its model failed: stop where either is
+            # flat, or where clipped drops are first order.
+            if flat or vals.min() >= best * (1.0 - _GAIN_RTOL):
                 break
             if not inside:
-                # No model fits a clipped stencil.  Drops a quarter of those
-                # at 4 rho, at the same points, are first order in rho.
+                # Drops a quarter of those at 4 rho, at the same points, are
+                # first order in rho.
                 last, drops = drops, best - vals
                 fell = drops > _GAIN_RTOL * best
                 if (
@@ -594,23 +620,17 @@ def _conjugate_sup(gen: PsiGenerator, weights: np.ndarray, grid: float = math.in
                     and np.all(np.abs(4.0 * drops[fell] / last[fell] - 1.0) <= _LINEAR_RTOL)
                 ):
                     break
-                rho *= _CONTRACTION
-                continue
-            top, ratio, flat = modelled(peak, vals)
-            if ratio > best * (1.0 + _GAIN_RTOL):
-                t, best, rho, drops = top, ratio, rho * _MODEL_CONTRACTION, None
-            elif flat:
-                break
-            else:
-                rho *= _CONTRACTION
+            rho *= _CONTRACTION
             continue
-        if vals[i] <= best * (1.0 + _GAIN_RTOL):
-            # The small poll failed and its model gained.
-            t, best, rho, drops = top, ratio, rho * _MODEL_CONTRACTION, None
-            continue
-        step, t, best = cands[i] - t, cands[i], vals[i]
-        near = stencil[units @ step >= _NEAR_COSINE * np.linalg.norm(step)]
         drops = None
+        if ratio >= vals[i]:
+            step, t, best = top - t, top, ratio
+            if not far:
+                rho *= _MODEL_CONTRACTION
+                continue
+        else:
+            step, t, best = cands[i] - t, cands[i], vals[i]
+            near = stencil[units @ step >= _NEAR_COSINE * np.linalg.norm(step)]
         # Repeat the winning move with doubled length while it keeps gaining.
         while True:
             step *= 2.0
@@ -627,24 +647,25 @@ def psi_conjugate_eval(gen: PsiGenerator, s, grid: int = 200) -> float:
 
     Power generators use closed forms (exponent 1 and infinity swap, finite
     exponents conjugate).  Tabulated generators run a deterministic search:
-    the best point of a coarse simplex lattice, whose subdivisions ``grid``
-    caps, starts a shrinking local pattern search with a quadratic-model
-    step.  The value is attained at a point the search evaluated, so it never
-    exceeds the supremum.  On power generators behind a callable it stays
-    within 1e-12 relative of the closed form on the 840 cells of
-    ``tools/conjugate_probe.py`` (arities 2 to 8, 280 of them with a zero
-    weight; worst 6.2e-13 short).  At a vertex maximum (exponent 1) and at
-    the max generator's kink it ends on the exact value within two polls of
-    the start lattice; at a kink inside the simplex that lies off the
-    lattice it can stop short.
+    the barycenter, then the best point of a coarse simplex lattice, whose
+    subdivisions the whole number ``grid`` caps, starts a shrinking local
+    pattern search with a quadratic-model step.  The value is attained at a
+    point the search evaluated, so it never exceeds the supremum.  On power
+    generators behind a callable it stays within 1e-12 relative of the
+    closed form on the 840 cells of ``tools/conjugate_probe.py`` (arities 2
+    to 8, 280 of them with a zero weight; worst 2.9e-13 short), also where
+    the maximizer lies near a face.  At a vertex maximum (exponent 1) it
+    ends on the exact value within two polls of the start lattice, and at
+    the max generator's kink on the barycenter; at a kink inside the simplex
+    that lies off the lattice it can stop short.
     """
     s = as_simplex_point(s, "s")
     if gen.kind == "p":
         return float(psi_eval_many(psi_conjugate_generator(gen), s))
     if s.size != gen.arity:
         raise InvalidInputError("conjugate argument arity mismatch")
-    if grid < 2:
-        raise InvalidInputError("conjugate lattice needs grid >= 2")
+    if not grid >= 2 or (math.isfinite(grid) and grid != int(grid)):
+        raise InvalidInputError(f"conjugate lattice needs a whole grid >= 2, got {grid!r}")
     return _conjugate_sup(gen, s, grid)
 
 
@@ -673,11 +694,10 @@ def psi_conjugate_generator(gen: PsiGenerator) -> PsiGenerator:
 
     Power generators conjugate in closed form.  For tabulated generators the
     result is itself tabulated, each evaluation running the search of
-    ``psi_conjugate_eval`` (on power generators, a median of about 180
-    generator calls at arity 3 and 290 at arity 4 on the probe's cells, up
-    to about 700 and 1 500 where the maximizer lies near a face; the max
-    generator ends at the barycenter after the start lattice, 57 calls at
-    arity 4).
+    ``psi_conjugate_eval`` (on power generators, a median of about 145
+    generator calls at arity 3 and 180 at arity 4 on the probe's cells, up
+    to about 330 and 590 where the maximizer lies near a face; the max
+    generator ends at the barycenter, one call).
     """
     if gen.kind == "p":
         return PsiGenerator.power(conjugate_exponent(gen.p))

@@ -12,8 +12,11 @@ generator of the conjugate exponent at the same point).
 
 Prints one JSON line per cell, then one summary line with the cells beyond
 1e-12, the largest relative excess over the closed form and shortfall under
-it, the generator calls of the 560 cells and of the zeroed cells and, per
-arity, the largest call count and the seconds of the search.  Exits 1 if any
+it, the generator calls of the 560 cells and of the zeroed cells, the count
+and calls of the near-face cells among each (finite p > 1 whose closed-form
+maximizer, t proportional to s^(q - 1) on the positive weights, has a
+coordinate below ``NEAR_FACE``) and, per arity, the largest call count and
+the seconds of the search.  Exits 1 if any
 value lies more than 1e-12 relative above or below the closed form, or if
 the generator calls of the 560 cells exceed ``MAX_CALLS`` or those of the
 zeroed cells ``MAX_ZEROED_CALLS``.  Run from the repository root:
@@ -44,11 +47,13 @@ ZEROED_CONCENTRATION = 0.3
 # The start-lattice caps of ``SEARCH_GRIDS`` in tests/test_psi_generators.py.
 SEARCH_GRIDS = {2: 200, 3: 200, 4: 40, 5: 20, 6: 12, 7: 12, 8: 12}
 RTOL = 1e-12
-# The total generator calls of the search on the 560 cells (499 985 when this
-# gate was set) and on the zeroed cells (173 310), each plus about 5%, so a
+# A cell is near a face when its maximizer has a coordinate below this.
+NEAR_FACE = 1e-2
+# The total generator calls of the search on the 560 cells (173 811 when this
+# gate was set) and on the zeroed cells (57 350), each plus about 5%, so a
 # change that makes the search costlier fails.
-MAX_CALLS = 525_000
-MAX_ZEROED_CALLS = 182_000
+MAX_CALLS = 182_500
+MAX_ZEROED_CALLS = 60_200
 
 
 class Counted:
@@ -66,11 +71,20 @@ class Counted:
         return float(np.sum(t**self.p) ** (1.0 / self.p))
 
 
+def near_face(p: float, s: np.ndarray) -> bool:
+    """Whether the closed-form maximizer of <t, s> / psi_p(t) nears a face."""
+    if p in (1.0, math.inf):
+        return False
+    t = s[s > 0.0] ** (conjugate_exponent(p) - 1.0)
+    return bool(t.min() < NEAR_FACE * t.sum())
+
+
 def main() -> int:
     rng = np.random.default_rng(510)
     beyond = 0
     excess = shortfall = 0.0
     calls = {False: 0, True: 0}
+    near = {False: [0, 0], True: [0, 0]}
     arities: dict[int, dict] = {}
 
     def cell(n: int, p: float, alpha: float, s: np.ndarray, zeroed: bool) -> None:
@@ -88,6 +102,10 @@ def main() -> int:
         excess, shortfall = max(excess, rel), max(shortfall, -rel)
         calls[zeroed] += psi.calls
         stats["max_calls"] = max(stats["max_calls"], psi.calls)
+        face = near_face(p, s)
+        if face:
+            near[zeroed][0] += 1
+            near[zeroed][1] += psi.calls
         print(json.dumps({
             "n": n,
             "p": "inf" if p == math.inf else p,
@@ -99,6 +117,7 @@ def main() -> int:
             "closed": want,
             "rel": rel,
             "calls": psi.calls,
+            "near_face": face,
             "ok": ok,
         }), flush=True)
 
@@ -119,6 +138,12 @@ def main() -> int:
         "worst_shortfall": shortfall,
         "calls": calls[False],
         "zeroed_calls": calls[True],
+        "near_face": {
+            "cells": near[False][0],
+            "calls": near[False][1],
+            "zeroed_cells": near[True][0],
+            "zeroed_calls": near[True][1],
+        },
         "arities": {
             n: {"max_calls": a["max_calls"], "seconds": round(a["seconds"], 3)}
             for n, a in arities.items()
