@@ -154,18 +154,30 @@ def solve_bound(prob: ProblemInstance) -> SolveBound:
 
 def lipschitz_bound(prob: ProblemInstance) -> float:
     """Euclidean Lipschitz constant bound for the objective."""
-    return prob.n * prob.dim ** max(0.0, 1.0 / prob.norm.ground.exponent - 0.5)
+    return prob.n * _ground_slope(prob)
+
+
+def _ground_slope(prob: ProblemInstance) -> float:
+    """kappa, a Euclidean Lipschitz constant of the ground norm: |x|_e <= kappa |x|_2."""
+    return prob.dim ** max(0.0, 1.0 / prob.norm.ground.exponent - 0.5)
 
 
 def _value_slope(prob: ProblemInstance) -> float:
     """A Euclidean Lipschitz constant of the objective as it is evaluated.
 
-    The objective's change is at most the total change of the block norms
-    times the generator's largest vertex value; a tabulated generator's
-    values may exceed 1 by ``_EVAL_BAND``.
+    Each block norm moves by at most kappa (``_ground_slope``) times the
+    point's move.  A power generator of exponent p is a norm, so the
+    objective moves by at most the p-norm of the block norms' moves:
+    kappa n^(1/p), which is kappa at p = inf.  A tabulated generator is
+    only known to be monotone with vertex values 1, so the objective moves
+    by at most the total move of the block norms, kappa n, times its
+    largest vertex value, which may exceed 1 by ``_EVAL_BAND``.  The
+    public :func:`lipschitz_bound` keeps the p = 1 constant kappa n.
     """
-    lip = lipschitz_bound(prob)
-    return lip * (1.0 + _EVAL_BAND) if prob.norm.generator.kind == "tabulated" else lip
+    kappa, gen = _ground_slope(prob), prob.norm.generator
+    if gen.kind == "tabulated":
+        return kappa * prob.n * (1.0 + _EVAL_BAND)
+    return kappa * prob.n ** (1.0 / gen.p)
 
 
 def _rounding_slack(prob: ProblemInstance) -> float:

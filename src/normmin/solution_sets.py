@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .ground_norms import (
     dual_ground_norm,
     ground_norm_eval_many,
 )
-from .problem import ProblemInstance, _displacements_many, _rounding_slack, _value_slope, lipschitz_bound
+from .problem import ProblemInstance, _displacements_many, _ground_slope, _rounding_slack, _value_slope
 from .product_norms import _from_block_norms_many
 from .psi_generators import _EVAL_BAND
 
@@ -213,13 +214,19 @@ def _block_test(desc: SolutionSetDescription, tol: float):
       tol * max(1, w_i r_i), slope w_i kappa + |y_i|_2;
     - Chebyshev: w_i max(r) - d_i against tol * max(1, max(r)) over the
       blocks with w_i > tol, slope w_i kappa + |y_i|_2;
-    - general: |sum(d) - f| against tol * max(1, f), slope |sum(y)|_2 + L;
-      a block this bound neither rules out nor marks near is also ruled out
-      by a midpoint convexity bound (see ``_general_judge``).
+    - general: |sum(d) - f| against tol * max(1, f), slope |sum(y)|_2 + L
+      (``_value_slope``); a block this bound neither rules out nor marks
+      near is also ruled out by a midpoint convexity bound (see
+      ``_general_judge``).
+
+    Under PFT a block is also ruled out by the power profile, the second
+    half of the predicate: the block norms' ranges over the block bound
+    every profile entry (see ``_profile_test``).  Whether a block is near
+    is decided by the residuals above alone.
     """
     prob = desc.instance
     y, w = desc.certificate.duals, desc.dual_norms
-    kappa = lipschitz_bound(prob) / prob.n
+    kappa = _ground_slope(prob)
     slack = _rounding_slack(prob)
     if desc.kind == GENERAL_PREDICATE:
         return _general_judge(desc, tol, kappa, slack)
@@ -233,7 +240,7 @@ def _block_test(desc: SolutionSetDescription, tol: float):
             reach = m + kappa * radii[:, None]
             limit = tol * np.maximum(1.0, reach)
             gap = w[on] * m - dots[:, on] - slack * (w[on] * reach + limit) - limit
-            return gap, slope * radii[:, None]
+            return gap, slope * radii[:, None], r
 
     else:
         slope = w * kappa + np.linalg.norm(y, axis=1)
@@ -243,13 +250,83 @@ def _block_test(desc: SolutionSetDescription, tol: float):
             reach = w * (r + kappa * radii[:, None])
             limit = tol * np.maximum(1.0, reach)
             gap = w * r - dots - slack * (reach + limit) - limit
-            return gap, slope * radii[:, None]
+            return gap, slope * radii[:, None], r
+
+    profiled = _profile_test(desc, tol, kappa, slack) if desc.kind == PFT_INTERSECTION else None
 
     def judge(centers, radii, *_):
-        gap, spread = excess(centers, radii)
-        return (gap > spread).any(axis=1), (gap <= 0.0).all(axis=1)
+        gap, spread, r = excess(centers, radii)
+        out = (gap > spread).any(axis=1)
+        if profiled is not None:
+            out |= profiled(r, radii)
+        return out, (gap <= 0.0).all(axis=1)
 
     return judge
+
+
+# Profile bounds whose denominators lie below this are not trusted: there the
+# powers may be subnormal, which round by more than the margin allows.
+_PROFILE_FLOOR = 2.0**-960
+
+
+def _profile_test(desc: SolutionSetDescription, tol: float, kappa: float, slack: float):
+    """``out(r, radii)``: the blocks whose power profile rules out every point.
+
+    ``r`` holds the block norms at the blocks' middle points c and ``radii``
+    their radii rho.  The kernel accepts a point only when every profile
+    entry P_i = r_i^p / sum_j r_j^p is within sqrt(tol) of w_i^q (it tests
+    the squared mismatch against tol).  Over a block each block norm lies
+    within kappa rho of its value at c, so in [lo_i, hi_i] =
+    [r_i - kappa rho, r_i + kappa rho] clipped at 0.  P_i rises in r_i and
+    falls in every other r_j, so over the block it lies between
+    lo_i^p / (lo_i^p + sum_{j != i} hi_j^p) and
+    hi_i^p / (hi_i^p + sum_{j != i} lo_j^p).  The block is dropped when
+    some w_i^q lies outside that range by more than sqrt(tol) plus a
+    rounding margin.
+
+    The margin.  The kernel's block norms are within ``_rounding_slack``/8
+    of the exact ones, relatively, so widening both ends by the slack times
+    r_i + kappa rho makes [lo_i, hi_i] hold the kernel's norms at every
+    point of the block.  Both here and in the kernel the norms are divided
+    by their largest value and raised to the power p, which rounds by at
+    most about p + 1 ulps, and a profile entry or bound divides one such
+    power by a sum of n of them, so with a denominator in the normal range
+    it is within (2 p + n + 5) ulps of its exact value (all are at most 1).
+    Comparing the two and the squared mismatch with tol costs a few ulps
+    more, so the margin is (4 p + 2 n + 16) ulps, and sqrt(tol) is raised
+    by 8 ulps of itself.  The sums over j != i are summed from their own
+    terms (``_sum_of_others``): the row total less term i could cancel away
+    every small term.
+    """
+    prob = desc.instance
+    p = prob.norm.generator.p
+    target = desc.dual_norms ** conjugate_exponent(p)
+    eps = float(np.finfo(float).eps)
+    band = math.sqrt(tol) * (1.0 + 8.0 * eps) + (4.0 * p + 2.0 * prob.n + 16.0) * eps
+
+    def out(r, radii):
+        move = kappa * radii[:, None]
+        widen = slack * (r + move)
+        lo = np.maximum(r - move - widen, 0.0)
+        hi = r + move + widen
+        peak = hi.max(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            lo, hi = (lo / peak) ** p, (hi / peak) ** p
+            low, high = lo + _sum_of_others(hi), hi + _sum_of_others(lo)
+            least, most = lo / low, hi / high
+        above = (least - target > band) & (low >= _PROFILE_FLOOR)
+        below = (target - most > band) & (high >= _PROFILE_FLOOR)
+        return (above | below).any(axis=1)
+
+    return out
+
+
+def _sum_of_others(a: np.ndarray) -> np.ndarray:
+    """``out[:, i]`` = the sum of row entries ``a[:, j]`` over j != i, by prefix and suffix sums."""
+    out = np.zeros_like(a)
+    out[:, 1:] = np.cumsum(a[:, :-1], axis=1)
+    out[:, :-1] += np.cumsum(a[:, :0:-1], axis=1)[:, ::-1]
+    return out
 
 
 def _general_judge(desc: SolutionSetDescription, tol: float, kappa: float, slack: float):
@@ -401,11 +478,13 @@ def sample_solution_region(
     The lattice is walked block by block (see
     :func:`~normmin.geometry._lattice_walk`): a block is dropped unevaluated
     when a residual of the predicate at its middle point exceeds the
-    threshold by more than a Lipschitz bound allows over the block, or,
-    under the general predicate, when a convexity bound from the middle
-    point and the corners of the block's mirror image rules it out (see
-    ``_block_test``).  The predicate runs on the points of the kept blocks.
-    The answer is bitwise the one of evaluating every lattice point.
+    threshold by more than a Lipschitz bound allows over the block; under
+    the general predicate, when a convexity bound from the middle point and
+    the corners of the block's mirror image rules it out; and under PFT,
+    when the ranges of the block norms over the block put some power
+    profile entry out of reach of its target (see ``_block_test``).  The
+    predicate runs on the points of the kept blocks.  The answer is bitwise
+    the one of evaluating every lattice point.
     """
     prob = desc.instance
     b = np.asarray(box, dtype=float)

@@ -896,8 +896,11 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
     value, less the objective's Lipschitz constant times the block's radius,
     still exceeds the least value seen so far by more than the near-minimum
     slack holds neither the minimum nor a near-minimal point and is dropped
-    unevaluated.  The value and the near-minimal points, in row-major order,
-    are bitwise those of evaluating every lattice point.
+    unevaluated.  The constant is the generator's own (``_value_slope``):
+    kappa n^(1/p) for a power generator of exponent p, kappa the ground
+    norm's; the reported ``lipschitz_bound`` and ``error_bound`` keep the
+    p = 1 constant kappa n.  The value and the near-minimal points, in
+    row-major order, are bitwise those of evaluating every lattice point.
     """
     if prob.dim > 3:
         raise ContractError("grid oracle supports dimension at most 3")

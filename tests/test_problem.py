@@ -23,6 +23,7 @@ from normmin import (
     dual_selection,
     ground_norm_eval,
     ground_norm_eval_many,
+    lipschitz_bound,
     objective_eval,
     objective_eval_many,
     objective_subgradient,
@@ -30,7 +31,8 @@ from normmin import (
     solve_bound,
     strict_convexity_class,
 )
-from normmin.problem import _MIN_ANCHOR_GAP, _ground_subgradient
+from normmin.problem import _MIN_ANCHOR_GAP, _ground_subgradient, _value_slope
+from normmin.psi_generators import _EVAL_BAND
 
 
 def two_anchor(ground, gen):
@@ -405,3 +407,31 @@ def test_strict_convexity_class_examples():
         norm=ProductNorm(ground=GroundNorm.euclidean(), generator=PsiGenerator.power(1.0)),
     )
     assert strict_convexity_class(collinear) == "unknown"
+
+
+def test_value_slope_is_the_power_generators_own_and_bounds_the_objective():
+    # Block norms move by at most kappa times the point's move, and a power
+    # generator of exponent p turns those moves into at most their p-norm,
+    # kappa n^(1/p); the public lipschitz_bound keeps kappa n.
+    rng = make_rng(39)
+    grounds = ALL_GROUNDS + (GroundNorm.power(1.05), GroundNorm.power(1.5), GroundNorm.power(20.0))
+    for ground in grounds:
+        for p in (1.0, 1.05, 1.5, 2.0, 3.0, 20.0, math.inf):
+            for d in (1, 2, 5):
+                n = int(rng.integers(2, 9))
+                prob = ProblemInstance(random_anchors(rng, n, d), ProductNorm(ground, PsiGenerator.power(p)))
+                kappa = d ** max(0.0, 1.0 / ground.exponent - 0.5)
+                slope = _value_slope(prob)
+                assert slope == pytest.approx(kappa * n ** (1.0 / p), rel=1e-15), (ground, p, d)
+                assert lipschitz_bound(prob) == pytest.approx(kappa * n, rel=1e-15)
+                us = rng.normal(scale=3.0, size=(300, d))
+                ws = us + rng.normal(size=(300, d)) * rng.choice([1e-3, 1.0, 10.0], size=(300, 1))
+                fu, fw = objective_eval_many(prob, us), objective_eval_many(prob, ws)
+                moves = np.linalg.norm(us - ws, axis=1)
+                rounding = 1e-12 * np.maximum(1.0, np.maximum(fu, fw))
+                assert np.all(np.abs(fu - fw) <= slope * moves * (1.0 + 1e-12) + rounding), (ground, p, d)
+        # A tabulated generator is only known to be monotone: kappa n, times its band.
+        tabulated = PsiGenerator.tabulated(lambda t: float(np.max(t)), 3)
+        prob = ProblemInstance(random_anchors(rng, 3, 2), ProductNorm(ground, tabulated))
+        kappa = 2 ** max(0.0, 1.0 / ground.exponent - 0.5)
+        assert _value_slope(prob) == pytest.approx(kappa * 3 * (1.0 + _EVAL_BAND), rel=1e-15)

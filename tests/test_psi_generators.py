@@ -232,30 +232,32 @@ class Counted:
 
 
 def _power(p):
+    """The power generator over the last axis: one value per point."""
     if p == math.inf:
-        return lambda t: float(np.max(t))
-    return lambda t: float(np.sum(t**p) ** (1.0 / p))
+        return lambda t: np.max(t, axis=-1)
+    return lambda t: np.sum(t**p, axis=-1) ** (1.0 / p)
 
 
 def _walk(psi, weights, grid):
-    """Reference: every point of the ``grid`` simplex lattice, then a pairwise
-    mass-transfer polish with a barycenter blend.  Returns the value and the
-    number of ``psi`` calls.
+    """Reference: every point of the ``grid`` simplex lattice, in one batch,
+    then a pairwise mass-transfer polish with a barycenter blend.  ``psi``
+    maps points stacked along the last axis to their values.  Returns the
+    value and the number of points ``psi`` was evaluated at.
     """
     n = weights.size
-    calls = 0
+    bars = np.array(list(itertools.combinations(range(grid + n - 1), n - 1)), dtype=float)
+    ends = np.ones((len(bars), 1))
+    lattice = (np.diff(np.hstack([-ends, bars, (grid + n - 1) * ends]), axis=1) - 1.0) * (1.0 / grid)
+    ratios = (lattice @ weights) / psi(lattice)
+    k = int(np.argmax(ratios))
+    best, t = float(ratios[k]), lattice[k]
+    calls = len(lattice)
 
     def ratio(t):
         nonlocal calls
         calls += 1
-        return float(weights @ t) / psi(t)
+        return float(weights @ t) / float(psi(t))
 
-    best, t = -math.inf, None
-    for bars in itertools.combinations(range(grid + n - 1), n - 1):
-        cand = (np.diff((-1, *bars, grid + n - 1)) - 1.0) * (1.0 / grid)
-        val = ratio(cand)
-        if val > best:
-            best, t = val, cand
     step = 1.0 / grid
     while step > 1e-12:
         improved = False
@@ -490,8 +492,8 @@ def test_dual_norm_of_negative_block_norms():
 
 def test_conjugate_search_on_kinked_generators():
     kinked = (
-        lambda t: 0.5 * float(np.max(t)) + 0.5 * float(np.sum(t**3) ** (1.0 / 3.0)),
-        lambda t: max(float(np.sum(t**3) ** (1.0 / 3.0)), float(t[0] + t[1])),
+        lambda t: 0.5 * np.max(t, axis=-1) + 0.5 * np.sum(t**3, axis=-1) ** (1.0 / 3.0),
+        lambda t: np.maximum(np.sum(t**3, axis=-1) ** (1.0 / 3.0), t[..., 0] + t[..., 1]),
     )
     rng = make_rng(18)
     for n in (2, 3, 4, 5, 8):

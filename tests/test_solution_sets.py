@@ -20,9 +20,12 @@ from normmin import (
     PsiGenerator,
     SolverConfig,
     alignment_set_contains,
+    conjugate_exponent,
     describe_solution_set,
+    dual_ground_norm,
     find_cases,
     grid_oracle,
+    ground_norm_eval,
     ground_norm_eval_many,
     hull_distance,
     objective_eval_many,
@@ -43,6 +46,7 @@ from normmin.solution_sets import (
     _KERNELS,
     CHEBYSHEV_INTERSECTION,
     DESCRIPTION_TOL,
+    PFT_INTERSECTION,
     _query_rows,
     _require_kind,
 )
@@ -544,6 +548,58 @@ def test_block_walk_matches_the_dense_tile_walk():
     assert "tabulated" in {g for _, _, _, g in seen}
 
 
+def planted_profile(rng, ground, p):
+    """Two pairs of anchors about a known minimizer u in the plane, and its certificate.
+
+    Each anchor sits at u minus a radius times a ground-unit vector aligned
+    with its dual direction; a pair shares its radius and has opposite
+    directions, so the blocks, weighted by the power profile of the radii,
+    sum to zero.
+    """
+    u = rng.integers(-4, 5, size=2) / 8.0
+    q = conjugate_exponent(ground.exponent)
+    anchors, duals, radii = [], [], []
+    for k in range(2):
+        w = rng.normal(size=2)
+        w /= ground_norm_eval(dual_ground_norm(ground), w)
+        z = np.sign(w) * np.abs(w) ** (q - 1.0)
+        z /= ground_norm_eval(ground, z)
+        rho = (6.0 + 3.0 * k) / 8.0
+        for sign in (1.0, -1.0):
+            anchors.append(u - rho * sign * z)
+            duals.append(sign * w)
+            radii.append(rho)
+    radii = np.array(radii)
+    weights = (radii**p / (radii**p).sum()) ** (1.0 / conjugate_exponent(p))
+    prob = ProblemInstance(np.array(anchors), ProductNorm(ground, PsiGenerator.power(p)))
+    return prob, Certificate(solution=u, duals=weights[:, None] * np.array(duals))
+
+
+def test_block_walk_matches_the_dense_walk_under_the_profile_bound():
+    # The PFT judge also drops blocks by the power profile, and the oracle
+    # prunes with the slope kappa n^(1/p): generator exponents near 1 and
+    # large, ground exponents near 1, 2 and large, a tight and a loose
+    # tolerance.  The second box holds an anchor, so a block norm's range
+    # over the blocks about it reaches 0.
+    rng = make_rng(39)
+    accepted = []
+    for ground in (GroundNorm.power(1.05), GroundNorm.euclidean(), GroundNorm.power(20.0)):
+        for p in (1.05, 20.0):
+            prob, cert = planted_profile(rng, ground, p)
+            desc = describe_solution_set(prob, cert)
+            assert desc.kind == PFT_INTERSECTION
+            u, a = cert.solution, prob.anchors[0]
+            around = u[:, None] + [-0.3, 0.3]
+            reaching = np.stack([np.minimum(u, a) - 0.1, np.maximum(u, a) + 0.1], axis=1)
+            for tol in (1e-7, 1e-2):
+                for box in (around, reaching):
+                    accepted.append(assert_walk_matches_dense(desc, box, 101, tol))
+            oracle = grid_oracle(prob, 101)
+            value, argmin = dense_oracle(prob, 101)
+            assert oracle.value == value and np.array_equal(oracle.argmin, argmin)
+    assert min(accepted) == 0 and max(accepted) > 0
+
+
 def test_one_point_chunks_answer_as_their_rows_of_the_lattice(monkeypatch):
     # Thirteen anchors: numpy would add one row's block terms pairwise and a
     # batch's in order.  With seven-point tiles the 36 x 36 lattices' kept
@@ -564,9 +620,10 @@ def test_one_point_chunks_answer_as_their_rows_of_the_lattice(monkeypatch):
     profile = describe_solution_set(power, cert)
     assert profile.kind == "pft_intersection"
     grid = 36
-    # The general run's tolerance and box are wide enough that the blocks
-    # its mirror bound keeps still leave one-point chunks.
-    runs = [(general, 3e-2), (profile, 1e-4)]
+    # Both runs' tolerances and boxes are wide enough that the blocks the
+    # mirror bound (general) and the profile bound (PFT) keep still leave
+    # one-point chunks.
+    runs = [(general, 3e-2), (profile, 1e-2)]
     boxes = [
         desc.certificate.solution[:, None] + [-half, half]
         for (desc, _), half in zip(runs, (0.4, 0.5))

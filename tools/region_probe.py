@@ -28,9 +28,11 @@ the chunks of one point the walk handed over, the seconds of the walk and
 of the dense walk (each the lesser of two runs; the 7-point tiles make the
 second part's walks slower than its dense walks) and the mismatches, the
 cells whose solve point recovers no certificate at 1e-7 (each as ``[ground,
-p, n, d, s]``; they are skipped), and the process's peak resident set size.
-Exits 1 if any answer differs from the dense walk's, or if any cell
-recovers no certificate.  Run from the repository root:
+p, n, d, s]``; they are skipped), the kinds whose evaluated share exceeds
+its gate in ``MAX_SHARES``, and the process's peak resident set size.
+Exits 1 if any answer differs from the dense walk's, if any cell recovers
+no certificate, or if the oracle's or the PFT predicate's evaluated share
+exceeds its gate.  Run from the repository root:
 
     PYTHONPATH=src python tools/region_probe.py
 
@@ -86,6 +88,10 @@ SAMPLE_GRIDS = {1: (1, 2, 999, 9001, 20001), 2: (1, 2, 57, 101, 201), 3: (1, 2, 
 TABULATED_GRIDS = {1: (2, 999, 9001), 2: (2, 33, 101), 3: (2, 11, 23)}
 ORACLE_GRIDS = {1: (1, 2, 999, 20001), 2: (1, 2, 57, 201), 3: (1, 2, 23, 41)}
 COUNTS = ("cells", "lattice", "evaluated", "single", "walk_s", "dense_s", "mismatches")
+# The evaluated shares of the grid oracle (0.0359 when this gate was set)
+# and of the PFT predicate (0.7203), each plus about 5%, so a change that
+# makes their walks prune less fails.
+MAX_SHARES = {"oracle": 0.0377, "pft_intersection": 0.756}
 
 
 def dense_tiles(axes):
@@ -270,15 +276,17 @@ def main() -> int:
         for kind, k in sorted(kinds.items())
     }
     mismatches = sum(k["mismatches"] for k in kinds.values())
+    over = [kind for kind, cap in MAX_SHARES.items() if kinds[kind]["evaluated"] > cap * kinds[kind]["lattice"]]
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps({
         "cells": sum(k["cells"] for k in kinds.values()),
         "unrecovered": unrecovered,
         "mismatches": mismatches,
+        "over_share": over,
         "kinds": summary,
         "peak_rss_mb": round(peak_mb, 1),
     }))
-    return 1 if mismatches or unrecovered else 0
+    return 1 if mismatches or unrecovered or over else 0
 
 
 if __name__ == "__main__":
