@@ -171,8 +171,9 @@ def _value_slope(prob: ProblemInstance) -> float:
     kappa n^(1/p), which is kappa at p = inf.  A tabulated generator is
     only known to be monotone with vertex values 1, so the objective moves
     by at most the total move of the block norms, kappa n, times its
-    largest vertex value, which may exceed 1 by ``_EVAL_BAND``.  The
-    public :func:`lipschitz_bound` keeps the p = 1 constant kappa n.
+    largest vertex value, which may exceed 1 by ``_EVAL_BAND``.  The grid
+    oracle reports it as its ``lipschitz_bound``; the public
+    :func:`lipschitz_bound` keeps the p = 1 constant kappa n.
     """
     kappa, gen = _ground_slope(prob), prob.norm.generator
     if gen.kind == "tabulated":

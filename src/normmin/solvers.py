@@ -20,17 +20,14 @@ the dual optimality conditions:
 - max ground with p = 1 beyond d = 2, and sum ground with p = inf beyond
   d = 12: every block norm is a maximum of linear pieces, so the problem is
   one sparse HiGHS linear program over coordinate bounds;
-- sum or max ground with finite p > 1: damped Newton on ``sum r_i^p`` over
-  block norms smoothed at levels 1e-1 down to 1e-11, each level from the
-  last one's point; after each settled level, Newton on the face of the
-  block norms that holds its point, where they are affine, which ends the
-  solve once the face's multipliers lie in the ground norms'
-  subdifferentials (the dual conditions certify the face);
-- Euclidean or power ground with finite p: the objective is smooth away from
-  the anchors, so damped Newton on ``sum r_i^p`` from the centroid, with
-  its value, gradient and Hessian from one pass over the blocks per point;
-  when p = 1 each iteration also tests the anchor nearest the iterate for
-  optimality and steps off it when it fails;
+- finite p otherwise: one damped-Newton loop on ``sum r_i^p``, with its
+  value, gradient and Hessian from one pass over the blocks per point; on
+  the sum and max grounds over block norms smoothed at levels 1e-1 down to
+  1e-11, each level from the last one's point and followed by Newton on the
+  face of the block norms that holds its point, which ends the solve once
+  the dual conditions certify the face; on the Euclidean and power grounds,
+  smooth away from the anchors, one level at width 0, which when p = 1 also
+  tests the anchor nearest each iterate and steps off it when it fails;
 - Euclidean or power ground with p = inf: SLSQP on the epigraph of the
   largest block norm, then Newton on the Chebyshev conditions.
 
@@ -59,7 +56,6 @@ from .problem import (
     ProblemInstance,
     _rounding_slack,
     _value_slope,
-    lipschitz_bound,
     objective_eval,
     objective_eval_many,
     solve_bound,
@@ -365,88 +361,133 @@ def _power_sum(ground, x: np.ndarray, p: float, width: float = 0.0):
     return float((r**p).sum()), c @ g, hess, r
 
 
-def _smoothing_homotopy(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Sum or max ground with finite p > 1: damped Newton on smoothed block norms, level by level.
+def _damped_newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
+    """Finite p, but for the medians: damped Newton on ``sum r_i^p``, one smoothing level at a time.
 
-    Each smoothing level ``eps`` of ``_SMOOTHING`` (1e-1 down to 1e-11),
-    times the largest block norm at ``u0``, runs damped Newton on ``sum
-    r_i^p`` over the smoothed norms of :func:`_block_terms` (gradient and
-    Hessian from :func:`_power_sum`), from the last level's point;
-    ``max_iters`` caps the steps of all levels together.  The face finish
-    (:func:`_face_finish`) lands a level's point on the face of the block
-    norms that holds it, and its point is kept unless its value is more
-    than ``_SUM_RTOL`` relative above the level point's.
+    ``sum r_i^p`` has the objective's minimizers, and :func:`_power_sum`
+    gives its value, gradient and Hessian over the block norms of
+    :func:`_block_terms`.  The sum and max grounds run the levels ``eps`` of
+    ``_SMOOTHING`` times the largest block norm at ``u0``, each from the
+    last one's point; the Euclidean and power grounds, smooth away from the
+    anchors, run one level at eps = 0 (on the Euclidean ground the iterates
+    stay in the anchors' affine hull, which holds every minimizer).
+    ``max_iters`` caps the steps of all levels together.  Each iteration:
 
-    After each settled level, and after the last level whether or not it
-    settled, the finish runs once on the face within ``max(_FACE_TOL, 10
-    eps)`` of the level's point (``_FACE_TOL`` at the last level); the solve
-    ends there, converged, when the finished point is kept and the finish
-    certifies its face (the paper's optimality conditions are necessary and
-    sufficient, so that point is optimal; Wright 1993, "Identifiable
-    surfaces in constrained optimization").  A face with more equality rows
-    than ``d`` is not tried before the last level: at eps = 1e-1 nearly
-    every max-ground coordinate ties, and the n = 1 024, d = 10 cell of the
-    probe's scale grid did not finish in 300 s with those attempts (0.13 s
-    without).  Otherwise the last level's finish ends the solve, and
-    ``converged`` means that level settled and the finish's point was kept.
-    On the 288 sum- and max-ground finite-p cells of ``tools/certify_grid.py``
-    the early stop takes the Newton steps from 7 091 to 1 959 (Gaussian
-    grid) and from 6 767 to 3 598 (lattice grid).
+    - When p = 1 it first tests the anchor nearest the iterate (Vardi and
+      Zhang 2000, "The multivariate L1-median and associated data depth"):
+      the anchor is optimal, and returned converged, exactly when the other
+      blocks' unit gradients there sum to at most one in the dual norm.  A
+      failing anchor no higher than the iterate replaces it, and the step
+      leaves along the dual map of the pull (minus that sum) by the
+      Weiszfeld length ``(|pull| - 1) / sum_i 1 / r_i`` over the other
+      blocks; Newton alone creeps towards such an anchor.
+    - At width 0 the level settles once the gradient norm is within
+      ``_GRAD_ULPS`` ulps of ``sum_i p r_i^(p-1)``, tested before the step,
+      so a solve that starts at its optimum pays no linear solve.
+    - The Newton step is ``lstsq`` at a positive width: the log-sum-exp
+      Hessian reaches a condition number of 1e68, and with ``solve`` 18 of
+      the 36 max-ground d = 10 Gaussian cells of ``tools/certify_grid.py``
+      with finite p fail recovery.  At width 0 it is ``solve``, or the
+      gradient where the Hessian is singular: below ground exponent 2 a
+      coordinate 4e-34 from an anchor's carries curvature near 5e16, and
+      ``lstsq``'s cutoff drops the descent direction with it.  A step whose
+      decrement ``-g . s`` is not positive (or not finite) becomes ``-g``.
+    - The level settles once the decrement is at most ``eps`` times the
+      value (Newton to the rounding floor at every level took a median of
+      56 steps against 19 on solve-certify's 15 sum- and max-ground p = 2
+      solves).
+    - The step is clipped to the radius of :func:`solve_bound`, and the line
+      search starts at min(1, 4 times the last accepted step): from 1 it
+      took 10 evaluations per step against 3 on the max ground with p = 2 at
+      n = 4 096, d = 10.  It halves until the value falls, or stays within
+      ``_GRAD_ULPS`` ulps while the gradient norm halves (below ground
+      exponent 2 Newton reflects a coordinate on an anchor's across it at
+      every step; the half step lands it there).  A search that fails from a
+      short start is tried once more from 1; one that fails from 1 ends the
+      level unsettled.
 
-    Three choices keep each level fast and exact (timings on a 2-core
-    machine):
-
-    - The step is a least-squares solve (``lstsq``), not ``solve``: the
-      log-sum-exp Hessian reaches a condition number of 1e68 at eps = 1e-3
-      on the cell (max, p=2, n=13, d=10, s=2) of ``tools/certify_grid.py``.
-      With ``solve`` and a gradient fallback that cell ends 3.6e-6 relative
-      above the optimum, and 18 of the 36 max-ground d = 10 cells of the
-      Gaussian grid with finite p fail recovery.
-    - A level settles once the Newton decrement ``-g . s`` is at most
-      ``eps`` times the smoothed objective.  Running Newton to the rounding
-      floor at every level takes a median of 56 steps, against 19, and 47
-      to 55 ms against 31 to 38 ms, on the 15 sum- and max-ground p = 2
-      solves of a solve-certify benchmark run.
-    - Each line search starts at min(1, 4 times the last accepted step) and
-      halves until the value falls.  Starting at 1 takes 10 evaluations per
-      step, against 3, on the max ground with p = 2 at n = 4 096, d = 10:
-      1.3 to 1.5 s against 0.33 to 0.36 s.  A short start can ask for a
-      decrease below the value's rounding, so a search that fails from it
-      is tried once more from 1; a level whose search fails from 1 ends
-      unsettled.
+    On the sum and max grounds :func:`_face_finish` runs after each settled
+    level and after the last, on the face within ``max(_FACE_TOL, 10 eps)``
+    of the level's point (``_FACE_TOL`` at the last level; faces of more
+    than ``d`` rows only there, since at eps = 1e-1 nearly every max-ground
+    coordinate ties), and its point is kept unless its value is more than
+    ``_SUM_RTOL`` relative above the level point's.  A kept point whose face
+    the finish certifies is optimal and ends the solve, converged (Wright
+    1993, "Identifiable surfaces in constrained optimization"); otherwise
+    ``converged`` means the last level settled and its finish was kept.
+    On the Euclidean and power grounds it means the level settled or an
+    anchor passed the test.
     """
     ground, anchors = prob.norm.ground, prob.anchors
+    dual = dual_ground_norm(ground)
+    radius = solve_bound(prob).radius
     p = prob.norm.generator.p
-    length = float(ground_norm_eval_many(ground, u0 - anchors).max())
+    ulps = _GRAD_ULPS * float(np.finfo(float).eps)
+    polyhedral = ground.kind in ("sum", "max")
+    length = float(ground_norm_eval_many(ground, u0 - anchors).max()) if polyhedral else 0.0
     u, steps, t = u0, 0, 1.0
-    for eps in _SMOOTHING:
+
+    def search(t):
+        """The first accepted of ``t`` and its halvings, its point and terms; ``None`` for both if none is."""
+        for _ in range(_BACKTRACKS):
+            trial = u + t * s
+            terms = _power_sum(ground, trial - anchors, p, width)
+            if terms[0] < f or (terms[0] - f <= ulps * f and float(np.linalg.norm(terms[1])) <= 0.5 * gn):
+                return t, trial, terms
+            t *= 0.5
+        return t, None, None
+
+    for eps in _SMOOTHING if polyhedral else (0.0,):
         settled, width = False, eps * length
+        f, grad, hess, r = _power_sum(ground, u - anchors, p, width)
         while steps < cfg.max_iters:
-            f, grad, hess, _ = _power_sum(ground, u - anchors, p, width)
-            s = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            if -float(grad @ s) <= eps * f:
-                settled = True
+            s = None
+            if p == 1.0:
+                k = int(np.argmin(r))
+                anchor = anchors[k].copy()
+                fk, gk, _, rk = _power_sum(ground, anchor - anchors, p)
+                excess = float(ground_norm_eval_many(dual, -gk)) - 1.0
+                if excess <= 0.0:
+                    return anchor, steps, True
+                if fk <= f:
+                    s = excess / float((1.0 / np.delete(rk, k)).sum()) * _ground_subgradient(dual, -gk)
+                    u, f, grad = anchor, fk, gk
+            gn = float(np.linalg.norm(grad))
+            if s is None:
+                if width == 0.0 and gn <= ulps * p * float((r ** (p - 1.0)).sum()):
+                    settled = True
+                    break
+                if width > 0.0:
+                    s = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+                else:
+                    try:
+                        s = np.linalg.solve(hess, -grad)
+                    except np.linalg.LinAlgError:
+                        s = -grad
+                if not 0.0 < -float(grad @ s) < math.inf:
+                    s = -grad
+                if -float(grad @ s) <= eps * f:
+                    settled = True
+                    break
+                size = float(np.linalg.norm(s))
+                if size > radius:
+                    s *= radius / size
+            start = min(1.0, 4.0 * t)
+            t, trial, terms = search(start)
+            if trial is None and start < 1.0:
+                t, trial, terms = search(1.0)
+            if trial is None:
                 break
-            t = start = min(1.0, 4.0 * t)
-            for _ in range(_BACKTRACKS):
-                trial = u + t * s
-                if float((_block_terms(ground, trial - anchors, width)[0] ** p).sum()) < f:
-                    break
-                t *= 0.5
-            else:
-                if start == 1.0:
-                    break
-                t = 0.25  # the retry starts at min(1, 4 t) = 1
-                continue
-            u = trial
+            u, (f, grad, hess, r) = trial, terms
             steps += 1
         last = eps == _SMOOTHING[-1]
-        if settled or last:
+        if polyhedral and (settled or last):
             r = ground_norm_eval_many(ground, u - anchors)
             un, certified = _face_finish(ground.kind, u, anchors, r, p, max(_FACE_TOL, 10.0 * eps), math.inf if last else prob.dim)
             kept = float((ground_norm_eval_many(ground, un - anchors) ** p).sum()) <= float((r**p).sum()) * (1.0 + _SUM_RTOL)
             if last or (kept and certified):
                 return (un if kept else u), steps, settled and kept
+    return u, steps, settled
 
 
 def _kkt_newton(system, z: np.ndarray, floor: float):
@@ -545,81 +586,6 @@ def _face_finish(kind: str, u: np.ndarray, anchors: np.ndarray, r: np.ndarray, p
     return un, least <= floor and on_face and feasible
 
 
-def _newton(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
-    """Euclidean or power ground with finite p: damped Newton on ``sum r_i^p`` from ``u0``.
-
-    ``sum r_i^p`` has the minimizers of the objective ``(sum r_i^p)^(1/p)``;
-    one :func:`_power_sum` pass per point gives its value, gradient and
-    Hessian.  On the Euclidean ground the gradient at a point of the
-    anchors' affine hull lies in the hull's directions, which the Hessian
-    maps to themselves, so the iterates stay in the hull, which holds every
-    minimizer.  A step is halved until it lowers the value, or leaves it
-    within ``_GRAD_ULPS`` ulps and at least halves the gradient norm: the
-    gradient norm keeps shrinking long after the value stops resolving a
-    descent, but below ground exponent 2 a coordinate on an anchor's makes
-    Newton reflect it across that anchor at every step while rounding
-    elsewhere shaves the gradient norm by about 1e-7 relative; the half step
-    lands it on the anchor.  Stops converged once the gradient norm is
-    within ``_GRAD_ULPS`` ulps of the sum of its blocks' dual norms ``p
-    r_i^(p - 1)``.
-
-    When p = 1 each iteration first tests the anchor nearest the iterate, in
-    O(n d) (Vardi and Zhang 2000, "The multivariate L1-median and associated
-    data depth"): it is optimal, and returned converged, exactly when the
-    other blocks' unit gradients there sum to at most one in the dual norm,
-    as its own block's dual may be anything in the dual ball.  A failing
-    anchor no higher than the iterate replaces it, and the step leaves along
-    the dual map of the pull (minus that sum) by the Weiszfeld length
-    ``(|pull| - 1) / sum_i 1 / r_i`` over the other blocks; Newton alone
-    creeps towards such an anchor.
-    """
-    ground, anchors = prob.norm.ground, prob.anchors
-    dual = dual_ground_norm(ground)
-    radius = solve_bound(prob).radius
-    p = prob.norm.generator.p
-    eps = np.finfo(float).eps
-    u = u0
-    f, grad, hess, r = _power_sum(ground, u - anchors, p)
-    steps, converged = 0, False
-    while steps < cfg.max_iters:
-        s = None
-        if p == 1.0:
-            k = int(np.argmin(r))
-            anchor = anchors[k].copy()
-            fk, gk, _, rk = _power_sum(ground, anchor - anchors, p)
-            excess = float(ground_norm_eval_many(dual, -gk)) - 1.0
-            if excess <= 0.0:
-                return anchor, steps, True
-            if fk <= f:
-                s = excess / float((1.0 / np.delete(rk, k)).sum()) * _ground_subgradient(dual, -gk)
-                u, f, grad = anchor, fk, gk
-        gn = float(np.linalg.norm(grad))
-        if s is None:
-            if gn <= _GRAD_ULPS * eps * p * float((r ** (p - 1.0)).sum()):
-                converged = True
-                break
-            try:
-                s = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                s = -grad
-            if not np.all(np.isfinite(s)) or float(s @ grad) >= 0.0:
-                s = -grad
-            length = float(np.linalg.norm(s))
-            if length > radius:
-                s *= radius / length
-        for _ in range(_BACKTRACKS):
-            trial = u + s
-            terms = _power_sum(ground, trial - anchors, p)
-            if terms[0] < f or (terms[0] - f <= _GRAD_ULPS * eps * f and float(np.linalg.norm(terms[1])) <= 0.5 * gn):
-                break
-            s = 0.5 * s
-        else:
-            break
-        steps += 1
-        u, (f, grad, hess, r) = trial, terms
-    return u, steps, converged
-
-
 def _minimax(prob: ProblemInstance, cfg: SolverConfig, u0: np.ndarray, f0: float):
     """Euclidean or power ground with p = inf: SLSQP on the epigraph of the largest block norm.
 
@@ -713,22 +679,21 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
       d = 12: one sparse HiGHS linear program (interior point, then
       crossover); ``converged`` means HiGHS reported an optimal solution
       (status 0).
-    - Sum or max ground, finite p > 1: damped Newton on ``sum r_i^p`` over
-      smoothed block norms, level by level from 1e-1 down to 1e-11
-      (:func:`_smoothing_homotopy`); after each settled level, Newton on
-      the face of the block norms that holds its point
-      (:func:`_face_finish`), whose point is kept unless its value is more
-      than 1e-12 relative above the level point's.  ``iterations`` counts
-      the Newton steps of the levels that ran.  The solve stops, converged,
-      at the first level whose finished point is kept and whose face the
-      dual conditions certify; otherwise ``converged`` means the last level
-      settled (its Newton decrement fell to 1e-11 of the smoothed
-      objective) and the finish's point was kept.
-    - Euclidean or power ground, finite p: damped Newton on ``sum r_i^p``
-      from the centroid (:func:`_newton`), where ``converged`` means the
-      gradient norm fell to the rounding floor of its blocks, or, for p =
-      1, that the anchor nearest an iterate passed the dual-norm test and
-      is returned as is.
+    - Finite p otherwise: damped Newton on ``sum r_i^p``
+      (:func:`_damped_newton`), over smoothed block norms level by level
+      from 1e-1 down to 1e-11 on the sum and max grounds, at width 0 on the
+      Euclidean and power grounds; ``iterations`` counts the Newton steps
+      of all levels.  On the sum and max grounds Newton on the face of the
+      block norms that holds a settled level's point (:func:`_face_finish`)
+      is kept unless its value is more than 1e-12 relative above the level
+      point's; the solve stops, converged, at the first level whose
+      finished point is kept and whose face the dual conditions certify,
+      and otherwise ``converged`` means the last level settled (its Newton
+      decrement fell to 1e-11 of the smoothed objective) and the finish's
+      point was kept.  On the Euclidean and power grounds ``converged``
+      means the gradient norm fell to the rounding floor of its blocks, or,
+      for p = 1, that the anchor nearest an iterate passed the dual-norm
+      test and is returned as is.
     - Euclidean or power ground, p = inf: the epigraph SLSQP from the
       centroid, then Newton on the Chebyshev conditions (:func:`_minimax`);
       ``converged`` means the finished point was kept with the conditions'
@@ -784,10 +749,10 @@ def solve_subgradient(prob: ProblemInstance, config: SolverConfig | None = None)
         method = _box_center
     elif prob.norm.ground.kind == "sum" and p == math.inf and 1 << prob.dim <= _FACETS:
         method = _l1_chebyshev
-    elif prob.norm.ground.kind in ("sum", "max"):
-        method = _polyhedral_lp if p in (1.0, math.inf) else _smoothing_homotopy
+    elif p in (1.0, math.inf) and prob.norm.ground.kind in ("sum", "max"):
+        method = _polyhedral_lp
     else:
-        method = _minimax if p == math.inf else _newton
+        method = _minimax if p == math.inf else _damped_newton
     u, steps, converged = method(copy, cfg, u0, f0)
     if objective_eval(copy, u) > f0 * (1.0 + _SUM_RTOL):
         u, converged = u0, False
@@ -873,9 +838,12 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
 class GridOracleResult:
     """Lattice minimum with a certified distance to the true optimum.
 
-    The true minimum is at least ``value - error_bound``; ``argmin`` lists
-    every lattice point within 1e-9 of the lattice minimum, in row-major
-    lattice order.
+    ``lipschitz_bound`` is the objective's Euclidean slope as evaluated
+    (``problem._value_slope``: kappa n^(1/p) for a power generator of
+    exponent p, kappa the ground norm's).  The true minimum is at least
+    ``value - error_bound``, where ``error_bound = lipschitz_bound *
+    spacing``; ``argmin`` lists every lattice point within 1e-9 of the
+    lattice minimum, in row-major lattice order.
     """
 
     value: float
@@ -896,11 +864,10 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
     value, less the objective's Lipschitz constant times the block's radius,
     still exceeds the least value seen so far by more than the near-minimum
     slack holds neither the minimum nor a near-minimal point and is dropped
-    unevaluated.  The constant is the generator's own (``_value_slope``):
-    kappa n^(1/p) for a power generator of exponent p, kappa the ground
-    norm's; the reported ``lipschitz_bound`` and ``error_bound`` keep the
-    p = 1 constant kappa n.  The value and the near-minimal points, in
-    row-major order, are bitwise those of evaluating every lattice point.
+    unevaluated.  The constant is the generator's own (``_value_slope``),
+    the reported ``lipschitz_bound``.  The value and the near-minimal
+    points, in row-major order, are bitwise those of evaluating every
+    lattice point.
     """
     if prob.dim > 3:
         raise ContractError("grid oracle supports dimension at most 3")
@@ -920,7 +887,6 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
     else:
         axes = [np.linspace(-radius, radius, grid) for _ in range(prob.dim)]
         spacing = 2.0 * radius / (grid - 1)
-    lip = lipschitz_bound(prob)
     slope, slack = _value_slope(prob), _rounding_slack(prob)
     best = math.inf
 
@@ -951,7 +917,7 @@ def grid_oracle(prob: ProblemInstance, grid: int) -> GridOracleResult:
         value=value,
         argmin=argmin,
         spacing=spacing,
-        lipschitz_bound=lip,
-        error_bound=lip * spacing,
+        lipschitz_bound=slope,
+        error_bound=slope * spacing,
         box_radius=radius,
     )

@@ -352,6 +352,25 @@ def test_grid_oracle_examples():
     assert oracle2.argmin.shape[0] >= 1
     assert np.all(np.abs(oracle2.argmin - np.array([1.0, 0.0])) <= oracle2.spacing)
 
+    # The reported slope is the generator's own, kappa n^(1/p), below the
+    # public lipschitz_bound's kappa n once p > 1, and the converged solve
+    # still lies within error_bound below the lattice value.
+    anchors = [[0.0, 0.0], [3.0, 0.0], [1.0, 2.0], [-1.0, 1.5]]
+    for example, grid in (
+        (prob, 601),
+        (cheb, 601),
+        (_instance(anchors, GroundNorm.max(), 2.0), 301),
+        (_instance(anchors[:3], GroundNorm.euclidean(), math.inf), 301),
+    ):
+        oracle = grid_oracle(example, grid)
+        assert oracle.lipschitz_bound == problem._value_slope(example)
+        assert oracle.error_bound == oracle.spacing * oracle.lipschitz_bound
+        res = solve_subgradient(example)
+        assert res.converged
+        slack = 1e-12 * oracle.value
+        assert oracle.value - oracle.error_bound - slack <= res.value <= oracle.value + slack
+    assert oracle.lipschitz_bound < lipschitz_bound(example)
+
 
 def test_grid_oracle_degenerate_single_point():
     prob = two_anchor(GroundNorm.max(), PsiGenerator.power(1.0))
@@ -443,6 +462,22 @@ def test_former_solver_faults_certify(anchors, ground, p, tol):
         cert = recover_certificate(prob, res.point, tol=level)
         assert not isinstance(cert, Infeasible), (level, cert)
         assert check_certificate(prob, cert, tol=level).verdict
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_grounds_agree_in_one_dimension(p):
+    # In d = 1 every ground norm is |y|, so the five grounds pose one problem
+    # to different methods: for finite p the Newton loop at positive widths
+    # (sum and max grounds, p > 1) and at width 0 (the others), the medians
+    # at p = 1, and three methods at p = inf.
+    for n in (4, 13, 64, 256):
+        for s in (0, 1, 2):
+            values = []
+            for ground in (*ALL_GROUNDS, GroundNorm.power(1.5)):
+                res = solve_subgradient(_instance(gaussian_anchors(n, 1, s), ground, p))
+                assert res.converged, (ground, n, s)
+                values.append(res.value)
+            assert max(values) - min(values) <= 1e-13 * min(values), (n, s, values)
 
 
 def test_obtuse_triangle_returns_its_vertex():
